@@ -1,66 +1,73 @@
-"""Hot numeric loops with a numba path and a pure-numpy fallback.
-
-Every public function here has two implementations that run the same
-recurrences in float64. The numba path is the default when numba imports;
-set ``HODGEGP_NUMBA=0`` in the environment to force the numpy fallback
-(``python -m hodgegp.bench`` times the two against each other).
-"""
-
-import os
+"""Numpy Legendre recurrences: weighted Legendre sums and associated-Legendre tables."""
 
 import numpy as np
 
 _INV_SQRT_4PI = 0.28209479177387814  # (4*pi)**-0.5
 
 
-def _env_wants_numba():
-    return os.environ.get("HODGEGP_NUMBA", "1").strip().lower() not in ("0", "false", "off")
-
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    njit = None
-    HAS_NUMBA = False
-
-NUMBA_ENABLED = HAS_NUMBA and _env_wants_numba()
-
-
 def using_numba():
-    """True when the compiled path is active."""
-    return NUMBA_ENABLED
+    """Always False: every recurrence runs in numpy (kept for callers that record it)."""
+    return False
 
 
 # ---------------------------------------------------------------------------
-# Legendre polynomials P_l(t) and their first two derivatives, all levels
-# 0..lmax at a batch of abscissae. Three-term recurrence, exact at t = +-1.
+# Weighted sums of Legendre polynomials P_l(t) and their first two
+# derivatives over levels 0..lmax. Three-term recurrence, exact at t = +-1.
 # ---------------------------------------------------------------------------
 
-def _legendre_tables_np(t, lmax):
+def legendre_sums(t, w0, w1, w2):
+    """Weighted sums (sum_l w0[l] P_l, sum_l w1[l] P_l', sum_l w2[l] P_l'') at t.
+
+    The recurrences roll over two levels held in place, so memory stays a
+    few arrays of len(t) for any lmax; a level whose weight is zero is
+    recurred through but not accumulated.
+    """
     t = np.ascontiguousarray(t, dtype=np.float64)
-    n = t.shape[0]
-    p = np.zeros((lmax + 1, n))
-    dp = np.zeros((lmax + 1, n))
-    d2p = np.zeros((lmax + 1, n))
-    p[0] = 1.0
-    if lmax >= 1:
-        p[1] = t
-        dp[1] = 1.0
+    w0, w1, w2 = (np.asarray(w, dtype=np.float64) for w in (w0, w1, w2))
+    lmax = len(w0) - 1
+    s0 = np.full_like(t, w0[0])
+    s1 = np.zeros_like(t)
+    s2 = np.zeros_like(t)
+    if lmax < 1:
+        return s0, s1, s2
+    s0 += w0[1] * t
+    s1 += w1[1]
+    # (p, dp, d2p) hold level l-2 and are overwritten by level l; (q, dq, d2q) hold l-1
+    p, q = np.ones_like(t), t.copy()
+    dp, dq = np.zeros_like(t), np.ones_like(t)
+    d2p, d2q = np.zeros_like(t), np.zeros_like(t)
+    u = np.empty_like(t)
+    v = np.empty_like(t)
     for l in range(2, lmax + 1):
         a = 2.0 * l - 1.0
         b = l - 1.0
         # single division keeps the endpoint values t = +-1 integer-exact
-        p[l] = (a * t * p[l - 1] - b * p[l - 2]) / l
-        dp[l] = (a * (p[l - 1] + t * dp[l - 1]) - b * dp[l - 2]) / l
-        d2p[l] = (a * (2.0 * dp[l - 1] + t * d2p[l - 1]) - b * d2p[l - 2]) / l
-    return p, dp, d2p
-
-
-def _legendre_sums_np(t, w0, w1, w2):
-    p, dp, d2p = _legendre_tables_np(t, len(w0) - 1)
-    return w0 @ p, w1 @ dp, w2 @ d2p
+        np.multiply(dq, 2.0, out=v)                 # (a (2 dq + t d2q) - b d2p) / l
+        np.multiply(t, d2q, out=u)
+        v += u
+        v *= a
+        d2p *= b
+        np.subtract(v, d2p, out=d2p)
+        d2p /= l
+        np.multiply(t, dq, out=u)                   # (a (q + t dq) - b dp) / l
+        u += q
+        u *= a
+        dp *= b
+        np.subtract(u, dp, out=dp)
+        dp /= l
+        np.multiply(t, a, out=u)                    # (a t q - b p) / l
+        u *= q
+        p *= b
+        np.subtract(u, p, out=p)
+        p /= l
+        for s, w, level in ((s0, w0[l], p), (s1, w1[l], dp), (s2, w2[l], d2p)):
+            if w != 0.0:
+                np.multiply(level, w, out=u)
+                s += u
+        p, q = q, p
+        dp, dq = dq, dp
+        d2p, d2q = d2q, d2p
+    return s0, s1, s2
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +83,14 @@ def _legendre_sums_np(t, w0, w1, w2):
 # sin/cos theta.
 # ---------------------------------------------------------------------------
 
-def _alp_tables_np(ct, st, lmax):
-    ct = np.ascontiguousarray(ct, dtype=np.float64)
-    st = np.ascontiguousarray(st, dtype=np.float64)
+def alp_tables(cos_theta, sin_theta, lmax):
+    """Orthonormal associated-Legendre value/derivative tables.
+
+    Returns (a, b, d) with shape (lmax+1, lmax+1, npts); first index l,
+    second index m (entries with m > l are zero).
+    """
+    ct = np.ascontiguousarray(cos_theta, dtype=np.float64)
+    st = np.ascontiguousarray(sin_theta, dtype=np.float64)
     n = ct.shape[0]
     a = np.zeros((lmax + 1, lmax + 1, n))
     b = np.zeros((lmax + 1, lmax + 1, n))
@@ -108,131 +120,3 @@ def _alp_tables_np(ct, st, lmax):
             if m >= 1:
                 d[l, m] = fa * ct * d[l - 1, m] + fb * d[l - 2, m]
     return a, b, d
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _legendre_tables_nb(t, lmax):  # pragma: no cover - exercised via dispatch
-        n = t.shape[0]
-        p = np.zeros((lmax + 1, n))
-        dp = np.zeros((lmax + 1, n))
-        d2p = np.zeros((lmax + 1, n))
-        for i in range(n):
-            p[0, i] = 1.0
-        if lmax >= 1:
-            for i in range(n):
-                p[1, i] = t[i]
-                dp[1, i] = 1.0
-        for l in range(2, lmax + 1):
-            a = 2.0 * l - 1.0
-            b = l - 1.0
-            for i in range(n):
-                ti = t[i]
-                p[l, i] = (a * ti * p[l - 1, i] - b * p[l - 2, i]) / l
-                dp[l, i] = (a * (p[l - 1, i] + ti * dp[l - 1, i]) - b * dp[l - 2, i]) / l
-                d2p[l, i] = (a * (2.0 * dp[l - 1, i] + ti * d2p[l - 1, i])
-                             - b * d2p[l - 2, i]) / l
-        return p, dp, d2p
-
-    @njit(cache=True)
-    def _legendre_sums_nb(t, w0, w1, w2):  # pragma: no cover - exercised via dispatch
-        n = t.shape[0]
-        lmax = w0.shape[0] - 1
-        s0 = np.zeros(n)
-        s1 = np.zeros(n)
-        s2 = np.zeros(n)
-        for i in range(n):
-            ti = t[i]
-            pm2 = 1.0
-            dm2 = 0.0
-            d2m2 = 0.0
-            s0[i] = w0[0]
-            if lmax >= 1:
-                pm1 = ti
-                dm1 = 1.0
-                d2m1 = 0.0
-                s0[i] += w0[1] * pm1
-                s1[i] += w1[1]
-                for l in range(2, lmax + 1):
-                    a = 2.0 * l - 1.0
-                    b = l - 1.0
-                    pl = (a * ti * pm1 - b * pm2) / l
-                    dl = (a * (pm1 + ti * dm1) - b * dm2) / l
-                    d2l = (a * (2.0 * dm1 + ti * d2m1) - b * d2m2) / l
-                    s0[i] += w0[l] * pl
-                    s1[i] += w1[l] * dl
-                    s2[i] += w2[l] * d2l
-                    pm2, pm1 = pm1, pl
-                    dm2, dm1 = dm1, dl
-                    d2m2, d2m1 = d2m1, d2l
-        return s0, s1, s2
-
-    @njit(cache=True)
-    def _alp_tables_nb(ct, st, lmax):  # pragma: no cover - exercised via dispatch
-        n = ct.shape[0]
-        a = np.zeros((lmax + 1, lmax + 1, n))
-        b = np.zeros((lmax + 1, lmax + 1, n))
-        d = np.zeros((lmax + 1, lmax + 1, n))
-        for i in range(n):
-            a[0, 0, i] = _INV_SQRT_4PI
-        for m in range(1, lmax + 1):
-            c = np.sqrt((2.0 * m + 1.0) / (2.0 * m))
-            for i in range(n):
-                a[m, m, i] = c * st[i] * a[m - 1, m - 1, i]
-                b[m, m, i] = c * (ct[i] * a[m - 1, m - 1, i] + st[i] * b[m - 1, m - 1, i])
-                if m == 1:
-                    d[1, 1, i] = c * a[0, 0, i]
-                else:
-                    d[m, m, i] = c * st[i] * d[m - 1, m - 1, i]
-        for m in range(0, lmax):
-            c = np.sqrt(2.0 * m + 3.0)
-            for i in range(n):
-                a[m + 1, m, i] = c * ct[i] * a[m, m, i]
-                b[m + 1, m, i] = c * (ct[i] * b[m, m, i] - st[i] * a[m, m, i])
-                if m >= 1:
-                    d[m + 1, m, i] = c * ct[i] * d[m, m, i]
-        for m in range(0, lmax + 1):
-            for l in range(m + 2, lmax + 1):
-                fa = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-                fb = -np.sqrt(((2.0 * l + 1.0) * ((l - 1.0) ** 2 - m * m))
-                              / ((2.0 * l - 3.0) * (l * l - m * m)))
-                for i in range(n):
-                    a[l, m, i] = fa * ct[i] * a[l - 1, m, i] + fb * a[l - 2, m, i]
-                    b[l, m, i] = (fa * (ct[i] * b[l - 1, m, i] - st[i] * a[l - 1, m, i])
-                                  + fb * b[l - 2, m, i])
-                    if m >= 1:
-                        d[l, m, i] = fa * ct[i] * d[l - 1, m, i] + fb * d[l - 2, m, i]
-        return a, b, d
-
-
-def legendre_tables(t, lmax):
-    """(P_l(t), P_l'(t), P_l''(t)) tables of shape (lmax+1, len(t))."""
-    t = np.ascontiguousarray(t, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _legendre_tables_nb(t, lmax)
-    return _legendre_tables_np(t, lmax)
-
-
-def legendre_sums(t, w0, w1, w2):
-    """Weighted sums (sum_l w0[l] P_l, sum_l w1[l] P_l', sum_l w2[l] P_l'') at t."""
-    t = np.ascontiguousarray(t, dtype=np.float64)
-    w0 = np.ascontiguousarray(w0, dtype=np.float64)
-    w1 = np.ascontiguousarray(w1, dtype=np.float64)
-    w2 = np.ascontiguousarray(w2, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _legendre_sums_nb(t, w0, w1, w2)
-    return _legendre_sums_np(t, w0, w1, w2)
-
-
-def alp_tables(cos_theta, sin_theta, lmax):
-    """Orthonormal associated-Legendre value/derivative tables.
-
-    Returns (a, b, d) with shape (lmax+1, lmax+1, npts); first index l,
-    second index m (entries with m > l are zero).
-    """
-    ct = np.ascontiguousarray(cos_theta, dtype=np.float64)
-    st = np.ascontiguousarray(sin_theta, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _alp_tables_nb(ct, st, lmax)
-    return _alp_tables_np(ct, st, lmax)

@@ -15,10 +15,10 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import minimize
 
 from .errors import InvalidInputError, NumericalError
-from .kernels import (CURL, DIV, HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NOISE,
-                      PROJECTED, KernelSpec, MaternParams, class_weights, compositional_spec,
+from .kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NOISE, PROJECTED,
+                      KernelSpec, MaternParams, class_weights, compositional_spec,
                       hodge_pair_sums, kernel_matrix, noise_spec, scalar_pair_sums,
-                      stable_phi_ratios)
+                      sphere_frame_blocks, stable_phi_ratios)
 from .manifold import SPHERE, ManifoldPoint, TangentVector, frames_at, points_array
 from .spectrum import torus_spectrum
 
@@ -70,60 +70,9 @@ class Dataset:
 # Frame-coordinate Gram assembly
 # ---------------------------------------------------------------------------
 
-def _rotate_frame_blocks(blocks):
-    """Conjugate 2x2 blocks by the in-plane 90-degree rotation J.
-
-    Turns divergence-class blocks into curl-class blocks (the curl kernel is
-    the div kernel conjugated by the Hodge star at both arguments).
-    """
-    out = np.empty_like(blocks)
-    out[..., 0, 0] = blocks[..., 1, 1]
-    out[..., 0, 1] = -blocks[..., 1, 0]
-    out[..., 1, 0] = -blocks[..., 0, 1]
-    out[..., 1, 1] = blocks[..., 0, 0]
-    return out
-
-
-def _sphere_div_blocks(nu, kappa, variance, lmax, X, BX, Y, BY):
-    t = X @ Y.T
-    s1, s2 = hodge_pair_sums(nu, kappa, lmax, t)
-    u = np.einsum("nka,ma->nmk", BX, Y)   # B_x^T P_x y  (P drops in the frame)
-    v = np.einsum("mka,na->nmk", BY, X)   # B_y^T P_y x
-    w = np.einsum("nka,mla->nmkl", BX, BY)
-    return variance * (s2[:, :, None, None] * u[:, :, :, None] * v[:, :, None, :]
-                       + s1[:, :, None, None] * w)
-
-
-def _sphere_frame_blocks(spec, X, BX, Y, BY):
-    if spec.kind == NOISE:
-        return np.zeros((X.shape[0], Y.shape[0], 2, 2))
-    if spec.kind == PROJECTED:
-        ks = scalar_pair_sums(spec.params, spec.lmax, X @ Y.T)
-        a = spec.coreg if spec.coreg is not None else np.eye(3)
-        geom = np.einsum("nka,ab,mlb->nmkl", BX, a @ a.T, BY)
-        return 0.5 * ks[:, :, None, None] * geom
-    if spec.kind == HODGE_DIV:
-        p = spec.params
-        return _sphere_div_blocks(p.nu, p.kappa, p.variance, spec.lmax, X, BX, Y, BY)
-    if spec.kind == HODGE_CURL:
-        p = spec.params
-        d = _sphere_div_blocks(p.nu, p.kappa, p.variance, spec.lmax, X, BX, Y, BY)
-        return _rotate_frame_blocks(d)
-    if spec.kind == HODGE_FULL:
-        p = spec.params
-        d = _sphere_div_blocks(p.nu, p.kappa, p.variance, spec.lmax, X, BX, Y, BY)
-        return 0.5 * (d + _rotate_frame_blocks(d))
-    if spec.kind == HODGE_COMPOSITIONAL:
-        pd, pc = spec.parts[DIV], spec.parts[CURL]
-        d = _sphere_div_blocks(pd.nu, pd.kappa, pd.variance, spec.lmax, X, BX, Y, BY)
-        c = _sphere_div_blocks(pc.nu, pc.kappa, pc.variance, spec.lmax, X, BX, Y, BY)
-        return d + _rotate_frame_blocks(c)
-    raise InvalidInputError(f"kernel kind {spec.kind!r} not supported on the sphere")
-
-
 def _frame_blocks(spec, X, BX, Y, BY):
     if spec.manifold == SPHERE:
-        return _sphere_frame_blocks(spec, X, BX, Y, BY)
+        return sphere_frame_blocks(spec, X, BX, Y, BY)
     return kernel_matrix(spec, X, Y)  # tori work in the global frame
 
 
@@ -244,11 +193,10 @@ def _prior_marginal_blocks(spec, Q, BQ):
         p = spec.params
         s1, _ = hodge_pair_sums(p.nu, p.kappa, spec.lmax, np.array([1.0]))
         return np.repeat(p.variance * float(s1[0]) * np.eye(2)[None], m, axis=0)
-    spectrum = torus_spectrum(spec.dim, spec.lambda_cap)
     if spec.kind == HODGE_FULL:
-        from .kernels import _scalar_torus_matrix
-        ks = _scalar_torus_matrix(spec.params, spectrum, Q[:1], Q[:1])[0, 0]
-        return np.repeat(ks / spec.dim * np.eye(spec.dim)[None], m, axis=0)
+        origin = np.zeros((1, spec.dim))   # the marginal is the same at every point
+        return np.repeat(kernel_matrix(spec, origin, origin)[0], m, axis=0)
+    spectrum = torus_spectrum(spec.dim, spec.lambda_cap)
     w = class_weights(spec, spectrum)
     e = spectrum.eigenfield_values(Q)
     return np.einsum("f,fma,fmb->mab", w, e, e)
@@ -273,15 +221,15 @@ def predict(model, points) -> Prediction:
     Q = points_array(points) if isinstance(points, list) else np.atleast_2d(points)
     BQ = frames_at(Q) if spec.manifold == SPHERE else None
     prior = _prior_marginal_blocks(spec, Q, BQ)
-    m = Q.shape[0]
+    m, d = prior.shape[:2]
     if len(model.dataset) == 0:
-        mean_f = np.zeros((m, prior.shape[1]))
+        mean_f = np.zeros((m, d))
     else:
         X = model.dataset.coords()
         cross = _blocks_to_matrix(_frame_blocks(spec, Q, BQ, X, model.frames))
-        mean_f = (cross @ model.alpha).reshape(m, -1)
+        mean_f = (cross @ model.alpha).reshape(m, d)
         r = solve_triangular(model.chol, cross.T, lower=True)
-        r = r.reshape(r.shape[0], m, -1)
+        r = r.reshape(r.shape[0], m, d)
         prior = prior - np.einsum("nmk,nml->mkl", r, r)
     cov = 0.5 * (prior + prior.transpose(0, 2, 1))
     if BQ is not None:

@@ -10,7 +10,9 @@ sigma^2 over the same truncation.
 
 On the sphere the sums over the order m collapse through the Legendre
 addition theorem, so scalar kernels need only P_l(x . x') and vector kernels
-only its first two derivatives. A direct sum over eigenfields
+only its first two derivatives. Sphere vector kernels are evaluated once, as
+2x2 blocks in tangent frames (``sphere_frame_blocks``); ambient 3x3 matrices
+are their lift. A direct sum over eigenfields
 (``spectral_kernel_oracle``) is kept as the slow reference path; it is also
 the evaluation route for the divergence-free and curl-free kernels on T^2.
 """
@@ -22,7 +24,7 @@ import numpy as np
 
 from ._accel import legendre_sums
 from .errors import InvalidInputError
-from .manifold import CIRCLE, SPHERE, TORUS
+from .manifold import CIRCLE, SPHERE, TORUS, frames_at
 from .spectrum import CURL, DIV, HARM, torus_spectrum
 
 SCALAR = "scalar"
@@ -258,7 +260,7 @@ def normalization(spec, spectrum=None):
 
 
 # ---------------------------------------------------------------------------
-# Sphere kernels via the addition theorem
+# Sphere kernels via the addition theorem, in tangent-frame coordinates
 # ---------------------------------------------------------------------------
 
 def scalar_pair_sums(params, lmax, t):
@@ -289,66 +291,63 @@ def hodge_pair_sums(nu, kappa, lmax, t):
     return s1.reshape(np.shape(t)), s2.reshape(np.shape(t))
 
 
-def _cross_matrices(X):
-    """(n, 3, 3) matrices K with K v = x cross v."""
-    n = X.shape[0]
-    k = np.zeros((n, 3, 3))
-    k[:, 0, 1] = -X[:, 2]
-    k[:, 0, 2] = X[:, 1]
-    k[:, 1, 0] = X[:, 2]
-    k[:, 1, 2] = -X[:, 0]
-    k[:, 2, 0] = -X[:, 1]
-    k[:, 2, 1] = X[:, 0]
-    return k
+def _rotate_frame_blocks(blocks):
+    """Conjugate 2x2 blocks by the in-plane 90-degree rotation J.
+
+    Turns divergence-class blocks into curl-class blocks (the curl kernel is
+    the div kernel conjugated by the Hodge star at both arguments).
+    """
+    out = np.empty_like(blocks)
+    out[..., 0, 0] = blocks[..., 1, 1]
+    out[..., 0, 1] = -blocks[..., 1, 0]
+    out[..., 1, 0] = -blocks[..., 0, 1]
+    out[..., 1, 1] = blocks[..., 0, 0]
+    return out
 
 
-def _div_kernel_matrix(nu, kappa, variance, lmax, X, Y):
-    """Ambient (n, m, 3, 3) divergence-class kernel matrix."""
+def _sphere_div_blocks(nu, kappa, variance, lmax, X, BX, Y, BY):
     t = X @ Y.T
     s1, s2 = hodge_pair_sums(nu, kappa, lmax, t)
-    px_y = Y[None, :, :] - t[:, :, None] * X[:, None, :]   # P_x y
-    py_x = X[:, None, :] - t[:, :, None] * Y[None, :, :]   # P_y x
-    rank1 = px_y[:, :, :, None] * py_x[:, :, None, :]
-    pxpy = (np.eye(3)[None, None]
-            - X[:, None, :, None] * X[:, None, None, :]
-            - Y[None, :, :, None] * Y[None, :, None, :]
-            + t[:, :, None, None] * X[:, None, :, None] * Y[None, :, None, :])
-    return variance * (s2[:, :, None, None] * rank1 + s1[:, :, None, None] * pxpy)
+    u = np.einsum("nka,ma->nmk", BX, Y)   # B_x^T P_x y  (P drops in the frame)
+    v = np.einsum("mka,na->nmk", BY, X)   # B_y^T P_y x
+    w = np.einsum("nka,mla->nmkl", BX, BY)
+    return variance * (s2[:, :, None, None] * u[:, :, :, None] * v[:, :, None, :]
+                       + s1[:, :, None, None] * w)
 
 
-def _rotate_both(M, X, Y):
-    rx = _cross_matrices(X)
-    ry = _cross_matrices(Y)
-    return np.einsum("nab,nmbc,mdc->nmad", rx, M, ry)
+def sphere_frame_blocks(spec, X, BX, Y, BY):
+    """(n, m, 2, 2) blocks B_x k(x, y) B_y^T of a sphere kernel in given frames.
 
-
-def hodge_matrix(spec, X, Y):
-    """Ambient (n, m, 3, 3) matrix of a sphere Hodge-Matern kernel."""
-    X = np.atleast_2d(X)
-    Y = np.atleast_2d(Y)
-    if spec.kind == HODGE_DIV:
-        p = spec.params
-        return _div_kernel_matrix(p.nu, p.kappa, p.variance, spec.lmax, X, Y)
-    if spec.kind == HODGE_CURL:
-        p = spec.params
-        m = _div_kernel_matrix(p.nu, p.kappa, p.variance, spec.lmax, X, Y)
-        return _rotate_both(m, X, Y)
-    if spec.kind == HODGE_FULL:
-        p = spec.params
-        m = _div_kernel_matrix(p.nu, p.kappa, p.variance, spec.lmax, X, Y)
-        return 0.5 * (m + _rotate_both(m, X, Y))
+    This is the only sphere vector-kernel evaluator: the div-class kernel
+    grad_x grad_y^T g of the scalar potential g, its Hodge-star conjugate for
+    the curl class, and (1/2) k B_x A A^T B_y^T for the projected kernel.
+    """
+    if spec.kind == NOISE:
+        return np.zeros((X.shape[0], Y.shape[0], 2, 2))
+    if spec.kind == PROJECTED:
+        ks = scalar_pair_sums(spec.params, spec.lmax, X @ Y.T)
+        a = spec.coreg if spec.coreg is not None else np.eye(3)
+        geom = np.einsum("nka,ab,mlb->nmkl", BX, a @ a.T, BY)
+        return 0.5 * ks[:, :, None, None] * geom
     if spec.kind == HODGE_COMPOSITIONAL:
-        pd = spec.parts[DIV]
-        pc = spec.parts[CURL]
-        md = _div_kernel_matrix(pd.nu, pd.kappa, pd.variance, spec.lmax, X, Y)
-        mc = _div_kernel_matrix(pc.nu, pc.kappa, pc.variance, spec.lmax, X, Y)
-        return md + _rotate_both(mc, X, Y)
-    raise InvalidInputError(f"not a sphere Hodge kernel kind: {spec.kind!r}")
+        pd, pc = spec.parts[DIV], spec.parts[CURL]
+        d = _sphere_div_blocks(pd.nu, pd.kappa, pd.variance, spec.lmax, X, BX, Y, BY)
+        c = _sphere_div_blocks(pc.nu, pc.kappa, pc.variance, spec.lmax, X, BX, Y, BY)
+        return d + _rotate_frame_blocks(c)
+    if spec.kind not in (HODGE_DIV, HODGE_CURL, HODGE_FULL):
+        raise InvalidInputError(f"kernel kind {spec.kind!r} not supported on the sphere")
+    p = spec.params
+    d = _sphere_div_blocks(p.nu, p.kappa, p.variance, spec.lmax, X, BX, Y, BY)
+    if spec.kind == HODGE_DIV:
+        return d
+    if spec.kind == HODGE_CURL:
+        return _rotate_frame_blocks(d)
+    return 0.5 * (d + _rotate_frame_blocks(d))
 
 
 def hodge_matern_sphere(spec, x, y):
     """3x3 ambient kernel matrix of a Hodge-Matern kernel at one point pair."""
-    return hodge_matrix(spec, np.asarray(x)[None, :], np.asarray(y)[None, :])[0, 0]
+    return kernel_matrix(spec, np.asarray(x)[None, :], np.asarray(y)[None, :])[0, 0]
 
 
 def scalar_matern_sphere(params, lmax, x, y):
@@ -357,27 +356,13 @@ def scalar_matern_sphere(params, lmax, x, y):
     return float(scalar_pair_sums(params, lmax, np.array([t]))[0])
 
 
-def projected_matrix(params, A, X, Y, lmax=30):
-    """Ambient (n, m, 3, 3) projected Matern kernel (1/2) k P_x A A^T P_y."""
-    X = np.atleast_2d(X)
-    Y = np.atleast_2d(Y)
-    if A is None:
-        A = np.eye(3)
-    A = np.asarray(A, dtype=np.float64)
-    if A.shape != (3, 3):
-        raise InvalidInputError("coregionalization matrix must be 3x3")
-    ks = scalar_pair_sums(params, lmax, X @ Y.T)
-    aat = A @ A.T
-    px = np.eye(3)[None] - X[:, :, None] * X[:, None, :]
-    py = np.eye(3)[None] - Y[:, :, None] * Y[:, None, :]
-    geom = np.einsum("nab,bc,mcd->nmad", px, aat, py)
-    return 0.5 * ks[:, :, None, None] * geom
-
-
 def projected_matern(params, A, x, y, lmax=30):
-    """3x3 projected Matern kernel value at one point pair."""
-    return projected_matrix(params, A, np.asarray(x)[None, :], np.asarray(y)[None, :],
-                            lmax=lmax)[0, 0]
+    """3x3 projected Matern kernel (1/2) k P_x A A^T P_y at one point pair.
+
+    ``A`` is the 3x3 coregionalization matrix (identity when None).
+    """
+    spec = KernelSpec(PROJECTED, params, coreg=A, lmax=lmax)
+    return kernel_matrix(spec, np.asarray(x)[None, :], np.asarray(y)[None, :])[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +484,9 @@ def spectral_kernel_oracle(weights, spectrum, X, Y):
 def kernel_matrix(spec, X, Y=None):
     """(n, m, D, D) vector-kernel matrix for any spec on its manifold.
 
-    Sphere matrices are ambient 3x3 blocks; torus matrices are d x d blocks
-    in the global frame.
+    Sphere matrices are ambient 3x3 blocks, lifted from the frame blocks of
+    ``sphere_frame_blocks``; torus matrices are d x d blocks in the global
+    frame.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = X if Y is None else np.atleast_2d(np.asarray(Y, dtype=np.float64))
@@ -508,11 +494,13 @@ def kernel_matrix(spec, X, Y=None):
         d = spec.ambient_dim
         return np.zeros((X.shape[0], Y.shape[0], d, d))
     if spec.manifold == SPHERE:
-        if spec.kind == PROJECTED:
-            return projected_matrix(spec.params, spec.coreg, X, Y, lmax=spec.lmax)
         if spec.kind == SCALAR:
             raise InvalidInputError("scalar kernels have no vector kernel matrix")
-        return hodge_matrix(spec, X, Y)
+        # the lift B_x^T F B_y of the frame blocks F is exact: B^T B = P_x
+        BX = frames_at(X)
+        BY = BX if Y is X else frames_at(Y)
+        blocks = sphere_frame_blocks(spec, X, BX, Y, BY)
+        return np.einsum("nka,nmkl,mlb->nmab", BX, blocks, BY)
     # tori
     spectrum = torus_spectrum(spec.dim, spec.lambda_cap)
     if spec.kind == HODGE_FULL:

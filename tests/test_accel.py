@@ -1,62 +1,84 @@
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as npleg
 
-from hodgegp import _accel
-from hodgegp._accel import (_alp_tables_np, _legendre_sums_np, _legendre_tables_np, alp_tables,
-                            legendre_sums, legendre_tables)
-
-
-@pytest.fixture
-def data():
-    rng = np.random.default_rng(0)
-    t = rng.uniform(-1.0, 1.0, size=200)
-    w = rng.uniform(0.0, 1.0, size=21)
-    ct = rng.uniform(-1.0, 1.0, size=60)
-    return t, w, ct, np.sqrt(1.0 - ct ** 2)
+from hodgegp._accel import alp_tables, legendre_sums, using_numba
 
 
-@pytest.mark.skipif(not _accel.HAS_NUMBA, reason="numba unavailable")
-class TestPathParity:
-    def test_legendre_tables(self, data):
-        t, _, _, _ = data
-        compiled = _accel._legendre_tables_nb(t, 20)
-        fallback = _legendre_tables_np(t, 20)
-        for a, b in zip(compiled, fallback):
-            np.testing.assert_allclose(a, b, atol=1e-13)
-
-    def test_legendre_sums(self, data):
-        t, w, _, _ = data
-        compiled = _accel._legendre_sums_nb(t, w, w, w)
-        fallback = _legendre_sums_np(t, w, w, w)
-        for a, b in zip(compiled, fallback):
-            np.testing.assert_allclose(a, b, atol=1e-11)
-
-    def test_alp_tables(self, data):
-        _, _, ct, st = data
-        compiled = _accel._alp_tables_nb(ct, st, 20)
-        fallback = _alp_tables_np(ct, st, 20)
-        for a, b in zip(compiled, fallback):
-            np.testing.assert_allclose(a, b, atol=1e-12)
+def reference_sums(t, w):
+    """(sum w_l P_l, sum w_l P_l', sum w_l P_l'') from numpy's Legendre series."""
+    return tuple(npleg.legval(t, npleg.legder(w, k)) for k in range(3))
 
 
-class TestDispatch:
-    def test_fallback_flag(self, data, monkeypatch):
-        t, w, ct, st = data
-        with_flag = []
-        for enabled in (True, False):
-            if enabled and not _accel.HAS_NUMBA:
-                pytest.skip("numba unavailable")
-            monkeypatch.setattr(_accel, "NUMBA_ENABLED", enabled)
-            with_flag.append((legendre_tables(t, 12)[0],
-                              legendre_sums(t, w, w, w)[1],
-                              alp_tables(ct, st, 12)[0]))
-        for a, b in zip(*with_flag):
-            np.testing.assert_allclose(a, b, atol=1e-12)
+class TestLegendreSums:
+    @pytest.mark.parametrize("lmax", [0, 1, 2, 30])
+    def test_matches_numpy_series(self, lmax):
+        rng = np.random.default_rng(lmax)
+        t = np.concatenate([rng.uniform(-1.0, 1.0, size=200), [-1.0, 1.0]])
+        w = rng.uniform(-1.0, 1.0, size=lmax + 1)
+        for got, want in zip(legendre_sums(t, w, w, w), reference_sums(t, w)):
+            scale = max(1.0, float(np.abs(want).max()))
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
 
-    def test_env_parsing(self, monkeypatch):
-        monkeypatch.setenv("HODGEGP_NUMBA", "0")
-        assert not _accel._env_wants_numba()
-        monkeypatch.setenv("HODGEGP_NUMBA", "off")
-        assert not _accel._env_wants_numba()
-        monkeypatch.delenv("HODGEGP_NUMBA")
-        assert _accel._env_wants_numba()
+    def test_endpoints_exact(self):
+        # P_l(1) = 1, P_l'(1) = l(l+1)/2, P_l''(1) = (l-1)l(l+1)(l+2)/8, with parity at -1
+        lmax = 30
+        for l in range(lmax + 1):
+            w = np.zeros(lmax + 1)
+            w[l] = 1.0
+            p, dp, d2p = legendre_sums(np.array([1.0, -1.0]), w, w, w)
+            sign = (-1.0) ** l
+            assert p.tolist() == [1.0, sign]
+            assert dp.tolist() == [l * (l + 1) / 2, -sign * l * (l + 1) / 2]
+            assert d2p.tolist() == [(l - 1) * l * (l + 1) * (l + 2) / 8,
+                                    sign * (l - 1) * l * (l + 1) * (l + 2) / 8]
+
+    def test_separate_weights_per_sum(self):
+        rng = np.random.default_rng(7)
+        t = rng.uniform(-1.0, 1.0, size=50)
+        w0, w1, w2 = rng.uniform(-1.0, 1.0, size=(3, 13))
+        w1[::2] = 0.0   # zero-weight levels are skipped in the accumulation
+        s0, s1, s2 = legendre_sums(t, w0, w1, w2)
+        np.testing.assert_allclose(s0, reference_sums(t, w0)[0], atol=1e-12)
+        np.testing.assert_allclose(s1, reference_sums(t, w1)[1], atol=1e-11)
+        np.testing.assert_allclose(s2, reference_sums(t, w2)[2], atol=1e-10)
+
+    def test_empty_abscissae(self):
+        w = np.ones(31)
+        for s in legendre_sums(np.zeros(0), w, w, w):
+            assert s.shape == (0,)
+
+    def test_numpy_only(self):
+        assert using_numba() is False
+
+
+class TestAlpTables:
+    def test_orthonormal_at_pole(self):
+        # at the north pole only m = 0 survives: a[l, 0] = sqrt((2l+1)/(4 pi))
+        a, b, d = alp_tables(np.array([1.0]), np.array([0.0]), 12)
+        l = np.arange(13)
+        np.testing.assert_allclose(a[:, 0, 0], np.sqrt((2 * l + 1) / (4 * np.pi)), rtol=1e-13)
+        np.testing.assert_array_equal(a[:, 1:, 0], 0.0)
+        np.testing.assert_array_equal(b[:, 0, 0], 0.0)
+
+    def test_upper_triangle_zero(self):
+        rng = np.random.default_rng(0)
+        ct = rng.uniform(-1.0, 1.0, size=60)
+        a, b, d = alp_tables(ct, np.sqrt(1.0 - ct ** 2), 20)
+        upper = np.triu_indices(21, k=1)
+        for table in (a, b, d):
+            assert table.shape == (21, 21, 60)
+            np.testing.assert_array_equal(table[upper], 0.0)
+
+    def test_theta_derivative(self):
+        theta = np.linspace(0.2, 2.9, 40)
+        h = 1e-6
+        a_plus, _, _ = alp_tables(np.cos(theta + h), np.sin(theta + h), 10)
+        a_minus, _, _ = alp_tables(np.cos(theta - h), np.sin(theta - h), 10)
+        _, b, _ = alp_tables(np.cos(theta), np.sin(theta), 10)
+        np.testing.assert_allclose(b, (a_plus - a_minus) / (2 * h), atol=1e-6)
+
+    def test_d_table_is_a_over_sin(self):
+        theta = np.linspace(0.1, 3.0, 30)
+        a, _, d = alp_tables(np.cos(theta), np.sin(theta), 15)
+        np.testing.assert_allclose(d[:, 1:] * np.sin(theta), a[:, 1:], atol=1e-13)

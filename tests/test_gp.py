@@ -9,7 +9,8 @@ from hodgegp.errors import InvalidInputError
 from hodgegp.gp import (Dataset, FitConfig, condition, fit, log_marginal_likelihood, metrics,
                         predict, sample_posterior, sample_prior, sample_prior_batch)
 from hodgegp.kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NOISE,
-                             PROJECTED, KernelSpec, MaternParams, noise_spec)
+                             PROJECTED, KernelSpec, MaternParams, class_weights, noise_spec,
+                             spectral_kernel_oracle)
 from hodgegp.manifold import frames_at, sample_sphere
 from hodgegp.spectrum import sphere_spectrum
 
@@ -61,11 +62,12 @@ class TestGram:
         np.testing.assert_allclose(np.linalg.eigvalsh(g1), np.linalg.eigvalsh(g2), atol=1e-9)
 
     def test_matches_ambient_nonzero_spectrum(self):
-        from hodgegp.kernels import kernel_matrix
         rng = np.random.default_rng(2)
         pts = sample_sphere(7, rng)
         g = gp.gram(SPEC, pts)
-        amb = kernel_matrix(SPEC, pts, pts).transpose(0, 2, 1, 3).reshape(21, 21)
+        amb = spectral_kernel_oracle(class_weights(SPEC, SPHERE_SPECTRUM), SPHERE_SPECTRUM,
+                                     pts, pts)
+        amb = amb.transpose(0, 2, 1, 3).reshape(21, 21)
         ev_frame = np.sort(np.linalg.eigvalsh(g))
         ev_amb = np.sort(np.linalg.eigvalsh(amb))
         np.testing.assert_allclose(ev_frame, ev_amb[7:], atol=1e-8)
@@ -102,7 +104,7 @@ class TestCondition:
     def test_conditioning_speed(self):
         rng = np.random.default_rng(6)
         ds = make_dataset(34, rng, noise=1e-4)
-        condition(SPEC, ds)  # warm-up pass compiles the accelerated kernels
+        condition(SPEC, ds)  # warm-up pass outside the timed section
         t0 = time.perf_counter()
         condition(SPEC, ds)
         assert time.perf_counter() - t0 < 1.0
@@ -147,6 +149,13 @@ class TestPredict:
         for i in range(6):
             eigs = np.linalg.eigvalsh(prior[i] - pred.cov[i])
             assert eigs.min() >= -1e-9
+
+    @pytest.mark.parametrize("n_train", [0, 8])
+    def test_zero_query_points(self, n_train):
+        ds = make_dataset(n_train, np.random.default_rng(11)) if n_train else Dataset([], [])
+        pred = predict(condition(SPEC, ds), np.zeros((0, 3)))
+        assert pred.mean.shape == (0, 3)
+        assert pred.cov.shape == (0, 2, 2)
 
 
 class TestLogMarginalLikelihood:
@@ -321,6 +330,18 @@ class TestTorusGP:
         fitted = fit(ds, HODGE_CURL, cfg, nu=0.5, lambda_cap=25.0)
         assert fitted.manifold == "torus"
         assert np.isfinite(log_marginal_likelihood(fitted, ds))
+
+    @pytest.mark.parametrize("kind", [HODGE_FULL, HODGE_CURL])
+    @pytest.mark.parametrize("n_train", [0, 6])
+    def test_zero_query_points_on_t2(self, kind, n_train):
+        rng = np.random.default_rng(33)
+        spec = KernelSpec(kind, MaternParams(0.5, 0.8, 1.0, 1e-4),
+                          manifold="torus", lambda_cap=25.0)
+        theta = rng.uniform(0, 2 * np.pi, size=(n_train, 2))
+        ds = Dataset.from_arrays("torus", theta, rng.standard_normal((n_train, 2)))
+        pred = predict(condition(spec, ds), np.zeros((0, 2)))
+        assert pred.mean.shape == (0, 2)
+        assert pred.cov.shape == (0, 2, 2)
 
 
 class TestMetrics:
