@@ -20,7 +20,6 @@ from .kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NO
                       hodge_pair_sums, kernel_matrix, noise_spec, scalar_pair_sums,
                       sphere_frame_blocks, stable_phi_ratios)
 from .manifold import SPHERE, ManifoldPoint, TangentVector, frames_at, points_array
-from .spectrum import torus_spectrum
 
 
 @dataclass
@@ -70,6 +69,13 @@ class Dataset:
 # Frame-coordinate Gram assembly
 # ---------------------------------------------------------------------------
 
+def _coords(spec, points):
+    """(m, k) coordinates of a list of ManifoldPoint or of a coordinate array."""
+    if isinstance(points, list):
+        return points_array(points) if points else np.zeros((0, spec.ambient_dim))
+    return np.atleast_2d(points)
+
+
 def _frame_blocks(spec, X, BX, Y, BY):
     if spec.manifold == SPHERE:
         return sphere_frame_blocks(spec, X, BX, Y, BY)
@@ -87,7 +93,7 @@ def gram(spec, points, frames=None):
     ``points`` is a list of ManifoldPoint or a coordinate array; sphere
     frames default to the deterministic east/north frames.
     """
-    X = points_array(points) if isinstance(points, list) else np.atleast_2d(points)
+    X = _coords(spec, points)
     if spec.manifold == SPHERE and frames is None:
         frames = frames_at(X)
     blocks = _frame_blocks(spec, X, frames, X, frames)
@@ -175,31 +181,25 @@ def condition(spec, dataset) -> PosteriorModel:
 def _prior_marginal_blocks(spec, Q, BQ):
     """(m, dd, dd) frame-coordinate prior covariance at each query point."""
     m = Q.shape[0]
-    if spec.kind == NOISE:
-        d = 2 if spec.manifold == SPHERE else spec.dim
-        return np.zeros((m, d, d))
-    if spec.manifold == SPHERE:
-        if spec.kind == PROJECTED:
-            ks = scalar_pair_sums(spec.params, spec.lmax, np.ones(m))
-            a = spec.coreg if spec.coreg is not None else np.eye(3)
-            geom = np.einsum("nka,ab,nlb->nkl", BQ, a @ a.T, BQ)
-            return 0.5 * ks[:, None, None] * geom
-        if spec.kind == HODGE_COMPOSITIONAL:
-            c = 0.0
-            for p in spec.parts.values():
-                s1, _ = hodge_pair_sums(p.nu, p.kappa, spec.lmax, np.array([1.0]))
-                c += p.variance * float(s1[0])
-            return np.repeat(c * np.eye(2)[None], m, axis=0)
-        p = spec.params
-        s1, _ = hodge_pair_sums(p.nu, p.kappa, spec.lmax, np.array([1.0]))
-        return np.repeat(p.variance * float(s1[0]) * np.eye(2)[None], m, axis=0)
-    if spec.kind == HODGE_FULL:
-        origin = np.zeros((1, spec.dim))   # the marginal is the same at every point
+    if spec.manifold != SPHERE:
+        origin = np.zeros((1, spec.dim))   # torus kernels are stationary
         return np.repeat(kernel_matrix(spec, origin, origin)[0], m, axis=0)
-    spectrum = torus_spectrum(spec.dim, spec.lambda_cap)
-    w = class_weights(spec, spectrum)
-    e = spectrum.eigenfield_values(Q)
-    return np.einsum("f,fma,fmb->mab", w, e, e)
+    if spec.kind == NOISE:
+        return np.zeros((m, 2, 2))
+    if spec.kind == PROJECTED:
+        ks = scalar_pair_sums(spec.params, spec.lmax, np.ones(m))
+        a = spec.coreg if spec.coreg is not None else np.eye(3)
+        geom = np.einsum("nka,ab,nlb->nkl", BQ, a @ a.T, BQ)
+        return 0.5 * ks[:, None, None] * geom
+    if spec.kind == HODGE_COMPOSITIONAL:
+        c = 0.0
+        for p in spec.parts.values():
+            s1, _ = hodge_pair_sums(p.nu, p.kappa, spec.lmax, np.array([1.0]))
+            c += p.variance * float(s1[0])
+        return np.repeat(c * np.eye(2)[None], m, axis=0)
+    p = spec.params
+    s1, _ = hodge_pair_sums(p.nu, p.kappa, spec.lmax, np.array([1.0]))
+    return np.repeat(p.variance * float(s1[0]) * np.eye(2)[None], m, axis=0)
 
 
 @dataclass
@@ -218,7 +218,7 @@ class Prediction:
 def predict(model, points) -> Prediction:
     """Exact GP posterior mean and per-point marginal covariance."""
     spec = model.spec
-    Q = points_array(points) if isinstance(points, list) else np.atleast_2d(points)
+    Q = _coords(spec, points)
     BQ = frames_at(Q) if spec.manifold == SPHERE else None
     prior = _prior_marginal_blocks(spec, Q, BQ)
     m, d = prior.shape[:2]
@@ -334,8 +334,8 @@ def fit(dataset, kind, config=None, nu=0.5, lmax=30, lambda_cap=900.0) -> Kernel
     Runs a bounded Nelder-Mead search in log-parameter space from
     ``config.restarts`` seeded starting points and keeps the best optimum
     (ties broken by the lowest restart index). Deterministic given
-    ``config.seed``. The pure-noise kernel has the closed-form maximum
-    sigma_eps^2 = mean squared frame component and skips the search.
+    ``config.seed``. The pure-noise kernel skips the search: sigma_eps^2 is the
+    mean squared frame component, floored at the lower noise bound.
     """
     if len(dataset) == 0:
         raise InvalidInputError("cannot fit an empty dataset")
@@ -347,7 +347,8 @@ def fit(dataset, kind, config=None, nu=0.5, lmax=30, lambda_cap=900.0) -> Kernel
         X = dataset.coords()
         frames = frames_at(X) if manifold == SPHERE else None
         yf = _frame_components(dataset.values(), frames)
-        return noise_spec(float(np.mean(yf ** 2)), manifold=manifold, torus_dim=torus_dim)
+        noise = max(float(np.mean(yf ** 2)), math.exp(config.log_noise_bounds[0]))
+        return noise_spec(noise, manifold=manifold, torus_dim=torus_dim)
 
     names, bounds, build = _spec_builder(kind, nu, manifold, lmax, lambda_cap,
                                          torus_dim, config)
@@ -417,10 +418,9 @@ class PriorSample:
 
     def at(self, points):
         """Field values at an (m, k)-coordinate array (ambient on the sphere)."""
-        pts = points_array(points) if isinstance(points, list) else np.atleast_2d(points)
+        pts = _coords(self.spec, points)
         if self.spec.kind == NOISE:
-            d = 3 if self.spec.manifold == SPHERE else self.spec.dim
-            return np.zeros((pts.shape[0], d))
+            return np.zeros((pts.shape[0], self.spec.ambient_dim))
         if self.spec.kind == PROJECTED:
             vals = self.spectrum.scalar_values(pts)
             g = np.einsum("fj,fm->mj", self._scalar_coeffs, vals)
@@ -452,7 +452,7 @@ def sample_prior(spec, spectrum, rng) -> PriorSample:
 
 def sample_prior_batch(spec, spectrum, points, n_draws, rng):
     """(n_draws, m, D) values of independent prior draws at fixed points."""
-    pts = points_array(points) if isinstance(points, list) else np.atleast_2d(points)
+    pts = _coords(spec, points)
     if spec.kind == PROJECTED:
         scale = _projected_coeff_scale(spec, spectrum)
         z = rng.standard_normal((n_draws, len(scale), 3))
@@ -475,9 +475,8 @@ def sample_posterior(model, points, rng, n_draws=1):
     policy) and returns (n_draws, m, D) ambient components.
     """
     spec = model.spec
-    Q = points_array(points) if isinstance(points, list) else np.atleast_2d(points)
+    Q = _coords(spec, points)
     BQ = frames_at(Q) if spec.manifold == SPHERE else None
-    m = Q.shape[0]
     prior = _blocks_to_matrix(_frame_blocks(spec, Q, BQ, Q, BQ))
     if len(model.dataset) == 0:
         mean = np.zeros(prior.shape[0])
@@ -493,7 +492,7 @@ def sample_posterior(model, points, rng, n_draws=1):
     chol, _ = _chol_with_jitter(cov + 1e-12 * scale * np.eye(cov.shape[0]), scale)
     z = rng.standard_normal((n_draws, cov.shape[0]))
     draws_f = mean[None, :] + z @ chol.T
-    draws_f = draws_f.reshape(n_draws, m, -1)
+    draws_f = draws_f.reshape(n_draws, -1, model.block_dim)
     if BQ is not None:
         return np.einsum("dmk,mka->dma", draws_f, BQ)
     return draws_f

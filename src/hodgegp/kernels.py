@@ -12,9 +12,9 @@ On the sphere the sums over the order m collapse through the Legendre
 addition theorem, so scalar kernels need only P_l(x . x') and vector kernels
 only its first two derivatives. Sphere vector kernels are evaluated once, as
 2x2 blocks in tangent frames (``sphere_frame_blocks``); ambient 3x3 matrices
-are their lift. A direct sum over eigenfields
-(``spectral_kernel_oracle``) is kept as the slow reference path; it is also
-the evaluation route for the divergence-free and curl-free kernels on T^2.
+are their lift. On T^d every kernel is one lattice sum over frequencies n of
+cos(n . (x - y)) M_n. A direct sum over eigenfields is kept as the slow
+reference that tests compare these evaluators against.
 """
 
 import math
@@ -369,44 +369,63 @@ def projected_matern(params, A, x, y, lmax=30):
 # Tori
 # ---------------------------------------------------------------------------
 
-def scalar_matern_torus(params, d, lambda_cap, x, y):
-    """Normalized scalar Matern kernel on T^d.
+def _lattice_weights(spec):
+    """Half lattice n (F, d) and weights mult_n M_n (F, D, D) of a torus spec.
 
-    The sums over the per-axis sine/cosine parities collapse to products of
-    cos(n_j (theta_j - theta_j')); only distinct frequency vectors are
-    iterated.
+    M_n = sum_cls sigma^2 Phi(|n|^2) Pi_cls(n) / Z_cls over |n|^2 <= lambda_cap,
+    where Z_cls = sum_n Phi tr Pi_cls and mult_n = 2 pairs n with -n (n != 0).
     """
-    spec = torus_spectrum(d, lambda_cap)
-    m = _scalar_torus_matrix(params, spec, np.atleast_2d(x), np.atleast_2d(y))
+    r = math.ceil(math.sqrt(spec.lambda_cap))
+    n = np.indices((2 * r + 1,) * spec.dim).reshape(spec.dim, -1).T - r
+    first = n[np.arange(len(n)), np.argmax(n != 0, axis=1)]   # first nonzero entry
+    keep = ((n ** 2).sum(axis=1) <= spec.lambda_cap) & (first >= 0)
+    n, mult = n[keep].astype(np.float64), np.where(first[keep] > 0, 2.0, 1.0)
+    lam = (n ** 2).sum(axis=1)
+    zero = (lam == 0.0)[:, None, None]
+    eye = np.eye(spec.dim)
+    div = n[:, :, None] * n[:, None, :] / np.where(zero, 1.0, lam[:, None, None])
+    # Hodge-class projectors; the full kernel has Pi = I and the scalar one Pi = 1
+    proj = {SCALAR: np.ones((len(n), 1, 1)), HODGE_FULL: np.broadcast_to(eye, div.shape),
+            DIV: div, CURL: np.where(zero, 0.0, eye - div), HARM: np.where(zero, eye, 0.0)}
+    cls = {HODGE_DIV: DIV, HODGE_CURL: CURL}.get(spec.kind, spec.kind)
+    parts = spec.parts if spec.kind == HODGE_COMPOSITIONAL else {cls: spec.params}
+    if not parts.keys() <= proj.keys() or (spec.dim > 2 and cls not in (SCALAR, HODGE_FULL)):
+        raise InvalidInputError(f"kernel kind {spec.kind!r} is not defined on T^{spec.dim}")
+    w = 0.0
+    for c, p in parts.items():
+        rank = np.rint(np.trace(proj[c], axis1=1, axis2=2))   # eigenfields per frequency
+        if not rank.any():
+            raise InvalidInputError(f"empty eigenfield class {c!r} on {spec.manifold}")
+        lw = np.where(rank > 0, log_phi(p.nu, p.kappa, lam, spec.dim), -np.inf)
+        phis = mult * np.exp(lw - lw.max())   # Phi ratios, safe where Phi underflows
+        w = w + p.variance * phis[:, None, None] * proj[c] / (phis @ rank)
+    return n, w
+
+
+def _torus_matrix(spec, X, Y):
+    """(n, m, D, D) torus kernel sum_n cos(n . (x - y)) M_n over the half lattice.
+
+    Entry (a, b) is one product [cos XN^T, sin XN^T] diag(M_ab, M_ab) [cos YN^T, sin YN^T]^T.
+    """
+    n, w = _lattice_weights(spec)
+    fx = np.hstack([np.cos(X @ n.T), np.sin(X @ n.T)])
+    fy = fx if Y is X else np.hstack([np.cos(Y @ n.T), np.sin(Y @ n.T)])
+    dd = range(w.shape[1])
+    k = [[(fx * np.tile(w[:, a, b], 2)) @ fy.T for b in dd] for a in dd]
+    return np.array(k).transpose(2, 3, 0, 1)
+
+
+def scalar_matern_torus(params, d, lambda_cap, x, y):
+    """Normalized scalar Matern kernel on T^d: a float for two points, else a matrix."""
+    spec = KernelSpec(SCALAR, params, manifold=TORUS, lambda_cap=lambda_cap, torus_dim=d)
+    m = scalar_kernel_matrix(spec, x, y)
     return float(m[0, 0]) if np.asarray(x).ndim == 1 else m
-
-
-def _scalar_torus_matrix(params, spectrum, X, Y):
-    two_pi = 2.0 * math.pi
-    freqs = spectrum.unique_freqs()
-    lam = (freqs.astype(np.float64) ** 2).sum(axis=1)
-    w = stable_phi_ratios(params.nu, params.kappa, lam, spectrum.dim)
-    mult = np.prod(np.where(freqs > 0, 2.0, 1.0), axis=1)
-    c = (mult * w).sum() / spectrum.volume
-    delta = X[:, None, :] - Y[None, :, :]
-    out = np.zeros((X.shape[0], Y.shape[0]))
-    for fvec, wi in zip(freqs, w):
-        prod = np.ones_like(out)
-        for j, nj in enumerate(fvec):
-            if nj == 0:
-                prod /= two_pi
-            else:
-                prod *= np.cos(nj * delta[:, :, j]) / math.pi
-        out += wi * prod
-    return params.variance / c * out
 
 
 def torus_matern(params, lambda_cap, x, y, d=None, kind=HODGE_FULL):
     """Vector Hodge-Matern kernel value on T^d at one point pair.
 
-    The full kernel is (1/d) k_scalar I_d. The divergence-free and curl-free
-    variants exist on T^2 only and are evaluated by the spectral oracle over
-    the classified product spectrum.
+    The full kernel is (1/d) k_scalar I_d; the circle (d = 1) has no curl class.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -416,14 +435,8 @@ def torus_matern(params, lambda_cap, x, y, d=None, kind=HODGE_FULL):
         d = x.shape[0]
     if d != x.shape[0]:
         raise InvalidInputError(f"points have dimension {x.shape[0]}, expected {d}")
-    if kind == HODGE_FULL:
-        ks = scalar_matern_torus(params, d, lambda_cap, x[None, :], y[None, :])
-        return float(ks[0, 0]) / d * np.eye(d)
-    spec = KernelSpec(kind, params, manifold=TORUS if d > 1 else CIRCLE,
-                      lambda_cap=lambda_cap, torus_dim=d)
-    spectrum = torus_spectrum(d, lambda_cap)
-    w = class_weights(spec, spectrum)
-    return spectral_kernel_oracle(w, spectrum, x[None, :], y[None, :])[0, 0]
+    spec = KernelSpec(kind, params, manifold=TORUS, lambda_cap=lambda_cap, torus_dim=d)
+    return kernel_matrix(spec, x[None, :], y[None, :])[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +479,8 @@ def class_weights(spec, spectrum):
 def spectral_kernel_oracle(weights, spectrum, X, Y):
     """(n, m, D, D) kernel matrix as the direct sum over eigenfields.
 
-    Reference implementation used to validate the fast paths; also the
-    production route for T^2 class-restricted kernels.
+    The independent reference that tests and the benchmark compare the
+    evaluators against; no kernel is computed through it.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if len(weights) != len(spectrum.entries):
@@ -486,30 +499,22 @@ def kernel_matrix(spec, X, Y=None):
 
     Sphere matrices are ambient 3x3 blocks, lifted from the frame blocks of
     ``sphere_frame_blocks``; torus matrices are d x d blocks in the global
-    frame.
+    frame, summed over the frequency lattice.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = X if Y is None else np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if spec.kind == NOISE:
         d = spec.ambient_dim
         return np.zeros((X.shape[0], Y.shape[0], d, d))
-    if spec.manifold == SPHERE:
-        if spec.kind == SCALAR:
-            raise InvalidInputError("scalar kernels have no vector kernel matrix")
-        # the lift B_x^T F B_y of the frame blocks F is exact: B^T B = P_x
-        BX = frames_at(X)
-        BY = BX if Y is X else frames_at(Y)
-        blocks = sphere_frame_blocks(spec, X, BX, Y, BY)
-        return np.einsum("nka,nmkl,mlb->nmab", BX, blocks, BY)
-    # tori
-    spectrum = torus_spectrum(spec.dim, spec.lambda_cap)
-    if spec.kind == HODGE_FULL:
-        ks = _scalar_torus_matrix(spec.params, spectrum, X, Y)
-        return ks[:, :, None, None] * np.eye(spec.dim)[None, None] / spec.dim
-    if spec.kind in (HODGE_DIV, HODGE_CURL, HODGE_COMPOSITIONAL):
-        w = class_weights(spec, spectrum)
-        return spectral_kernel_oracle(w, spectrum, X, Y)
-    raise InvalidInputError(f"kernel kind {spec.kind!r} is not defined on {spec.manifold}")
+    if spec.kind == SCALAR:
+        raise InvalidInputError("scalar kernels have no vector kernel matrix")
+    if spec.manifold != SPHERE:
+        return _torus_matrix(spec, X, Y)
+    # the lift B_x^T F B_y of the frame blocks F is exact: B^T B = P_x
+    BX = frames_at(X)
+    BY = BX if Y is X else frames_at(Y)
+    blocks = sphere_frame_blocks(spec, X, BX, Y, BY)
+    return np.einsum("nka,nmkl,mlb->nmab", BX, blocks, BY)
 
 
 def scalar_kernel_matrix(spec, X, Y=None):
@@ -520,5 +525,4 @@ def scalar_kernel_matrix(spec, X, Y=None):
     Y = X if Y is None else np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if spec.manifold == SPHERE:
         return scalar_pair_sums(spec.params, spec.lmax, X @ Y.T)
-    spectrum = torus_spectrum(spec.dim, spec.lambda_cap)
-    return _scalar_torus_matrix(spec.params, spectrum, X, Y)
+    return _torus_matrix(spec, X, Y)[:, :, 0, 0]

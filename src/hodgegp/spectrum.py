@@ -280,8 +280,7 @@ class TorusSpectrum:
                     entries.append(EigenfieldIndex(DIV, s.eigenvalue, s.label))
                     entries.append(EigenfieldIndex(CURL, s.eigenvalue, s.label))
         else:
-            # no classified vector basis is constructed for d >= 3; full
-            # kernels on higher tori go through the scalar product formula
+            # no classified vector basis is constructed for d >= 3
             entries = []
         return sorted(entries, key=lambda e: (e.eigenvalue, e.hodge_class, e.label))
 
@@ -293,9 +292,6 @@ class TorusSpectrum:
 
     def max_scalar_eigenvalue(self):
         return float(self.scalar_eigenvalues().max())
-
-    def unique_freqs(self):
-        return np.unique(self.freqs, axis=0)
 
     def scalar_values(self, theta):
         theta = np.atleast_2d(np.asarray(theta, dtype=np.float64))

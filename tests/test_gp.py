@@ -153,9 +153,12 @@ class TestPredict:
     @pytest.mark.parametrize("n_train", [0, 8])
     def test_zero_query_points(self, n_train):
         ds = make_dataset(n_train, np.random.default_rng(11)) if n_train else Dataset([], [])
-        pred = predict(condition(SPEC, ds), np.zeros((0, 3)))
+        model = condition(SPEC, ds)
+        pred = predict(model, np.zeros((0, 3)))
         assert pred.mean.shape == (0, 3)
         assert pred.cov.shape == (0, 2, 2)
+        draws = sample_posterior(model, np.zeros((0, 3)), np.random.default_rng(0), n_draws=4)
+        assert draws.shape == (4, 0, 3)
 
 
 class TestLogMarginalLikelihood:
@@ -230,6 +233,17 @@ class TestFit:
         frames = frames_at(ds.coords())
         yf = np.einsum("nka,na->nk", frames, ds.values())
         assert fitted.noise_variance == pytest.approx(float(np.mean(yf ** 2)), rel=1e-12)
+
+    def test_pure_noise_on_zero_observations_is_floored(self):
+        pts = sample_sphere(6, np.random.default_rng(30))
+        ds = Dataset.from_arrays("sphere", pts, np.zeros((6, 3)))
+        cfg = FitConfig(restarts=1)
+        fitted = fit(ds, NOISE, cfg)
+        assert fitted.noise_variance == pytest.approx(math.exp(cfg.log_noise_bounds[0]))
+        pred = predict(condition(fitted, ds), pts)
+        mse, pnll = metrics(pred.mean, pred.cov, ds.values(), fitted.noise_variance,
+                            pred.frames)
+        assert mse == 0.0 and np.isfinite(pnll)
 
     def test_compositional_detects_divergence_free_data(self):
         ratios = []
@@ -339,9 +353,26 @@ class TestTorusGP:
                           manifold="torus", lambda_cap=25.0)
         theta = rng.uniform(0, 2 * np.pi, size=(n_train, 2))
         ds = Dataset.from_arrays("torus", theta, rng.standard_normal((n_train, 2)))
-        pred = predict(condition(spec, ds), np.zeros((0, 2)))
+        model = condition(spec, ds)
+        pred = predict(model, np.zeros((0, 2)))
         assert pred.mean.shape == (0, 2)
         assert pred.cov.shape == (0, 2, 2)
+        draws = sample_posterior(model, np.zeros((0, 2)), np.random.default_rng(0), n_draws=4)
+        assert draws.shape == (4, 0, 2)
+
+    @pytest.mark.parametrize("kind", [HODGE_FULL, HODGE_CURL])
+    def test_empty_point_list_on_t2(self, kind):
+        rng = np.random.default_rng(34)
+        spec = KernelSpec(kind, MaternParams(0.5, 0.8, 1.0, 1e-4),
+                          manifold="torus", lambda_cap=25.0)
+        theta = rng.uniform(0, 2 * np.pi, size=(6, 2))
+        model = condition(spec, Dataset.from_arrays("torus", theta,
+                                                    rng.standard_normal((6, 2))))
+        pred = predict(model, [])
+        assert pred.mean.shape == (0, 2)
+        assert pred.cov.shape == (0, 2, 2)
+        assert sample_posterior(model, [], rng, n_draws=3).shape == (3, 0, 2)
+        assert gp.gram(spec, []).shape == (0, 0)
 
 
 class TestMetrics:

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from hodgegp.errors import InvalidInputError
-from hodgegp.gp import sample_prior_batch
+from hodgegp.gp import Dataset, condition, predict, sample_prior_batch
 from hodgegp.kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL,
                              PROJECTED, SCALAR, KernelSpec, MaternParams, class_weights,
                              compositional_spec, hodge_matern_sphere, kernel_matrix, noise_spec,
@@ -268,6 +268,62 @@ class TestTorus:
         fast = kernel_matrix(spec, pts_a, pts_b)
         oracle = spectral_kernel_oracle(class_weights(spec, spectrum), spectrum, pts_a, pts_b)
         assert np.abs(fast - oracle).max() < 1e-8
+
+    @pytest.mark.parametrize("kind", [HODGE_DIV, HODGE_CURL, HODGE_COMPOSITIONAL])
+    def test_t2_classes_match_oracle(self, kind):
+        rng = np.random.default_rng(18)
+        pts_a = rng.uniform(0, 2 * np.pi, size=(6, 2))
+        pts_b = rng.uniform(0, 2 * np.pi, size=(5, 2))
+        if kind == HODGE_COMPOSITIONAL:
+            spec = compositional_spec(1.5, (0.3, 0.8), (0.6, 1.2), harm_variance=0.3,
+                                      manifold=TORUS, lambda_cap=900.0)
+        else:
+            spec = KernelSpec(kind, PARAMS, manifold=TORUS, lambda_cap=900.0)
+        spectrum = torus_spectrum(2, 900.0)
+        oracle = spectral_kernel_oracle(class_weights(spec, spectrum), spectrum, pts_a, pts_b)
+        assert np.abs(kernel_matrix(spec, pts_a, pts_b) - oracle).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind", [HODGE_FULL, HODGE_CURL, HODGE_COMPOSITIONAL])
+    def test_t2_prior_marginal_matches_oracle_diagonal(self, kind):
+        pts = np.random.default_rng(19).uniform(0, 2 * np.pi, size=(4, 2))
+        if kind == HODGE_COMPOSITIONAL:
+            spec = compositional_spec(1.5, (0.3, 0.8), (0.6, 1.2), harm_variance=0.3,
+                                      manifold=TORUS, lambda_cap=100.0)
+        else:
+            spec = KernelSpec(kind, PARAMS, manifold=TORUS, lambda_cap=100.0)
+        spectrum = torus_spectrum(2, 100.0)
+        oracle = spectral_kernel_oracle(class_weights(spec, spectrum), spectrum, pts, pts)
+        pred = predict(condition(spec, Dataset([], [])), pts)
+        np.testing.assert_allclose(pred.cov, oracle[np.arange(4), np.arange(4)], atol=1e-12)
+
+    @pytest.mark.parametrize("kind", [HODGE_FULL, HODGE_DIV])
+    def test_circle_matches_oracle(self, kind):
+        rng = np.random.default_rng(20)
+        pts_a = rng.uniform(0, 2 * np.pi, size=(6, 1))
+        pts_b = rng.uniform(0, 2 * np.pi, size=(5, 1))
+        spec = KernelSpec(kind, PARAMS, manifold=CIRCLE, lambda_cap=64.0, torus_dim=1)
+        spectrum = torus_spectrum(1, 64.0)
+        oracle = spectral_kernel_oracle(class_weights(spec, spectrum), spectrum, pts_a, pts_b)
+        assert np.abs(kernel_matrix(spec, pts_a, pts_b) - oracle).max() <= 1e-12
+
+    def test_t3_full_matches_scalar_eigenfunction_sum(self):
+        rng = np.random.default_rng(21)
+        pts_a = rng.uniform(0, 2 * np.pi, size=(6, 3))
+        pts_b = rng.uniform(0, 2 * np.pi, size=(5, 3))
+        spectrum = torus_spectrum(3, 16.0)
+        w = np.exp(-(PARAMS.nu + 1.5)
+                   * np.log(2 * PARAMS.nu / PARAMS.kappa ** 2 + spectrum.scalar_eigenvalues()))
+        brute = (PARAMS.variance * spectrum.volume / w.sum()
+                 * np.einsum("f,fn,fm->nm", w, spectrum.scalar_values(pts_a),
+                             spectrum.scalar_values(pts_b)))
+        spec = KernelSpec(HODGE_FULL, PARAMS, manifold=TORUS, lambda_cap=16.0, torus_dim=3)
+        expected = brute[:, :, None, None] * np.eye(3) / 3.0
+        assert np.abs(kernel_matrix(spec, pts_a, pts_b) - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind, d", [(HODGE_CURL, 1), (HODGE_DIV, 3)])
+    def test_absent_hodge_class_rejected(self, kind, d):
+        with pytest.raises(InvalidInputError):
+            torus_matern(PARAMS, 16.0, np.zeros(d), np.ones(d), kind=kind)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
