@@ -313,8 +313,9 @@ def _build_cell_data(config, seed):
 def run_experiment(config):
     """Run the sweep and write results.csv, summary.csv, and grid files.
 
-    Returns the per-cell result rows. Fit or conditioning failures in a cell
-    are recorded as NaN metrics and logged; the sweep never aborts.
+    Returns the per-cell result rows. A cell whose fit, conditioning or
+    scoring raises NumericalError, InvalidInputError or LinAlgError is
+    recorded as NaN metrics and logged to stderr; the sweep never aborts.
     """
     os.makedirs(config.out, exist_ok=True)
     cfg_hash = config.hash()
@@ -341,7 +342,7 @@ def run_experiment(config):
                     if (kname, nu) not in grid_models:
                         grid_models[(kname, nu)] = model
                     print(f"done {cell}: mse={mse:.4f} pnll={pnll:.4f}")
-                except NumericalError as exc:
+                except (NumericalError, InvalidInputError, np.linalg.LinAlgError) as exc:
                     rows.append([kname, repr(float(nu)), repr(seed), "nan", "nan",
                                  "", "", "", "", "", "", "", cfg_hash, __version__])
                     print(f"failed {cell}: {exc}", file=sys.stderr)
@@ -384,23 +385,19 @@ def _write_grid(config, kname, nu, model):
     n_lat, n_lon = config.grid
     lats = np.linspace(-90.0, 90.0, n_lat)
     lons = np.linspace(0.0, 360.0, n_lon, endpoint=False)
-    pts = [lonlat_to_point(lon, lat) for lat in lats for lon in lons]
-    coords = np.stack([p.coords for p in pts])
+    lat, lon = (a.ravel() for a in np.meshgrid(lats, lons, indexing="ij"))
+    la, lo = np.deg2rad(lat), np.deg2rad(lon)
+    coords = np.stack([np.cos(la) * np.cos(lo), np.cos(la) * np.sin(lo), np.sin(la)], axis=1)
+    coords /= np.linalg.norm(coords, axis=1, keepdims=True)   # as lonlat_to_point does
     pred = predict(model, coords)
+    east_north = np.einsum("ma,mka->mk", pred.mean, pred.frames)
+    std = np.sqrt(np.maximum(np.trace(pred.cov, axis1=1, axis2=2), 0.0))
     name = f"grid_{kname}_{str(float(nu)).replace('.', 'p')}.csv"
     with open(os.path.join(config.out, name), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lon_deg", "lat_deg", "mean_east", "mean_north", "std_trace"])
-        i = 0
-        for lat in lats:
-            for lon in lons:
-                b = pred.frames[i]
-                east = float(pred.mean[i] @ b[0])
-                north = float(pred.mean[i] @ b[1])
-                std = float(np.sqrt(max(np.trace(pred.cov[i]), 0.0)))
-                writer.writerow([repr(float(lon)), repr(float(lat)),
-                                 repr(east), repr(north), repr(std)])
-                i += 1
+        writer.writerows([repr(a), repr(b), repr(e), repr(n), repr(s)] for a, b, (e, n), s
+                         in zip(lon.tolist(), lat.tolist(), east_north.tolist(), std.tolist()))
 
 
 # ---------------------------------------------------------------------------

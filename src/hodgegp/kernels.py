@@ -19,6 +19,7 @@ reference that tests compare these evaluators against.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -263,12 +264,27 @@ def normalization(spec, spectrum=None):
 # Sphere kernels via the addition theorem, in tangent-frame coordinates
 # ---------------------------------------------------------------------------
 
-def scalar_pair_sums(params, lmax, t):
-    """Normalized scalar kernel values at an array of inner products t."""
+def _scalar_level_weights(params, lmax):
+    """Per-level weights sigma^2 (2l+1) Phi(lambda_l) / sum (2l+1) Phi of the scalar kernel."""
     l = np.arange(lmax + 1, dtype=np.float64)
     w = stable_phi_ratios(params.nu, params.kappa, l * (l + 1.0), 2)
     mult = 2.0 * l + 1.0
-    w0 = params.variance * (mult * w) / (mult * w).sum()
+    return params.variance * (mult * w) / (mult * w).sum()
+
+
+def _hodge_level_weights(nu, kappa, lmax):
+    """Per-level weights (2l+1) Phi(lambda_l) / lambda_l / sum (2l+1) Phi, zero at l = 0."""
+    l = np.arange(1, lmax + 1, dtype=np.float64)
+    lam = l * (l + 1.0)
+    w = stable_phi_ratios(nu, kappa, lam, 2)
+    coeff = np.zeros(lmax + 1)
+    coeff[1:] = (2.0 * l + 1.0) * w / lam / ((2.0 * l + 1.0) @ w)
+    return coeff
+
+
+def scalar_pair_sums(params, lmax, t):
+    """Normalized scalar kernel values at an array of inner products t."""
+    w0 = _scalar_level_weights(params, lmax)
     z = np.zeros_like(w0)
     s0, _, _ = legendre_sums(np.ravel(t), w0, z, z)
     return s0.reshape(np.shape(t))
@@ -281,14 +297,27 @@ def hodge_pair_sums(nu, kappa, lmax, t):
     sum_l h_l'(t) and sum_l h_l''(t) for l = 1..lmax, normalized so that the
     divergence-class kernel with unit variance is S2 * rank-one + S1 * P P.
     """
-    l = np.arange(1, lmax + 1, dtype=np.float64)
-    lam = l * (l + 1.0)
-    w = stable_phi_ratios(nu, kappa, lam, 2)
-    coeff = np.zeros(lmax + 1)
-    coeff[1:] = (2.0 * l + 1.0) * w / lam / ((2.0 * l + 1.0) @ w)
+    coeff = _hodge_level_weights(nu, kappa, lmax)
     z = np.zeros_like(coeff)
     _, s1, s2 = legendre_sums(np.ravel(t), z, coeff, coeff)
     return s1.reshape(np.shape(t)), s2.reshape(np.shape(t))
+
+
+def _legendre_level_tables(t, lmax, derivatives):
+    """Per-level Legendre tables at inner products t, each (lmax + 1, t.size).
+
+    Returns (P_l', P_l'') when ``derivatives`` is true, else (P_l,). Level l
+    is ``legendre_sums`` with a one-hot weight: the values the folded sums of
+    ``hodge_pair_sums`` and ``scalar_pair_sums`` accumulate, bit for bit.
+    """
+    t = np.ravel(t)
+    tables = np.empty((2 if derivatives else 1, lmax + 1, t.size))
+    for l in range(lmax + 1):
+        w = np.zeros(l + 1)
+        w[l] = 1.0
+        p, dp, d2p = legendre_sums(t, w, w, w)
+        tables[:, l] = (dp, d2p) if derivatives else (p,)
+    return tuple(tables)
 
 
 def _rotate_frame_blocks(blocks):
@@ -305,44 +334,71 @@ def _rotate_frame_blocks(blocks):
     return out
 
 
-def _sphere_div_blocks(nu, kappa, variance, lmax, X, BX, Y, BY):
-    t = X @ Y.T
-    s1, s2 = hodge_pair_sums(nu, kappa, lmax, t)
+_SPHERE_KINDS = (HODGE_FULL, HODGE_DIV, HODGE_CURL, HODGE_COMPOSITIONAL, PROJECTED)
+
+
+def _sphere_pair_geometry(spec, X, BX, Y, BY):
+    """The hyperparameter-free pair factors of the sphere frame blocks of spec's kind.
+
+    B_x A A^T B_y^T (n, m, 2, 2) for the projected kind; for the Hodge kinds
+    (u v^T, B_x B_y^T) with u = B_x^T P_x y and v = B_y^T P_y x.
+    """
+    if spec.kind == PROJECTED:
+        a = spec.coreg if spec.coreg is not None else np.eye(3)
+        return np.einsum("nka,ab,mlb->nmkl", BX, a @ a.T, BY)
     u = np.einsum("nka,ma->nmk", BX, Y)   # B_x^T P_x y  (P drops in the frame)
     v = np.einsum("mka,na->nmk", BY, X)   # B_y^T P_y x
-    w = np.einsum("nka,mla->nmkl", BX, BY)
-    return variance * (s2[:, :, None, None] * u[:, :, :, None] * v[:, :, None, :]
-                       + s1[:, :, None, None] * w)
+    return u[:, :, :, None] * v[:, :, None, :], np.einsum("nka,mla->nmkl", BX, BY)
 
 
-def sphere_frame_blocks(spec, X, BX, Y, BY):
-    """(n, m, 2, 2) blocks B_x k(x, y) B_y^T of a sphere kernel in given frames.
+def _assemble_sphere_blocks(spec, geom, sums):
+    """(n, m, 2, 2) sphere frame blocks from the pair geometry and pair sums.
 
-    This is the only sphere vector-kernel evaluator: the div-class kernel
-    grad_x grad_y^T g of the scalar potential g, its Hodge-star conjugate for
-    the curl class, and (1/2) k B_x A A^T B_y^T for the projected kernel.
+    ``sums(p)`` gives the pair sums of one parameter set: the scalar kernel
+    for the projected kind, (S1, S2) of ``hodge_pair_sums`` for the Hodge
+    kinds. The div class is grad_x grad_y^T g of the scalar potential g,
+    the curl class its Hodge-star conjugate, and the projected kernel
+    (1/2) k B_x A A^T B_y^T.
     """
-    if spec.kind == NOISE:
-        return np.zeros((X.shape[0], Y.shape[0], 2, 2))
     if spec.kind == PROJECTED:
-        ks = scalar_pair_sums(spec.params, spec.lmax, X @ Y.T)
-        a = spec.coreg if spec.coreg is not None else np.eye(3)
-        geom = np.einsum("nka,ab,mlb->nmkl", BX, a @ a.T, BY)
-        return 0.5 * ks[:, :, None, None] * geom
+        return 0.5 * sums(spec.params)[:, :, None, None] * geom
+    uv, bb = geom
+
+    def div(p):
+        s1, s2 = sums(p)
+        out = s2[:, :, None, None] * uv
+        out += s1[:, :, None, None] * bb
+        out *= p.variance
+        return out
+
     if spec.kind == HODGE_COMPOSITIONAL:
-        pd, pc = spec.parts[DIV], spec.parts[CURL]
-        d = _sphere_div_blocks(pd.nu, pd.kappa, pd.variance, spec.lmax, X, BX, Y, BY)
-        c = _sphere_div_blocks(pc.nu, pc.kappa, pc.variance, spec.lmax, X, BX, Y, BY)
-        return d + _rotate_frame_blocks(c)
-    if spec.kind not in (HODGE_DIV, HODGE_CURL, HODGE_FULL):
-        raise InvalidInputError(f"kernel kind {spec.kind!r} not supported on the sphere")
-    p = spec.params
-    d = _sphere_div_blocks(p.nu, p.kappa, p.variance, spec.lmax, X, BX, Y, BY)
+        return div(spec.parts[DIV]) + _rotate_frame_blocks(div(spec.parts[CURL]))
+    d = div(spec.params)
     if spec.kind == HODGE_DIV:
         return d
     if spec.kind == HODGE_CURL:
         return _rotate_frame_blocks(d)
     return 0.5 * (d + _rotate_frame_blocks(d))
+
+
+def sphere_frame_blocks(spec, X, BX, Y, BY):
+    """(n, m, 2, 2) blocks B_x k(x, y) B_y^T of a sphere kernel in given frames.
+
+    This is the only sphere vector-kernel evaluator; ``GramTables`` runs the
+    same assembly from cached per-level tables.
+    """
+    if spec.kind == NOISE:
+        return np.zeros((X.shape[0], Y.shape[0], 2, 2))
+    if spec.kind not in _SPHERE_KINDS:
+        raise InvalidInputError(f"kernel kind {spec.kind!r} not supported on the sphere")
+    t = X @ Y.T
+    if spec.kind == PROJECTED:
+        def sums(p):
+            return scalar_pair_sums(p, spec.lmax, t)
+    else:
+        def sums(p):
+            return hodge_pair_sums(p.nu, p.kappa, spec.lmax, t)
+    return _assemble_sphere_blocks(spec, _sphere_pair_geometry(spec, X, BX, Y, BY), sums)
 
 
 def hodge_matern_sphere(spec, x, y):
@@ -369,11 +425,21 @@ def projected_matern(params, A, x, y, lmax=30):
 # Tori
 # ---------------------------------------------------------------------------
 
-def _lattice_weights(spec):
-    """Half lattice n (F, d) and weights mult_n M_n (F, D, D) of a torus spec.
+class _Lattice(NamedTuple):
+    """Half lattice of a torus spec: frequencies, pair multiplicities, |n|^2,
+    and per-class Hodge projectors Pi_cls(n) with their ranks tr Pi_cls(n)."""
 
-    M_n = sum_cls sigma^2 Phi(|n|^2) Pi_cls(n) / Z_cls over |n|^2 <= lambda_cap,
-    where Z_cls = sum_n Phi tr Pi_cls and mult_n = 2 pairs n with -n (n != 0).
+    n: np.ndarray
+    mult: np.ndarray
+    lam: np.ndarray
+    proj: dict
+    rank: dict
+
+
+def _torus_lattice(spec):
+    """The hyperparameter-free half lattice |n|^2 <= lambda_cap of a torus spec.
+
+    mult_n = 2 pairs n with -n (n != 0).
     """
     r = math.ceil(math.sqrt(spec.lambda_cap))
     n = np.indices((2 * r + 1,) * spec.dim).reshape(spec.dim, -1).T - r
@@ -387,32 +453,63 @@ def _lattice_weights(spec):
     # Hodge-class projectors; the full kernel has Pi = I and the scalar one Pi = 1
     proj = {SCALAR: np.ones((len(n), 1, 1)), HODGE_FULL: np.broadcast_to(eye, div.shape),
             DIV: div, CURL: np.where(zero, 0.0, eye - div), HARM: np.where(zero, eye, 0.0)}
+    # eigenfields per frequency
+    rank = {c: np.rint(np.trace(p, axis1=1, axis2=2)) for c, p in proj.items()}
+    return _Lattice(n, mult, lam, proj, rank)
+
+
+def _lattice_class_weights(spec, lattice):
+    """Weights mult_n M_n (F, D, D) of a torus spec over its half lattice.
+
+    M_n = sum_cls sigma^2 Phi(|n|^2) Pi_cls(n) / Z_cls with
+    Z_cls = sum_n Phi tr Pi_cls.
+    """
     cls = {HODGE_DIV: DIV, HODGE_CURL: CURL}.get(spec.kind, spec.kind)
     parts = spec.parts if spec.kind == HODGE_COMPOSITIONAL else {cls: spec.params}
-    if not parts.keys() <= proj.keys() or (spec.dim > 2 and cls not in (SCALAR, HODGE_FULL)):
+    if (not parts.keys() <= lattice.proj.keys()
+            or (spec.dim > 2 and cls not in (SCALAR, HODGE_FULL))):
         raise InvalidInputError(f"kernel kind {spec.kind!r} is not defined on T^{spec.dim}")
     w = 0.0
     for c, p in parts.items():
-        rank = np.rint(np.trace(proj[c], axis1=1, axis2=2))   # eigenfields per frequency
+        rank = lattice.rank[c]
         if not rank.any():
             raise InvalidInputError(f"empty eigenfield class {c!r} on {spec.manifold}")
-        lw = np.where(rank > 0, log_phi(p.nu, p.kappa, lam, spec.dim), -np.inf)
-        phis = mult * np.exp(lw - lw.max())   # Phi ratios, safe where Phi underflows
-        w = w + p.variance * phis[:, None, None] * proj[c] / (phis @ rank)
-    return n, w
+        lw = np.where(rank > 0, log_phi(p.nu, p.kappa, lattice.lam, spec.dim), -np.inf)
+        phis = lattice.mult * np.exp(lw - lw.max())   # Phi ratios, safe where Phi underflows
+        w = w + p.variance * phis[:, None, None] * lattice.proj[c] / (phis @ rank)
+    return w
 
 
-def _torus_matrix(spec, X, Y):
-    """(n, m, D, D) torus kernel sum_n cos(n . (x - y)) M_n over the half lattice.
+def _check_torus_points(spec, *arrays):
+    """Raise InvalidInputError unless every array is (m, d) for spec's T^d."""
+    for X in arrays:
+        if X.ndim != 2 or X.shape[1] != spec.dim:
+            raise InvalidInputError(f"points of shape {X.shape} are not on T^{spec.dim}")
+
+
+def _lattice_features(X, n):
+    """[cos XN^T, sin XN^T], (m, 2F)."""
+    return np.hstack([np.cos(X @ n.T), np.sin(X @ n.T)])
+
+
+def _lattice_sum(fx, fy, w):
+    """(n, m, D, D) lattice sum sum_n cos(n . (x - y)) mult_n M_n from features.
 
     Entry (a, b) is one product [cos XN^T, sin XN^T] diag(M_ab, M_ab) [cos YN^T, sin YN^T]^T.
     """
-    n, w = _lattice_weights(spec)
-    fx = np.hstack([np.cos(X @ n.T), np.sin(X @ n.T)])
-    fy = fx if Y is X else np.hstack([np.cos(Y @ n.T), np.sin(Y @ n.T)])
     dd = range(w.shape[1])
     k = [[(fx * np.tile(w[:, a, b], 2)) @ fy.T for b in dd] for a in dd]
     return np.array(k).transpose(2, 3, 0, 1)
+
+
+def _torus_matrix(spec, X, Y):
+    """(n, m, D, D) torus kernel sum_n cos(n . (x - y)) M_n over the half lattice."""
+    _check_torus_points(spec, X, Y)
+    lattice = _torus_lattice(spec)
+    w = _lattice_class_weights(spec, lattice)
+    fx = _lattice_features(X, lattice.n)
+    fy = fx if Y is X else _lattice_features(Y, lattice.n)
+    return _lattice_sum(fx, fy, w)
 
 
 def scalar_matern_torus(params, d, lambda_cap, x, y):
@@ -526,3 +623,60 @@ def scalar_kernel_matrix(spec, X, Y=None):
     if spec.manifold == SPHERE:
         return scalar_pair_sums(spec.params, spec.lmax, X @ Y.T)
     return _torus_matrix(spec, X, Y)[:, :, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# One point set, many hyperparameters
+# ---------------------------------------------------------------------------
+
+class GramTables:
+    """The hyperparameter-free factors of the (X, X) frame blocks of one kind.
+
+    Built once for a point set, ``blocks(spec)`` returns what
+    ``sphere_frame_blocks`` (sphere) or ``kernel_matrix`` (torus) gives at
+    (X, X) for any spec of the kind, manifold and truncation it was built
+    for, bit for bit: only the per-level (sphere) or per-frequency (torus)
+    weights are computed per spec, and the sphere tables are summed level by
+    level in the order of the folded recurrence. The sphere keeps the pair
+    geometry and per-level Legendre tables of (lmax + 1) n^2 floats each:
+    P_l for the projected kind, P_l' and P_l'' for the Hodge kinds; a
+    contraction needs one more table-sized temporary. The torus keeps the
+    half lattice and the features [cos XN^T, sin XN^T].
+    """
+
+    def __init__(self, spec, X, frames=None):
+        self._lmax = spec.lmax
+        if spec.manifold == SPHERE:
+            if spec.kind not in _SPHERE_KINDS:
+                raise InvalidInputError(f"no Gram tables for kernel kind {spec.kind!r}")
+            self._geom = _sphere_pair_geometry(spec, X, frames, X, frames)
+            self._tables = _legendre_level_tables(X @ X.T, spec.lmax, spec.kind != PROJECTED)
+            self._n = X.shape[0]
+        else:
+            _check_torus_points(spec, X)
+            self._lattice = _torus_lattice(spec)
+            self._features = _lattice_features(X, self._lattice.n)
+
+    def blocks(self, spec):
+        """(n, n, D, D) frame blocks of spec at the prepared points."""
+        if spec.manifold != SPHERE:
+            w = _lattice_class_weights(spec, self._lattice)
+            return _lattice_sum(self._features, self._features, w)
+        n = self._n
+
+        def contract(c, table):
+            # axis-0 reduction adds the levels one by one, as the recurrence does
+            return np.add.reduce(c[:, None] * table, axis=0).reshape(n, n)
+
+        if spec.kind == PROJECTED:
+            (p0,) = self._tables
+
+            def sums(p):
+                return contract(_scalar_level_weights(p, self._lmax), p0)
+        else:
+            p1, p2 = self._tables
+
+            def sums(p):
+                c = _hodge_level_weights(p.nu, p.kappa, self._lmax)
+                return contract(c, p1), contract(c, p2)
+        return _assemble_sphere_blocks(spec, self._geom, sums)

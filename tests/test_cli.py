@@ -234,6 +234,48 @@ class TestRunExperiment:
         text = (tmp_path / "nan" / "summary.csv").read_text()
         assert "div-free,0.5,nan" in text
 
+    @pytest.mark.parametrize("error", [InvalidInputError, np.linalg.LinAlgError])
+    def test_bad_cell_does_not_abort_sweep(self, tmp_path, monkeypatch, capsys, error):
+        import hodgegp.cli as cli_mod
+
+        real_fit = cli_mod.fit
+
+        def flaky_fit(dataset, kind, *args, **kwargs):
+            if kind == "hodge-curl":
+                raise error("forced failure")
+            return real_fit(dataset, kind, *args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "fit", flaky_fit)
+        cfg = self.make_config(tmp_path / "bad", kernels=["div-free", "noise"], seeds=[0])
+        rows = run_experiment(cfg)
+        by_kernel = {r[0]: r for r in rows}
+        assert by_kernel["div-free"][3] == "nan" and by_kernel["div-free"][4] == "nan"
+        assert np.isfinite(float(by_kernel["noise"][3]))
+        assert "failed kernel=div-free nu=0.5 seed=0: forced failure" in capsys.readouterr().err
+        assert (tmp_path / "bad" / "grid_noise_0p5.csv").exists()
+
+    def test_grid_rows_match_predict(self, tmp_path):
+        import hodgegp.cli as cli_mod
+        from hodgegp.gp import condition, predict
+        from hodgegp.kernels import HODGE_CURL, KernelSpec, MaternParams
+
+        cfg = self.make_config(tmp_path / "grid", grid=(5, 6))
+        cfg.out = str(tmp_path)
+        train, _ = cli_mod._build_cell_data(cfg, 0)
+        model = condition(KernelSpec(HODGE_CURL, MaternParams(0.5, 0.4, 1.0, 0.01), lmax=10),
+                          train)
+        cli_mod._write_grid(cfg, "div-free", 0.5, model)
+        rows = (tmp_path / "grid_div-free_0p5.csv").read_text().splitlines()[1:]
+        lats = [float(r.split(",")[1]) for r in rows]
+        assert len(rows) == 5 * 6 and lats[0] == -90.0 and lats[-1] == 90.0
+        for row in rows:
+            lon, lat, east, north, std = (float(v) for v in row.split(","))
+            pred = predict(model, lonlat_to_point(lon, lat).coords[None])
+            b = pred.frames[0]
+            expected = [pred.mean[0] @ b[0], pred.mean[0] @ b[1],
+                        np.sqrt(max(np.trace(pred.cov[0]), 0.0))]
+            assert np.abs(np.array([east, north, std]) - expected).max() <= 1e-12
+
     def test_seeds_required(self, tmp_path):
         with pytest.raises(InvalidInputError):
             ExperimentConfig(out=str(tmp_path), seeds=[])

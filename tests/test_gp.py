@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hodgegp import gp
-from hodgegp.errors import InvalidInputError
+from hodgegp.errors import InvalidInputError, NumericalError
 from hodgegp.gp import (Dataset, FitConfig, condition, fit, log_marginal_likelihood, metrics,
                         predict, sample_posterior, sample_prior, sample_prior_batch)
 from hodgegp.kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NOISE,
@@ -257,6 +257,74 @@ class TestFit:
     def test_empty_dataset_rejected(self):
         with pytest.raises(InvalidInputError):
             fit(Dataset([], []), HODGE_CURL)
+
+    @staticmethod
+    def prepared_objective(ds, kind, config, **kw):
+        """fit's objective on a dataset prepared once, with its spec builder and bounds."""
+        m = ds.manifold
+        torus_dim = ds.points[0].dim if m != "sphere" else 2
+        _, bounds, build = gp._spec_builder(kind, kw.get("nu", 0.5), m, kw.get("lmax", 30),
+                                            kw.get("lambda_cap", 900.0), torus_dim, config)
+        theta0 = np.array([0.5 * (lo + hi) for lo, hi in bounds])
+        return gp._objective(ds, build, theta0), build, bounds
+
+    def assert_objective_matches_folded_route(self, ds, kind, config, rng, draws=6, **kw):
+        objective, build, bounds = self.prepared_objective(ds, kind, config, **kw)
+        for _ in range(draws):
+            theta = np.array([rng.uniform(lo, hi) for lo, hi in bounds])
+            expected = -log_marginal_likelihood(build(theta), ds)
+            assert abs(objective(theta) - expected) <= 1e-10 * abs(expected)
+
+    @staticmethod
+    def sphere_dataset_with_poles(rng, n=12):
+        pts = sample_sphere(n, rng)
+        pts[0], pts[1] = [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]
+        pts[3] = -pts[2]   # an antipodal pair off the poles
+        vals = rng.standard_normal((n, 3))
+        vals -= np.sum(vals * pts, axis=1, keepdims=True) * pts
+        return Dataset.from_arrays("sphere", pts, vals)
+
+    @pytest.mark.parametrize("fixed_kappa", [None, 0.3])
+    @pytest.mark.parametrize("kind", [HODGE_FULL, HODGE_DIV, HODGE_CURL, HODGE_COMPOSITIONAL,
+                                      PROJECTED])
+    def test_prepared_objective_matches_lml_on_sphere(self, kind, fixed_kappa):
+        rng = np.random.default_rng(40)
+        ds = self.sphere_dataset_with_poles(rng)
+        self.assert_objective_matches_folded_route(
+            ds, kind, FitConfig(fixed_kappa=fixed_kappa), rng, lmax=20)
+
+    @pytest.mark.parametrize("kind", [HODGE_FULL, HODGE_DIV, HODGE_CURL, HODGE_COMPOSITIONAL])
+    def test_prepared_objective_matches_lml_on_t2(self, kind):
+        rng = np.random.default_rng(41)
+        ds = Dataset.from_arrays("torus", rng.uniform(0, 2 * np.pi, (10, 2)),
+                                 rng.standard_normal((10, 2)))
+        self.assert_objective_matches_folded_route(ds, kind, FitConfig(), rng,
+                                                   lambda_cap=100.0)
+
+    def test_prepared_objective_matches_lml_on_circle(self):
+        rng = np.random.default_rng(42)
+        ds = Dataset.from_arrays("circle", rng.uniform(0, 2 * np.pi, (8, 1)),
+                                 rng.standard_normal((8, 1)))
+        self.assert_objective_matches_folded_route(ds, HODGE_FULL, FitConfig(), rng,
+                                                   lambda_cap=64.0)
+
+    @pytest.mark.parametrize("kind", [HODGE_DIV, PROJECTED])
+    def test_prepared_objective_at_lower_noise_bound(self, kind):
+        # a repeated point makes the noise-free Gram singular, so conditioning
+        # at a negligible noise floor needs jitter (or fails outright)
+        rng = np.random.default_rng(43)
+        ds = self.sphere_dataset_with_poles(rng, n=8)
+        ds = Dataset(ds.points + ds.points[4:5], ds.observations + ds.observations[4:5])
+        config = FitConfig(log_noise_bounds=(-60.0, 2.0))
+        objective, build, bounds = self.prepared_objective(ds, kind, config, lmax=20)
+        theta = np.array([math.log(0.3), 0.0, bounds[-1][0]])
+        try:
+            expected = -log_marginal_likelihood(build(theta), ds)
+        except NumericalError:
+            assert objective(theta) == 1e30
+            return
+        assert condition(build(theta), ds).jitter > 0.0
+        assert abs(objective(theta) - expected) <= 1e-10 * abs(expected)
 
 
 class TestSampling:

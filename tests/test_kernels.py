@@ -7,11 +7,11 @@ from scipy.integrate import quad
 from hodgegp.errors import InvalidInputError
 from hodgegp.gp import Dataset, condition, predict, sample_prior_batch
 from hodgegp.kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL,
-                             PROJECTED, SCALAR, KernelSpec, MaternParams, class_weights,
-                             compositional_spec, hodge_matern_sphere, kernel_matrix, noise_spec,
-                             normalization, phi, projected_matern, scalar_kernel_matrix,
-                             scalar_matern_sphere, scalar_matern_torus, spectral_kernel_oracle,
-                             torus_matern)
+                             PROJECTED, SCALAR, GramTables, KernelSpec, MaternParams,
+                             class_weights, compositional_spec, hodge_matern_sphere,
+                             kernel_matrix, noise_spec, normalization, phi, projected_matern,
+                             scalar_kernel_matrix, scalar_matern_sphere, scalar_matern_torus,
+                             spectral_kernel_oracle, torus_matern)
 from hodgegp.manifold import CIRCLE, TORUS, sample_sphere
 from hodgegp.spectrum import circle_spectrum, sphere_spectrum, torus_spectrum
 
@@ -328,6 +328,17 @@ class TestTorus:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             torus_matern(PARAMS, 64.0, np.array([0.1, 0.2]), np.array([0.3]))
+
+    @pytest.mark.parametrize("kind", [HODGE_CURL, HODGE_FULL, SCALAR])
+    def test_point_dimension_checked_on_t2(self, kind):
+        spec = KernelSpec(kind, PARAMS, manifold=TORUS, lambda_cap=16.0)
+        matrix = scalar_kernel_matrix if kind == SCALAR else kernel_matrix
+        with pytest.raises(InvalidInputError):
+            matrix(spec, np.zeros((3, 3)))
+        with pytest.raises(InvalidInputError):
+            matrix(spec, np.zeros((3, 2)), np.zeros((2, 3)))
+        with pytest.raises(InvalidInputError):
+            GramTables(spec, np.zeros((3, 3)))
 
 
 class TestLimitationProperty:
