@@ -1,4 +1,6 @@
-"""Numpy Legendre recurrences: weighted Legendre sums and associated-Legendre tables."""
+"""Numpy Legendre recurrences: one level-by-level pass for P_l, P_l', P_l''
+(read by weighted sums, per-level tables and single values) and the
+associated-Legendre tables."""
 
 import numpy as np
 
@@ -11,31 +13,25 @@ def using_numba():
 
 
 # ---------------------------------------------------------------------------
-# Weighted sums of Legendre polynomials P_l(t) and their first two
-# derivatives over levels 0..lmax. Three-term recurrence, exact at t = +-1.
+# Legendre polynomials P_l(t) and their first two derivatives, level by
+# level. Three-term recurrence, exact at t = +-1.
 # ---------------------------------------------------------------------------
 
-def legendre_sums(t, w0, w1, w2):
-    """Weighted sums (sum_l w0[l] P_l, sum_l w1[l] P_l', sum_l w2[l] P_l'') at t.
+def legendre_levels(t, lmax):
+    """Yield (P_l, P_l', P_l'') at t for l = 0..lmax, one level per step.
 
-    The recurrences roll over two levels held in place, so memory stays a
-    few arrays of len(t) for any lmax; a level whose weight is zero is
-    recurred through but not accumulated.
+    The recurrence rolls over two levels held in place, so memory stays a
+    few arrays of len(t) for any lmax. The yielded arrays are those buffers:
+    the next step overwrites them, so copy what must outlive it.
     """
     t = np.ascontiguousarray(t, dtype=np.float64)
-    w0, w1, w2 = (np.asarray(w, dtype=np.float64) for w in (w0, w1, w2))
-    lmax = len(w0) - 1
-    s0 = np.full_like(t, w0[0])
-    s1 = np.zeros_like(t)
-    s2 = np.zeros_like(t)
-    if lmax < 1:
-        return s0, s1, s2
-    s0 += w0[1] * t
-    s1 += w1[1]
     # (p, dp, d2p) hold level l-2 and are overwritten by level l; (q, dq, d2q) hold l-1
-    p, q = np.ones_like(t), t.copy()
-    dp, dq = np.zeros_like(t), np.ones_like(t)
-    d2p, d2q = np.zeros_like(t), np.zeros_like(t)
+    p, dp, d2p = np.ones_like(t), np.zeros_like(t), np.zeros_like(t)
+    yield p, dp, d2p
+    if lmax < 1:
+        return
+    q, dq, d2q = t.copy(), np.ones_like(t), np.zeros_like(t)
+    yield q, dq, d2q
     u = np.empty_like(t)
     v = np.empty_like(t)
     for l in range(2, lmax + 1):
@@ -60,14 +56,27 @@ def legendre_sums(t, w0, w1, w2):
         p *= b
         np.subtract(u, p, out=p)
         p /= l
-        for s, w, level in ((s0, w0[l], p), (s1, w1[l], dp), (s2, w2[l], d2p)):
-            if w != 0.0:
-                np.multiply(level, w, out=u)
-                s += u
+        yield p, dp, d2p
         p, q = q, p
         dp, dq = dq, dp
         d2p, d2q = d2q, d2p
-    return s0, s1, s2
+
+
+def legendre_sums(t, w0, w1, w2):
+    """Weighted sums (sum_l w0[l] P_l, sum_l w1[l] P_l', sum_l w2[l] P_l'') at t.
+
+    Accumulates the levels of ``legendre_levels`` in order; a level whose
+    weight is zero is recurred through but not accumulated.
+    """
+    w0, w1, w2 = (np.asarray(w, dtype=np.float64) for w in (w0, w1, w2))
+    sums = tuple(np.zeros(np.shape(t)) for _ in range(3))
+    u = np.empty(np.shape(t))
+    for l, levels in enumerate(legendre_levels(t, len(w0) - 1)):
+        for s, w, level in zip(sums, (w0[l], w1[l], w2[l]), levels):
+            if w != 0.0:
+                np.multiply(level, w, out=u)
+                s += u
+    return sums
 
 
 # ---------------------------------------------------------------------------

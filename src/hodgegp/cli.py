@@ -313,6 +313,7 @@ def _build_cell_data(config, seed):
 def run_experiment(config):
     """Run the sweep and write results.csv, summary.csv, and grid files.
 
+    Grid files (lon/lat prediction grids) are written for sphere data only.
     Returns the per-cell result rows. A cell whose fit, conditioning or
     scoring raises NumericalError, InvalidInputError or LinAlgError is
     recorded as NaN metrics and logged to stderr; the sweep never aborts.
@@ -339,7 +340,7 @@ def run_experiment(config):
                                         spec.noise_variance, pred.frames)
                     rows.append([kname, repr(float(nu)), repr(seed), repr(mse), repr(pnll)]
                                 + _fitted_param_fields(spec) + [cfg_hash, __version__])
-                    if (kname, nu) not in grid_models:
+                    if model.spec.manifold == SPHERE and (kname, nu) not in grid_models:
                         grid_models[(kname, nu)] = model
                     print(f"done {cell}: mse={mse:.4f} pnll={pnll:.4f}")
                 except (NumericalError, InvalidInputError, np.linalg.LinAlgError) as exc:

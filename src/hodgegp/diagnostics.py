@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .gp import sample_prior_batch
 from .kernels import (HODGE_CURL, HODGE_DIV, HODGE_FULL, PROJECTED, MaternParams,
-                      scalar_matern_sphere, stable_phi_ratios)
+                      projected_matern, stable_phi_ratios)
 from .spectrum import sphere_spectrum
 
 _POLE_BAND = math.sin(math.radians(80.0))  # |x3| above this is too close to a pole
@@ -191,13 +191,10 @@ def limitation_demo(a, kappa, lmax=30, nu=math.inf):
     x = u[:, 0]
     x_prime = u[:, 1]
     params = MaternParams(nu=nu, kappa=kappa, variance=1.0)
-    aat = a @ a.T
 
     def cov(p, q):
-        ks = scalar_matern_sphere(params, lmax, p, q)
-        proj_p = np.eye(3) - np.outer(p, p)
-        proj_q = np.eye(3) - np.outer(q, q)
-        return ks * (proj_p @ aat @ proj_q)
+        # the projected kernel is (1/2) k P_x A A^T P_y
+        return 2.0 * projected_matern(params, a, p, q, lmax)
 
     return LimitationReport(
         norm_orthogonal=float(np.linalg.norm(cov(x, x_prime))),

@@ -1,7 +1,8 @@
 """Vector Gaussian process regression in tangent frames.
 
-Gram matrices are assembled in per-point orthonormal tangent frames, giving
-full-rank 2x2 blocks on the sphere (d x d global-frame blocks on tori).
+Gram matrices are the frame blocks of ``kernels.frame_blocks`` in per-point
+orthonormal tangent frames, full-rank 2x2 blocks on the sphere (d x d
+global-frame blocks on tori); this module evaluates no kernel itself.
 Conditioning is exact via Cholesky with a documented jitter-escalation
 fallback; sampling uses the truncated eigenfield expansion for priors and an
 exact joint Gaussian factorization for posteriors.
@@ -17,8 +18,10 @@ from scipy.optimize import minimize
 from .errors import InvalidInputError, NumericalError
 from .kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NOISE, PROJECTED,
                       GramTables, KernelSpec, MaternParams, class_weights, compositional_spec,
-                      hodge_pair_sums, kernel_matrix, noise_spec, scalar_pair_sums,
-                      sphere_frame_blocks, stable_phi_ratios)
+                      diagonal_frame_blocks, frame_blocks, noise_spec, stable_phi_ratios)
+# Not called here: gp evaluates no kernel itself. benchmark/run.py traces these
+# names in gp as well as in kernels, so they stay importable from this module.
+from .kernels import hodge_pair_sums, kernel_matrix, scalar_pair_sums  # noqa: F401
 from .manifold import SPHERE, ManifoldPoint, TangentVector, frames_at, points_array
 
 
@@ -76,10 +79,9 @@ def _coords(spec, points):
     return np.atleast_2d(points)
 
 
-def _frame_blocks(spec, X, BX, Y, BY):
-    if spec.manifold == SPHERE:
-        return sphere_frame_blocks(spec, X, BX, Y, BY)
-    return kernel_matrix(spec, X, Y)  # tori work in the global frame
+def _frames(manifold, X):
+    """Tangent frames at X: east/north on the sphere, None (the global frame) on tori."""
+    return frames_at(X) if manifold == SPHERE else None
 
 
 def _blocks_to_matrix(blocks):
@@ -94,10 +96,9 @@ def gram(spec, points, frames=None):
     frames default to the deterministic east/north frames.
     """
     X = _coords(spec, points)
-    if spec.manifold == SPHERE and frames is None:
-        frames = frames_at(X)
-    blocks = _frame_blocks(spec, X, frames, X, frames)
-    return _blocks_to_matrix(blocks)
+    if frames is None:
+        frames = _frames(spec.manifold, X)
+    return _blocks_to_matrix(frame_blocks(spec, X, frames, X, frames))
 
 
 def _chol_with_jitter(mat, scale):
@@ -155,10 +156,10 @@ def _frame_components(values, frames):
     return np.einsum("nka,na->nk", frames, values)
 
 
-def _observations(spec, dataset):
+def _observations(manifold, dataset):
     """Coordinates, frames (sphere only) and flattened frame observations."""
     X = dataset.coords()
-    frames = frames_at(X) if spec.manifold == SPHERE else None
+    frames = _frames(manifold, X)
     return X, frames, _frame_components(dataset.values(), frames).reshape(-1)
 
 
@@ -189,34 +190,9 @@ def condition(spec, dataset) -> PosteriorModel:
     if len(dataset) == 0:
         return PosteriorModel(spec, dataset, None, np.zeros((0, 0)), np.zeros(0),
                               np.zeros(0), 0.0)
-    X, frames, y = _observations(spec, dataset)
-    k = _blocks_to_matrix(_frame_blocks(spec, X, frames, X, frames))
-    chol, alpha, jitter = _factor(spec, k, y)
+    X, frames, y = _observations(spec.manifold, dataset)
+    chol, alpha, jitter = _factor(spec, gram(spec, X, frames), y)
     return PosteriorModel(spec, dataset, frames, chol, alpha, y, jitter)
-
-
-def _prior_marginal_blocks(spec, Q, BQ):
-    """(m, dd, dd) frame-coordinate prior covariance at each query point."""
-    m = Q.shape[0]
-    if spec.manifold != SPHERE:
-        origin = np.zeros((1, spec.dim))   # torus kernels are stationary
-        return np.repeat(kernel_matrix(spec, origin, origin)[0], m, axis=0)
-    if spec.kind == NOISE:
-        return np.zeros((m, 2, 2))
-    if spec.kind == PROJECTED:
-        ks = scalar_pair_sums(spec.params, spec.lmax, np.ones(m))
-        a = spec.coreg if spec.coreg is not None else np.eye(3)
-        geom = np.einsum("nka,ab,nlb->nkl", BQ, a @ a.T, BQ)
-        return 0.5 * ks[:, None, None] * geom
-    if spec.kind == HODGE_COMPOSITIONAL:
-        c = 0.0
-        for p in spec.parts.values():
-            s1, _ = hodge_pair_sums(p.nu, p.kappa, spec.lmax, np.array([1.0]))
-            c += p.variance * float(s1[0])
-        return np.repeat(c * np.eye(2)[None], m, axis=0)
-    p = spec.params
-    s1, _ = hodge_pair_sums(p.nu, p.kappa, spec.lmax, np.array([1.0]))
-    return np.repeat(p.variance * float(s1[0]) * np.eye(2)[None], m, axis=0)
 
 
 @dataclass
@@ -236,14 +212,14 @@ def predict(model, points) -> Prediction:
     """Exact GP posterior mean and per-point marginal covariance."""
     spec = model.spec
     Q = _coords(spec, points)
-    BQ = frames_at(Q) if spec.manifold == SPHERE else None
-    prior = _prior_marginal_blocks(spec, Q, BQ)
+    BQ = _frames(spec.manifold, Q)
+    prior = diagonal_frame_blocks(spec, Q, BQ)
     m, d = prior.shape[:2]
     if len(model.dataset) == 0:
         mean_f = np.zeros((m, d))
     else:
         X = model.dataset.coords()
-        cross = _blocks_to_matrix(_frame_blocks(spec, Q, BQ, X, model.frames))
+        cross = _blocks_to_matrix(frame_blocks(spec, Q, BQ, X, model.frames))
         mean_f = (cross @ model.alpha).reshape(m, d)
         r = solve_triangular(model.chol, cross.T, lower=True)
         r = r.reshape(r.shape[0], m, d)
@@ -260,8 +236,8 @@ def log_marginal_likelihood(spec, dataset):
     """Gaussian log evidence of the dataset under the spec, frame coordinates."""
     if len(dataset) == 0:
         raise InvalidInputError("log marginal likelihood needs a nonempty dataset")
-    X, frames, y = _observations(spec, dataset)
-    return _lml_tail(spec, _blocks_to_matrix(_frame_blocks(spec, X, frames, X, frames)), y)
+    X, frames, y = _observations(spec.manifold, dataset)
+    return _lml_tail(spec, gram(spec, X, frames), y)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +326,7 @@ def _objective(dataset, build, theta0):
     each evaluation only weights the tables and factors the Gram.
     """
     spec = build(theta0)
-    X, frames, y = _observations(spec, dataset)
+    X, frames, y = _observations(spec.manifold, dataset)
     tables = GramTables(spec, X, frames)
 
     def objective(theta):
@@ -387,10 +363,8 @@ def fit(dataset, kind, config=None, nu=0.5, lmax=30, lambda_cap=900.0) -> Kernel
     torus_dim = dataset.points[0].dim if manifold != SPHERE else 2
 
     if kind == NOISE:
-        X = dataset.coords()
-        frames = frames_at(X) if manifold == SPHERE else None
-        yf = _frame_components(dataset.values(), frames)
-        noise = max(float(np.mean(yf ** 2)), math.exp(config.log_noise_bounds[0]))
+        _, _, y = _observations(manifold, dataset)
+        noise = max(float(np.mean(y ** 2)), math.exp(config.log_noise_bounds[0]))
         return noise_spec(noise, manifold=manifold, torus_dim=torus_dim)
 
     names, bounds, build = _spec_builder(kind, nu, manifold, lmax, lambda_cap,
@@ -442,45 +416,51 @@ class PriorSample:
     def __init__(self, spec, spectrum, rng):
         self.spec = spec
         self.spectrum = spectrum
-        if spec.kind == PROJECTED:
-            scale = _projected_coeff_scale(spec, spectrum)
-            self._scalar_coeffs = scale[:, None] * rng.standard_normal((len(scale), 3))
-            self._coeffs = None
-        elif spec.kind == NOISE:
-            self._coeffs = None
-            self._scalar_coeffs = None
-        else:
-            w = class_weights(spec, spectrum)
-            self._coeffs = np.sqrt(w) * rng.standard_normal(len(w))
-            self._scalar_coeffs = None
+        self._coeffs = _prior_coeffs(spec, spectrum, rng, 1)
 
     def at(self, points):
         """Field values at an (m, k)-coordinate array (ambient on the sphere)."""
-        pts = _coords(self.spec, points)
-        if self.spec.kind == NOISE:
-            return np.zeros((pts.shape[0], self.spec.ambient_dim))
-        if self.spec.kind == PROJECTED:
-            vals = self.spectrum.scalar_values(pts)
-            g = np.einsum("fj,fm->mj", self._scalar_coeffs, vals)
-            a = self.spec.coreg if self.spec.coreg is not None else np.eye(3)
-            g = g @ a.T
-            g = g - np.sum(pts * g, axis=1, keepdims=True) * pts
-            return g / math.sqrt(2.0)
-        e = self.spectrum.eigenfield_values(pts)
-        return np.einsum("f,fma->ma", self._coeffs, e)
+        return _prior_values(self.spec, self.spectrum, self._coeffs, points)[0]
 
     __call__ = at
 
 
-def _projected_coeff_scale(spec, spectrum):
-    """Per-scalar-mode amplitudes of the stacked fields behind a projected GP.
+def _prior_coeffs(spec, spectrum, rng, n_draws):
+    """Expansion coefficients of n_draws independent prior fields.
 
-    The scalar kernel has unit-trace normalization sigma^2 Phi / C0; the
-    pointwise 1/sqrt(2) projection factor is applied at evaluation time.
+    (n_draws, F) eigenfield coefficients z_n sqrt(w_n); for the projected
+    kind (n_draws, F, 3) coefficients of three stacked scalar fields with the
+    scalar kernel's unit-trace weights sigma^2 Phi / C0. Draws are taken from
+    rng in order, so n_draws at once equal n_draws successive single draws.
+    The noise kind draws nothing.
     """
-    lam = spectrum.scalar_eigenvalues()
-    w = stable_phi_ratios(spec.params.nu, spec.params.kappa, lam, spectrum.dim)
-    return np.sqrt(spec.params.variance * spectrum.volume * w / w.sum())
+    if spec.kind == NOISE:
+        return np.zeros((n_draws, 0))
+    if spec.kind == PROJECTED:
+        lam = spectrum.scalar_eigenvalues()
+        w = stable_phi_ratios(spec.params.nu, spec.params.kappa, lam, spectrum.dim)
+        scale = np.sqrt(spec.params.variance * spectrum.volume * w / w.sum())
+        return scale[None, :, None] * rng.standard_normal((n_draws, len(scale), 3))
+    w = class_weights(spec, spectrum)
+    return np.sqrt(w) * rng.standard_normal((n_draws, len(w)))
+
+
+def _prior_values(spec, spectrum, coeffs, points):
+    """(n_draws, m, D) values at points of the prior fields with these coefficients.
+
+    A projected field is A times the stacked scalar fields, projected onto
+    the tangent plane and scaled by 1/sqrt(2).
+    """
+    pts = _coords(spec, points)
+    if spec.kind == NOISE:
+        return np.zeros((len(coeffs), pts.shape[0], spec.ambient_dim))
+    if spec.kind == PROJECTED:
+        g = np.einsum("dfj,fm->dmj", coeffs, spectrum.scalar_values(pts))
+        a = spec.coreg if spec.coreg is not None else np.eye(3)
+        g = g @ a.T
+        g -= np.sum(pts * g, axis=2, keepdims=True) * pts
+        return g / math.sqrt(2.0)
+    return np.einsum("df,fma->dma", coeffs, spectrum.eigenfield_values(pts))
 
 
 def sample_prior(spec, spectrum, rng) -> PriorSample:
@@ -489,21 +469,11 @@ def sample_prior(spec, spectrum, rng) -> PriorSample:
 
 
 def sample_prior_batch(spec, spectrum, points, n_draws, rng):
-    """(n_draws, m, D) values of independent prior draws at fixed points."""
-    pts = _coords(spec, points)
-    if spec.kind == PROJECTED:
-        scale = _projected_coeff_scale(spec, spectrum)
-        z = rng.standard_normal((n_draws, len(scale), 3))
-        vals = spectrum.scalar_values(pts)
-        g = np.einsum("dfj,fm->dmj", scale[None, :, None] * z, vals)
-        a = spec.coreg if spec.coreg is not None else np.eye(3)
-        g = g @ a.T
-        g = g - np.sum(pts[None] * g, axis=2, keepdims=True) * pts[None]
-        return g / math.sqrt(2.0)
-    w = class_weights(spec, spectrum)
-    z = rng.standard_normal((n_draws, len(w)))
-    e = spectrum.eigenfield_values(pts)
-    return np.einsum("df,fma->dma", np.sqrt(w) * z, e)
+    """(n_draws, m, D) values of independent prior draws at fixed points.
+
+    Equal to n_draws successive ``sample_prior`` draws from rng evaluated at points.
+    """
+    return _prior_values(spec, spectrum, _prior_coeffs(spec, spectrum, rng, n_draws), points)
 
 
 def sample_posterior(model, points, rng, n_draws=1):
@@ -514,14 +484,14 @@ def sample_posterior(model, points, rng, n_draws=1):
     """
     spec = model.spec
     Q = _coords(spec, points)
-    BQ = frames_at(Q) if spec.manifold == SPHERE else None
-    prior = _blocks_to_matrix(_frame_blocks(spec, Q, BQ, Q, BQ))
+    BQ = _frames(spec.manifold, Q)
+    prior = gram(spec, Q, BQ)
     if len(model.dataset) == 0:
         mean = np.zeros(prior.shape[0])
         cov = prior
     else:
         X = model.dataset.coords()
-        cross = _blocks_to_matrix(_frame_blocks(spec, Q, BQ, X, model.frames))
+        cross = _blocks_to_matrix(frame_blocks(spec, Q, BQ, X, model.frames))
         mean = cross @ model.alpha
         r = solve_triangular(model.chol, cross.T, lower=True)
         cov = prior - r.T @ r

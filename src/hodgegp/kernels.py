@@ -8,13 +8,14 @@ where Phi is the Matern spectral weight, the s_n are Laplacian eigenpairs of
 the manifold, and C normalizes the volume-averaged trace of k(x, x) to
 sigma^2 over the same truncation.
 
-On the sphere the sums over the order m collapse through the Legendre
-addition theorem, so scalar kernels need only P_l(x . x') and vector kernels
-only its first two derivatives. Sphere vector kernels are evaluated once, as
-2x2 blocks in tangent frames (``sphere_frame_blocks``); ambient 3x3 matrices
-are their lift. On T^d every kernel is one lattice sum over frequencies n of
-cos(n . (x - y)) M_n. A direct sum over eigenfields is kept as the slow
-reference that tests compare these evaluators against.
+Only this module evaluates kernels. ``frame_blocks`` gives the blocks
+B_x k(x, y) B_y^T of every vector kernel: on the sphere in tangent frames,
+where the sums over the order m collapse through the Legendre addition
+theorem, so vector kernels need only the first two derivatives of P_l(x . y);
+on T^d in the global frame, as one lattice sum over frequencies n of
+cos(n . (x - y)) M_n. ``diagonal_frame_blocks`` is its diagonal in O(m), and
+ambient 3x3 matrices are the lift of the sphere blocks. A direct sum over
+eigenfields is kept as the slow reference that tests compare against.
 """
 
 import math
@@ -23,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._accel import legendre_sums
+from ._accel import legendre_levels, legendre_sums
 from .errors import InvalidInputError
 from .manifold import CIRCLE, SPHERE, TORUS, frames_at
 from .spectrum import CURL, DIV, HARM, torus_spectrum
@@ -306,16 +307,13 @@ def hodge_pair_sums(nu, kappa, lmax, t):
 def _legendre_level_tables(t, lmax, derivatives):
     """Per-level Legendre tables at inner products t, each (lmax + 1, t.size).
 
-    Returns (P_l', P_l'') when ``derivatives`` is true, else (P_l,). Level l
-    is ``legendre_sums`` with a one-hot weight: the values the folded sums of
+    Returns (P_l', P_l'') when ``derivatives`` is true, else (P_l,), stored
+    from one pass of ``legendre_levels``: the values the folded sums of
     ``hodge_pair_sums`` and ``scalar_pair_sums`` accumulate, bit for bit.
     """
     t = np.ravel(t)
     tables = np.empty((2 if derivatives else 1, lmax + 1, t.size))
-    for l in range(lmax + 1):
-        w = np.zeros(l + 1)
-        w[l] = 1.0
-        p, dp, d2p = legendre_sums(t, w, w, w)
+    for l, (p, dp, d2p) in enumerate(legendre_levels(t, lmax)):
         tables[:, l] = (dp, d2p) if derivatives else (p,)
     return tuple(tables)
 
@@ -337,22 +335,24 @@ def _rotate_frame_blocks(blocks):
 _SPHERE_KINDS = (HODGE_FULL, HODGE_DIV, HODGE_CURL, HODGE_COMPOSITIONAL, PROJECTED)
 
 
-def _sphere_pair_geometry(spec, X, BX, Y, BY):
+def _sphere_pair_geometry(spec, X, BX, Y, BY, diagonal=False):
     """The hyperparameter-free pair factors of the sphere frame blocks of spec's kind.
 
     B_x A A^T B_y^T (n, m, 2, 2) for the projected kind; for the Hodge kinds
-    (u v^T, B_x B_y^T) with u = B_x^T P_x y and v = B_y^T P_y x.
+    (u v^T, B_x B_y^T) with u = B_x^T P_x y and v = B_y^T P_y x. With
+    ``diagonal`` only the pairs (x_i, y_i), (n, 2, 2).
     """
+    j, nj = ("n", "n") if diagonal else ("m", "nm")
     if spec.kind == PROJECTED:
         a = spec.coreg if spec.coreg is not None else np.eye(3)
-        return np.einsum("nka,ab,mlb->nmkl", BX, a @ a.T, BY)
-    u = np.einsum("nka,ma->nmk", BX, Y)   # B_x^T P_x y  (P drops in the frame)
-    v = np.einsum("mka,na->nmk", BY, X)   # B_y^T P_y x
-    return u[:, :, :, None] * v[:, :, None, :], np.einsum("nka,mla->nmkl", BX, BY)
+        return np.einsum(f"nka,ab,{j}lb->{nj}kl", BX, a @ a.T, BY)
+    u = np.einsum(f"nka,{j}a->{nj}k", BX, Y)   # B_x^T P_x y  (P drops in the frame)
+    v = np.einsum(f"{j}ka,na->{nj}k", BY, X)   # B_y^T P_y x
+    return u[..., :, None] * v[..., None, :], np.einsum(f"nka,{j}la->{nj}kl", BX, BY)
 
 
 def _assemble_sphere_blocks(spec, geom, sums):
-    """(n, m, 2, 2) sphere frame blocks from the pair geometry and pair sums.
+    """(..., 2, 2) sphere frame blocks from the pair geometry and pair sums.
 
     ``sums(p)`` gives the pair sums of one parameter set: the scalar kernel
     for the projected kind, (S1, S2) of ``hodge_pair_sums`` for the Hodge
@@ -361,13 +361,13 @@ def _assemble_sphere_blocks(spec, geom, sums):
     (1/2) k B_x A A^T B_y^T.
     """
     if spec.kind == PROJECTED:
-        return 0.5 * sums(spec.params)[:, :, None, None] * geom
+        return 0.5 * sums(spec.params)[..., None, None] * geom
     uv, bb = geom
 
     def div(p):
         s1, s2 = sums(p)
-        out = s2[:, :, None, None] * uv
-        out += s1[:, :, None, None] * bb
+        out = s2[..., None, None] * uv
+        out += s1[..., None, None] * bb
         out *= p.variance
         return out
 
@@ -381,24 +381,45 @@ def _assemble_sphere_blocks(spec, geom, sums):
     return 0.5 * (d + _rotate_frame_blocks(d))
 
 
-def sphere_frame_blocks(spec, X, BX, Y, BY):
-    """(n, m, 2, 2) blocks B_x k(x, y) B_y^T of a sphere kernel in given frames.
+def _sphere_pair_sums(spec, t):
+    """``sums(p)`` of ``_assemble_sphere_blocks`` at inner products t."""
+    if spec.kind == PROJECTED:
+        return lambda p: scalar_pair_sums(p, spec.lmax, t)
+    return lambda p: hodge_pair_sums(p.nu, p.kappa, spec.lmax, t)
 
-    This is the only sphere vector-kernel evaluator; ``GramTables`` runs the
+
+def frame_blocks(spec, X, BX, Y, BY):
+    """(n, m, D, D) blocks B_x k(x, y) B_y^T of a vector kernel in given frames.
+
+    On the sphere BX and BY are (n, 2, 3) and (m, 2, 3) tangent frames; on
+    T^d the blocks are in the global frame and the frames are ignored. This
+    is the one-shot evaluator of every vector kernel; ``GramTables`` runs the
     same assembly from cached per-level tables.
     """
+    if spec.kind == SCALAR:
+        raise InvalidInputError("scalar kernels have no vector kernel matrix")
     if spec.kind == NOISE:
-        return np.zeros((X.shape[0], Y.shape[0], 2, 2))
-    if spec.kind not in _SPHERE_KINDS:
-        raise InvalidInputError(f"kernel kind {spec.kind!r} not supported on the sphere")
-    t = X @ Y.T
-    if spec.kind == PROJECTED:
-        def sums(p):
-            return scalar_pair_sums(p, spec.lmax, t)
-    else:
-        def sums(p):
-            return hodge_pair_sums(p.nu, p.kappa, spec.lmax, t)
-    return _assemble_sphere_blocks(spec, _sphere_pair_geometry(spec, X, BX, Y, BY), sums)
+        d = 2 if spec.manifold == SPHERE else spec.dim
+        return np.zeros((X.shape[0], Y.shape[0], d, d))
+    if spec.manifold != SPHERE:
+        return _torus_matrix(spec, X, Y)
+    geom = _sphere_pair_geometry(spec, X, BX, Y, BY)
+    return _assemble_sphere_blocks(spec, geom, _sphere_pair_sums(spec, X @ Y.T))
+
+
+def diagonal_frame_blocks(spec, X, BX):
+    """(m, D, D) blocks B_x k(x, x) B_x^T at each point, in O(m).
+
+    The diagonal of ``frame_blocks(spec, X, BX, X, BX)`` without the m x m
+    Gram: on the sphere the same assembly at the pairs (x, x), with the pair
+    sums at t = 1 (there u = v = 0); elsewhere one block serves every point.
+    """
+    if spec.manifold == SPHERE and spec.kind in _SPHERE_KINDS:
+        geom = _sphere_pair_geometry(spec, X, BX, X, BX, diagonal=True)
+        return _assemble_sphere_blocks(spec, geom, _sphere_pair_sums(spec, np.ones(1)))
+    # tori are stationary and the noise kernel is zero: evaluate at one point
+    origin = np.zeros((1, X.shape[1]))
+    return np.repeat(frame_blocks(spec, origin, BX, origin, BX)[0], X.shape[0], axis=0)
 
 
 def hodge_matern_sphere(spec, x, y):
@@ -595,22 +616,17 @@ def kernel_matrix(spec, X, Y=None):
     """(n, m, D, D) vector-kernel matrix for any spec on its manifold.
 
     Sphere matrices are ambient 3x3 blocks, lifted from the frame blocks of
-    ``sphere_frame_blocks``; torus matrices are d x d blocks in the global
+    ``frame_blocks``; torus matrices are its d x d blocks in the global
     frame, summed over the frequency lattice.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = X if Y is None else np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    if spec.kind == NOISE:
-        d = spec.ambient_dim
-        return np.zeros((X.shape[0], Y.shape[0], d, d))
-    if spec.kind == SCALAR:
-        raise InvalidInputError("scalar kernels have no vector kernel matrix")
     if spec.manifold != SPHERE:
-        return _torus_matrix(spec, X, Y)
+        return frame_blocks(spec, X, None, Y, None)
     # the lift B_x^T F B_y of the frame blocks F is exact: B^T B = P_x
     BX = frames_at(X)
     BY = BX if Y is X else frames_at(Y)
-    blocks = sphere_frame_blocks(spec, X, BX, Y, BY)
+    blocks = frame_blocks(spec, X, BX, Y, BY)
     return np.einsum("nka,nmkl,mlb->nmab", BX, blocks, BY)
 
 
@@ -633,9 +649,8 @@ class GramTables:
     """The hyperparameter-free factors of the (X, X) frame blocks of one kind.
 
     Built once for a point set, ``blocks(spec)`` returns what
-    ``sphere_frame_blocks`` (sphere) or ``kernel_matrix`` (torus) gives at
-    (X, X) for any spec of the kind, manifold and truncation it was built
-    for, bit for bit: only the per-level (sphere) or per-frequency (torus)
+    ``frame_blocks`` gives at (X, X) for any spec of the kind, manifold and
+    truncation it was built for, bit for bit: only the per-level (sphere) or per-frequency (torus)
     weights are computed per spec, and the sphere tables are summed level by
     level in the order of the folded recurrence. The sphere keeps the pair
     geometry and per-level Legendre tables of (lmax + 1) n^2 floats each:

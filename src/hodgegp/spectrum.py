@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._accel import alp_tables, legendre_sums
+from ._accel import alp_tables, legendre_levels
 from .errors import InvalidInputError
 from .manifold import CIRCLE, SPHERE, TORUS, TWO_PI, ManifoldPoint, TangentVector, sphere_point
 
@@ -70,9 +70,7 @@ def legendre(l, t):
     t = float(t)
     if abs(t) > 1.0 + 1e-12:
         raise InvalidInputError(f"Legendre argument {t} outside [-1, 1]")
-    w = np.zeros(l + 1)
-    w[l] = 1.0
-    p, dp, d2p = legendre_sums(np.array([t]), w, w, w)
+    *_, (p, dp, d2p) = legendre_levels(np.array([t]), l)
     return float(p[0]), float(dp[0]), float(d2p[0])
 
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
-from hodgegp._accel import alp_tables, legendre_sums, using_numba
+from hodgegp._accel import alp_tables, legendre_levels, legendre_sums, using_numba
+from hodgegp.kernels import _legendre_level_tables
+from hodgegp.spectrum import legendre
 
 
 def reference_sums(t, w):
@@ -50,6 +52,32 @@ class TestLegendreSums:
 
     def test_numpy_only(self):
         assert using_numba() is False
+
+
+class TestLegendreLevels:
+    @pytest.mark.parametrize("lmax", [0, 1, 2, 30])
+    def test_level_tables_equal_one_hot_sums(self, lmax):
+        # the one-pass tables must hold exactly what the folded sums accumulate,
+        # so a prepared fit follows the same optimizer path as the one-shot LML
+        rng = np.random.default_rng(40 + lmax)
+        t = np.concatenate([rng.uniform(-1.0, 1.0, size=300), [-1.0, 0.0, 1.0]])
+        (p,) = _legendre_level_tables(t, lmax, derivatives=False)
+        dp, d2p = _legendre_level_tables(t, lmax, derivatives=True)
+        assert p.shape == dp.shape == d2p.shape == (lmax + 1, t.size)
+        for l in range(lmax + 1):
+            w = np.zeros(l + 1)
+            w[l] = 1.0
+            for got, want in zip((p[l], dp[l], d2p[l]), legendre_sums(t, w, w, w)):
+                np.testing.assert_array_equal(got, want)
+
+    def test_levels_match_numpy_series_and_single_values(self):
+        t = np.array([-1.0, -0.3, 0.0, 0.55, 1.0])
+        for l, levels in enumerate(legendre_levels(t, 12)):
+            w = np.zeros(l + 1)
+            w[l] = 1.0
+            for got, want in zip(levels, reference_sums(t, w)):
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * max(1.0, l ** 4))
+            assert legendre(l, t[3]) == tuple(float(level[3]) for level in levels)
 
 
 class TestAlpTables:

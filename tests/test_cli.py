@@ -312,6 +312,26 @@ class TestMainExitCodes:
         assert code == 0
         assert (tmp_path / "ok" / "results.csv").exists()
 
+    def test_torus_file_sweep_writes_results_and_no_grid(self, tmp_path):
+        # the lon/lat prediction grid is a sphere product; a T^2 sweep must
+        # still finish with exit 0 and its results
+        rng = np.random.default_rng(5)
+        for name, n in (("train.csv", 12), ("test.csv", 6)):
+            pts = sample_uniform("torus", n, rng, dim=2)
+            obs = [TangentVector(p, rng.standard_normal(2)) for p in pts]
+            emit_csv(Dataset(pts, obs), tmp_path / name)
+        out = tmp_path / "t2"
+        code = main(["run", "--out", str(out), "--protocol", "file",
+                     "--train", str(tmp_path / "train.csv"), "--test", str(tmp_path / "test.csv"),
+                     "--kernel", "div-free,noise", "--seeds", "0", "--restarts", "1"])
+        assert code == 0
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        for row in rows:
+            mse, pnll = (float(v) for v in row.split(",")[3:5])
+            assert np.isfinite(mse) and np.isfinite(pnll)
+        assert not list(out.glob("grid_*.csv"))
+
     def test_config_file_with_overrides(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("kernel = noise\nnu = 0.5\nseeds = 0\n"

@@ -9,10 +9,11 @@ from hodgegp.errors import InvalidInputError, NumericalError
 from hodgegp.gp import (Dataset, FitConfig, condition, fit, log_marginal_likelihood, metrics,
                         predict, sample_posterior, sample_prior, sample_prior_batch)
 from hodgegp.kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NOISE,
-                             PROJECTED, KernelSpec, MaternParams, class_weights, noise_spec,
+                             PROJECTED, KernelSpec, MaternParams, class_weights,
+                             compositional_spec, frame_blocks, noise_spec,
                              spectral_kernel_oracle)
 from hodgegp.manifold import frames_at, sample_sphere
-from hodgegp.spectrum import sphere_spectrum
+from hodgegp.spectrum import sphere_spectrum, torus_spectrum
 
 SPEC = KernelSpec(HODGE_CURL, MaternParams(0.5, 0.5, 1.0, 1e-4), lmax=20)
 SPHERE_SPECTRUM = sphere_spectrum(20)
@@ -36,9 +37,15 @@ def random_in_plane_rotations(frames, rng):
     return np.einsum("nkl,nla->nka", rot, frames)
 
 
+def full_gram_diagonal(spec, pts):
+    """Prior covariance blocks read off the diagonal of the full (m x m) frame-block Gram."""
+    frames = frames_at(pts)
+    return np.einsum("iikl->ikl", frame_blocks(spec, pts, frames, pts, frames))
+
+
 def lml_with_frames(spec, dataset, frames):
     x = dataset.coords()
-    k = gp._blocks_to_matrix(gp._frame_blocks(spec, x, frames, x, frames))
+    k = gp._blocks_to_matrix(frame_blocks(spec, x, frames, x, frames))
     k[np.diag_indices_from(k)] += spec.noise_variance
     chol = np.linalg.cholesky(k)
     yf = np.einsum("nka,na->nk", frames, dataset.values()).reshape(-1)
@@ -88,7 +95,7 @@ class TestCondition:
         pts = sample_sphere(3, np.random.default_rng(4))
         pred = predict(model, pts)
         np.testing.assert_array_equal(pred.mean, 0.0)
-        prior = gp._prior_marginal_blocks(SPEC, pts, frames_at(pts))
+        prior = full_gram_diagonal(SPEC, pts)
         np.testing.assert_allclose(pred.cov, prior, atol=1e-12)
 
     def test_solver_residual(self):
@@ -133,7 +140,7 @@ class TestPredict:
         model = condition(spec, ds)
         far = np.array([[0.0, 0.0, -1.0]])
         pred = predict(model, far)
-        prior = gp._prior_marginal_blocks(spec, far, frames_at(far))
+        prior = full_gram_diagonal(spec, far)
         # a bandlimited kernel keeps ~1e-2 sidelobes at the antipode, so
         # "mean vanishes" holds at the percent level of the unit signal
         assert np.abs(pred.mean).max() < 2e-2
@@ -145,7 +152,7 @@ class TestPredict:
         model = condition(SPEC, ds)
         q = sample_sphere(6, rng)
         pred = predict(model, q)
-        prior = gp._prior_marginal_blocks(SPEC, q, frames_at(q))
+        prior = full_gram_diagonal(SPEC, q)
         for i in range(6):
             eigs = np.linalg.eigvalsh(prior[i] - pred.cov[i])
             assert eigs.min() >= -1e-9
@@ -347,6 +354,38 @@ class TestSampling:
         batch = sample_prior_batch(SPEC, SPHERE_SPECTRUM, pts, 3, np.random.default_rng(7))
         singles = [sample_prior(SPEC, SPHERE_SPECTRUM, np.random.default_rng(7)).at(pts)]
         np.testing.assert_allclose(batch[0], singles[0], atol=1e-12)
+
+    @pytest.mark.parametrize("manifold, kind", [
+        ("sphere", HODGE_FULL), ("sphere", HODGE_DIV), ("sphere", HODGE_CURL),
+        ("sphere", HODGE_COMPOSITIONAL), ("sphere", PROJECTED), ("sphere", NOISE),
+        ("torus", HODGE_FULL), ("torus", HODGE_DIV), ("torus", HODGE_CURL),
+        ("torus", HODGE_COMPOSITIONAL), ("torus", NOISE)])
+    def test_batch_equals_successive_single_draws(self, manifold, kind):
+        rng = np.random.default_rng(24)
+        params = MaternParams(1.5, 0.4, 1.3)
+        if manifold == "sphere":
+            spectrum, pts = sphere_spectrum(10), sample_sphere(5, rng)
+            coreg = np.array([[1.0, 0.2, -0.5], [0.0, 0.7, 0.3], [0.4, -0.1, 1.2]])
+            extra = dict(lmax=10, coreg=coreg if kind == PROJECTED else None)
+            harm = None
+        else:
+            spectrum, pts = torus_spectrum(2, 64.0), rng.uniform(0, 2 * np.pi, size=(5, 2))
+            extra = dict(manifold="torus", lambda_cap=64.0)
+            harm = 0.3
+        if kind == NOISE:
+            spec = noise_spec(0.1, manifold=manifold)
+        elif kind == HODGE_COMPOSITIONAL:
+            spec = compositional_spec(1.5, (0.3, 0.8), (0.6, 1.2), harm_variance=harm,
+                                      **{k: v for k, v in extra.items() if k != "coreg"})
+        else:
+            spec = KernelSpec(kind, params, **extra)
+        batch = sample_prior_batch(spec, spectrum, pts, 4, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        singles = np.stack([sample_prior(spec, spectrum, rng).at(pts) for _ in range(4)])
+        assert batch.shape == singles.shape == (4, 5, pts.shape[1])
+        assert np.abs(batch - singles).max() <= 1e-12
+        if kind != NOISE:
+            assert np.abs(singles).max() > 0.0
 
     def test_posterior_mean_consistency(self):
         rng = np.random.default_rng(22)

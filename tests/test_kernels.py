@@ -8,11 +8,11 @@ from hodgegp.errors import InvalidInputError
 from hodgegp.gp import Dataset, condition, predict, sample_prior_batch
 from hodgegp.kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL,
                              PROJECTED, SCALAR, GramTables, KernelSpec, MaternParams,
-                             class_weights, compositional_spec, hodge_matern_sphere,
-                             kernel_matrix, noise_spec, normalization, phi, projected_matern,
+                             class_weights, compositional_spec, diagonal_frame_blocks,
+                             frame_blocks, hodge_matern_sphere, kernel_matrix, noise_spec, normalization, phi, projected_matern,
                              scalar_kernel_matrix, scalar_matern_sphere, scalar_matern_torus,
                              spectral_kernel_oracle, torus_matern)
-from hodgegp.manifold import CIRCLE, TORUS, sample_sphere
+from hodgegp.manifold import CIRCLE, TORUS, frames_at, sample_sphere
 from hodgegp.spectrum import circle_spectrum, sphere_spectrum, torus_spectrum
 
 PARAMS = MaternParams(nu=1.5, kappa=0.4, variance=1.3)
@@ -339,6 +339,64 @@ class TestTorus:
             matrix(spec, np.zeros((3, 2)), np.zeros((2, 3)))
         with pytest.raises(InvalidInputError):
             GramTables(spec, np.zeros((3, 3)))
+
+
+def diagonal_case(name):
+    """(spec, points, total variance) for one diagonal-evaluator case."""
+    rng = np.random.default_rng(31)
+    if name.startswith("t2-") or name.startswith("circle-"):
+        d = 2 if name.startswith("t2-") else 1
+        manifold = TORUS if d == 2 else CIRCLE
+        kind = name.split("-", 1)[1]
+        pts = rng.uniform(0, 2 * np.pi, size=(7, d))
+        if kind == "noise":
+            return noise_spec(0.1, manifold=manifold, torus_dim=d), pts, 1.0
+        if kind == HODGE_COMPOSITIONAL:
+            spec = compositional_spec(1.5, (0.3, 0.8), (0.6, 1.2), harm_variance=0.3,
+                                      manifold=manifold, lambda_cap=400.0, torus_dim=d)
+            return spec, pts, 2.3
+        return KernelSpec(kind, PARAMS, manifold=manifold, lambda_cap=400.0,
+                          torus_dim=d), pts, PARAMS.variance
+    # both poles, an antipodal pair and random points
+    pts = np.vstack([[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], sample_sphere(6, rng)])
+    pts = np.vstack([pts, -pts[2:3]])
+    if name == "noise":
+        return noise_spec(0.1), pts, 1.0
+    if name == HODGE_COMPOSITIONAL:
+        return compositional_spec(1.5, (0.3, 0.8), (0.6, 1.2), lmax=25), pts, 2.0
+    if name == "projected-coreg":
+        a = np.array([[1.0, 0.2, -0.5], [0.0, 0.7, 0.3], [0.4, -0.1, 1.2]])
+        return KernelSpec(PROJECTED, PARAMS, coreg=a, lmax=25), pts, PARAMS.variance
+    return KernelSpec(name, PARAMS, lmax=25), pts, PARAMS.variance
+
+
+class TestDiagonalFrameBlocks:
+    @pytest.mark.parametrize("name", [
+        HODGE_FULL, HODGE_DIV, HODGE_CURL, HODGE_COMPOSITIONAL, PROJECTED, "projected-coreg",
+        "noise", "t2-hodge-full", "t2-hodge-div", "t2-hodge-curl", "t2-hodge-compositional",
+        "t2-noise", "circle-hodge-full", "circle-hodge-div"])
+    def test_equals_diagonal_of_full_blocks(self, name):
+        spec, pts, variance = diagonal_case(name)
+        frames = frames_at(pts) if pts.shape[1] == 3 else None
+        full = frame_blocks(spec, pts, frames, pts, frames)
+        diag = diagonal_frame_blocks(spec, pts, frames)
+        assert diag.shape == (len(pts),) + full.shape[2:]
+        assert np.abs(diag - np.einsum("iikl->ikl", full)).max() <= 1e-12 * variance
+
+    def test_zero_points(self):
+        spec = KernelSpec(HODGE_CURL, PARAMS, lmax=10)
+        assert diagonal_frame_blocks(spec, np.zeros((0, 3)), frames_at(np.zeros((0, 3)))).shape \
+            == (0, 2, 2)
+        spec = KernelSpec(HODGE_CURL, PARAMS, manifold=TORUS, lambda_cap=16.0)
+        assert diagonal_frame_blocks(spec, np.zeros((0, 2)), None).shape == (0, 2, 2)
+
+    def test_scalar_kind_rejected(self):
+        spec = KernelSpec(SCALAR, PARAMS, lmax=10)
+        pts = sample_sphere(2, np.random.default_rng(0))
+        with pytest.raises(InvalidInputError):
+            diagonal_frame_blocks(spec, pts, frames_at(pts))
+        with pytest.raises(InvalidInputError):
+            frame_blocks(spec, pts, frames_at(pts), pts, frames_at(pts))
 
 
 class TestLimitationProperty:
