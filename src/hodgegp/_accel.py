@@ -1,10 +1,14 @@
-"""Numpy Legendre recurrences: one level-by-level pass for P_l, P_l', P_l''
-(read by weighted sums, per-level tables and single values) and the
+"""Numpy Legendre recurrences: one level-by-level pass for P_l (read by
+weighted sums, per-level tables and single values), the exact integer maps
+that turn weighted sums of P_l' and P_l'' into plain Legendre series, and the
 associated-Legendre tables."""
+
+from functools import lru_cache
 
 import numpy as np
 
 _INV_SQRT_4PI = 0.28209479177387814  # (4*pi)**-0.5
+_CHUNK = 1 << 14   # abscissae per pass of legendre_sums: ~128 KB per buffer
 
 
 def using_numba():
@@ -13,69 +17,80 @@ def using_numba():
 
 
 # ---------------------------------------------------------------------------
-# Legendre polynomials P_l(t) and their first two derivatives, level by
-# level. Three-term recurrence, exact at t = +-1.
+# Legendre polynomials P_l(t), level by level. Three-term recurrence, exact
+# at t = +-1. Derivative sums are Legendre series with mapped weights.
 # ---------------------------------------------------------------------------
 
 def legendre_levels(t, lmax):
-    """Yield (P_l, P_l', P_l'') at t for l = 0..lmax, one level per step.
+    """Yield P_l(t) for l = 0..lmax, one level per step.
 
     The recurrence rolls over two levels held in place, so memory stays a
     few arrays of len(t) for any lmax. The yielded arrays are those buffers:
     the next step overwrites them, so copy what must outlive it.
     """
     t = np.ascontiguousarray(t, dtype=np.float64)
-    # (p, dp, d2p) hold level l-2 and are overwritten by level l; (q, dq, d2q) hold l-1
-    p, dp, d2p = np.ones_like(t), np.zeros_like(t), np.zeros_like(t)
-    yield p, dp, d2p
+    p = np.ones_like(t)      # level l-2, overwritten by level l; q holds l-1
+    yield p
     if lmax < 1:
         return
-    q, dq, d2q = t.copy(), np.ones_like(t), np.zeros_like(t)
-    yield q, dq, d2q
+    q = t.copy()
+    yield q
     u = np.empty_like(t)
-    v = np.empty_like(t)
     for l in range(2, lmax + 1):
-        a = 2.0 * l - 1.0
-        b = l - 1.0
-        # single division keeps the endpoint values t = +-1 integer-exact
-        np.multiply(dq, 2.0, out=v)                 # (a (2 dq + t d2q) - b d2p) / l
-        np.multiply(t, d2q, out=u)
-        v += u
-        v *= a
-        d2p *= b
-        np.subtract(v, d2p, out=d2p)
-        d2p /= l
-        np.multiply(t, dq, out=u)                   # (a (q + t dq) - b dp) / l
-        u += q
-        u *= a
-        dp *= b
-        np.subtract(u, dp, out=dp)
-        dp /= l
-        np.multiply(t, a, out=u)                    # (a t q - b p) / l
+        # ((2l - 1) t q - (l - 1) p) / l; one division keeps t = +-1 integer-exact
+        np.multiply(t, 2.0 * l - 1.0, out=u)
         u *= q
-        p *= b
+        p *= l - 1.0
         np.subtract(u, p, out=p)
         p /= l
-        yield p, dp, d2p
+        yield p
         p, q = q, p
-        dp, dq = dq, dp
-        d2p, d2q = d2q, d2p
 
 
-def legendre_sums(t, w0, w1, w2):
-    """Weighted sums (sum_l w0[l] P_l, sum_l w1[l] P_l', sum_l w2[l] P_l'') at t.
+@lru_cache(maxsize=None)
+def legendre_derivative_maps(lmax):
+    """The (2, lmax + 1, lmax + 1) integer maps D = (D1, D2) with, for weights c,
 
-    Accumulates the levels of ``legendre_levels`` in order; a level whose
-    weight is zero is recurred through but not accumulated.
+        sum_l c_l P_l'(t)  = sum_k (D1 c)_k P_k(t),
+        sum_l c_l P_l''(t) = sum_k (D2 c)_k P_k(t),
+
+    from P_l' = sum_{k < l, l - k odd} (2k + 1) P_k and
+    P_l'' = sum_{k <= l - 2, l - k even} (k + 1/2) (l(l+1) - k(k+1)) P_k.
+    Every entry is an integer, so the maps are exact; ``D @ c`` gives both
+    weight rows. Read-only, cached.
     """
-    w0, w1, w2 = (np.asarray(w, dtype=np.float64) for w in (w0, w1, w2))
-    sums = tuple(np.zeros(np.shape(t)) for _ in range(3))
-    u = np.empty(np.shape(t))
-    for l, levels in enumerate(legendre_levels(t, len(w0) - 1)):
-        for s, w, level in zip(sums, (w0[l], w1[l], w2[l]), levels):
-            if w != 0.0:
-                np.multiply(level, w, out=u)
-                s += u
+    k = np.arange(lmax + 1)[:, None]
+    l = np.arange(lmax + 1)[None, :]
+    gap = l - k
+    d1 = np.where((gap > 0) & (gap % 2 == 1), 2 * k + 1, 0)
+    d2 = np.where((gap > 0) & (gap % 2 == 0), (2 * k + 1) * gap * (l + k + 1) // 2, 0)
+    maps = np.stack([d1, d2]).astype(np.float64)
+    maps.flags.writeable = False
+    return maps
+
+
+def legendre_sums(t, weights):
+    """Weighted sums sum_l weights[j, l] P_l(t), one per weight row, from one pass.
+
+    ``weights`` is (k, lmax + 1); returns (k,) + shape(t). Accumulates the
+    levels of ``legendre_levels`` in order; a level whose weight is zero is
+    recurred through but not accumulated. Long abscissa arrays run in chunks
+    of ``_CHUNK``, so the recurrence's buffers stay in cache; every value is
+    computed as in one unchunked pass.
+    """
+    weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
+    t = np.asarray(t, dtype=np.float64)
+    sums = np.zeros((weights.shape[0],) + t.shape)
+    flat_t, flat_sums = t.reshape(-1), sums.reshape(weights.shape[0], -1)
+    for start in range(0, t.size, _CHUNK):
+        chunk = flat_t[start:start + _CHUNK]
+        acc = flat_sums[:, start:start + _CHUNK]
+        u = np.empty_like(chunk)
+        for l, p in enumerate(legendre_levels(chunk, weights.shape[1] - 1)):
+            for s, w in zip(acc, weights[:, l]):
+                if w != 0.0:
+                    np.multiply(p, w, out=u)
+                    s += u
     return sums
 
 

@@ -351,10 +351,10 @@ def fit(dataset, kind, config=None, nu=0.5, lmax=30, lambda_cap=900.0) -> Kernel
     Each search step evaluates the log evidence ``log_marginal_likelihood``
     gives, bit for bit, from ``GramTables`` built once per call, so a step
     only weights the tables and factors the Gram. The tables hold
-    O((lmax + 1) n^2) floats: on the sphere two (lmax + 1) x n^2 Legendre
-    tables for the Hodge kinds (124 MB at n = 500, lmax = 30; 62 MB more
-    while one is contracted) and one for the projected kind; on tori the
-    lattice features, 2F n floats for F half-lattice frequencies.
+    O((lmax + 1) n^2) floats: on the sphere one (lmax + 1) x n^2 table of
+    P_l for every kind (62 MB at n = 500, lmax = 30), plus one table-sized
+    temporary while a pair sum is contracted; on tori the lattice features,
+    2F n floats for F half-lattice frequencies.
     """
     if len(dataset) == 0:
         raise InvalidInputError("cannot fit an empty dataset")

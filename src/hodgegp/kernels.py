@@ -16,6 +16,11 @@ on T^d in the global frame, as one lattice sum over frequencies n of
 cos(n . (x - y)) M_n. ``diagonal_frame_blocks`` is its diagonal in O(m), and
 ambient 3x3 matrices are the lift of the sphere blocks. A direct sum over
 eigenfields is kept as the slow reference that tests compare against.
+
+On the sphere the derivative sums are Legendre series themselves (exact
+integer maps of the weights), so each evaluation is one pass of the P_l
+recurrence over all of its pair sums, and the pair geometry comes from
+matrix products of the stacked frames.
 """
 
 import math
@@ -24,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._accel import legendre_levels, legendre_sums
+from ._accel import legendre_derivative_maps, legendre_levels, legendre_sums
 from .errors import InvalidInputError
 from .manifold import CIRCLE, SPHERE, TORUS, frames_at
 from .spectrum import CURL, DIV, HARM, torus_spectrum
@@ -285,10 +290,7 @@ def _hodge_level_weights(nu, kappa, lmax):
 
 def scalar_pair_sums(params, lmax, t):
     """Normalized scalar kernel values at an array of inner products t."""
-    w0 = _scalar_level_weights(params, lmax)
-    z = np.zeros_like(w0)
-    s0, _, _ = legendre_sums(np.ravel(t), w0, z, z)
-    return s0.reshape(np.shape(t))
+    return legendre_sums(t, _scalar_level_weights(params, lmax))[0]
 
 
 def hodge_pair_sums(nu, kappa, lmax, t):
@@ -297,25 +299,34 @@ def hodge_pair_sums(nu, kappa, lmax, t):
     With h_l(t) = (2l+1) Phi(lambda_l) / (4 pi lambda_l) P_l(t), returns
     sum_l h_l'(t) and sum_l h_l''(t) for l = 1..lmax, normalized so that the
     divergence-class kernel with unit variance is S2 * rank-one + S1 * P P.
+    Both are Legendre series in P_l(t), from one pass.
     """
-    coeff = _hodge_level_weights(nu, kappa, lmax)
-    z = np.zeros_like(coeff)
-    _, s1, s2 = legendre_sums(np.ravel(t), z, coeff, coeff)
-    return s1.reshape(np.shape(t)), s2.reshape(np.shape(t))
+    w = legendre_derivative_maps(lmax) @ _hodge_level_weights(nu, kappa, lmax)
+    return tuple(legendre_sums(t, w))
 
 
-def _legendre_level_tables(t, lmax, derivatives):
-    """Per-level Legendre tables at inner products t, each (lmax + 1, t.size).
+def _sphere_sum_weights(spec):
+    """(k, lmax + 1) Legendre weights of every pair sum of spec's kind, one row each.
 
-    Returns (P_l', P_l'') when ``derivatives`` is true, else (P_l,), stored
-    from one pass of ``legendre_levels``: the values the folded sums of
-    ``hodge_pair_sums`` and ``scalar_pair_sums`` accumulate, bit for bit.
+    The scalar kernel for the projected kind; (S1, S2) of the Hodge kinds,
+    for the div part then the curl part of the compositional kind.
     """
-    t = np.ravel(t)
-    tables = np.empty((2 if derivatives else 1, lmax + 1, t.size))
-    for l, (p, dp, d2p) in enumerate(legendre_levels(t, lmax)):
-        tables[:, l] = (dp, d2p) if derivatives else (p,)
-    return tuple(tables)
+    if spec.kind == PROJECTED:
+        return _scalar_level_weights(spec.params, spec.lmax)[None]
+    parts = ((spec.parts[DIV], spec.parts[CURL]) if spec.kind == HODGE_COMPOSITIONAL
+             else (spec.params,))
+    maps = legendre_derivative_maps(spec.lmax)
+    return np.concatenate([maps @ _hodge_level_weights(p.nu, p.kappa, spec.lmax)
+                           for p in parts])
+
+
+def _legendre_level_table(t, lmax):
+    """(lmax + 1,) + shape(t) table of P_l at inner products t, from one pass
+    of ``legendre_levels``: the levels ``legendre_sums`` accumulates, bit for bit."""
+    table = np.empty((lmax + 1,) + np.shape(t))
+    for l, p in enumerate(legendre_levels(t, lmax)):
+        table[l] = p
+    return table
 
 
 def _rotate_frame_blocks(blocks):
@@ -333,59 +344,68 @@ def _rotate_frame_blocks(blocks):
 
 
 _SPHERE_KINDS = (HODGE_FULL, HODGE_DIV, HODGE_CURL, HODGE_COMPOSITIONAL, PROJECTED)
+_BLOCK_PAIRS = 1 << 16   # point pairs per block that frame_blocks assembles at once
 
 
 def _sphere_pair_geometry(spec, X, BX, Y, BY, diagonal=False):
     """The hyperparameter-free pair factors of the sphere frame blocks of spec's kind.
 
-    B_x A A^T B_y^T (n, m, 2, 2) for the projected kind; for the Hodge kinds
-    (u v^T, B_x B_y^T) with u = B_x^T P_x y and v = B_y^T P_y x. With
-    ``diagonal`` only the pairs (x_i, y_i), (n, 2, 2).
+    (B_x A A^T B_y^T,) for the projected kind; for the Hodge kinds
+    (u v^T, B_x B_y^T) with u = B_x^T P_x y and v = B_y^T P_y x (P drops in
+    the frame). Each is (n, m, 2, 2), from matrix products of the stacked
+    (2n, 3) and (2m, 3) frames; with ``diagonal`` only the pairs (x_i, y_i),
+    each (n, 2, 2).
     """
-    j, nj = ("n", "n") if diagonal else ("m", "nm")
     if spec.kind == PROJECTED:
         a = spec.coreg if spec.coreg is not None else np.eye(3)
-        return np.einsum(f"nka,ab,{j}lb->{nj}kl", BX, a @ a.T, BY)
-    u = np.einsum(f"nka,{j}a->{nj}k", BX, Y)   # B_x^T P_x y  (P drops in the frame)
-    v = np.einsum(f"{j}ka,na->{nj}k", BY, X)   # B_y^T P_y x
-    return u[..., :, None] * v[..., None, :], np.einsum(f"nka,{j}la->{nj}kl", BX, BY)
+        BX = BX @ (a @ a.T)
+    if diagonal:
+        bb = np.einsum("nka,nla->nkl", BX, BY)
+        if spec.kind == PROJECTED:
+            return (bb,)
+        u = np.einsum("nka,na->nk", BX, Y)
+        v = np.einsum("nka,na->nk", BY, X)
+        return u[:, :, None] * v[:, None, :], bb
+    n, m = BX.shape[0], BY.shape[0]
+    bx, by = BX.reshape(2 * n, 3), BY.reshape(2 * m, 3)
+    bb = (bx @ by.T).reshape(n, 2, m, 2).transpose(0, 2, 1, 3)
+    if spec.kind == PROJECTED:
+        return (bb,)
+    u = (bx @ Y.T).reshape(n, 2, m).transpose(0, 2, 1)
+    v = (X @ by.T).reshape(n, m, 2)
+    # uv and bb sit in memory as (n, 2, m, 2), the Gram matrix layout, so the
+    # blocks assembled from them reshape to the Gram without a copy
+    return u[..., :, None] * v[..., None, :], bb
 
 
 def _assemble_sphere_blocks(spec, geom, sums):
     """(..., 2, 2) sphere frame blocks from the pair geometry and pair sums.
 
-    ``sums(p)`` gives the pair sums of one parameter set: the scalar kernel
-    for the projected kind, (S1, S2) of ``hodge_pair_sums`` for the Hodge
-    kinds. The div class is grad_x grad_y^T g of the scalar potential g,
+    ``sums`` holds the pair sums of the rows of ``_sphere_sum_weights``: the
+    scalar kernel for the projected kind, (S1, S2) per parameter set for the
+    Hodge kinds. The div class is grad_x grad_y^T g of the scalar potential g,
     the curl class its Hodge-star conjugate, and the projected kernel
     (1/2) k B_x A A^T B_y^T.
     """
     if spec.kind == PROJECTED:
-        return 0.5 * sums(spec.params)[..., None, None] * geom
+        return 0.5 * sums[0][..., None, None] * geom[0]
     uv, bb = geom
 
-    def div(p):
-        s1, s2 = sums(p)
+    def div(p, s1, s2):
         out = s2[..., None, None] * uv
         out += s1[..., None, None] * bb
         out *= p.variance
         return out
 
     if spec.kind == HODGE_COMPOSITIONAL:
-        return div(spec.parts[DIV]) + _rotate_frame_blocks(div(spec.parts[CURL]))
-    d = div(spec.params)
+        return (div(spec.parts[DIV], *sums[:2])
+                + _rotate_frame_blocks(div(spec.parts[CURL], *sums[2:])))
+    d = div(spec.params, *sums)
     if spec.kind == HODGE_DIV:
         return d
     if spec.kind == HODGE_CURL:
         return _rotate_frame_blocks(d)
     return 0.5 * (d + _rotate_frame_blocks(d))
-
-
-def _sphere_pair_sums(spec, t):
-    """``sums(p)`` of ``_assemble_sphere_blocks`` at inner products t."""
-    if spec.kind == PROJECTED:
-        return lambda p: scalar_pair_sums(p, spec.lmax, t)
-    return lambda p: hodge_pair_sums(p.nu, p.kappa, spec.lmax, t)
 
 
 def frame_blocks(spec, X, BX, Y, BY):
@@ -394,17 +414,25 @@ def frame_blocks(spec, X, BX, Y, BY):
     On the sphere BX and BY are (n, 2, 3) and (m, 2, 3) tangent frames; on
     T^d the blocks are in the global frame and the frames are ignored. This
     is the one-shot evaluator of every vector kernel; ``GramTables`` runs the
-    same assembly from cached per-level tables.
+    same assembly from a cached per-level table.
     """
     if spec.kind == SCALAR:
         raise InvalidInputError("scalar kernels have no vector kernel matrix")
-    if spec.kind == NOISE:
-        d = 2 if spec.manifold == SPHERE else spec.dim
-        return np.zeros((X.shape[0], Y.shape[0], d, d))
     if spec.manifold != SPHERE:
         return _torus_matrix(spec, X, Y)
+    if spec.kind == NOISE:
+        return np.zeros((X.shape[0], Y.shape[0], 2, 2))
     geom = _sphere_pair_geometry(spec, X, BX, Y, BY)
-    return _assemble_sphere_blocks(spec, geom, _sphere_pair_sums(spec, X @ Y.T))
+    sums = legendre_sums(X @ Y.T, _sphere_sum_weights(spec))
+    # assembled a block of rows at a time, so the temporaries stay small, into
+    # the Gram layout (n, 2, m, 2) that gp reshapes to the Gram without a copy
+    out = np.empty((X.shape[0], 2, Y.shape[0], 2))
+    step = max(1, _BLOCK_PAIRS // max(1, Y.shape[0]))
+    for start in range(0, X.shape[0], step):
+        rows = slice(start, start + step)
+        blocks = _assemble_sphere_blocks(spec, [g[rows] for g in geom], sums[:, rows])
+        out[rows] = blocks.transpose(0, 2, 1, 3)
+    return out.transpose(0, 2, 1, 3)
 
 
 def diagonal_frame_blocks(spec, X, BX):
@@ -416,7 +444,8 @@ def diagonal_frame_blocks(spec, X, BX):
     """
     if spec.manifold == SPHERE and spec.kind in _SPHERE_KINDS:
         geom = _sphere_pair_geometry(spec, X, BX, X, BX, diagonal=True)
-        return _assemble_sphere_blocks(spec, geom, _sphere_pair_sums(spec, np.ones(1)))
+        sums = legendre_sums(np.ones(1), _sphere_sum_weights(spec))
+        return _assemble_sphere_blocks(spec, geom, sums)
     # tori are stationary and the noise kernel is zero: evaluate at one point
     origin = np.zeros((1, X.shape[1]))
     return np.repeat(frame_blocks(spec, origin, BX, origin, BX)[0], X.shape[0], axis=0)
@@ -524,8 +553,11 @@ def _lattice_sum(fx, fy, w):
 
 
 def _torus_matrix(spec, X, Y):
-    """(n, m, D, D) torus kernel sum_n cos(n . (x - y)) M_n over the half lattice."""
+    """(n, m, D, D) torus kernel sum_n cos(n . (x - y)) M_n over the half lattice
+    (zero for the noise kind), after checking the point dimension."""
     _check_torus_points(spec, X, Y)
+    if spec.kind == NOISE:
+        return np.zeros((X.shape[0], Y.shape[0], spec.dim, spec.dim))
     lattice = _torus_lattice(spec)
     w = _lattice_class_weights(spec, lattice)
     fx = _lattice_features(X, lattice.n)
@@ -650,23 +682,21 @@ class GramTables:
 
     Built once for a point set, ``blocks(spec)`` returns what
     ``frame_blocks`` gives at (X, X) for any spec of the kind, manifold and
-    truncation it was built for, bit for bit: only the per-level (sphere) or per-frequency (torus)
-    weights are computed per spec, and the sphere tables are summed level by
-    level in the order of the folded recurrence. The sphere keeps the pair
-    geometry and per-level Legendre tables of (lmax + 1) n^2 floats each:
-    P_l for the projected kind, P_l' and P_l'' for the Hodge kinds; a
+    truncation it was built for, bit for bit: only the per-level (sphere) or
+    per-frequency (torus) weights are computed per spec, and the sphere table
+    is summed level by level in the order of the folded recurrence. The
+    sphere keeps the pair geometry and one table of P_l, (lmax + 1) n^2
+    floats, which every pair sum contracts with its own Legendre weights; a
     contraction needs one more table-sized temporary. The torus keeps the
     half lattice and the features [cos XN^T, sin XN^T].
     """
 
     def __init__(self, spec, X, frames=None):
-        self._lmax = spec.lmax
         if spec.manifold == SPHERE:
             if spec.kind not in _SPHERE_KINDS:
                 raise InvalidInputError(f"no Gram tables for kernel kind {spec.kind!r}")
             self._geom = _sphere_pair_geometry(spec, X, frames, X, frames)
-            self._tables = _legendre_level_tables(X @ X.T, spec.lmax, spec.kind != PROJECTED)
-            self._n = X.shape[0]
+            self._table = _legendre_level_table(X @ X.T, spec.lmax)
         else:
             _check_torus_points(spec, X)
             self._lattice = _torus_lattice(spec)
@@ -677,21 +707,7 @@ class GramTables:
         if spec.manifold != SPHERE:
             w = _lattice_class_weights(spec, self._lattice)
             return _lattice_sum(self._features, self._features, w)
-        n = self._n
-
-        def contract(c, table):
-            # axis-0 reduction adds the levels one by one, as the recurrence does
-            return np.add.reduce(c[:, None] * table, axis=0).reshape(n, n)
-
-        if spec.kind == PROJECTED:
-            (p0,) = self._tables
-
-            def sums(p):
-                return contract(_scalar_level_weights(p, self._lmax), p0)
-        else:
-            p1, p2 = self._tables
-
-            def sums(p):
-                c = _hodge_level_weights(p.nu, p.kappa, self._lmax)
-                return contract(c, p1), contract(c, p2)
+        # axis-0 reduction adds the levels one by one, as the recurrence does
+        sums = [np.add.reduce(w[:, None, None] * self._table, axis=0)
+                for w in _sphere_sum_weights(spec)]
         return _assemble_sphere_blocks(spec, self._geom, sums)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
-from hodgegp._accel import alp_tables, legendre_levels, legendre_sums, using_numba
-from hodgegp.kernels import _legendre_level_tables
+from hodgegp._accel import (alp_tables, legendre_derivative_maps, legendre_levels,
+                            legendre_sums, using_numba)
+from hodgegp.kernels import _legendre_level_table
 from hodgegp.spectrum import legendre
 
 
@@ -12,13 +13,39 @@ def reference_sums(t, w):
     return tuple(npleg.legval(t, npleg.legder(w, k)) for k in range(3))
 
 
+def value_and_derivative_weights(w0, w1, w2):
+    """Legendre weight rows of (sum w0_l P_l, sum w1_l P_l', sum w2_l P_l'')."""
+    d1, d2 = legendre_derivative_maps(len(w0) - 1)
+    return np.stack([w0, d1 @ w1, d2 @ w2])
+
+
+class TestDerivativeMaps:
+    @pytest.mark.parametrize("lmax", range(31))
+    def test_equal_numpy_legder_on_one_hot_weights(self, lmax):
+        d1, d2 = legendre_derivative_maps(lmax)
+        for l in range(lmax + 1):
+            w = np.zeros(lmax + 1)
+            w[l] = 1.0
+            for k, dmap in ((1, d1), (2, d2)):
+                want = np.zeros(lmax + 1)
+                der = npleg.legder(w, k)
+                want[:len(der)] = der
+                np.testing.assert_array_equal(dmap @ w, want)
+
+    def test_read_only(self):
+        d1, _ = legendre_derivative_maps(4)
+        with pytest.raises(ValueError):
+            d1[0, 1] = 0.0
+
+
 class TestLegendreSums:
     @pytest.mark.parametrize("lmax", [0, 1, 2, 30])
     def test_matches_numpy_series(self, lmax):
         rng = np.random.default_rng(lmax)
         t = np.concatenate([rng.uniform(-1.0, 1.0, size=200), [-1.0, 1.0]])
         w = rng.uniform(-1.0, 1.0, size=lmax + 1)
-        for got, want in zip(legendre_sums(t, w, w, w), reference_sums(t, w)):
+        sums = legendre_sums(t, value_and_derivative_weights(w, w, w))
+        for got, want in zip(sums, reference_sums(t, w)):
             scale = max(1.0, float(np.abs(want).max()))
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
 
@@ -28,7 +55,8 @@ class TestLegendreSums:
         for l in range(lmax + 1):
             w = np.zeros(lmax + 1)
             w[l] = 1.0
-            p, dp, d2p = legendre_sums(np.array([1.0, -1.0]), w, w, w)
+            weights = value_and_derivative_weights(w, w, w)
+            p, dp, d2p = legendre_sums(np.array([1.0, -1.0]), weights)
             sign = (-1.0) ** l
             assert p.tolist() == [1.0, sign]
             assert dp.tolist() == [l * (l + 1) / 2, -sign * l * (l + 1) / 2]
@@ -40,15 +68,15 @@ class TestLegendreSums:
         t = rng.uniform(-1.0, 1.0, size=50)
         w0, w1, w2 = rng.uniform(-1.0, 1.0, size=(3, 13))
         w1[::2] = 0.0   # zero-weight levels are skipped in the accumulation
-        s0, s1, s2 = legendre_sums(t, w0, w1, w2)
+        s0, s1, s2 = legendre_sums(t, value_and_derivative_weights(w0, w1, w2))
         np.testing.assert_allclose(s0, reference_sums(t, w0)[0], atol=1e-12)
         np.testing.assert_allclose(s1, reference_sums(t, w1)[1], atol=1e-11)
         np.testing.assert_allclose(s2, reference_sums(t, w2)[2], atol=1e-10)
 
     def test_empty_abscissae(self):
         w = np.ones(31)
-        for s in legendre_sums(np.zeros(0), w, w, w):
-            assert s.shape == (0,)
+        sums = legendre_sums(np.zeros(0), value_and_derivative_weights(w, w, w))
+        assert sums.shape == (3, 0)
 
     def test_numpy_only(self):
         assert using_numba() is False
@@ -57,27 +85,33 @@ class TestLegendreSums:
 class TestLegendreLevels:
     @pytest.mark.parametrize("lmax", [0, 1, 2, 30])
     def test_level_tables_equal_one_hot_sums(self, lmax):
-        # the one-pass tables must hold exactly what the folded sums accumulate,
+        # the one-pass table must hold exactly what the folded sums accumulate,
+        # and its level-ordered contraction must equal the sums of any weights,
         # so a prepared fit follows the same optimizer path as the one-shot LML
         rng = np.random.default_rng(40 + lmax)
         t = np.concatenate([rng.uniform(-1.0, 1.0, size=300), [-1.0, 0.0, 1.0]])
-        (p,) = _legendre_level_tables(t, lmax, derivatives=False)
-        dp, d2p = _legendre_level_tables(t, lmax, derivatives=True)
-        assert p.shape == dp.shape == d2p.shape == (lmax + 1, t.size)
+        table = _legendre_level_table(t, lmax)
+        assert table.shape == (lmax + 1, t.size)
         for l in range(lmax + 1):
             w = np.zeros(l + 1)
             w[l] = 1.0
-            for got, want in zip((p[l], dp[l], d2p[l]), legendre_sums(t, w, w, w)):
-                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(table[l], legendre_sums(t, w)[0])
+        w = rng.uniform(-1.0, 1.0, size=lmax + 1)
+        for row, want in zip(value_and_derivative_weights(w, w, w),
+                             legendre_sums(t, value_and_derivative_weights(w, w, w))):
+            np.testing.assert_array_equal(np.add.reduce(row[:, None] * table, axis=0), want)
 
     def test_levels_match_numpy_series_and_single_values(self):
         t = np.array([-1.0, -0.3, 0.0, 0.55, 1.0])
-        for l, levels in enumerate(legendre_levels(t, 12)):
+        for l, level in enumerate(legendre_levels(t, 12)):
             w = np.zeros(l + 1)
             w[l] = 1.0
-            for got, want in zip(levels, reference_sums(t, w)):
-                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * max(1.0, l ** 4))
-            assert legendre(l, t[3]) == tuple(float(level[3]) for level in levels)
+            want = reference_sums(t, w)
+            np.testing.assert_allclose(level, want[0], rtol=0.0, atol=1e-12 * max(1.0, l ** 4))
+            single = legendre(l, t[3])
+            assert single[0] == float(level[3])
+            np.testing.assert_allclose(single, [w_[3] for w_ in want], rtol=0.0,
+                                       atol=1e-12 * max(1.0, l ** 4))
 
 
 class TestAlpTables:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hodgegp import kernels
 from hodgegp.errors import InvalidInputError
 from hodgegp.gp import Dataset, condition, predict, sample_prior_batch
 from hodgegp.kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL,
@@ -160,6 +161,22 @@ class TestHodgeSphere:
             np.testing.assert_allclose(px @ m @ py, m, atol=1e-10)
             np.testing.assert_allclose(hodge_matern_sphere(spec, y, x), m.T, atol=1e-12)
 
+    def test_hodge_pair_sums_give_unit_div_kernel(self):
+        # documented: the unit-variance div kernel is S2 (P_x y)(P_y x)^T + S1 P_x P_y
+        rng = np.random.default_rng(24)
+        x_pts = np.vstack([[[0.0, 0.0, 1.0]], sample_sphere(3, rng)])
+        y_pts = np.vstack([[[0.0, 0.0, -1.0]], -x_pts[1:2], sample_sphere(2, rng)])
+        spec = KernelSpec(HODGE_DIV, MaternParams(PARAMS.nu, PARAMS.kappa), lmax=12)
+        spectrum = sphere_spectrum(12)
+        oracle = spectral_kernel_oracle(class_weights(spec, spectrum), spectrum, x_pts, y_pts)
+        s1, s2 = kernels.hodge_pair_sums(PARAMS.nu, PARAMS.kappa, 12, x_pts @ y_pts.T)
+        for i, x in enumerate(x_pts):
+            for j, y in enumerate(y_pts):
+                px = np.eye(3) - np.outer(x, x)
+                py = np.eye(3) - np.outer(y, y)
+                want = s2[i, j] * np.outer(px @ y, py @ x) + s1[i, j] * px @ py
+                assert np.abs(oracle[i, j] - want).max() < 1e-8
+
     def test_matches_eigenfield_oracle(self):
         rng = np.random.default_rng(7)
         x_pts = sample_sphere(20, rng)
@@ -210,6 +227,60 @@ class TestSpectralOracle:
         gram = mats.transpose(0, 2, 1, 3).reshape(45, 45)
         eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
         assert eigs.min() >= -1e-8
+
+
+def rectangular_point_sets():
+    """7 and 11 points: both poles in each set and an antipodal pair across them."""
+    rng = np.random.default_rng(23)
+    x = np.vstack([[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], sample_sphere(5, rng)])
+    y = np.vstack([[[0.0, 0.0, -1.0]], -x[2:3], sample_sphere(8, rng), [[0.0, 0.0, 1.0]]])
+    return x, y
+
+
+class TestRectangularCrossBlocks:
+    @pytest.mark.parametrize("kind", [HODGE_DIV, HODGE_CURL, HODGE_FULL, HODGE_COMPOSITIONAL])
+    def test_frame_blocks_match_eigenfield_oracle(self, kind):
+        x, y = rectangular_point_sets()
+        if kind == HODGE_COMPOSITIONAL:
+            spec = compositional_spec(1.5, (0.3, 0.8), (0.6, 1.2), lmax=12)
+        else:
+            spec = KernelSpec(kind, PARAMS, lmax=12)
+        spectrum = sphere_spectrum(12)
+        bx, by = frames_at(x), frames_at(y)
+        oracle = spectral_kernel_oracle(class_weights(spec, spectrum), spectrum, x, y)
+        expected = np.einsum("nka,nmab,mlb->nmkl", bx, oracle, by)
+        blocks = frame_blocks(spec, x, bx, y, by)
+        assert blocks.shape == (7, 11, 2, 2)
+        assert np.abs(blocks - expected).max() < 1e-8
+
+    @pytest.mark.parametrize("kind", [HODGE_CURL, HODGE_FULL, HODGE_COMPOSITIONAL, PROJECTED])
+    def test_row_blocks_equal_one_block(self, kind, monkeypatch):
+        # 22 pairs per block over 11 columns: blocks of 2 rows, the last one partial
+        x, y = rectangular_point_sets()
+        if kind == HODGE_COMPOSITIONAL:
+            spec = compositional_spec(1.5, (0.3, 0.8), (0.6, 1.2), lmax=12)
+        else:
+            a = np.array([[1.0, 0.2, -0.5], [0.0, 0.7, 0.3], [0.4, -0.1, 1.2]])
+            spec = KernelSpec(kind, PARAMS, coreg=a if kind == PROJECTED else None, lmax=12)
+        bx, by = frames_at(x), frames_at(y)
+        whole = frame_blocks(spec, x, bx, y, by)
+        monkeypatch.setattr(kernels, "_BLOCK_PAIRS", 22)
+        np.testing.assert_array_equal(frame_blocks(spec, x, bx, y, by), whole)
+
+    def test_projected_with_coreg_matches_projector_formula(self):
+        x, y = rectangular_point_sets()
+        a = np.array([[1.0, 0.2, -0.5], [0.0, 0.7, 0.3], [0.4, -0.1, 1.2]])
+        spec = KernelSpec(PROJECTED, PARAMS, coreg=a, lmax=20)
+        expected = np.empty((7, 11, 3, 3))
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                px = np.eye(3) - np.outer(xi, xi)
+                py = np.eye(3) - np.outer(yj, yj)
+                k = scalar_matern_sphere(PARAMS, 20, xi, yj)
+                expected[i, j] = 0.5 * k * px @ a @ a.T @ py
+        got = kernel_matrix(spec, x, y)
+        assert got.shape == (7, 11, 3, 3)
+        assert np.abs(got - expected).max() <= 1e-12 * PARAMS.variance * np.linalg.norm(a) ** 2
 
 
 class TestProjected:
@@ -339,6 +410,21 @@ class TestTorus:
             matrix(spec, np.zeros((3, 2)), np.zeros((2, 3)))
         with pytest.raises(InvalidInputError):
             GramTables(spec, np.zeros((3, 3)))
+
+    def test_noise_kind_checks_point_dimension(self):
+        spec = noise_spec(0.1, manifold=TORUS)
+        np.testing.assert_array_equal(kernel_matrix(spec, np.zeros((3, 2))), 0.0)
+        with pytest.raises(InvalidInputError):
+            kernel_matrix(spec, np.zeros((3, 3)))
+        with pytest.raises(InvalidInputError):
+            kernel_matrix(spec, np.zeros((3, 2)), np.zeros((2, 3)))
+        rng = np.random.default_rng(22)
+        data = Dataset.from_arrays(TORUS, rng.uniform(0, 2 * np.pi, (4, 2)),
+                                   rng.standard_normal((4, 2)))
+        for model in (condition(spec, data), condition(spec, Dataset([], []))):
+            assert predict(model, np.zeros((2, 2))).mean.shape == (2, 2)
+            with pytest.raises(InvalidInputError):
+                predict(model, np.zeros((2, 3)))
 
 
 def diagonal_case(name):

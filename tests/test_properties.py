@@ -1,5 +1,6 @@
 """Property tests of the kernel evaluators: symmetry, positive semidefiniteness,
-rotation equivariance on S^2 and translation invariance on T^2."""
+rotation equivariance and frame independence on S^2, and translation
+invariance on T^2."""
 
 import math
 
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from hodgegp import gp
 from hodgegp.kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, PROJECTED,
-                             KernelSpec, MaternParams, compositional_spec, kernel_matrix)
-from hodgegp.manifold import TORUS
+                             KernelSpec, MaternParams, compositional_spec, frame_blocks,
+                             kernel_matrix)
+from hodgegp.manifold import TORUS, frames_at
 
 SETTINGS = settings(max_examples=25, deadline=None, database=None)
 
@@ -115,6 +117,37 @@ class TestRotationEquivariance:
         rotated = kernel_matrix(spec, x @ r.T, y @ r.T)
         expected = np.einsum("ab,nmbc,dc->nmad", r, kernel_matrix(spec, x, y), r)
         assert np.abs(rotated - expected).max() <= 1e-10 * total_variance(spec)
+
+
+def in_plane_rotations(angles):
+    """(m, 2, 2) rotations of the tangent plane by the given angles."""
+    c, s = np.cos(angles), np.sin(angles)
+    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+
+
+class TestFrameIndependence:
+    @SETTINGS
+    @given(spec=specs(SPHERE_KINDS, "sphere"), x=sphere_points(), y=sphere_points(),
+           data=st.data())
+    def test_frame_blocks_conjugate(self, spec, x, y, data):
+        # rotating each frame in its tangent plane, poles included, rotates its blocks
+        rx = in_plane_rotations(data.draw(st.lists(angle, min_size=len(x), max_size=len(x))))
+        ry = in_plane_rotations(data.draw(st.lists(angle, min_size=len(y), max_size=len(y))))
+        bx, by = frames_at(x), frames_at(y)
+        rotated = frame_blocks(spec, x, rx @ bx, y, ry @ by)
+        expected = np.einsum("nkp,nmpq,mlq->nmkl", rx, frame_blocks(spec, x, bx, y, by), ry)
+        assert np.abs(rotated - expected).max() <= 1e-12 * total_variance(spec)
+
+    @SETTINGS
+    @given(spec=specs(SPHERE_KINDS, "sphere"), x=sphere_points(max_size=8), data=st.data())
+    def test_gram_conjugates(self, spec, x, data):
+        r = in_plane_rotations(data.draw(st.lists(angle, min_size=len(x), max_size=len(x))))
+        block_diag = np.zeros((2 * len(x), 2 * len(x)))
+        for i, ri in enumerate(r):
+            block_diag[2 * i:2 * i + 2, 2 * i:2 * i + 2] = ri
+        rotated = gp.gram(spec, x, frames=r @ frames_at(x))
+        expected = block_diag @ gp.gram(spec, x) @ block_diag.T
+        assert np.abs(rotated - expected).max() <= 1e-12 * total_variance(spec)
 
 
 class TestTranslationInvariance:
