@@ -1,14 +1,14 @@
-"""Numpy Legendre recurrences: one level-by-level pass for P_l (read by
-weighted sums, per-level tables and single values), the exact integer maps
-that turn weighted sums of P_l' and P_l'' into plain Legendre series, and the
-associated-Legendre tables."""
+"""Numpy Legendre recurrences: one recurrence that tables P_l, one contraction
+of such a table with per-level weights (weighted sums, the fit's kept table),
+the exact integer maps that turn weighted sums of P_l' and P_l'' into plain
+Legendre series, and the associated-Legendre tables."""
 
 from functools import lru_cache
 
 import numpy as np
 
 _INV_SQRT_4PI = 0.28209479177387814  # (4*pi)**-0.5
-_CHUNK = 1 << 14   # abscissae per pass of legendre_sums: ~128 KB per buffer
+_CHUNK = 1 << 14   # abscissae per pass of legendre_sums: 128 KB per table level
 
 
 def using_numba():
@@ -17,34 +17,37 @@ def using_numba():
 
 
 # ---------------------------------------------------------------------------
-# Legendre polynomials P_l(t), level by level. Three-term recurrence, exact
-# at t = +-1. Derivative sums are Legendre series with mapped weights.
+# Legendre polynomials P_l(t) as a table of levels. Three-term recurrence,
+# exact at t = +-1. Derivative sums are Legendre series with mapped weights.
 # ---------------------------------------------------------------------------
 
-def legendre_levels(t, lmax):
-    """Yield P_l(t) for l = 0..lmax, one level per step.
-
-    The recurrence rolls over two levels held in place, so memory stays a
-    few arrays of len(t) for any lmax. The yielded arrays are those buffers:
-    the next step overwrites them, so copy what must outlive it.
-    """
-    t = np.ascontiguousarray(t, dtype=np.float64)
-    p = np.ones_like(t)      # level l-2, overwritten by level l; q holds l-1
-    yield p
-    if lmax < 1:
-        return
-    q = t.copy()
-    yield q
+def legendre_table(t, lmax, out=None):
+    """The (lmax + 1,) + shape(t) table of P_l(t), l = 0..lmax, filled into ``out`` if given."""
+    t = np.asarray(t, dtype=np.float64)
+    table = np.empty((lmax + 1,) + t.shape) if out is None else out
+    table[0] = 1.0
+    table[1:2] = t   # no level 1 when lmax = 0
     u = np.empty_like(t)
     for l in range(2, lmax + 1):
-        # ((2l - 1) t q - (l - 1) p) / l; one division keeps t = +-1 integer-exact
-        np.multiply(t, 2.0 * l - 1.0, out=u)
-        u *= q
-        p *= l - 1.0
-        np.subtract(u, p, out=p)
+        # ((2l - 1) t P_{l-1} - (l - 1) P_{l-2}) / l; one division keeps t = +-1 integer-exact
+        p = table[l, ...]   # a view also for 0-d t
+        np.multiply(t, 2.0 * l - 1.0, out=p)
+        p *= table[l - 1]
+        np.multiply(table[l - 2], l - 1.0, out=u)
+        p -= u
         p /= l
-        yield p
-        p, q = q, p
+    return table
+
+
+def _contract_levels(weights, table, out=None):
+    """(k,) + table.shape[1:] sums sum_l weights[j, l] table[l], one per weight row.
+
+    einsum adds the levels in order (for one abscissa it may pair them), so a
+    chunk and the whole table give the same bits; ``weights @ table`` does not,
+    as BLAS picks its summation order by the shape.
+    """
+    sums = np.einsum("kl,ln->kn", weights, table.reshape(table.shape[0], -1), out=out)
+    return sums.reshape((weights.shape[0],) + table.shape[1:])
 
 
 @lru_cache(maxsize=None)
@@ -72,25 +75,18 @@ def legendre_derivative_maps(lmax):
 def legendre_sums(t, weights):
     """Weighted sums sum_l weights[j, l] P_l(t), one per weight row, from one pass.
 
-    ``weights`` is (k, lmax + 1); returns (k,) + shape(t). Accumulates the
-    levels of ``legendre_levels`` in order; a level whose weight is zero is
-    recurred through but not accumulated. Long abscissa arrays run in chunks
-    of ``_CHUNK``, so the recurrence's buffers stay in cache; every value is
-    computed as in one unchunked pass.
+    ``weights`` is (k, lmax + 1); returns (k,) + shape(t). Long abscissa arrays
+    run in near-equal chunks of at most ``_CHUNK``, each tabled into one buffer.
     """
     weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
     t = np.asarray(t, dtype=np.float64)
-    sums = np.zeros((weights.shape[0],) + t.shape)
-    flat_t, flat_sums = t.reshape(-1), sums.reshape(weights.shape[0], -1)
-    for start in range(0, t.size, _CHUNK):
-        chunk = flat_t[start:start + _CHUNK]
-        acc = flat_sums[:, start:start + _CHUNK]
-        u = np.empty_like(chunk)
-        for l, p in enumerate(legendre_levels(chunk, weights.shape[1] - 1)):
-            for s, w in zip(acc, weights[:, l]):
-                if w != 0.0:
-                    np.multiply(p, w, out=u)
-                    s += u
+    sums = np.empty((weights.shape[0],) + t.shape)
+    parts = max(1, -(-t.size // _CHUNK))
+    table = np.empty((weights.shape[1], -(-t.size // parts)))
+    for chunk, out in zip(np.array_split(t.reshape(-1), parts),
+                          np.array_split(sums.reshape(weights.shape[0], -1), parts, axis=1)):
+        _contract_levels(weights, legendre_table(chunk, weights.shape[1] - 1,
+                                                 out=table[:, :chunk.size]), out=out)
     return sums
 
 

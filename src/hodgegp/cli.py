@@ -315,8 +315,9 @@ def run_experiment(config):
 
     Grid files (lon/lat prediction grids) are written for sphere data only.
     Returns the per-cell result rows. A cell whose fit, conditioning or
-    scoring raises NumericalError, InvalidInputError or LinAlgError is
-    recorded as NaN metrics and logged to stderr; the sweep never aborts.
+    scoring raises NumericalError, InvalidInputError, LinAlgError or
+    MemoryError is recorded as NaN metrics and logged to stderr; the sweep
+    never aborts.
     """
     os.makedirs(config.out, exist_ok=True)
     cfg_hash = config.hash()
@@ -343,7 +344,8 @@ def run_experiment(config):
                     if model.spec.manifold == SPHERE and (kname, nu) not in grid_models:
                         grid_models[(kname, nu)] = model
                     print(f"done {cell}: mse={mse:.4f} pnll={pnll:.4f}")
-                except (NumericalError, InvalidInputError, np.linalg.LinAlgError) as exc:
+                except (NumericalError, InvalidInputError, np.linalg.LinAlgError,
+                        MemoryError) as exc:
                     rows.append([kname, repr(float(nu)), repr(seed), "nan", "nan",
                                  "", "", "", "", "", "", "", cfg_hash, __version__])
                     print(f"failed {cell}: {exc}", file=sys.stderr)
@@ -441,6 +443,10 @@ def _config_from_options(options):
         "field": options.field, "grid": options.grid, "stride": options.stride,
         "restarts": options.restarts,
     }
+    unknown = sorted(raw.keys() - overrides.keys())
+    if unknown:
+        raise _UsageError(f"{options.config}: unknown config key(s) {', '.join(unknown)}; "
+                          f"accepted keys: {', '.join(sorted(overrides))}")
     for key, value in overrides.items():
         if value is not None:
             raw[key] = value

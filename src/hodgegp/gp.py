@@ -23,6 +23,7 @@ from .kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NO
 # names in gp as well as in kernels, so they stay importable from this module.
 from .kernels import hodge_pair_sums, kernel_matrix, scalar_pair_sums  # noqa: F401
 from .manifold import SPHERE, ManifoldPoint, TangentVector, frames_at, points_array
+from .spectrum import sphere_spectrum, torus_spectrum
 
 
 @dataclass
@@ -351,10 +352,9 @@ def fit(dataset, kind, config=None, nu=0.5, lmax=30, lambda_cap=900.0) -> Kernel
     Each search step evaluates the log evidence ``log_marginal_likelihood``
     gives, bit for bit, from ``GramTables`` built once per call, so a step
     only weights the tables and factors the Gram. The tables hold
-    O((lmax + 1) n^2) floats: on the sphere one (lmax + 1) x n^2 table of
-    P_l for every kind (62 MB at n = 500, lmax = 30), plus one table-sized
-    temporary while a pair sum is contracted; on tori the lattice features,
-    2F n floats for F half-lattice frequencies.
+    O((lmax + 1) n^2) floats: on the sphere one (lmax + 1) x n^2 table of P_l
+    for every kind (62 MB at n = 500, lmax = 30), contracted without a copy; on
+    tori the lattice features, 2F n floats for F half-lattice frequencies.
     """
     if len(dataset) == 0:
         raise InvalidInputError("cannot fit an empty dataset")
@@ -432,10 +432,15 @@ def _prior_coeffs(spec, spectrum, rng, n_draws):
     kind (n_draws, F, 3) coefficients of three stacked scalar fields with the
     scalar kernel's unit-trace weights sigma^2 Phi / C0. Draws are taken from
     rng in order, so n_draws at once equal n_draws successive single draws.
-    The noise kind draws nothing.
+    The noise kind draws nothing; the others need the spectrum of spec's truncation.
     """
     if spec.kind == NOISE:
         return np.zeros((n_draws, 0))
+    own = (sphere_spectrum(spec.lmax) if spec.manifold == SPHERE
+           else torus_spectrum(spec.dim, spec.lambda_cap))
+    if (spectrum.manifold, spectrum.dim) != (own.manifold, own.dim) or not np.array_equal(
+            np.unique(spectrum.scalar_eigenvalues()), np.unique(own.scalar_eigenvalues())):
+        raise InvalidInputError(f"the spectrum is not the truncation of the {spec.kind} spec")
     if spec.kind == PROJECTED:
         lam = spectrum.scalar_eigenvalues()
         w = stable_phi_ratios(spec.params.nu, spec.params.kappa, lam, spectrum.dim)
@@ -464,7 +469,7 @@ def _prior_values(spec, spectrum, coeffs, points):
 
 
 def sample_prior(spec, spectrum, rng) -> PriorSample:
-    """Draw one prior field; the returned object evaluates it anywhere."""
+    """Draw one prior field from the spectrum of spec's truncation; it evaluates anywhere."""
     return PriorSample(spec, spectrum, rng)
 
 

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._accel import legendre_derivative_maps, legendre_levels, legendre_sums
+from ._accel import _contract_levels, legendre_derivative_maps, legendre_sums, legendre_table
 from .errors import InvalidInputError
 from .manifold import CIRCLE, SPHERE, TORUS, frames_at
 from .spectrum import CURL, DIV, HARM, torus_spectrum
@@ -320,15 +320,6 @@ def _sphere_sum_weights(spec):
                            for p in parts])
 
 
-def _legendre_level_table(t, lmax):
-    """(lmax + 1,) + shape(t) table of P_l at inner products t, from one pass
-    of ``legendre_levels``: the levels ``legendre_sums`` accumulates, bit for bit."""
-    table = np.empty((lmax + 1,) + np.shape(t))
-    for l, p in enumerate(legendre_levels(t, lmax)):
-        table[l] = p
-    return table
-
-
 def _rotate_frame_blocks(blocks):
     """Conjugate 2x2 blocks by the in-plane 90-degree rotation J.
 
@@ -408,13 +399,27 @@ def _assemble_sphere_blocks(spec, geom, sums):
     return 0.5 * (d + _rotate_frame_blocks(d))
 
 
+def _gram_layout_blocks(spec, geom, sums):
+    """(n, m, 2, 2) sphere frame blocks from the (n, m) pair geometry and pair sums,
+    assembled a few rows at a time (small temporaries) into the Gram layout
+    (n, 2, m, 2), which gp reshapes to the Gram without a copy."""
+    n, m = sums.shape[1:]
+    out = np.empty((n, 2, m, 2))
+    step = max(1, _BLOCK_PAIRS // max(1, m))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        blocks = _assemble_sphere_blocks(spec, [g[rows] for g in geom], sums[:, rows])
+        out[rows] = blocks.transpose(0, 2, 1, 3)
+    return out.transpose(0, 2, 1, 3)
+
+
 def frame_blocks(spec, X, BX, Y, BY):
     """(n, m, D, D) blocks B_x k(x, y) B_y^T of a vector kernel in given frames.
 
     On the sphere BX and BY are (n, 2, 3) and (m, 2, 3) tangent frames; on
     T^d the blocks are in the global frame and the frames are ignored. This
     is the one-shot evaluator of every vector kernel; ``GramTables`` runs the
-    same assembly from a cached per-level table.
+    same contraction and assembly over a kept table of P_l.
     """
     if spec.kind == SCALAR:
         raise InvalidInputError("scalar kernels have no vector kernel matrix")
@@ -423,16 +428,7 @@ def frame_blocks(spec, X, BX, Y, BY):
     if spec.kind == NOISE:
         return np.zeros((X.shape[0], Y.shape[0], 2, 2))
     geom = _sphere_pair_geometry(spec, X, BX, Y, BY)
-    sums = legendre_sums(X @ Y.T, _sphere_sum_weights(spec))
-    # assembled a block of rows at a time, so the temporaries stay small, into
-    # the Gram layout (n, 2, m, 2) that gp reshapes to the Gram without a copy
-    out = np.empty((X.shape[0], 2, Y.shape[0], 2))
-    step = max(1, _BLOCK_PAIRS // max(1, Y.shape[0]))
-    for start in range(0, X.shape[0], step):
-        rows = slice(start, start + step)
-        blocks = _assemble_sphere_blocks(spec, [g[rows] for g in geom], sums[:, rows])
-        out[rows] = blocks.transpose(0, 2, 1, 3)
-    return out.transpose(0, 2, 1, 3)
+    return _gram_layout_blocks(spec, geom, legendre_sums(X @ Y.T, _sphere_sum_weights(spec)))
 
 
 def diagonal_frame_blocks(spec, X, BX):
@@ -683,12 +679,11 @@ class GramTables:
     Built once for a point set, ``blocks(spec)`` returns what
     ``frame_blocks`` gives at (X, X) for any spec of the kind, manifold and
     truncation it was built for, bit for bit: only the per-level (sphere) or
-    per-frequency (torus) weights are computed per spec, and the sphere table
-    is summed level by level in the order of the folded recurrence. The
-    sphere keeps the pair geometry and one table of P_l, (lmax + 1) n^2
-    floats, which every pair sum contracts with its own Legendre weights; a
-    contraction needs one more table-sized temporary. The torus keeps the
-    half lattice and the features [cos XN^T, sin XN^T].
+    per-frequency (torus) weights are computed per spec. The sphere keeps the
+    pair geometry and the ``legendre_table`` at the pairs, (lmax + 1) n^2
+    floats, and contracts it as ``legendre_sums`` contracts its chunks: the
+    routes differ only in keeping the table. The torus keeps the half lattice
+    and the features [cos XN^T, sin XN^T].
     """
 
     def __init__(self, spec, X, frames=None):
@@ -696,7 +691,7 @@ class GramTables:
             if spec.kind not in _SPHERE_KINDS:
                 raise InvalidInputError(f"no Gram tables for kernel kind {spec.kind!r}")
             self._geom = _sphere_pair_geometry(spec, X, frames, X, frames)
-            self._table = _legendre_level_table(X @ X.T, spec.lmax)
+            self._table = legendre_table(X @ X.T, spec.lmax)
         else:
             _check_torus_points(spec, X)
             self._lattice = _torus_lattice(spec)
@@ -707,7 +702,5 @@ class GramTables:
         if spec.manifold != SPHERE:
             w = _lattice_class_weights(spec, self._lattice)
             return _lattice_sum(self._features, self._features, w)
-        # axis-0 reduction adds the levels one by one, as the recurrence does
-        sums = [np.add.reduce(w[:, None, None] * self._table, axis=0)
-                for w in _sphere_sum_weights(spec)]
-        return _assemble_sphere_blocks(spec, self._geom, sums)
+        sums = _contract_levels(_sphere_sum_weights(spec), self._table)
+        return _gram_layout_blocks(spec, self._geom, sums)

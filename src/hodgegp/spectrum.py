@@ -70,10 +70,9 @@ def legendre(l, t):
     t = float(t)
     if abs(t) > 1.0 + 1e-12:
         raise InvalidInputError(f"Legendre argument {t} outside [-1, 1]")
-    d1, d2 = legendre_derivative_maps(l)
-    one_hot = np.zeros(l + 1)
-    one_hot[l] = 1.0
-    p, dp, d2p = legendre_sums(np.array([t]), [one_hot, d1[:, l], d2[:, l]])
+    # weight rows: one-hot at level l, then the maps' columns for P_l' and P_l''
+    weights = np.concatenate([np.eye(l + 1)[None], legendre_derivative_maps(l)])[:, :, l]
+    p, dp, d2p = legendre_sums(np.array([t]), weights)
     return float(p[0]), float(dp[0]), float(d2p[0])
 
 

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
-from hodgegp._accel import (alp_tables, legendre_derivative_maps, legendre_levels,
-                            legendre_sums, using_numba)
-from hodgegp.kernels import _legendre_level_table
+from hodgegp._accel import (_contract_levels, alp_tables, legendre_derivative_maps,
+                            legendre_sums, legendre_table, using_numba)
 from hodgegp.spectrum import legendre
 
 
@@ -67,7 +66,7 @@ class TestLegendreSums:
         rng = np.random.default_rng(7)
         t = rng.uniform(-1.0, 1.0, size=50)
         w0, w1, w2 = rng.uniform(-1.0, 1.0, size=(3, 13))
-        w1[::2] = 0.0   # zero-weight levels are skipped in the accumulation
+        w1[::2] = 0.0   # zero weights at some levels
         s0, s1, s2 = legendre_sums(t, value_and_derivative_weights(w0, w1, w2))
         np.testing.assert_allclose(s0, reference_sums(t, w0)[0], atol=1e-12)
         np.testing.assert_allclose(s1, reference_sums(t, w1)[1], atol=1e-11)
@@ -85,25 +84,25 @@ class TestLegendreSums:
 class TestLegendreLevels:
     @pytest.mark.parametrize("lmax", [0, 1, 2, 30])
     def test_level_tables_equal_one_hot_sums(self, lmax):
-        # the one-pass table must hold exactly what the folded sums accumulate,
-        # and its level-ordered contraction must equal the sums of any weights,
-        # so a prepared fit follows the same optimizer path as the one-shot LML
+        # the table must hold exactly the levels legendre_sums contracts, and
+        # its contraction must equal the sums of any weights, so a prepared fit
+        # follows the same optimizer path as the one-shot LML
         rng = np.random.default_rng(40 + lmax)
         t = np.concatenate([rng.uniform(-1.0, 1.0, size=300), [-1.0, 0.0, 1.0]])
-        table = _legendre_level_table(t, lmax)
+        table = legendre_table(t, lmax)
         assert table.shape == (lmax + 1, t.size)
         for l in range(lmax + 1):
             w = np.zeros(l + 1)
             w[l] = 1.0
             np.testing.assert_array_equal(table[l], legendre_sums(t, w)[0])
         w = rng.uniform(-1.0, 1.0, size=lmax + 1)
-        for row, want in zip(value_and_derivative_weights(w, w, w),
-                             legendre_sums(t, value_and_derivative_weights(w, w, w))):
-            np.testing.assert_array_equal(np.add.reduce(row[:, None] * table, axis=0), want)
+        weights = value_and_derivative_weights(w, w, w)
+        np.testing.assert_array_equal(_contract_levels(weights, table),
+                                      legendre_sums(t, weights))
 
     def test_levels_match_numpy_series_and_single_values(self):
         t = np.array([-1.0, -0.3, 0.0, 0.55, 1.0])
-        for l, level in enumerate(legendre_levels(t, 12)):
+        for l, level in enumerate(legendre_table(t, 12)):
             w = np.zeros(l + 1)
             w[l] = 1.0
             want = reference_sums(t, w)

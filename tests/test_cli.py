@@ -234,7 +234,7 @@ class TestRunExperiment:
         text = (tmp_path / "nan" / "summary.csv").read_text()
         assert "div-free,0.5,nan" in text
 
-    @pytest.mark.parametrize("error", [InvalidInputError, np.linalg.LinAlgError])
+    @pytest.mark.parametrize("error", [InvalidInputError, np.linalg.LinAlgError, MemoryError])
     def test_bad_cell_does_not_abort_sweep(self, tmp_path, monkeypatch, capsys, error):
         import hodgegp.cli as cli_mod
 
@@ -338,3 +338,14 @@ class TestMainExitCodes:
                        "train = 6\ntest = 6\nlmax = 8\ngrid = 3x4\n# comment\n")
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "c")])
         assert code == 0
+
+    def test_config_file_rejects_unknown_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("kernel = noise\nseed = 5\nmax_iter = 3\n")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "c")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unknown config key(s) max_iter, seed" in err
+        assert "accepted keys: field, grid, kappa, kernel, lmax, nu, out, protocol, " \
+               "restarts, seeds, stride, test, train" in err
+        assert not (tmp_path / "c").exists()

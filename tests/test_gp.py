@@ -387,6 +387,29 @@ class TestSampling:
         if kind != NOISE:
             assert np.abs(singles).max() > 0.0
 
+    @pytest.mark.parametrize("manifold, spectrum", [
+        ("sphere", sphere_spectrum(4)), ("sphere", torus_spectrum(2, 64.0)),
+        ("torus", torus_spectrum(2, 25.0)), ("torus", torus_spectrum(1, 64.0)),
+        ("torus", sphere_spectrum(10))],
+        ids=["sphere-lmax4", "sphere-t2", "t2-cap25", "t2-circle", "t2-sphere"])
+    def test_spectrum_must_be_the_specs_truncation(self, manifold, spectrum):
+        # a hodge-curl spec at lmax 30 drawn from sphere_spectrum(4) would
+        # silently sample another kernel
+        if manifold == "sphere":
+            spec = KernelSpec(HODGE_CURL, MaternParams(0.5, 0.5, 1.0), lmax=30)
+            pts = sample_sphere(3, np.random.default_rng(25))
+        else:
+            spec = KernelSpec(HODGE_CURL, MaternParams(0.5, 0.5, 1.0), manifold="torus",
+                              lambda_cap=64.0)
+            pts = np.zeros((3, 2))
+        rng = np.random.default_rng(26)
+        with pytest.raises(InvalidInputError):
+            sample_prior(spec, spectrum, rng)
+        with pytest.raises(InvalidInputError):
+            gp.PriorSample(spec, spectrum, rng)
+        with pytest.raises(InvalidInputError):
+            sample_prior_batch(spec, spectrum, pts, 2, rng)
+
     def test_posterior_mean_consistency(self):
         rng = np.random.default_rng(22)
         ds = make_dataset(12, rng, noise=1e-3)

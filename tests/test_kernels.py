@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from hodgegp import kernels
+from hodgegp._accel import _CHUNK
 from hodgegp.errors import InvalidInputError
 from hodgegp.gp import Dataset, condition, predict, sample_prior_batch
 from hodgegp.kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL,
@@ -266,6 +267,23 @@ class TestRectangularCrossBlocks:
         whole = frame_blocks(spec, x, bx, y, by)
         monkeypatch.setattr(kernels, "_BLOCK_PAIRS", 22)
         np.testing.assert_array_equal(frame_blocks(spec, x, bx, y, by), whole)
+
+    @pytest.mark.parametrize("kind", [HODGE_DIV, HODGE_CURL, HODGE_FULL, HODGE_COMPOSITIONAL,
+                                      PROJECTED])
+    def test_gram_tables_equal_frame_blocks_across_chunks(self, kind):
+        # 130^2 pairs span two chunks of legendre_sums, while the kept table is
+        # contracted whole: a slip at a chunk boundary in either route shows
+        pts = sample_sphere(130, np.random.default_rng(45))
+        pts[0], pts[1] = [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]
+        assert pts.shape[0] ** 2 > _CHUNK
+        if kind == HODGE_COMPOSITIONAL:
+            spec = compositional_spec(1.5, (0.3, 0.8), (0.6, 1.2))
+        else:
+            a = np.array([[1.0, 0.2, -0.5], [0.0, 0.7, 0.3], [0.4, -0.1, 1.2]])
+            spec = KernelSpec(kind, PARAMS, coreg=a if kind == PROJECTED else None)
+        b = frames_at(pts)
+        np.testing.assert_array_equal(GramTables(spec, pts, b).blocks(spec),
+                                      frame_blocks(spec, pts, b, pts, b))
 
     def test_projected_with_coreg_matches_projector_formula(self):
         x, y = rectangular_point_sets()
