@@ -28,5 +28,15 @@ from .gp import (Dataset, FitConfig, PosteriorModel, Prediction, condition, fit,
 from .diagnostics import (DivergenceReport, LimitationReport, divergence_variance_mc,
                           limitation_demo, numeric_divergence, var_div_hodge_sphere,
                           var_div_projected_sphere)
-from .cli import (ExperimentConfig, emit_csv, ingest_csv, normalize_dataset, run_experiment,
-                  synthetic_field)
+
+# The harness is served lazily (PEP 562): importing it here would make
+# ``python -m hodgegp.cli`` find the module already imported and run it twice.
+_CLI_NAMES = ("ExperimentConfig", "emit_csv", "ingest_csv", "normalize_dataset",
+              "run_experiment", "synthetic_field")
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

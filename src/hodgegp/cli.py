@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 import argparse
 import csv
 import hashlib
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -70,6 +71,27 @@ class ExperimentConfig:
             if k not in KERNEL_NAMES:
                 raise InvalidInputError(f"unknown kernel {k!r}; choose from "
                                         f"{sorted(KERNEL_NAMES)}")
+        if self.restarts < 1:
+            raise InvalidInputError(f"restarts must be at least 1, got {self.restarts}")
+        if self.max_iter < 1:
+            raise InvalidInputError(f"max_iter must be at least 1, got {self.max_iter}")
+        if self.lmax < 0:
+            raise InvalidInputError(f"lmax must be nonnegative, got {self.lmax}")
+        if self.kappa is not None and not (0.0 < self.kappa < math.inf):
+            raise InvalidInputError(f"kappa must be positive and finite, got {self.kappa}")
+        if self.stride < 1:
+            raise InvalidInputError(f"stride must be at least 1, got {self.stride}")
+        # synthetic protocols draw the points; great-circle takes its train points from stride
+        counts = {"hemisphere-split": ("train", "test"), "great-circle": ("test",)}
+        for name in counts.get(self.protocol, ()):
+            value = getattr(self, name)
+            try:
+                count = int(value)
+            except ValueError:
+                count = 0
+            if count < 1:
+                raise InvalidInputError(f"{name} must be a positive point count for the "
+                                        f"{self.protocol} protocol, got {value!r}")
 
     def hash(self):
         # identifies the experiment definition; the output location is not

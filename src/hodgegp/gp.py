@@ -171,12 +171,17 @@ def _factor(spec, k, y):
     return chol, cho_solve((chol, True), y), jitter
 
 
-def _lml_tail(spec, k, y):
-    """Gaussian log evidence of frame observations y under spec's Gram k."""
-    chol, alpha, _ = _factor(spec, k, y)
+def _log_evidence(y, chol, alpha):
+    """Gaussian log evidence of y from the Cholesky factor of its covariance and alpha = K^-1 y."""
     return float(-0.5 * y @ alpha
                  - np.log(np.diag(chol)).sum()
                  - 0.5 * y.shape[0] * math.log(2.0 * math.pi))
+
+
+def _lml_tail(spec, k, y):
+    """Gaussian log evidence of frame observations y under spec's Gram k."""
+    chol, alpha, _ = _factor(spec, k, y)
+    return _log_evidence(y, chol, alpha)
 
 
 def condition(spec, dataset) -> PosteriorModel:
@@ -250,8 +255,10 @@ class FitConfig:
     """Optimizer settings for marginal-likelihood fitting.
 
     Parameters are optimized in natural-log space within the given bounds by
-    a derivative-free simplex search, restarted from ``restarts`` seeded
-    initial points; ``fixed_kappa`` freezes the length scale(s).
+    L-BFGS-B on the exact gradient of the log marginal likelihood, restarted
+    from ``restarts`` seeded initial points. ``max_iter`` caps the iterations
+    of each restart, and ``tol`` is the projected-gradient tolerance at which
+    one stops. ``fixed_kappa`` freezes the length scale(s).
     """
 
     restarts: int = 5
@@ -266,6 +273,8 @@ class FitConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise InvalidInputError("at least one restart is required")
+        if self.max_iter < 1:
+            raise InvalidInputError("at least one optimizer iteration is required")
 
 
 def _spec_builder(kind, nu, manifold, lmax, lambda_cap, torus_dim, config):
@@ -319,12 +328,15 @@ def _spec_builder(kind, nu, manifold, lmax, lambda_cap, torus_dim, config):
     raise InvalidInputError(f"cannot fit kernel kind {kind!r}")
 
 
-def _objective(dataset, build, theta0):
-    """fit's objective: theta -> -LML of build(theta), 1e30 where it fails.
+def _objective(dataset, names, build, theta0):
+    """fit's objective: theta -> (-LML, -dLML/dtheta) of build(theta), (1e30, 0) where it fails.
 
-    The frames, frame observations and ``GramTables`` of the points are built
-    once, for the kind of build(theta0), and live as long as the objective;
-    each evaluation only weights the tables and factors the Gram.
+    ``names`` are the log-parameters theta holds. The frames, frame
+    observations and ``GramTables`` of the points are built once, for the kind
+    of build(theta0), and live as long as the objective; each evaluation only
+    weights the tables and factors the Gram. With W = alpha alpha^T - K^-1,
+    dLML/dtheta = tr(W dK/dtheta) / 2 (Rasmussen & Williams 2006, eq. 5.9): the
+    kernel derivatives come with the blocks, and dK/dlog noise = noise I.
     """
     spec = build(theta0)
     X, frames, y = _observations(spec.manifold, dataset)
@@ -333,9 +345,18 @@ def _objective(dataset, build, theta0):
     def objective(theta):
         try:
             spec = build(theta)
-            return -_lml_tail(spec, _blocks_to_matrix(tables.blocks(spec)), y)
+            blocks, derivatives = tables.blocks_and_derivatives(spec)
+            chol, alpha, _ = _factor(spec, _blocks_to_matrix(blocks), y)
+            w = np.outer(alpha, alpha) - cho_solve((chol, True), np.eye(len(y)))
+            # einsum, not np.vdot: vdot is BLAS ddot, which OpenBLAS spreads over
+            # its threads above 1e4 elements; between the LAPACK solves that made
+            # an evaluation at n = 60 points ~25x slower on a 2-core box
+            grad = [spec.noise_variance * np.trace(w) if name == "log_noise"
+                    else np.einsum("ij,ij->", w, _blocks_to_matrix(derivatives[name]))
+                    for name in names]
+            return -_log_evidence(y, chol, alpha), -0.5 * np.array(grad)
         except (NumericalError, FloatingPointError):
-            return 1e30
+            return 1e30, np.zeros(len(names))
 
     return objective
 
@@ -343,15 +364,16 @@ def _objective(dataset, build, theta0):
 def fit(dataset, kind, config=None, nu=0.5, lmax=30, lambda_cap=900.0) -> KernelSpec:
     """Fit kernel hyperparameters by maximizing the marginal log-likelihood.
 
-    Runs a bounded Nelder-Mead search in log-parameter space from
-    ``config.restarts`` seeded starting points and keeps the best optimum
-    (ties broken by the lowest restart index). Deterministic given
-    ``config.seed``. The pure-noise kernel skips the search: sigma_eps^2 is the
-    mean squared frame component, floored at the lower noise bound.
+    Runs bounded L-BFGS-B in log-parameter space on the exact gradient of the
+    log evidence, from ``config.restarts`` seeded starting points, and keeps
+    the best optimum (ties broken by the lowest restart index). Deterministic
+    given ``config.seed``. The pure-noise kernel skips the search: sigma_eps^2
+    is the mean squared frame component, floored at the lower noise bound.
 
-    Each search step evaluates the log evidence ``log_marginal_likelihood``
-    gives, bit for bit, from ``GramTables`` built once per call, so a step
-    only weights the tables and factors the Gram. The tables hold
+    Each evaluation gives the log evidence ``log_marginal_likelihood`` gives
+    and its gradient, from ``GramTables`` built once per call, so it only
+    weights the tables, assembles the Gram and its derivatives and factors
+    the Gram. The tables hold
     O((lmax + 1) n^2) floats: on the sphere one (lmax + 1) x n^2 table of P_l
     for every kind (62 MB at n = 500, lmax = 30), contracted without a copy; on
     tori the lattice features, 2F n floats for F half-lattice frequencies.
@@ -382,7 +404,7 @@ def fit(dataset, kind, config=None, nu=0.5, lmax=30, lambda_cap=900.0) -> Kernel
                 start.append(np.clip(math.log(max(0.01 * mean_sq, 1e-8)), lo, hi))
         return np.array(start)
 
-    objective = _objective(dataset, build, center_start())
+    objective = _objective(dataset, names, build, center_start())
     rng = np.random.default_rng(config.seed)
     best = None
     for restart in range(config.restarts):
@@ -390,9 +412,8 @@ def fit(dataset, kind, config=None, nu=0.5, lmax=30, lambda_cap=900.0) -> Kernel
             x0 = center_start()
         else:
             x0 = np.array([rng.uniform(lo, hi) for lo, hi in bounds])
-        res = minimize(objective, x0, method="Nelder-Mead", bounds=bounds,
-                       options={"maxiter": config.max_iter, "fatol": config.tol,
-                                "xatol": 1e-4})
+        res = minimize(objective, x0, method="L-BFGS-B", jac=True, bounds=bounds,
+                       options={"maxiter": config.max_iter, "gtol": config.tol})
         value = res.fun if np.isfinite(res.fun) else 1e30
         if best is None or value < best[0]:
             best = (value, restart, res.x)

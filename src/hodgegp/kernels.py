@@ -24,6 +24,7 @@ matrix products of the stacked frames.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -134,6 +135,11 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidInputError(f"unknown kernel kind {self.kind!r}")
+        if not isinstance(self.lmax, numbers.Integral) or self.lmax < 0:
+            raise InvalidInputError(f"lmax must be a nonnegative integer, got {self.lmax!r}")
+        if not (math.isfinite(self.lambda_cap) and self.lambda_cap >= 0.0):
+            raise InvalidInputError(f"lambda_cap must be finite and nonnegative, "
+                                    f"got {self.lambda_cap!r}")
         if self.kind == HODGE_COMPOSITIONAL:
             if not self.parts:
                 raise InvalidInputError("compositional kernel needs per-class parts")
@@ -270,27 +276,38 @@ def normalization(spec, spectrum=None):
 # Sphere kernels via the addition theorem, in tangent-frame coordinates
 # ---------------------------------------------------------------------------
 
-def _scalar_level_weights(params, lmax):
-    """Per-level weights sigma^2 (2l+1) Phi(lambda_l) / sum (2l+1) Phi of the scalar kernel."""
-    l = np.arange(lmax + 1, dtype=np.float64)
-    w = stable_phi_ratios(params.nu, params.kappa, l * (l + 1.0), 2)
-    mult = 2.0 * l + 1.0
-    return params.variance * (mult * w) / (mult * w).sum()
+def _dlog_phi_dlog_kappa(nu, kappa, lam, dim):
+    """d log Phi_{nu, kappa}(lambda) / d log kappa.
+
+    4 nu (nu + dim/2) / (2 nu + kappa^2 lambda) for finite nu, -kappa^2 lambda
+    for the heat weight.
+    """
+    if math.isinf(nu):
+        return -kappa ** 2 * lam
+    return 4.0 * nu * (nu + 0.5 * dim) / (2.0 * nu + kappa ** 2 * lam)
 
 
-def _hodge_level_weights(nu, kappa, lmax):
-    """Per-level weights (2l+1) Phi(lambda_l) / lambda_l / sum (2l+1) Phi, zero at l = 0."""
-    l = np.arange(1, lmax + 1, dtype=np.float64)
+def _level_weights(nu, kappa, lmax, first):
+    """(2, lmax + 1) weights c_l = (2l+1) Phi(lambda_l) / sum_{k >= first} (2k+1) Phi(lambda_k)
+    for l >= first (zero below), then their derivatives by log kappa.
+
+    With g_l = d log Phi(lambda_l) / d log kappa, dc_l / d log kappa = c_l (g_l - <g>),
+    where <g> = sum_l c_l g_l: the normalizer centres g.
+    """
+    l = np.arange(first, lmax + 1, dtype=np.float64)
     lam = l * (l + 1.0)
-    w = stable_phi_ratios(nu, kappa, lam, 2)
-    coeff = np.zeros(lmax + 1)
-    coeff[1:] = (2.0 * l + 1.0) * w / lam / ((2.0 * l + 1.0) @ w)
-    return coeff
+    c = (2.0 * l + 1.0) * stable_phi_ratios(nu, kappa, lam, 2)
+    c /= c.sum()
+    g = _dlog_phi_dlog_kappa(nu, kappa, lam, 2)
+    out = np.zeros((2, lmax + 1))
+    out[0, first:] = c
+    out[1, first:] = c * (g - c @ g)
+    return out
 
 
 def scalar_pair_sums(params, lmax, t):
     """Normalized scalar kernel values at an array of inner products t."""
-    return legendre_sums(t, _scalar_level_weights(params, lmax))[0]
+    return legendre_sums(t, _part_sum_weights(PROJECTED, params, lmax)[0])[0]
 
 
 def hodge_pair_sums(nu, kappa, lmax, t):
@@ -301,8 +318,33 @@ def hodge_pair_sums(nu, kappa, lmax, t):
     divergence-class kernel with unit variance is S2 * rank-one + S1 * P P.
     Both are Legendre series in P_l(t), from one pass.
     """
-    w = legendre_derivative_maps(lmax) @ _hodge_level_weights(nu, kappa, lmax)
-    return tuple(legendre_sums(t, w))
+    return tuple(legendre_sums(t, _part_sum_weights(HODGE_DIV, MaternParams(nu, kappa), lmax)[0]))
+
+
+def _sphere_parts(spec):
+    """[(kind, params)] of the separately weighted parts of a sphere spec: the div
+    then the curl class of the compositional kind, else the spec itself."""
+    if spec.kind == HODGE_COMPOSITIONAL:
+        return [(HODGE_DIV, spec.parts[DIV]), (HODGE_CURL, spec.parts[CURL])]
+    return [(spec.kind, spec.params)]
+
+
+def _part_sum_weights(kind, params, lmax):
+    """(2, k, lmax + 1) Legendre weights of a part's k pair sums, then their
+    derivatives by log kappa.
+
+    The projected kind has one sum (k = 1), the scalar kernel with weights
+    sigma^2 c_l. The Hodge kinds have (S1, S2): the integer maps of the
+    div-kernel potential's weights c_l / lambda_l (zero at l = 0), whose
+    variance enters at assembly.
+    """
+    if kind == PROJECTED:
+        return params.variance * _level_weights(params.nu, params.kappa, lmax, 0)[:, None]
+    c = _level_weights(params.nu, params.kappa, lmax, 1)
+    l = np.arange(1, lmax + 1, dtype=np.float64)
+    c[:, 1:] /= l * (l + 1.0)
+    maps = legendre_derivative_maps(lmax)
+    return np.stack([maps @ row for row in c])
 
 
 def _sphere_sum_weights(spec):
@@ -311,13 +353,8 @@ def _sphere_sum_weights(spec):
     The scalar kernel for the projected kind; (S1, S2) of the Hodge kinds,
     for the div part then the curl part of the compositional kind.
     """
-    if spec.kind == PROJECTED:
-        return _scalar_level_weights(spec.params, spec.lmax)[None]
-    parts = ((spec.parts[DIV], spec.parts[CURL]) if spec.kind == HODGE_COMPOSITIONAL
-             else (spec.params,))
-    maps = legendre_derivative_maps(spec.lmax)
-    return np.concatenate([maps @ _hodge_level_weights(p.nu, p.kappa, spec.lmax)
-                           for p in parts])
+    return np.concatenate([_part_sum_weights(kind, p, spec.lmax)[0]
+                           for kind, p in _sphere_parts(spec)])
 
 
 def _rotate_frame_blocks(blocks):
@@ -369,46 +406,45 @@ def _sphere_pair_geometry(spec, X, BX, Y, BY, diagonal=False):
     return u[..., :, None] * v[..., None, :], bb
 
 
-def _assemble_sphere_blocks(spec, geom, sums):
-    """(..., 2, 2) sphere frame blocks from the pair geometry and pair sums.
+def _assemble_sphere_blocks(parts, geom, sums):
+    """(..., 2, 2) sphere frame blocks of the summed parts from the pair geometry and pair sums.
 
-    ``sums`` holds the pair sums of the rows of ``_sphere_sum_weights``: the
-    scalar kernel for the projected kind, (S1, S2) per parameter set for the
-    Hodge kinds. The div class is grad_x grad_y^T g of the scalar potential g,
+    ``parts`` is a list of (kind, params) as ``_sphere_parts`` gives, and
+    ``sums`` holds the pair sums of their rows of ``_part_sum_weights`` in
+    order: the scalar kernel for the projected kind, (S1, S2) for the Hodge
+    kinds. The div class is grad_x grad_y^T g of the scalar potential g,
     the curl class its Hodge-star conjugate, and the projected kernel
     (1/2) k B_x A A^T B_y^T.
     """
-    if spec.kind == PROJECTED:
-        return 0.5 * sums[0][..., None, None] * geom[0]
-    uv, bb = geom
-
-    def div(p, s1, s2):
-        out = s2[..., None, None] * uv
-        out += s1[..., None, None] * bb
-        out *= p.variance
-        return out
-
-    if spec.kind == HODGE_COMPOSITIONAL:
-        return (div(spec.parts[DIV], *sums[:2])
-                + _rotate_frame_blocks(div(spec.parts[CURL], *sums[2:])))
-    d = div(spec.params, *sums)
-    if spec.kind == HODGE_DIV:
-        return d
-    if spec.kind == HODGE_CURL:
-        return _rotate_frame_blocks(d)
-    return 0.5 * (d + _rotate_frame_blocks(d))
+    rows = len(sums) // len(parts)
+    out = None
+    for i, (kind, p) in enumerate(parts):
+        s = sums[i * rows:(i + 1) * rows]
+        if kind == PROJECTED:
+            b = 0.5 * s[0][..., None, None] * geom[0]
+        else:
+            uv, bb = geom
+            b = s[1][..., None, None] * uv
+            b += s[0][..., None, None] * bb
+            b *= p.variance
+            if kind == HODGE_CURL:
+                b = _rotate_frame_blocks(b)
+            elif kind == HODGE_FULL:
+                b = 0.5 * (b + _rotate_frame_blocks(b))
+        out = b if out is None else out + b
+    return out
 
 
-def _gram_layout_blocks(spec, geom, sums):
-    """(n, m, 2, 2) sphere frame blocks from the (n, m) pair geometry and pair sums,
-    assembled a few rows at a time (small temporaries) into the Gram layout
-    (n, 2, m, 2), which gp reshapes to the Gram without a copy."""
+def _gram_layout_blocks(parts, geom, sums):
+    """(n, m, 2, 2) sphere frame blocks of the summed parts from the (n, m) pair
+    geometry and pair sums, assembled a few rows at a time (small temporaries)
+    into the Gram layout (n, 2, m, 2), which gp reshapes to the Gram without a copy."""
     n, m = sums.shape[1:]
     out = np.empty((n, 2, m, 2))
     step = max(1, _BLOCK_PAIRS // max(1, m))
     for start in range(0, n, step):
         rows = slice(start, start + step)
-        blocks = _assemble_sphere_blocks(spec, [g[rows] for g in geom], sums[:, rows])
+        blocks = _assemble_sphere_blocks(parts, [g[rows] for g in geom], sums[:, rows])
         out[rows] = blocks.transpose(0, 2, 1, 3)
     return out.transpose(0, 2, 1, 3)
 
@@ -428,7 +464,8 @@ def frame_blocks(spec, X, BX, Y, BY):
     if spec.kind == NOISE:
         return np.zeros((X.shape[0], Y.shape[0], 2, 2))
     geom = _sphere_pair_geometry(spec, X, BX, Y, BY)
-    return _gram_layout_blocks(spec, geom, legendre_sums(X @ Y.T, _sphere_sum_weights(spec)))
+    return _gram_layout_blocks(_sphere_parts(spec), geom,
+                               legendre_sums(X @ Y.T, _sphere_sum_weights(spec)))
 
 
 def diagonal_frame_blocks(spec, X, BX):
@@ -441,7 +478,7 @@ def diagonal_frame_blocks(spec, X, BX):
     if spec.manifold == SPHERE and spec.kind in _SPHERE_KINDS:
         geom = _sphere_pair_geometry(spec, X, BX, X, BX, diagonal=True)
         sums = legendre_sums(np.ones(1), _sphere_sum_weights(spec))
-        return _assemble_sphere_blocks(spec, geom, sums)
+        return _assemble_sphere_blocks(_sphere_parts(spec), geom, sums)
     # tori are stationary and the noise kernel is zero: evaluate at one point
     origin = np.zeros((1, X.shape[1]))
     return np.repeat(frame_blocks(spec, origin, BX, origin, BX)[0], X.shape[0], axis=0)
@@ -504,26 +541,33 @@ def _torus_lattice(spec):
     return _Lattice(n, mult, lam, proj, rank)
 
 
-def _lattice_class_weights(spec, lattice):
-    """Weights mult_n M_n (F, D, D) of a torus spec over its half lattice.
+def _lattice_part_weights(spec, lattice):
+    """[(cls, W, dW)] per Hodge-class part of a torus spec over its half lattice.
 
-    M_n = sum_cls sigma^2 Phi(|n|^2) Pi_cls(n) / Z_cls with
-    Z_cls = sum_n Phi tr Pi_cls.
+    W = mult_n sigma^2 Phi(|n|^2) Pi_cls(n) / Z_cls (F, D, D) with
+    Z_cls = sum_n Phi tr Pi_cls; the kernel's weights mult_n M_n are the sum
+    of the parts' W. dW is the derivative of W by log kappa,
+    W_n (g_n - <g>) with g = d log Phi / d log kappa and <g> its mean under
+    the normalizer's weights Phi tr Pi_cls.
     """
     cls = {HODGE_DIV: DIV, HODGE_CURL: CURL}.get(spec.kind, spec.kind)
     parts = spec.parts if spec.kind == HODGE_COMPOSITIONAL else {cls: spec.params}
     if (not parts.keys() <= lattice.proj.keys()
             or (spec.dim > 2 and cls not in (SCALAR, HODGE_FULL))):
         raise InvalidInputError(f"kernel kind {spec.kind!r} is not defined on T^{spec.dim}")
-    w = 0.0
+    out = []
     for c, p in parts.items():
         rank = lattice.rank[c]
         if not rank.any():
             raise InvalidInputError(f"empty eigenfield class {c!r} on {spec.manifold}")
         lw = np.where(rank > 0, log_phi(p.nu, p.kappa, lattice.lam, spec.dim), -np.inf)
         phis = lattice.mult * np.exp(lw - lw.max())   # Phi ratios, safe where Phi underflows
-        w = w + p.variance * phis[:, None, None] * lattice.proj[c] / (phis @ rank)
-    return w
+        z = phis @ rank
+        g = _dlog_phi_dlog_kappa(p.nu, p.kappa, lattice.lam, spec.dim)
+        dphis = phis * (g - (phis * rank) @ g / z)
+        out.append((c, p.variance * phis[:, None, None] * lattice.proj[c] / z,
+                    p.variance * dphis[:, None, None] * lattice.proj[c] / z))
+    return out
 
 
 def _check_torus_points(spec, *arrays):
@@ -555,7 +599,7 @@ def _torus_matrix(spec, X, Y):
     if spec.kind == NOISE:
         return np.zeros((X.shape[0], Y.shape[0], spec.dim, spec.dim))
     lattice = _torus_lattice(spec)
-    w = _lattice_class_weights(spec, lattice)
+    w = sum(w for _, w, _ in _lattice_part_weights(spec, lattice))   # mult_n M_n
     fx = _lattice_features(X, lattice.n)
     fy = fx if Y is X else _lattice_features(Y, lattice.n)
     return _lattice_sum(fx, fy, w)
@@ -676,10 +720,11 @@ def scalar_kernel_matrix(spec, X, Y=None):
 class GramTables:
     """The hyperparameter-free factors of the (X, X) frame blocks of one kind.
 
-    Built once for a point set, ``blocks(spec)`` returns what
+    Built once for a point set, ``blocks_and_derivatives(spec)`` returns what
     ``frame_blocks`` gives at (X, X) for any spec of the kind, manifold and
-    truncation it was built for, bit for bit: only the per-level (sphere) or
-    per-frequency (torus) weights are computed per spec. The sphere keeps the
+    truncation it was built for, bit for bit, with the derivatives by the
+    log-hyperparameters: only the per-level (sphere) or per-frequency (torus)
+    weights are computed per spec. The sphere keeps the
     pair geometry and the ``legendre_table`` at the pairs, (lmax + 1) n^2
     floats, and contracts it as ``legendre_sums`` contracts its chunks: the
     routes differ only in keeping the table. The torus keeps the half lattice
@@ -697,10 +742,40 @@ class GramTables:
             self._lattice = _torus_lattice(spec)
             self._features = _lattice_features(X, self._lattice.n)
 
-    def blocks(self, spec):
-        """(n, n, D, D) frame blocks of spec at the prepared points."""
+    def blocks_and_derivatives(self, spec):
+        """(n, n, D, D) frame blocks of spec at the prepared points, and a dict of
+        their derivatives by spec's log-hyperparameters, each a new array.
+
+        Keys are ``log_kappa`` and ``log_variance``, suffixed ``_div``,
+        ``_curl`` (and ``_harm`` on tori) per class of the compositional kind.
+        Every kernel is linear in its per-level (per-frequency) weights, so a
+        part's log-variance derivative is that part's blocks, and its
+        log-kappa derivative the same contraction and assembly with the
+        weights' log-kappa derivatives. The blocks equal ``frame_blocks`` at
+        (X, X) bit for bit.
+        """
+        derivatives = {}
         if spec.manifold != SPHERE:
-            w = _lattice_class_weights(spec, self._lattice)
-            return _lattice_sum(self._features, self._features, w)
-        sums = _contract_levels(_sphere_sum_weights(spec), self._table)
-        return _gram_layout_blocks(spec, self._geom, sums)
+            f = self._features
+            parts = _lattice_part_weights(spec, self._lattice)
+            blocks = _lattice_sum(f, f, sum(w for _, w, _ in parts))
+            for cls, w, dw in parts:
+                suffix = f"_{cls}" if spec.kind == HODGE_COMPOSITIONAL else ""
+                derivatives["log_variance" + suffix] = (
+                    _lattice_sum(f, f, w) if len(parts) > 1 else blocks.copy())
+                derivatives["log_kappa" + suffix] = _lattice_sum(f, f, dw)
+            return blocks, derivatives
+        parts = _sphere_parts(spec)
+        suffixes = (f"_{DIV}", f"_{CURL}") if len(parts) > 1 else ("",)
+        # rows: the value weights of every part, then their log-kappa derivatives
+        weights = np.concatenate([_part_sum_weights(kind, p, spec.lmax) for kind, p in parts],
+                                 axis=1)
+        sums = _contract_levels(weights.reshape(-1, weights.shape[2]), self._table)
+        sums = sums.reshape((2, len(parts), -1) + sums.shape[1:])
+        blocks = 0.0
+        for part, suffix, value, slope in zip(parts, suffixes, sums[0], sums[1]):
+            own = _gram_layout_blocks([part], self._geom, value)
+            derivatives["log_variance" + suffix] = own
+            derivatives["log_kappa" + suffix] = _gram_layout_blocks([part], self._geom, slope)
+            blocks = blocks + own   # a new array in the Gram layout, as frame_blocks sums parts
+        return blocks, derivatives

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -298,6 +302,35 @@ class TestMainExitCodes:
         code = main(["run", "--out", str(tmp_path), "--nu", "0.7",
                      "--train", "5", "--test", "5"])
         assert code == 1
+
+    @pytest.mark.parametrize("option", [
+        ["--restarts", "0"], ["--kappa", "0"], ["--kappa", "-1"], ["--lmax", "-1"],
+        ["--train", "0"], ["--test", "0"], ["--protocol", "great-circle", "--test", "0"],
+        ["--protocol", "great-circle", "--stride", "0"]], ids=" ".join)
+    def test_usage_error_bad_numeric_setting(self, tmp_path, capsys, option):
+        out = tmp_path / "bad"
+        code = main(["run", "--out", str(out), "--kernel", "noise", "--grid", "3x4"] + option)
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_module_entry_point_runs_once(self):
+        # the package must not import hodgegp.cli itself, or runpy warns that
+        # the module is already in sys.modules and executes it a second time
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "hodgegp.cli",
+                               "--help"], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "usage: hodgegp" in done.stdout
+
+    def test_package_serves_the_harness_names(self):
+        import hodgegp
+        from hodgegp import ExperimentConfig as config_class, run_experiment as run
+        assert config_class is ExperimentConfig and run is run_experiment
+        with pytest.raises(AttributeError):
+            hodgegp.no_such_name
 
     def test_data_error_missing_file(self, tmp_path, capsys):
         code = main(["run", "--out", str(tmp_path), "--protocol", "file",

@@ -270,17 +270,17 @@ class TestFit:
         """fit's objective on a dataset prepared once, with its spec builder and bounds."""
         m = ds.manifold
         torus_dim = ds.points[0].dim if m != "sphere" else 2
-        _, bounds, build = gp._spec_builder(kind, kw.get("nu", 0.5), m, kw.get("lmax", 30),
-                                            kw.get("lambda_cap", 900.0), torus_dim, config)
+        names, bounds, build = gp._spec_builder(kind, kw.get("nu", 0.5), m, kw.get("lmax", 30),
+                                                kw.get("lambda_cap", 900.0), torus_dim, config)
         theta0 = np.array([0.5 * (lo + hi) for lo, hi in bounds])
-        return gp._objective(ds, build, theta0), build, bounds
+        return gp._objective(ds, names, build, theta0), build, bounds
 
     def assert_objective_matches_folded_route(self, ds, kind, config, rng, draws=6, **kw):
         objective, build, bounds = self.prepared_objective(ds, kind, config, **kw)
         for _ in range(draws):
             theta = np.array([rng.uniform(lo, hi) for lo, hi in bounds])
             expected = -log_marginal_likelihood(build(theta), ds)
-            assert abs(objective(theta) - expected) <= 1e-10 * abs(expected)
+            assert abs(objective(theta)[0] - expected) <= 1e-10 * abs(expected)
 
     @staticmethod
     def sphere_dataset_with_poles(rng, n=12):
@@ -328,10 +328,93 @@ class TestFit:
         try:
             expected = -log_marginal_likelihood(build(theta), ds)
         except NumericalError:
-            assert objective(theta) == 1e30
+            value, grad = objective(theta)
+            assert value == 1e30
+            np.testing.assert_array_equal(grad, np.zeros(len(theta)))
             return
         assert condition(build(theta), ds).jitter > 0.0
-        assert abs(objective(theta) - expected) <= 1e-10 * abs(expected)
+        assert abs(objective(theta)[0] - expected) <= 1e-10 * abs(expected)
+
+    @staticmethod
+    def assert_gradient_matches_central_differences(ds, kind, nu, config, rng, **kw):
+        # theta away from the bounds, with enough noise that no step needs jitter
+        objective, _, bounds = TestFit.prepared_objective(ds, kind, config, nu=nu, **kw)
+        inner = {config.log_kappa_bounds: (math.log(0.1), math.log(2.0)),
+                 config.log_variance_bounds: (-1.0, 1.0), config.log_noise_bounds: (-4.0, -1.0)}
+        theta = np.array([rng.uniform(*inner[b]) for b in bounds])
+        value, grad = objective(theta)
+        assert value == objective(theta)[0] < 1e30
+        h = 1e-5
+        central = np.array([(objective(theta + h * e)[0] - objective(theta - h * e)[0]) / (2 * h)
+                            for e in np.eye(len(theta))])
+        np.testing.assert_allclose(grad, central, rtol=0.0,
+                                   atol=1e-7 * max(1.0, np.abs(central).max()))
+
+    @pytest.mark.parametrize("fixed_kappa", [None, 0.3])
+    @pytest.mark.parametrize("nu", [0.5, 1.5, math.inf])
+    @pytest.mark.parametrize("kind", [HODGE_FULL, HODGE_DIV, HODGE_CURL, HODGE_COMPOSITIONAL,
+                                      PROJECTED])
+    def test_gradient_matches_central_differences_on_sphere(self, kind, nu, fixed_kappa):
+        # both poles and an antipodal pair, where the frames and P_l(+-1) are special
+        rng = np.random.default_rng(44)
+        ds = self.sphere_dataset_with_poles(rng)
+        self.assert_gradient_matches_central_differences(
+            ds, kind, nu, FitConfig(fixed_kappa=fixed_kappa), rng, lmax=20)
+
+    @pytest.mark.parametrize("fixed_kappa", [None, 0.3])
+    @pytest.mark.parametrize("nu", [0.5, 1.5, math.inf])
+    @pytest.mark.parametrize("kind", [HODGE_FULL, HODGE_DIV, HODGE_CURL, HODGE_COMPOSITIONAL])
+    def test_gradient_matches_central_differences_on_t2(self, kind, nu, fixed_kappa):
+        rng = np.random.default_rng(45)
+        ds = Dataset.from_arrays("torus", rng.uniform(0, 2 * np.pi, (10, 2)),
+                                 rng.standard_normal((10, 2)))
+        self.assert_gradient_matches_central_differences(
+            ds, kind, nu, FitConfig(fixed_kappa=fixed_kappa), rng, lambda_cap=100.0)
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, math.inf])
+    @pytest.mark.parametrize("kind", [HODGE_FULL, HODGE_DIV])
+    def test_gradient_matches_central_differences_on_circle(self, kind, nu):
+        rng = np.random.default_rng(46)
+        ds = Dataset.from_arrays("circle", rng.uniform(0, 2 * np.pi, (8, 1)),
+                                 rng.standard_normal((8, 1)))
+        self.assert_gradient_matches_central_differences(ds, kind, nu, FitConfig(), rng,
+                                                         lambda_cap=64.0)
+
+    @pytest.mark.parametrize("seed", [47, 48])
+    @pytest.mark.parametrize("kind", [HODGE_DIV, HODGE_COMPOSITIONAL])
+    def test_best_lml_at_least_nelder_mead_reference(self, kind, seed):
+        # the reference searches the public log_marginal_likelihood without
+        # gradients, from the starts fit uses: the centre start, then seeded
+        # uniform draws in the bounds
+        from scipy.optimize import minimize
+        ds = make_dataset(10, np.random.default_rng(seed), noise=0.01)
+        config = FitConfig(restarts=2, seed=seed)
+        names, bounds, build = gp._spec_builder(kind, 0.5, "sphere", 15, 900.0, 2, config)
+        mean_sq = float(np.mean(np.sum(ds.values() ** 2, axis=1)))
+        centre = [math.log(0.5) if n.startswith("log_kappa")
+                  else np.clip(math.log(mean_sq if n.startswith("log_variance")
+                                        else 0.01 * mean_sq), lo, hi)
+                  for n, (lo, hi) in zip(names, bounds)]
+        draws = np.random.default_rng(config.seed)
+        starts = [centre] + [[draws.uniform(lo, hi) for lo, hi in bounds]
+                             for _ in range(config.restarts - 1)]
+
+        def negative_lml(theta):
+            try:
+                return -log_marginal_likelihood(build(theta), ds)
+            except NumericalError:
+                return 1e30
+
+        reference = max(-minimize(negative_lml, x0, method="Nelder-Mead", bounds=bounds,
+                                  options={"maxiter": 4000, "fatol": 1e-10,
+                                           "xatol": 1e-8}).fun for x0 in starts)
+        fitted = fit(ds, kind, config, nu=0.5, lmax=15)
+        assert log_marginal_likelihood(fitted, ds) >= reference - 1e-6
+
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_max_iter_must_be_positive(self, max_iter):
+        with pytest.raises(InvalidInputError, match="iteration"):
+            FitConfig(max_iter=max_iter)
 
 
 class TestSampling:

@@ -282,7 +282,7 @@ class TestRectangularCrossBlocks:
             a = np.array([[1.0, 0.2, -0.5], [0.0, 0.7, 0.3], [0.4, -0.1, 1.2]])
             spec = KernelSpec(kind, PARAMS, coreg=a if kind == PROJECTED else None)
         b = frames_at(pts)
-        np.testing.assert_array_equal(GramTables(spec, pts, b).blocks(spec),
+        np.testing.assert_array_equal(GramTables(spec, pts, b).blocks_and_derivatives(spec)[0],
                                       frame_blocks(spec, pts, b, pts, b))
 
     def test_projected_with_coreg_matches_projector_formula(self):
@@ -540,6 +540,20 @@ class TestSpecValidation:
             MaternParams(0.5, -1.0)
         with pytest.raises(InvalidInputError):
             MaternParams(0.5, 1.0, variance=0.0)
+
+    @pytest.mark.parametrize("lmax", [-1, -5, 2.5, 3.0, "3"])
+    def test_lmax_must_be_a_nonnegative_integer(self, lmax):
+        with pytest.raises(InvalidInputError, match="lmax"):
+            KernelSpec(HODGE_DIV, PARAMS, lmax=lmax)
+
+    @pytest.mark.parametrize("lambda_cap", [-1.0, math.nan, math.inf])
+    def test_lambda_cap_must_be_finite_and_nonnegative(self, lambda_cap):
+        with pytest.raises(InvalidInputError, match="lambda_cap"):
+            KernelSpec(HODGE_FULL, PARAMS, manifold="torus", lambda_cap=lambda_cap)
+
+    def test_zero_truncations_are_valid(self):
+        KernelSpec(HODGE_DIV, PARAMS, lmax=np.int64(0))
+        KernelSpec(HODGE_FULL, PARAMS, manifold="torus", lambda_cap=0)
 
     def test_noise_spec_has_zero_kernel(self):
         rng = np.random.default_rng(17)
