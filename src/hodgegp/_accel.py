@@ -1,9 +1,15 @@
 """Numpy Legendre recurrences: one recurrence that tables P_l, one contraction
 of such a table with per-level weights (weighted sums, the fit's kept table),
 the exact integer maps that turn weighted sums of P_l' and P_l'' into plain
-Legendre series, and the associated-Legendre tables."""
+Legendre series, and the associated-Legendre tables. Also the scope that
+holds numpy's own OpenBLAS thread pool at one thread inside the public GP
+entry points."""
 
-from functools import lru_cache
+import ctypes
+import importlib
+import threading
+from dataclasses import dataclass, replace
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -140,3 +146,126 @@ def alp_tables(cos_theta, sin_theta, lmax):
             if m >= 1:
                 d[l, m] = fa * ct * d[l - 1, m] + fb * d[l - 2, m]
     return a, b, d
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread pools. The numpy and scipy wheels each bundle an OpenBLAS with
+# its own thread pool; numpy's runs the frame GEMMs, scipy's the Cholesky
+# and triangular solves. Two pools of two threads on two cores fight when
+# small calls interleave: a pool's threads spin for a while after each call,
+# stealing the cores the other pool's next call needs. Inside the public GP
+# entry points numpy's pool runs on one thread, and scipy's keeps its count,
+# which the large factorizations use (measured: numpy's at one thread was
+# fastest at n = 200 and 500, and holding scipy's at one too slowed predict
+# and fit at n = 500). A pool both packages share has nothing to fight and
+# keeps its count.
+# ---------------------------------------------------------------------------
+
+# (get, set) thread-count symbol spellings: the scipy-openblas builds of the
+# numpy 2 and scipy wheels (64- and 32-bit integers), the OpenBLAS of numpy 1
+# wheels, then plain OpenBLAS
+_THREAD_SYMBOLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                   ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+                   ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+                   ("openblas_get_num_threads", "openblas_set_num_threads"))
+
+
+@dataclass(frozen=True)
+class BlasPool:
+    """One OpenBLAS thread pool and the packages ("numpy", "scipy") whose calls run on it.
+
+    ``symbol`` is the name of its thread-count getter.
+    """
+
+    users: tuple
+    symbol: str
+    get: object    # () -> the pool's thread count
+    set: object    # (count) -> None
+
+
+def _find_pool(user, module_name):
+    """The OpenBLAS pool that extension module ``module_name`` of ``user`` links, or None.
+
+    dlsym on the module's handle also searches the libraries it depends on.
+    """
+    try:
+        lib = ctypes.CDLL(importlib.import_module(module_name).__file__)
+    except (ImportError, OSError):
+        return None
+    for get_name, set_name in _THREAD_SYMBOLS:
+        get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return BlasPool((user,), get_name, get, set_)
+    return None
+
+
+_BLAS_MODULES = (("numpy", "numpy.linalg._umath_linalg"), ("scipy", "scipy.linalg._flapack"))
+
+
+@lru_cache(maxsize=None)
+def blas_pools():
+    """The OpenBLAS thread pools numpy and scipy run on, found on first use.
+
+    Two packages whose getters resolve to the same function share one pool,
+    listed once with both users. Without OpenBLAS (another BLAS, or symbols
+    under other names) a package has no pool here.
+    """
+    pools = {}
+    for user, module_name in _BLAS_MODULES:
+        pool = _find_pool(user, module_name)
+        if pool is None:
+            continue
+        address = ctypes.cast(pool.get, ctypes.c_void_p).value
+        if address in pools:
+            pool = replace(pools[address], users=pools[address].users + (user,))
+        pools[address] = pool
+    return tuple(pools.values())
+
+
+class _NumpyBlasScope:
+    """Holds numpy's own pool (one scipy does not share) at one thread while any caller is inside.
+
+    A lock-protected depth count makes it re-entrant and safe across Python
+    threads: the outermost entry saves the counts and sets them, the
+    outermost exit restores them, also when the call raises. The counts are
+    process-wide, so other numpy work running in another thread meanwhile
+    also runs on one BLAS thread.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = ()
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                pools = [pool for pool in blas_pools() if pool.users == ("numpy",)]
+                self._saved = tuple((pool, pool.get()) for pool in pools)
+                for pool in pools:
+                    pool.set(1)
+            self._depth += 1
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for pool, threads in self._saved:
+                    pool.set(threads)
+                self._saved = ()
+        return False
+
+
+numpy_blas_scope = _NumpyBlasScope()
+
+
+def single_threaded_numpy_blas(fn):
+    """Decorator: run fn inside ``numpy_blas_scope``."""
+    @wraps(fn)
+    def scoped(*args, **kwargs):
+        with numpy_blas_scope:
+            return fn(*args, **kwargs)
+    return scoped

@@ -9,12 +9,14 @@ exact joint Gaussian factorization for posteriors.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import minimize
 
+from ._accel import single_threaded_numpy_blas
 from .errors import InvalidInputError, NumericalError
 from .kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NOISE, PROJECTED,
                       GramTables, KernelSpec, MaternParams, class_weights, compositional_spec,
@@ -22,7 +24,8 @@ from .kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NO
 # Not called here: gp evaluates no kernel itself. benchmark/run.py traces these
 # names in gp as well as in kernels, so they stay importable from this module.
 from .kernels import hodge_pair_sums, kernel_matrix, scalar_pair_sums  # noqa: F401
-from .manifold import SPHERE, ManifoldPoint, TangentVector, frames_at, points_array
+from .manifold import (SPHERE, ManifoldPoint, TangentVector, check_sphere_points, frames_at,
+                       points_array)
 from .spectrum import sphere_spectrum, torus_spectrum
 
 
@@ -74,10 +77,16 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 def _coords(spec, points):
-    """(m, k) coordinates of a list of ManifoldPoint or of a coordinate array."""
+    """(m, k) coordinates of a list of ManifoldPoint or of a coordinate array.
+
+    A sphere coordinate array must hold finite unit rows (InvalidInputError).
+    """
     if isinstance(points, list):
         return points_array(points) if points else np.zeros((0, spec.ambient_dim))
-    return np.atleast_2d(points)
+    X = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if spec.manifold == SPHERE:
+        check_sphere_points(X)
+    return X
 
 
 def _frames(manifold, X):
@@ -184,6 +193,7 @@ def _lml_tail(spec, k, y):
     return _log_evidence(y, chol, alpha)
 
 
+@single_threaded_numpy_blas
 def condition(spec, dataset) -> PosteriorModel:
     """Condition the GP prior on a dataset.
 
@@ -214,6 +224,7 @@ class Prediction:
     frames: np.ndarray
 
 
+@single_threaded_numpy_blas
 def predict(model, points) -> Prediction:
     """Exact GP posterior mean and per-point marginal covariance."""
     spec = model.spec
@@ -238,6 +249,7 @@ def predict(model, points) -> Prediction:
     return Prediction(mean=mean, cov=cov, frames=BQ)
 
 
+@single_threaded_numpy_blas
 def log_marginal_likelihood(spec, dataset):
     """Gaussian log evidence of the dataset under the spec, frame coordinates."""
     if len(dataset) == 0:
@@ -348,9 +360,9 @@ def _objective(dataset, names, build, theta0):
             blocks, derivatives = tables.blocks_and_derivatives(spec)
             chol, alpha, _ = _factor(spec, _blocks_to_matrix(blocks), y)
             w = np.outer(alpha, alpha) - cho_solve((chol, True), np.eye(len(y)))
-            # einsum, not np.vdot: vdot is BLAS ddot, which OpenBLAS spreads over
-            # its threads above 1e4 elements; between the LAPACK solves that made
-            # an evaluation at n = 60 points ~25x slower on a 2-core box
+            # einsum, not np.vdot: vdot is BLAS ddot, whose summation order (and
+            # so the gradient's last bits, and the optimizer's path) depends on
+            # the BLAS build and its thread count; einsum's does not
             grad = [spec.noise_variance * np.trace(w) if name == "log_noise"
                     else np.einsum("ij,ij->", w, _blocks_to_matrix(derivatives[name]))
                     for name in names]
@@ -361,6 +373,7 @@ def _objective(dataset, names, build, theta0):
     return objective
 
 
+@single_threaded_numpy_blas
 def fit(dataset, kind, config=None, nu=0.5, lmax=30, lambda_cap=900.0) -> KernelSpec:
     """Fit kernel hyperparameters by maximizing the marginal log-likelihood.
 
@@ -499,15 +512,26 @@ def sample_prior_batch(spec, spectrum, points, n_draws, rng):
 
     Equal to n_draws successive ``sample_prior`` draws from rng evaluated at points.
     """
-    return _prior_values(spec, spectrum, _prior_coeffs(spec, spectrum, rng, n_draws), points)
+    coeffs = _prior_coeffs(spec, spectrum, rng, _draw_count(n_draws))
+    return _prior_values(spec, spectrum, coeffs, points)
 
 
+def _draw_count(n_draws):
+    """n_draws as an int; InvalidInputError unless it is an integer >= 0."""
+    if isinstance(n_draws, bool) or not isinstance(n_draws, numbers.Integral) or n_draws < 0:
+        raise InvalidInputError(f"n_draws must be a nonnegative integer, got {n_draws!r}")
+    return int(n_draws)
+
+
+@single_threaded_numpy_blas
 def sample_posterior(model, points, rng, n_draws=1):
     """Exact draws from the joint posterior at the query points.
 
     Factors the full joint posterior covariance (with the conditioning jitter
-    policy) and returns (n_draws, m, D) ambient components.
+    policy) and returns (n_draws, m, D) ambient components. ``n_draws`` is an
+    integer >= 0 (InvalidInputError otherwise).
     """
+    n_draws = _draw_count(n_draws)
     spec = model.spec
     Q = _coords(spec, points)
     BQ = _frames(spec.manifold, Q)
@@ -526,7 +550,7 @@ def sample_posterior(model, points, rng, n_draws=1):
     chol, _ = _chol_with_jitter(cov + 1e-12 * scale * np.eye(cov.shape[0]), scale)
     z = rng.standard_normal((n_draws, cov.shape[0]))
     draws_f = mean[None, :] + z @ chol.T
-    draws_f = draws_f.reshape(n_draws, -1, model.block_dim)
+    draws_f = draws_f.reshape(n_draws, Q.shape[0], model.block_dim)
     if BQ is not None:
         return np.einsum("dmk,mka->dma", draws_f, BQ)
     return draws_f

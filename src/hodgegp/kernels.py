@@ -32,7 +32,7 @@ import numpy as np
 
 from ._accel import _contract_levels, legendre_derivative_maps, legendre_sums, legendre_table
 from .errors import InvalidInputError
-from .manifold import CIRCLE, SPHERE, TORUS, frames_at
+from .manifold import CIRCLE, SPHERE, TORUS, check_sphere_points, frames_at
 from .spectrum import CURL, DIV, HARM, torus_spectrum
 
 SCALAR = "scalar"
@@ -63,12 +63,12 @@ class MaternParams:
     def __post_init__(self):
         if not (self.nu > 0.0):
             raise InvalidInputError("nu must be positive (inf allowed)")
-        if not (self.kappa > 0.0):
-            raise InvalidInputError("kappa must be positive")
-        if not (self.variance > 0.0):
-            raise InvalidInputError("variance must be positive")
-        if self.noise < 0.0:
-            raise InvalidInputError("noise variance must be nonnegative")
+        if not (0.0 < self.kappa < math.inf):
+            raise InvalidInputError("kappa must be positive and finite")
+        if not (0.0 < self.variance < math.inf):
+            raise InvalidInputError("variance must be positive and finite")
+        if not (0.0 <= self.noise < math.inf):
+            raise InvalidInputError("noise variance must be nonnegative and finite")
 
 
 def phi(nu, kappa, lam, dim):
@@ -695,6 +695,8 @@ def kernel_matrix(spec, X, Y=None):
     Y = X if Y is None else np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if spec.manifold != SPHERE:
         return frame_blocks(spec, X, None, Y, None)
+    check_sphere_points(X)
+    check_sphere_points(Y)
     # the lift B_x^T F B_y of the frame blocks F is exact: B^T B = P_x
     BX = frames_at(X)
     BY = BX if Y is X else frames_at(Y)

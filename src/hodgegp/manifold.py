@@ -23,6 +23,21 @@ _TANGENCY_TOL = 1e-10
 _POLE_THRESHOLD = 1.0 - 1e-9  # |x3| above this selects the fallback frame
 
 
+def check_sphere_points(X):
+    """Raise InvalidInputError unless X is an (m, 3) array of finite rows of unit norm.
+
+    A row passes when its norm is within ``_UNIT_NORM_TOL`` of 1, the
+    tolerance of ``ManifoldPoint``.
+    """
+    if X.ndim != 2 or X.shape[1] != 3:
+        raise InvalidInputError(f"sphere points must be an (m, 3) array, got shape {X.shape}")
+    norms = np.linalg.norm(X, axis=1)
+    bad = ~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL)   # NaN norms are bad too
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvalidInputError(f"sphere point must have unit norm, got {norms[i]!r} at row {i}")
+
+
 def _reduce_angles(a):
     r = np.mod(np.asarray(a, dtype=np.float64), TWO_PI)
     # np.mod can round up to exactly 2*pi for tiny negative inputs
@@ -45,9 +60,7 @@ class ManifoldPoint:
         if self.manifold == SPHERE:
             if c.shape != (3,):
                 raise InvalidInputError("sphere point needs a 3-vector")
-            if abs(np.linalg.norm(c) - 1.0) > _UNIT_NORM_TOL:
-                raise InvalidInputError(
-                    f"sphere point must have unit norm, got {np.linalg.norm(c)!r}")
+            check_sphere_points(c[None])
         elif self.manifold == CIRCLE:
             if c.shape != (1,):
                 raise InvalidInputError("circle point needs a single angle")
@@ -96,6 +109,8 @@ class TangentVector:
 
     def __post_init__(self):
         c = np.asarray(self.components, dtype=np.float64)
+        if not np.all(np.isfinite(c)):
+            raise InvalidInputError("tangent vector components must be finite")
         if self.base.manifold == SPHERE:
             if c.shape != (3,):
                 raise InvalidInputError("sphere tangent vector needs a 3-vector")

@@ -1,9 +1,18 @@
+import ctypes
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
-from hodgegp._accel import (_contract_levels, alp_tables, legendre_derivative_maps,
-                            legendre_sums, legendre_table, using_numba)
+from hodgegp import _accel, gp
+from hodgegp._accel import (_contract_levels, alp_tables, blas_pools, legendre_derivative_maps,
+                            legendre_sums, legendre_table, numpy_blas_scope,
+                            single_threaded_numpy_blas, using_numba)
+from hodgegp.errors import InvalidInputError
+from hodgegp.kernels import HODGE_CURL, KernelSpec, MaternParams
 from hodgegp.spectrum import legendre
 
 
@@ -143,3 +152,164 @@ class TestAlpTables:
         theta = np.linspace(0.1, 3.0, 30)
         a, _, d = alp_tables(np.cos(theta), np.sin(theta), 15)
         np.testing.assert_allclose(d[:, 1:] * np.sin(theta), a[:, 1:], atol=1e-13)
+
+
+def pool_of(user):
+    (pool,) = [pool for pool in blas_pools() if user in pool.users]
+    return pool
+
+
+def thread_counts():
+    return {user: pool.get() for pool in blas_pools() for user in pool.users}
+
+
+def numpy_blas_name():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except TypeError:   # numpy < 1.26
+        return None
+
+
+needs_wheel_pools = pytest.mark.skipif(numpy_blas_name() != "scipy-openblas",
+                                       reason="numpy is not built on the wheels' scipy-openblas")
+
+
+@pytest.fixture
+def two_threads_each():
+    """Both pools at two threads for the test, the previous counts restored after it."""
+    saved = [(pool, pool.get()) for pool in blas_pools()]
+    for pool, _ in saved:
+        pool.set(2)
+    yield
+    for pool, threads in saved:
+        pool.set(threads)
+
+
+@pytest.fixture(scope="module")
+def model():
+    rng = np.random.default_rng(40)
+    X = rng.standard_normal((8, 3))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    V = rng.standard_normal((8, 3))
+    V -= np.sum(V * X, axis=1, keepdims=True) * X
+    spec = KernelSpec(HODGE_CURL, MaternParams(0.5, 0.5, 1.0, 1e-3), lmax=12)
+    return gp.condition(spec, gp.Dataset.from_arrays("sphere", X, V))
+
+
+@needs_wheel_pools
+class TestBlasPools:
+    def test_numpy_and_scipy_pools_found_and_distinct(self):
+        pools = blas_pools()
+        assert sorted(pool.users for pool in pools) == [("numpy",), ("scipy",)]
+        addresses = {ctypes.cast(pool.get, ctypes.c_void_p).value for pool in pools}
+        assert len(addresses) == 2
+        assert all(pool.get() >= 1 for pool in pools)
+
+    def test_entry_point_holds_numpy_at_one_thread_and_restores(self, model, monkeypatch,
+                                                                two_threads_each):
+        inside = []
+        solve = gp.solve_triangular
+
+        def recording(*args, **kwargs):
+            inside.append(thread_counts())
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(gp, "solve_triangular", recording)
+        gp.predict(model, model.dataset.coords()[:2])
+        assert inside == [{"numpy": 1, "scipy": 2}]
+        assert thread_counts() == {"numpy": 2, "scipy": 2}
+
+    def test_counts_restored_after_an_exception(self, model, two_threads_each):
+        with pytest.raises(InvalidInputError):
+            gp.predict(model, 2.0 * model.dataset.coords()[:2])
+        assert thread_counts() == {"numpy": 2, "scipy": 2}
+
+    def test_nested_entry_points_restore_on_the_outermost_exit(self, two_threads_each):
+        seen = []
+
+        @single_threaded_numpy_blas
+        def inner():
+            seen.append(thread_counts())
+
+        @single_threaded_numpy_blas
+        def outer():
+            inner()
+            seen.append(thread_counts())
+            inner()
+
+        outer()
+        assert seen == [{"numpy": 1, "scipy": 2}] * 3
+        assert thread_counts() == {"numpy": 2, "scipy": 2}
+
+    def test_a_changed_caller_count_is_what_is_restored(self, model, two_threads_each):
+        pool_of("numpy").set(3)
+        gp.predict(model, model.dataset.coords()[:2])
+        assert thread_counts() == {"numpy": 3, "scipy": 2}
+
+    def test_concurrent_predicts_leave_the_counts_as_found(self, model, two_threads_each):
+        queries = model.dataset.coords()
+        want = gp.predict(model, queries).mean
+        errors = []
+
+        def work():
+            try:
+                for _ in range(20):
+                    np.testing.assert_array_equal(gp.predict(model, queries).mean, want)
+            except Exception as exc:   # reported by the main thread
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert numpy_blas_scope._depth == 0
+        assert thread_counts() == {"numpy": 2, "scipy": 2}
+
+    def test_import_changes_no_count(self):
+        script = """
+import ctypes, numpy.linalg._umath_linalg as n, scipy.linalg._flapack as s
+pools = [(ctypes.CDLL(n.__file__), "scipy_openblas_{}_num_threads64_"),
+         (ctypes.CDLL(s.__file__), "scipy_openblas_{}_num_threads")]
+for lib, name in pools:
+    getattr(lib, name.format("set"))(2)
+def counts():
+    return [getattr(lib, name.format("get"))() for lib, name in pools]
+before = counts()
+import hodgegp, hodgegp.gp, hodgegp.cli
+print(before, counts())
+"""
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              check=True, timeout=120)
+        assert done.stdout.split() == ["[2,", "2]", "[2,", "2]"]
+
+
+class TestBlasPoolsMissing:
+    @pytest.fixture
+    def no_symbols(self, monkeypatch):
+        real = {pool.users: pool for pool in blas_pools()}
+        monkeypatch.setattr(_accel, "_THREAD_SYMBOLS", (("no_such_get", "no_such_set"),))
+        blas_pools.cache_clear()
+        yield real
+        blas_pools.cache_clear()
+
+    def test_no_pools_and_no_count_changed(self, model, no_symbols):
+        assert blas_pools() == ()
+        before = {users: pool.get() for users, pool in no_symbols.items()}
+        inside = []
+
+        @single_threaded_numpy_blas
+        def body():
+            inside.append({users: pool.get() for users, pool in no_symbols.items()})
+            return gp.predict(model, model.dataset.coords()[:2])
+
+        assert body().mean.shape == (2, 3)
+        assert inside == [before]
+        assert {users: pool.get() for users, pool in no_symbols.items()} == before

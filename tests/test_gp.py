@@ -417,6 +417,71 @@ class TestFit:
             FitConfig(max_iter=max_iter)
 
 
+class TestQueryValidation:
+    @pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-9, 0.0, math.nan, math.inf])
+    def test_sphere_coordinate_arrays_must_be_unit_rows(self, scale):
+        # at the parent predict at 2 X moved the mean by 1e12 and the covariance by 5e23
+        rng = np.random.default_rng(30)
+        ds = make_dataset(10, rng)
+        model = condition(SPEC, ds)
+        Q = ds.coords()[:2].copy()
+        Q[1] *= scale
+        calls = [lambda: predict(model, Q), lambda: sample_posterior(model, Q, rng),
+                 lambda: gp.gram(SPEC, Q),
+                 lambda: sample_prior(SPEC, SPHERE_SPECTRUM, rng).at(Q),
+                 lambda: sample_prior_batch(SPEC, SPHERE_SPECTRUM, Q, 2, rng)]
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="unit norm"):
+                call()
+
+    def test_sphere_coordinate_arrays_must_have_three_columns(self):
+        model = condition(SPEC, Dataset([], []))
+        with pytest.raises(InvalidInputError, match=r"\(m, 3\)"):
+            predict(model, np.array([[1.0, 0.0]]))
+
+    def test_unit_rows_within_point_tolerance_pass(self):
+        rng = np.random.default_rng(31)
+        ds = make_dataset(6, rng)
+        model = condition(SPEC, ds)
+        X = ds.coords()
+        near = X * (1.0 + 5e-13)
+        np.testing.assert_allclose(predict(model, near).mean, predict(model, X).mean,
+                                   rtol=0.0, atol=1e-9)
+
+
+class TestDrawCounts:
+    @pytest.fixture(scope="class")
+    def model(self):
+        return condition(SPEC, make_dataset(6, np.random.default_rng(32)))
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_zero_posterior_draws(self, model, m):
+        draws = sample_posterior(model, sample_sphere(m, np.random.default_rng(33)),
+                                 np.random.default_rng(0), n_draws=0)
+        assert draws.shape == (0, m, 3)
+
+    @pytest.mark.parametrize("kind", [HODGE_CURL, PROJECTED, NOISE])
+    def test_zero_prior_draws(self, kind):
+        spec = (noise_spec(0.1) if kind == NOISE
+                else KernelSpec(kind, MaternParams(0.5, 0.5, 1.0), lmax=20))
+        pts = sample_sphere(3, np.random.default_rng(34))
+        draws = sample_prior_batch(spec, SPHERE_SPECTRUM, pts, 0, np.random.default_rng(0))
+        assert draws.shape == (0, 3, 3)
+
+    @pytest.mark.parametrize("n_draws", [-1, 1.5, 2.0, "2", True, None])
+    def test_draw_count_must_be_a_nonnegative_integer(self, model, n_draws):
+        pts = sample_sphere(3, np.random.default_rng(35))
+        with pytest.raises(InvalidInputError, match="n_draws"):
+            sample_posterior(model, pts, np.random.default_rng(0), n_draws=n_draws)
+        with pytest.raises(InvalidInputError, match="n_draws"):
+            sample_prior_batch(SPEC, SPHERE_SPECTRUM, pts, n_draws, np.random.default_rng(0))
+
+    def test_integer_types_accepted(self, model):
+        pts = sample_sphere(2, np.random.default_rng(36))
+        draws = sample_posterior(model, pts, np.random.default_rng(0), n_draws=np.int64(2))
+        assert draws.shape == (2, 2, 3)
+
+
 class TestSampling:
     def test_prior_determinism(self):
         pts = sample_sphere(5, np.random.default_rng(19))

@@ -551,6 +551,29 @@ class TestSpecValidation:
         with pytest.raises(InvalidInputError, match="lambda_cap"):
             KernelSpec(HODGE_FULL, PARAMS, manifold="torus", lambda_cap=lambda_cap)
 
+    @pytest.mark.parametrize("field, value", [
+        ("kappa", math.inf), ("kappa", math.nan), ("variance", math.inf),
+        ("variance", math.nan), ("noise", math.inf), ("noise", math.nan)])
+    def test_hyperparameters_must_be_finite(self, field, value):
+        # nu = inf, kappa = inf made log_marginal_likelihood subtract inf from inf
+        values = dict(nu=math.inf, kappa=0.4, variance=1.3, noise=0.1)
+        values[field] = value
+        with pytest.raises(InvalidInputError, match=field):
+            MaternParams(**values)
+
+    @pytest.mark.parametrize("scale, bad", [(2.0, 0), (1.0 + 1e-9, 1), (math.nan, 1),
+                                            (math.inf, 0)])
+    def test_sphere_points_must_be_finite_unit_rows(self, scale, bad):
+        # at 2 X the kernel matrix reached 1e22 against 0.49 on the sphere
+        X = sample_sphere(3, np.random.default_rng(18))
+        Y = X.copy()
+        Y[bad] *= scale
+        spec = KernelSpec(HODGE_CURL, PARAMS, lmax=10)
+        with pytest.raises(InvalidInputError, match="unit norm"):
+            kernel_matrix(spec, Y)
+        with pytest.raises(InvalidInputError, match="unit norm"):
+            kernel_matrix(spec, X, Y)
+
     def test_zero_truncations_are_valid(self):
         KernelSpec(HODGE_DIV, PARAMS, lmax=np.int64(0))
         KernelSpec(HODGE_FULL, PARAMS, manifold="torus", lambda_cap=0)

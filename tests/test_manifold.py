@@ -158,3 +158,21 @@ class TestPointInvariants:
     def test_sphere_point_normalizes(self):
         p = sphere_point([3.0, 4.0, 0.0])
         np.testing.assert_allclose(np.linalg.norm(p.coords), 1.0, atol=1e-15)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_sphere_point_rejects_non_finite_coords(self, bad):
+        with pytest.raises(InvalidInputError, match="unit norm"):
+            ManifoldPoint(SPHERE, np.array([bad, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("manifold, coords, components", [
+        (SPHERE, [0.0, 0.0, 1.0], [np.nan, 0.0, 0.0]),
+        (SPHERE, [0.0, 0.0, 1.0], [0.0, np.inf, 0.0]),
+        (TORUS, [0.5, 1.0], [np.nan, 0.0]),
+        (CIRCLE, [0.5], [-np.inf])])
+    def test_tangent_vector_rejects_non_finite_components(self, manifold, coords, components):
+        # at the parent condition() failed later inside scipy's Cholesky
+        base = ManifoldPoint(manifold, np.array(coords))
+        with pytest.raises(InvalidInputError, match="finite"):
+            TangentVector(base, np.array(components))
