@@ -4,8 +4,10 @@ Gram matrices are the frame blocks of ``kernels.frame_blocks`` in per-point
 orthonormal tangent frames, full-rank 2x2 blocks on the sphere (d x d
 global-frame blocks on tori); this module evaluates no kernel itself.
 Conditioning is exact via Cholesky with a documented jitter-escalation
-fallback; sampling uses the truncated eigenfield expansion for priors and an
-exact joint Gaussian factorization for posteriors.
+fallback. Sampling has one basis per manifold, the kernel's own: the
+truncated eigenfield expansion on the sphere, the kernel's half lattice on
+tori. Posterior draws are prior draws moved by Matheron's rule through the
+conditioned model's Cholesky factor, with no factorization of their own.
 """
 
 import math
@@ -19,14 +21,15 @@ from scipy.optimize import minimize
 from ._accel import single_threaded_numpy_blas
 from .errors import InvalidInputError, NumericalError
 from .kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NOISE, PROJECTED,
-                      GramTables, KernelSpec, MaternParams, class_weights, compositional_spec,
-                      diagonal_frame_blocks, frame_blocks, noise_spec, stable_phi_ratios)
+                      GramTables, KernelSpec, MaternParams, check_torus_points, class_weights,
+                      compositional_spec, diagonal_frame_blocks, frame_blocks,
+                      lattice_draw_factors, lattice_features, noise_spec, stable_phi_ratios)
 # Not called here: gp evaluates no kernel itself. benchmark/run.py traces these
 # names in gp as well as in kernels, so they stay importable from this module.
 from .kernels import hodge_pair_sums, kernel_matrix, scalar_pair_sums  # noqa: F401
 from .manifold import (SPHERE, ManifoldPoint, TangentVector, check_sphere_points, frames_at,
                        points_array)
-from .spectrum import sphere_spectrum, torus_spectrum
+from .spectrum import CURL, DIV, sphere_spectrum
 
 
 @dataclass
@@ -79,13 +82,16 @@ class Dataset:
 def _coords(spec, points):
     """(m, k) coordinates of a list of ManifoldPoint or of a coordinate array.
 
-    A sphere coordinate array must hold finite unit rows (InvalidInputError).
+    A coordinate array must hold finite rows, of unit norm on the sphere and
+    of spec's dimension on tori (InvalidInputError).
     """
     if isinstance(points, list):
         return points_array(points) if points else np.zeros((0, spec.ambient_dim))
     X = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if spec.manifold == SPHERE:
         check_sphere_points(X)
+    else:
+        check_torus_points(spec, X)
     return X
 
 
@@ -118,8 +124,6 @@ def _chol_with_jitter(mat, scale):
     NumericalError with diagnostics if the matrix is still not positive
     definite. Returns (factor, jitter_used).
     """
-    if mat.shape[0] == 0:
-        return np.zeros((0, 0)), 0.0
     try:
         return cholesky(mat, lower=True), 0.0
     except np.linalg.LinAlgError:
@@ -127,8 +131,7 @@ def _chol_with_jitter(mat, scale):
     jitter = 1e-10 * scale
     while jitter <= 1e-4 * scale:
         try:
-            l = cholesky(mat + jitter * np.eye(mat.shape[0]), lower=True)
-            return l, jitter
+            return cholesky(mat + jitter * np.eye(mat.shape[0]), lower=True), jitter
         except np.linalg.LinAlgError:
             jitter *= 10.0
     eigs = np.linalg.eigvalsh(mat)
@@ -155,15 +158,12 @@ class PosteriorModel:
         self.y_frame = y_frame
         self.jitter = jitter
 
-    @property
-    def block_dim(self):
-        return 2 if self.spec.manifold == SPHERE else self.spec.dim
-
 
 def _frame_components(values, frames):
+    """Frame components of (..., n, 3) ambient values; tori (frames None) keep theirs."""
     if frames is None:
         return np.asarray(values)
-    return np.einsum("nka,na->nk", frames, values)
+    return np.einsum("nka,...na->...nk", frames, values)
 
 
 def _observations(manifold, dataset):
@@ -185,12 +185,6 @@ def _log_evidence(y, chol, alpha):
     return float(-0.5 * y @ alpha
                  - np.log(np.diag(chol)).sum()
                  - 0.5 * y.shape[0] * math.log(2.0 * math.pi))
-
-
-def _lml_tail(spec, k, y):
-    """Gaussian log evidence of frame observations y under spec's Gram k."""
-    chol, alpha, _ = _factor(spec, k, y)
-    return _log_evidence(y, chol, alpha)
 
 
 @single_threaded_numpy_blas
@@ -242,10 +236,7 @@ def predict(model, points) -> Prediction:
         r = r.reshape(r.shape[0], m, d)
         prior = prior - np.einsum("nmk,nml->mkl", r, r)
     cov = 0.5 * (prior + prior.transpose(0, 2, 1))
-    if BQ is not None:
-        mean = np.einsum("mk,mka->ma", mean_f, BQ)
-    else:
-        mean = mean_f
+    mean = mean_f if BQ is None else np.einsum("mk,mka->ma", mean_f, BQ)
     return Prediction(mean=mean, cov=cov, frames=BQ)
 
 
@@ -255,7 +246,8 @@ def log_marginal_likelihood(spec, dataset):
     if len(dataset) == 0:
         raise InvalidInputError("log marginal likelihood needs a nonempty dataset")
     X, frames, y = _observations(spec.manifold, dataset)
-    return _lml_tail(spec, gram(spec, X, frames), y)
+    chol, alpha, _ = _factor(spec, gram(spec, X, frames), y)
+    return _log_evidence(y, chol, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -290,54 +282,32 @@ class FitConfig:
 
 
 def _spec_builder(kind, nu, manifold, lmax, lambda_cap, torus_dim, config):
-    """Returns (names, bounds, build) mapping a log-parameter vector to a spec."""
-    kb, vb, nb = (config.log_kappa_bounds, config.log_variance_bounds,
-                  config.log_noise_bounds)
+    """Returns (names, bounds, build) mapping a log-parameter vector to a spec.
+
+    The names are log_kappa and log_variance per class (suffixed _div and
+    _curl for the compositional kind; log_kappa dropped when
+    ``config.fixed_kappa`` freezes it), then log_noise.
+    """
+    if kind not in (HODGE_FULL, HODGE_DIV, HODGE_CURL, PROJECTED, HODGE_COMPOSITIONAL):
+        raise InvalidInputError(f"cannot fit kernel kind {kind!r}")
     fixed = config.fixed_kappa
+    suffixes = (f"_{DIV}", f"_{CURL}") if kind == HODGE_COMPOSITIONAL else ("",)
+    per_class = ("log_variance",) if fixed is not None else ("log_kappa", "log_variance")
+    names = [name + suffix for suffix in suffixes for name in per_class] + ["log_noise"]
+    bounds = [config.log_kappa_bounds if name.startswith("log_kappa")
+              else config.log_variance_bounds if name.startswith("log_variance")
+              else config.log_noise_bounds for name in names]
 
-    def common(**kw):
-        return dict(manifold=manifold, lmax=lmax, lambda_cap=lambda_cap,
-                    torus_dim=torus_dim, **kw)
+    def build(th):
+        value = {name: math.exp(t) for name, t in zip(names, th)}
+        pairs = [(value.get("log_kappa" + suffix, fixed), value["log_variance" + suffix])
+                 for suffix in suffixes]
+        common = dict(manifold=manifold, lmax=lmax, lambda_cap=lambda_cap, torus_dim=torus_dim)
+        if kind == HODGE_COMPOSITIONAL:
+            return compositional_spec(nu, *pairs, noise=value["log_noise"], **common)
+        return KernelSpec(kind, MaternParams(nu, *pairs[0], value["log_noise"]), **common)
 
-    if kind in (HODGE_FULL, HODGE_DIV, HODGE_CURL, PROJECTED):
-        if fixed is None:
-            names = ["log_kappa", "log_variance", "log_noise"]
-            bounds = [kb, vb, nb]
-
-            def build(th):
-                p = MaternParams(nu, math.exp(th[0]), math.exp(th[1]), math.exp(th[2]))
-                return KernelSpec(kind, p, **common())
-        else:
-            names = ["log_variance", "log_noise"]
-            bounds = [vb, nb]
-
-            def build(th):
-                p = MaternParams(nu, fixed, math.exp(th[0]), math.exp(th[1]))
-                return KernelSpec(kind, p, **common())
-        return names, bounds, build
-
-    if kind == HODGE_COMPOSITIONAL:
-        if fixed is None:
-            names = ["log_kappa_div", "log_variance_div",
-                     "log_kappa_curl", "log_variance_curl", "log_noise"]
-            bounds = [kb, vb, kb, vb, nb]
-
-            def build(th):
-                return compositional_spec(
-                    nu, (math.exp(th[0]), math.exp(th[1])),
-                    (math.exp(th[2]), math.exp(th[3])), noise=math.exp(th[4]),
-                    **common())
-        else:
-            names = ["log_variance_div", "log_variance_curl", "log_noise"]
-            bounds = [vb, vb, nb]
-
-            def build(th):
-                return compositional_spec(
-                    nu, (fixed, math.exp(th[0])), (fixed, math.exp(th[1])),
-                    noise=math.exp(th[2]), **common())
-        return names, bounds, build
-
-    raise InvalidInputError(f"cannot fit kernel kind {kind!r}")
+    return names, bounds, build
 
 
 def _objective(dataset, names, build, theta0):
@@ -442,39 +412,50 @@ def fit(dataset, kind, config=None, nu=0.5, lmax=30, lambda_cap=900.0) -> Kernel
 class PriorSample:
     """A frozen draw from a truncated prior, evaluable at arbitrary points.
 
-    Built as f(x) = sum_n c_n s_n(x) with c_n = z_n sqrt(w_n) for i.i.d.
-    standard normal z_n and the spec's per-eigenfield weights w_n; the
-    projected kernel stacks three scalar draws and projects pointwise.
+    The draw is a finite sum over the spec's own basis (see ``_prior_coeffs``);
+    ``spectrum`` is only checked to be the truncation of the spec.
     """
 
     def __init__(self, spec, spectrum, rng):
+        _check_spectrum(spec, spectrum)
         self.spec = spec
         self.spectrum = spectrum
-        self._coeffs = _prior_coeffs(spec, spectrum, rng, 1)
+        self._coeffs = _prior_coeffs(spec, rng, 1)
 
     def at(self, points):
         """Field values at an (m, k)-coordinate array (ambient on the sphere)."""
-        return _prior_values(self.spec, self.spectrum, self._coeffs, points)[0]
+        return _prior_values(self.spec, self._coeffs, points)[0]
 
     __call__ = at
 
 
-def _prior_coeffs(spec, spectrum, rng, n_draws):
-    """Expansion coefficients of n_draws independent prior fields.
+def _check_spectrum(spec, spectrum):
+    """InvalidInputError unless spectrum is the truncation of spec (the noise kind takes any)."""
+    if spec.kind == NOISE:
+        return
+    own = (sphere_spectrum(spec.lmax).scalar_eigenvalues() if spec.manifold == SPHERE
+           else (lattice_draw_factors(spec)[0] ** 2).sum(axis=1))
+    if ((spectrum.manifold == SPHERE) != (spec.manifold == SPHERE) or spectrum.dim != spec.dim
+            or not np.array_equal(np.unique(spectrum.scalar_eigenvalues()), np.unique(own))):
+        raise InvalidInputError(f"the spectrum is not the truncation of the {spec.kind} spec")
 
-    (n_draws, F) eigenfield coefficients z_n sqrt(w_n); for the projected
-    kind (n_draws, F, 3) coefficients of three stacked scalar fields with the
-    scalar kernel's unit-trace weights sigma^2 Phi / C0. Draws are taken from
-    rng in order, so n_draws at once equal n_draws successive single draws.
-    The noise kind draws nothing; the others need the spectrum of spec's truncation.
+
+def _prior_coeffs(spec, rng, n_draws):
+    """Coefficients of n_draws independent prior fields in the spec's own basis, in draw order.
+
+    Sphere: (n_draws, F) coefficients z_n sqrt(w_n) of the eigenfields of
+    ``sphere_spectrum(lmax)``, or (n_draws, F, 3) of three stacked scalar
+    fields (projected kind, unit-trace weights sigma^2 Phi / C0). Tori:
+    (n_draws, 2F, D) coefficients A_n z_n of cos(n . x), then sin(n . x), over
+    the kernel's half lattice (``lattice_draw_factors``). Noise: none.
     """
     if spec.kind == NOISE:
         return np.zeros((n_draws, 0))
-    own = (sphere_spectrum(spec.lmax) if spec.manifold == SPHERE
-           else torus_spectrum(spec.dim, spec.lambda_cap))
-    if (spectrum.manifold, spectrum.dim) != (own.manifold, own.dim) or not np.array_equal(
-            np.unique(spectrum.scalar_eigenvalues()), np.unique(own.scalar_eigenvalues())):
-        raise InvalidInputError(f"the spectrum is not the truncation of the {spec.kind} spec")
+    if spec.manifold != SPHERE:
+        _, a = lattice_draw_factors(spec)
+        z = rng.standard_normal((n_draws, 2, len(a), spec.dim))
+        return np.einsum("fab,dcfb->dcfa", a, z).reshape(n_draws, 2 * len(a), spec.dim)
+    spectrum = sphere_spectrum(spec.lmax)
     if spec.kind == PROJECTED:
         lam = spectrum.scalar_eigenvalues()
         w = stable_phi_ratios(spec.params.nu, spec.params.kappa, lam, spectrum.dim)
@@ -484,7 +465,7 @@ def _prior_coeffs(spec, spectrum, rng, n_draws):
     return np.sqrt(w) * rng.standard_normal((n_draws, len(w)))
 
 
-def _prior_values(spec, spectrum, coeffs, points):
+def _prior_values(spec, coeffs, points):
     """(n_draws, m, D) values at points of the prior fields with these coefficients.
 
     A projected field is A times the stacked scalar fields, projected onto
@@ -493,6 +474,10 @@ def _prior_values(spec, spectrum, coeffs, points):
     pts = _coords(spec, points)
     if spec.kind == NOISE:
         return np.zeros((len(coeffs), pts.shape[0], spec.ambient_dim))
+    if spec.manifold != SPHERE:
+        n, _ = lattice_draw_factors(spec)
+        return np.einsum("mf,dfa->dma", lattice_features(pts, n), coeffs)
+    spectrum = sphere_spectrum(spec.lmax)
     if spec.kind == PROJECTED:
         g = np.einsum("dfj,fm->dmj", coeffs, spectrum.scalar_values(pts))
         a = spec.coreg if spec.coreg is not None else np.eye(3)
@@ -512,8 +497,8 @@ def sample_prior_batch(spec, spectrum, points, n_draws, rng):
 
     Equal to n_draws successive ``sample_prior`` draws from rng evaluated at points.
     """
-    coeffs = _prior_coeffs(spec, spectrum, rng, _draw_count(n_draws))
-    return _prior_values(spec, spectrum, coeffs, points)
+    _check_spectrum(spec, spectrum)
+    return _prior_values(spec, _prior_coeffs(spec, rng, _draw_count(n_draws)), points)
 
 
 def _draw_count(n_draws):
@@ -525,35 +510,33 @@ def _draw_count(n_draws):
 
 @single_threaded_numpy_blas
 def sample_posterior(model, points, rng, n_draws=1):
-    """Exact draws from the joint posterior at the query points.
+    """(n_draws, m, D) ambient components of exact posterior draws, by Matheron's rule.
 
-    Factors the full joint posterior covariance (with the conditioning jitter
-    policy) and returns (n_draws, m, D) ambient components. ``n_draws`` is an
-    integer >= 0 (InvalidInputError otherwise).
+    f(Q) + K_QX (K + s^2 I + j I)^-1 (y - f(X) - e) (Wilson et al. 2020): f is
+    a prior draw as ``sample_prior`` makes it, at the stacked points [Q; X];
+    e ~ N(0, (s^2 + j) I) for the jitter j of ``condition``, whose Cholesky
+    factor does the solve, so the draws have the covariance ``predict`` reports.
+    On the sphere the 2 lmax (lmax + 2) eigenfields at the m + n points cost
+    the same for any n_draws (lmax 30: ~45 ms at m + n = 33, ~100 ms at 503),
+    which dominates at small m.
     """
     n_draws = _draw_count(n_draws)
     spec = model.spec
     Q = _coords(spec, points)
-    BQ = _frames(spec.manifold, Q)
-    prior = gram(spec, Q, BQ)
+    m = Q.shape[0]
+    X = model.dataset.coords() if len(model.dataset) else Q[:0]
+    f = _prior_values(spec, _prior_coeffs(spec, rng, n_draws), np.vstack([Q, X]))
     if len(model.dataset) == 0:
-        mean = np.zeros(prior.shape[0])
-        cov = prior
-    else:
-        X = model.dataset.coords()
-        cross = _blocks_to_matrix(frame_blocks(spec, Q, BQ, X, model.frames))
-        mean = cross @ model.alpha
-        r = solve_triangular(model.chol, cross.T, lower=True)
-        cov = prior - r.T @ r
-    cov = 0.5 * (cov + cov.T)
-    scale = max(_total_variance(spec), 1e-12)
-    chol, _ = _chol_with_jitter(cov + 1e-12 * scale * np.eye(cov.shape[0]), scale)
-    z = rng.standard_normal((n_draws, cov.shape[0]))
-    draws_f = mean[None, :] + z @ chol.T
-    draws_f = draws_f.reshape(n_draws, Q.shape[0], model.block_dim)
+        return f
+    fx = _frame_components(f[:, m:], model.frames).reshape(n_draws, len(model.y_frame))
+    e = math.sqrt(spec.noise_variance + model.jitter) * rng.standard_normal(fx.shape)
+    v = cho_solve((model.chol, True), (model.y_frame - fx - e).T)
+    BQ = _frames(spec.manifold, Q)
+    cross = _blocks_to_matrix(frame_blocks(spec, Q, BQ, X, model.frames))
+    update = (cross @ v).T.reshape(n_draws, m, spec.dim)
     if BQ is not None:
-        return np.einsum("dmk,mka->dma", draws_f, BQ)
-    return draws_f
+        update = np.einsum("dmk,mka->dma", update, BQ)
+    return f[:, :m] + update
 
 
 # ---------------------------------------------------------------------------

@@ -570,14 +570,16 @@ def _lattice_part_weights(spec, lattice):
     return out
 
 
-def _check_torus_points(spec, *arrays):
-    """Raise InvalidInputError unless every array is (m, d) for spec's T^d."""
+def check_torus_points(spec, *arrays):
+    """Raise InvalidInputError unless every array is (m, d) of finite rows for spec's T^d."""
     for X in arrays:
         if X.ndim != 2 or X.shape[1] != spec.dim:
             raise InvalidInputError(f"points of shape {X.shape} are not on T^{spec.dim}")
+        if not np.isfinite(X).all():
+            raise InvalidInputError(f"torus points must be finite, got {X[~np.isfinite(X)][0]}")
 
 
-def _lattice_features(X, n):
+def lattice_features(X, n):
     """[cos XN^T, sin XN^T], (m, 2F)."""
     return np.hstack([np.cos(X @ n.T), np.sin(X @ n.T)])
 
@@ -594,15 +596,27 @@ def _lattice_sum(fx, fy, w):
 
 def _torus_matrix(spec, X, Y):
     """(n, m, D, D) torus kernel sum_n cos(n . (x - y)) M_n over the half lattice
-    (zero for the noise kind), after checking the point dimension."""
-    _check_torus_points(spec, X, Y)
+    (zero for the noise kind), after checking the points."""
+    check_torus_points(spec, X, Y)
     if spec.kind == NOISE:
         return np.zeros((X.shape[0], Y.shape[0], spec.dim, spec.dim))
     lattice = _torus_lattice(spec)
     w = sum(w for _, w, _ in _lattice_part_weights(spec, lattice))   # mult_n M_n
-    fx = _lattice_features(X, lattice.n)
-    fy = fx if Y is X else _lattice_features(Y, lattice.n)
+    fx = lattice_features(X, lattice.n)
+    fy = fx if Y is X else lattice_features(Y, lattice.n)
     return _lattice_sum(fx, fy, w)
+
+
+def lattice_draw_factors(spec):
+    """(N, A): the half lattice N (F, d) of a torus spec and (F, D, D) factors A_n of
+    its kernel's weights, A_n A_n^T = mult_n M_n (by eigh: Hodge-class weights are singular).
+
+    For standard normal z_n, z'_n, f(x) = sum_n [cos, sin](n . x) A_n [z_n, z'_n]
+    has covariance sum_n cos(n . (x - y)) mult_n M_n, the kernel itself.
+    """
+    lattice = _torus_lattice(spec)
+    e, v = np.linalg.eigh(sum(w for _, w, _ in _lattice_part_weights(spec, lattice)))
+    return lattice.n, v * np.sqrt(np.maximum(e, 0.0))[:, None, :]
 
 
 def scalar_matern_torus(params, d, lambda_cap, x, y):
@@ -740,9 +754,9 @@ class GramTables:
             self._geom = _sphere_pair_geometry(spec, X, frames, X, frames)
             self._table = legendre_table(X @ X.T, spec.lmax)
         else:
-            _check_torus_points(spec, X)
+            check_torus_points(spec, X)
             self._lattice = _torus_lattice(spec)
-            self._features = _lattice_features(X, self._lattice.n)
+            self._features = lattice_features(X, self._lattice.n)
 
     def blocks_and_derivatives(self, spec):
         """(n, n, D, D) frame blocks of spec at the prepared points, and a dict of

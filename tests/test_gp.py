@@ -4,15 +4,16 @@ import time
 import numpy as np
 import pytest
 
-from hodgegp import gp
+from hodgegp import gp, kernels, spectrum
+from hodgegp.diagnostics import divergence_stencil, var_div_hodge_sphere
 from hodgegp.errors import InvalidInputError, NumericalError
 from hodgegp.gp import (Dataset, FitConfig, condition, fit, log_marginal_likelihood, metrics,
                         predict, sample_posterior, sample_prior, sample_prior_batch)
 from hodgegp.kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NOISE,
                              PROJECTED, KernelSpec, MaternParams, class_weights,
-                             compositional_spec, frame_blocks, noise_spec,
+                             compositional_spec, frame_blocks, kernel_matrix, noise_spec,
                              spectral_kernel_oracle)
-from hodgegp.manifold import frames_at, sample_sphere
+from hodgegp.manifold import frames_at, lonlat_to_point, sample_sphere
 from hodgegp.spectrum import sphere_spectrum, torus_spectrum
 
 SPEC = KernelSpec(HODGE_CURL, MaternParams(0.5, 0.5, 1.0, 1e-4), lmax=20)
@@ -589,6 +590,162 @@ class TestSampling:
         model = condition(spec, ds)
         draws = sample_posterior(model, ds.coords()[:4], np.random.default_rng(27), n_draws=20)
         assert np.abs(draws - ds.values()[:4][None]).max() < 1e-5
+
+
+POSTERIOR_PARAMS = MaternParams(1.5, 0.5, 1.0, 0.2)
+COREG = np.array([[1.0, 0.2, -0.5], [0.0, 0.7, 0.3], [0.4, -0.1, 1.2]])
+POSTERIOR_SPECS = {
+    "sphere-full": KernelSpec(HODGE_FULL, POSTERIOR_PARAMS, lmax=10),
+    "sphere-div": KernelSpec(HODGE_DIV, POSTERIOR_PARAMS, lmax=10),
+    "sphere-curl": KernelSpec(HODGE_CURL, POSTERIOR_PARAMS, lmax=10),
+    "sphere-compositional": compositional_spec(1.5, (0.4, 0.8), (0.7, 1.2), noise=0.2, lmax=10),
+    "sphere-projected": KernelSpec(PROJECTED, POSTERIOR_PARAMS, coreg=COREG, lmax=10),
+    "t2-compositional": compositional_spec(1.5, (0.4, 0.8), (0.7, 1.2), harm_variance=0.3,
+                                           noise=0.2, manifold="torus", lambda_cap=36.0),
+    "t3-full": KernelSpec(HODGE_FULL, POSTERIOR_PARAMS, manifold="torus", torus_dim=3,
+                          lambda_cap=9.0),
+    "circle-div": KernelSpec(HODGE_DIV, POSTERIOR_PARAMS, manifold="circle", torus_dim=1,
+                             lambda_cap=36.0),
+}
+
+
+def posterior_problem(spec, rng, n=8, m=4):
+    """A model conditioned on n random observations, and m queries: half of them
+    next to training points, where the data move the posterior most."""
+    if spec.manifold == "sphere":
+        X = sample_sphere(n, rng)
+        values = np.einsum("nk,nka->na", rng.standard_normal((n, 2)), frames_at(X))
+        Q = np.concatenate([X[:m // 2] + 0.05 * rng.standard_normal((m // 2, 3)),
+                            sample_sphere(m - m // 2, rng)])
+        Q /= np.linalg.norm(Q, axis=1, keepdims=True)
+    else:
+        X = rng.uniform(0, 2 * np.pi, size=(n, spec.dim))
+        values = rng.standard_normal((n, spec.dim))
+        Q = np.concatenate([X[:m // 2] + 0.05 * rng.standard_normal((m // 2, spec.dim)),
+                            rng.uniform(0, 2 * np.pi, size=(m - m // 2, spec.dim))])
+    return condition(spec, Dataset.from_arrays(spec.manifold, X, values)), Q
+
+
+def check_draws_against_predict(model, Q, rng, n_draws=20000, chunk=5000):
+    """Monte-Carlo mean and covariance of posterior draws against ``predict``.
+
+    Bounds, fixed before running: every frame component of the draw mean lies
+    within 5 standard errors sqrt(var / n_draws) of the predicted mean (at
+    most 12 components); each point's draw covariance is within 5% of the
+    predicted block in relative Frobenius norm, where sampling error alone
+    gives about sqrt(3 / n_draws) = 1.2% for an isotropic 2 x 2 block.
+    """
+    draws = np.concatenate([sample_posterior(model, Q, rng, n_draws=chunk)
+                            for _ in range(n_draws // chunk)])
+    pred = predict(model, Q)
+    mean = gp._frame_components(pred.mean, pred.frames)
+    draws = gp._frame_components(draws, pred.frames)
+    var = np.diagonal(pred.cov, axis1=1, axis2=2)
+    z = np.abs(draws.mean(axis=0) - mean) / np.sqrt(var / n_draws)
+    centred = draws - draws.mean(axis=0)
+    cov = np.einsum("dmk,dml->mkl", centred, centred) / (n_draws - 1)
+    rel = (np.linalg.norm(cov - pred.cov, axis=(1, 2))
+           / np.linalg.norm(pred.cov, axis=(1, 2)))
+    assert z.max() < 5.0, z
+    assert rel.max() < 0.05, rel
+
+
+class TestPathwisePosterior:
+    @pytest.mark.parametrize("name", list(POSTERIOR_SPECS))
+    def test_draws_match_predict(self, name):
+        model, Q = posterior_problem(POSTERIOR_SPECS[name], np.random.default_rng(41))
+        check_draws_against_predict(model, Q, np.random.default_rng(42))
+
+    def test_draws_carry_the_conditioning_jitter(self, monkeypatch):
+        # a model whose factorization needed a jitter J: the draws' noise must
+        # be s^2 + J, as the factor predict uses holds K + (s^2 + J) I
+        jitter = 0.2
+        factor = gp._chol_with_jitter
+        monkeypatch.setattr(gp, "_chol_with_jitter", lambda mat, scale: (
+            factor(mat + jitter * np.eye(len(mat)), scale)[0], jitter))
+        spec = KernelSpec(HODGE_CURL, MaternParams(1.5, 0.5, 1.0, 0.01), lmax=10)
+        model, Q = posterior_problem(spec, np.random.default_rng(43))
+        assert model.jitter == jitter
+        check_draws_against_predict(model, Q, np.random.default_rng(44))
+
+    @pytest.mark.parametrize("manifold", ["sphere", "torus"])
+    def test_noise_kind_draws_are_zero(self, manifold):
+        model, Q = posterior_problem(noise_spec(0.2, manifold=manifold),
+                                     np.random.default_rng(45))
+        draws = sample_posterior(model, Q, np.random.default_rng(46), n_draws=3)
+        assert draws.shape == (3, 4, 3 if manifold == "sphere" else 2)
+        assert np.all(draws == 0.0)
+
+    def test_hodge_curl_draws_are_divergence_free(self):
+        # the prior draw and every column of K_QX are divergence-free, so a
+        # draw's finite-difference divergence is truncation error alone:
+        # bound 1e-5 of the divergence a unit-variance div-class field has
+        spec = KernelSpec(HODGE_CURL, MaternParams(0.5, 0.4, 1.0, 1e-2))
+        rng = np.random.default_rng(47)
+        model = condition(spec, make_dataset(20, rng, spec=spec, noise=1e-2))
+        stencils = [divergence_stencil(lonlat_to_point(lon, lat).coords, 1e-4)
+                    for lon, lat in zip(np.linspace(-170, 160, 10), np.linspace(-60, 60, 10))]
+        pts = np.concatenate([pts for pts, _ in stencils])
+        draws = sample_posterior(model, pts, np.random.default_rng(48), n_draws=2)
+        draws = draws.reshape(2, len(stencils), 4, 3)
+        div = max(float(np.abs(combine(draws[:, i])).max())
+                  for i, (_, combine) in enumerate(stencils))
+        scale = math.sqrt(2.0 * var_div_hodge_sphere(spec.params, spec.lmax))
+        assert div < 1e-5 * scale
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_torus_draws_build_no_torus_spectrum(self, dim, monkeypatch):
+        spec = KernelSpec(HODGE_FULL, POSTERIOR_PARAMS, manifold="torus", torus_dim=dim,
+                          lambda_cap=900.0)
+        model, Q = posterior_problem(spec, np.random.default_rng(49))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a TorusSpectrum was built")
+
+        for module in (spectrum, kernels, gp):
+            monkeypatch.setattr(module, "torus_spectrum", refuse, raising=False)
+        monkeypatch.setattr(spectrum.TorusSpectrum, "__init__", refuse)
+        draws = sample_posterior(model, Q, np.random.default_rng(50), n_draws=2)
+        assert draws.shape == (2, 4, dim)
+        assert np.isfinite(draws).all()
+
+    def test_t3_full_prior_covariance_matches_the_kernel(self):
+        # second moments of zero-mean Gaussian draws: entry (a, b) has standard
+        # error sqrt((K_aa K_bb + K_ab^2) / N); bound 5 of them over 45 entries
+        spec = KernelSpec(HODGE_FULL, MaternParams(1.5, 0.6, 1.0), manifold="torus",
+                          torus_dim=3, lambda_cap=9.0)
+        rng = np.random.default_rng(51)
+        pts = rng.uniform(0, 2 * np.pi, size=(3, 3))
+        pts[1] = pts[0] + 0.3
+        draws = np.concatenate([sample_prior_batch(spec, torus_spectrum(3, 9.0), pts, 5000, rng)
+                                for _ in range(4)]).reshape(20000, 9)
+        exact = kernel_matrix(spec, pts).transpose(0, 2, 1, 3).reshape(9, 9)
+        mc = draws.T @ draws / len(draws)
+        var = np.diag(exact)
+        se = np.sqrt((np.outer(var, var) + exact ** 2) / len(draws))
+        assert (np.abs(mc - exact) / se).max() < 5.0
+
+
+class TestTorusQueryValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_coordinate_arrays_must_be_finite(self, bad):
+        # at the parent predict raised scipy's ValueError after RuntimeWarnings,
+        # and a posterior draw at an infinite point returned without an error
+        spec = KernelSpec(HODGE_CURL, MaternParams(0.5, 0.8, 1.0, 1e-4), manifold="torus",
+                          lambda_cap=25.0)
+        model, _ = posterior_problem(spec, np.random.default_rng(52))
+        empty = condition(spec, Dataset([], []))
+        rng = np.random.default_rng(53)
+        spectrum_t2 = torus_spectrum(2, 25.0)
+        Q = np.array([[0.3, 0.1], [bad, 0.0]])
+        calls = [lambda: predict(model, Q), lambda: predict(empty, Q),
+                 lambda: sample_posterior(model, Q, rng), lambda: sample_posterior(empty, Q, rng),
+                 lambda: gp.gram(spec, Q), lambda: kernel_matrix(spec, Q),
+                 lambda: sample_prior(spec, spectrum_t2, rng).at(Q),
+                 lambda: sample_prior_batch(spec, spectrum_t2, Q, 2, rng)]
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="finite"):
+                call()
 
 
 class TestTorusGP:
