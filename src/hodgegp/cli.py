@@ -71,16 +71,14 @@ class ExperimentConfig:
             if k not in KERNEL_NAMES:
                 raise InvalidInputError(f"unknown kernel {k!r}; choose from "
                                         f"{sorted(KERNEL_NAMES)}")
-        if self.restarts < 1:
-            raise InvalidInputError(f"restarts must be at least 1, got {self.restarts}")
-        if self.max_iter < 1:
-            raise InvalidInputError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.lmax < 0:
-            raise InvalidInputError(f"lmax must be nonnegative, got {self.lmax}")
+        # lower bounds of the integer settings; for seeds and grid, of every entry
+        for name, low in (("restarts", 1), ("max_iter", 1), ("lmax", 0), ("stride", 1),
+                          ("seeds", 0), ("grid", 1)):
+            value = getattr(self, name)
+            if min(np.atleast_1d(value)) < low:
+                raise InvalidInputError(f"{name} must be at least {low}, got {value!r}")
         if self.kappa is not None and not (0.0 < self.kappa < math.inf):
             raise InvalidInputError(f"kappa must be positive and finite, got {self.kappa}")
-        if self.stride < 1:
-            raise InvalidInputError(f"stride must be at least 1, got {self.stride}")
         # synthetic protocols draw the points; great-circle takes its train points from stride
         counts = {"hemisphere-split": ("train", "test"), "great-circle": ("test",)}
         for name in counts.get(self.protocol, ()):

@@ -27,7 +27,7 @@ from .errors import InvalidInputError
 from .gp import sample_prior_batch
 from .kernels import (HODGE_CURL, HODGE_DIV, HODGE_FULL, PROJECTED, MaternParams,
                       projected_matern, stable_phi_ratios)
-from .spectrum import sphere_spectrum
+from .spectrum import _local_basis, sphere_spectrum
 
 _POLE_BAND = math.sin(math.radians(80.0))  # |x3| above this is too close to a pole
 
@@ -88,14 +88,6 @@ def var_div_projected_sphere(params, lmax):
     return 0.5 * params.variance * (_level_ratio(params, lmax, include_constant=True) + 4.0)
 
 
-def _local_basis(theta, phi_angle):
-    st, ct = math.sin(theta), math.cos(theta)
-    sp, cp = math.sin(phi_angle), math.cos(phi_angle)
-    e_theta = np.array([ct * cp, ct * sp, -st])
-    e_phi = np.array([-sp, cp, 0.0])
-    return e_theta, e_phi
-
-
 def divergence_stencil(x, h):
     """Central-difference stencil for the intrinsic divergence at x.
 
@@ -119,10 +111,8 @@ def divergence_stencil(x, h):
 
     pts = np.stack([at(theta + h, phi_angle), at(theta - h, phi_angle),
                     at(theta, phi_angle + h), at(theta, phi_angle - h)])
-    e_tp, _ = _local_basis(theta + h, phi_angle)
-    e_tm, _ = _local_basis(theta - h, phi_angle)
-    _, e_pp = _local_basis(theta, phi_angle + h)
-    _, e_pm = _local_basis(theta, phi_angle - h)
+    e_theta, e_phi = _local_basis(pts)
+    e_tp, e_tm, e_pp, e_pm = e_theta[0], e_theta[1], e_phi[2], e_phi[3]
     st, stp, stm = math.sin(theta), math.sin(theta + h), math.sin(theta - h)
 
     def combine(values):

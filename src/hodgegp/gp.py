@@ -5,8 +5,9 @@ orthonormal tangent frames, full-rank 2x2 blocks on the sphere (d x d
 global-frame blocks on tori); this module evaluates no kernel itself.
 Conditioning is exact via Cholesky with a documented jitter-escalation
 fallback. Sampling has one basis per manifold, the kernel's own: the
-truncated eigenfield expansion on the sphere, the kernel's half lattice on
-tori. Posterior draws are prior draws moved by Matheron's rule through the
+sphere's truncated eigenfield expansion, one matrix product with the grad
+Y_lm table (Y_lm when projected), and the torus kernel's half lattice.
+Posterior draws are prior draws moved by Matheron's rule through the
 conditioned model's Cholesky factor, with no factorization of their own.
 """
 
@@ -422,6 +423,7 @@ class PriorSample:
         self.spectrum = spectrum
         self._coeffs = _prior_coeffs(spec, rng, 1)
 
+    @single_threaded_numpy_blas
     def at(self, points):
         """Field values at an (m, k)-coordinate array (ambient on the sphere)."""
         return _prior_values(self.spec, self._coeffs, points)[0]
@@ -478,13 +480,12 @@ def _prior_values(spec, coeffs, points):
         n, _ = lattice_draw_factors(spec)
         return np.einsum("mf,dfa->dma", lattice_features(pts, n), coeffs)
     spectrum = sphere_spectrum(spec.lmax)
-    if spec.kind == PROJECTED:
-        g = np.einsum("dfj,fm->dmj", coeffs, spectrum.scalar_values(pts))
-        a = spec.coreg if spec.coreg is not None else np.eye(3)
-        g = g @ a.T
-        g -= np.sum(pts * g, axis=2, keepdims=True) * pts
-        return g / math.sqrt(2.0)
-    return np.einsum("df,fma->dma", coeffs, spectrum.eigenfield_values(pts))
+    if spec.kind != PROJECTED:
+        return spectrum.field_values(coeffs, pts)
+    a = spec.coreg if spec.coreg is not None else np.eye(3)
+    g = (a @ (coeffs.transpose(0, 2, 1) @ spectrum.scalar_values(pts))).transpose(0, 2, 1)
+    g -= np.sum(pts * g, axis=2, keepdims=True) * pts
+    return g / math.sqrt(2.0)
 
 
 def sample_prior(spec, spectrum, rng) -> PriorSample:
@@ -492,6 +493,7 @@ def sample_prior(spec, spectrum, rng) -> PriorSample:
     return PriorSample(spec, spectrum, rng)
 
 
+@single_threaded_numpy_blas
 def sample_prior_batch(spec, spectrum, points, n_draws, rng):
     """(n_draws, m, D) values of independent prior draws at fixed points.
 
@@ -516,9 +518,9 @@ def sample_posterior(model, points, rng, n_draws=1):
     a prior draw as ``sample_prior`` makes it, at the stacked points [Q; X];
     e ~ N(0, (s^2 + j) I) for the jitter j of ``condition``, whose Cholesky
     factor does the solve, so the draws have the covariance ``predict`` reports.
-    On the sphere the 2 lmax (lmax + 2) eigenfields at the m + n points cost
-    the same for any n_draws (lmax 30: ~45 ms at m + n = 33, ~100 ms at 503),
-    which dominates at small m.
+    On the sphere the harmonic table at the m + n points, lmax (lmax + 2) grad
+    Y_lm, costs the same for any n_draws (lmax 30: ~16 ms at m + n = 33, ~55 ms
+    at 503), which dominates at small m.
     """
     n_draws = _draw_count(n_draws)
     spec = model.spec

@@ -210,6 +210,8 @@ def sphere_norm_constant(which, nu, kappa, lmax):
     which: 'scalar' sums (2l+1) Phi over l >= 0; 'div' or 'curl' over l >= 1;
     'full' doubles the div sum. All divided by the volume 4 pi.
     """
+    if which in (DIV, CURL, "full") and lmax < 1:
+        raise InvalidInputError(f"empty eigenfield class {which!r} on the sphere at lmax {lmax}")
     w = _sphere_phi_levels(nu, kappa, lmax)
     mult = 2.0 * np.arange(lmax + 1) + 1.0
     if which == "scalar":
@@ -294,6 +296,8 @@ def _level_weights(nu, kappa, lmax, first):
     With g_l = d log Phi(lambda_l) / d log kappa, dc_l / d log kappa = c_l (g_l - <g>),
     where <g> = sum_l c_l g_l: the normalizer centres g.
     """
+    if lmax < first:   # a Hodge kernel at lmax 0: Y_00 has no gradient
+        raise InvalidInputError(f"empty eigenfield class on the sphere at lmax {lmax}")
     l = np.arange(first, lmax + 1, dtype=np.float64)
     lam = l * (l + 1.0)
     c = (2.0 * l + 1.0) * stable_phi_ratios(nu, kappa, lam, 2)

@@ -77,11 +77,12 @@ def legendre(l, t):
 
 
 # ---------------------------------------------------------------------------
-# Sphere: real spherical harmonics and their tangential gradients
+# Sphere: real spherical harmonics and their tangential gradients, as tables
 # ---------------------------------------------------------------------------
 
 def _sphere_angles(X):
     """cos/sin of colatitude and unit azimuth direction for (n, 3) points."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     ct = X[:, 2]
     st = np.hypot(X[:, 0], X[:, 1])
     safe = np.where(st > 0.0, st, 1.0)
@@ -90,67 +91,51 @@ def _sphere_angles(X):
     return ct, st, cp, sp
 
 
-def _azimuth_tables(cp, sp, mmax):
-    """cos(m*phi), sin(m*phi) for m = 0..mmax by angle-addition recurrence."""
-    n = cp.shape[0]
-    cosm = np.empty((mmax + 1, n))
-    sinm = np.empty((mmax + 1, n))
-    cosm[0] = 1.0
-    sinm[0] = 0.0
-    for m in range(1, mmax + 1):
-        cosm[m] = cosm[m - 1] * cp - sinm[m - 1] * sp
-        sinm[m] = sinm[m - 1] * cp + cosm[m - 1] * sp
-    return cosm, sinm
+def _local_basis(X):
+    """(e_theta, e_phi), each (n, 3): the southward and eastward unit vectors at points X."""
+    ct, st, cp, sp = _sphere_angles(X)
+    return np.stack([ct * cp, ct * sp, -st], axis=1), np.stack([-sp, cp, np.zeros_like(sp)], axis=1)
 
 
-class _SphereTables:
-    """Shared per-point-batch tables for harmonics and their gradients."""
+def _harmonic_orders(lmax, first):
+    """(l, m) of every harmonic with first <= l <= lmax, in ``SphereSpectrum.scalar`` order."""
+    k = np.arange(first * first, (lmax + 1) ** 2)   # the row l^2 + l + m counted from level 0
+    l = np.sqrt(k).astype(np.int64)
+    return l, k - l * (l + 1)
 
-    def __init__(self, X, lmax):
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        ct, st, cp, sp = _sphere_angles(X)
-        self.a, self.b, self.d = alp_tables(ct, st, lmax)
-        self.cosm, self.sinm = _azimuth_tables(cp, sp, lmax)
-        # local unit vectors: e_theta southward, e_phi eastward
-        self.e_theta = np.stack([ct * cp, ct * sp, -st], axis=1)
-        self.e_phi = np.stack([-sp, cp, np.zeros_like(sp)], axis=1)
 
-    def harmonic(self, l, m):
-        mu = abs(m)
-        if m == 0:
-            return self.a[l, 0].copy()
-        trig = self.cosm[mu] if m > 0 else self.sinm[mu]
-        return _SQRT2 * self.a[l, mu] * trig
+def _harmonic_factors(X, lmax):
+    """(a, b, d, trig): the factors of every real harmonic Y_lm and its gradient at points X.
 
-    def gradient_coeffs(self, l, m):
-        """Coefficients (g_theta, g_phi) of grad Y_lm in the local basis."""
-        mu = abs(m)
-        if m == 0:
-            return self.b[l, 0].copy(), np.zeros_like(self.b[l, 0])
-        if m > 0:
-            gt = _SQRT2 * self.b[l, mu] * self.cosm[mu]
-            gp = -_SQRT2 * mu * self.d[l, mu] * self.sinm[mu]
-        else:
-            gt = _SQRT2 * self.b[l, mu] * self.sinm[mu]
-            gp = _SQRT2 * mu * self.d[l, mu] * self.cosm[mu]
-        return gt, gp
+    (a, b, d) are the ``alp_tables``; row m + lmax of trig, (2 lmax + 1, n),
+    holds sqrt(2) cos(m phi) for m > 0, 1 for m = 0 and sqrt(2) sin(|m| phi)
+    for m < 0, so that Y_lm = a[l, |m|] trig[m + lmax].
+    """
+    ct, st, cp, sp = _sphere_angles(X)
+    mphi = np.arange(1, lmax + 1)[:, None] * np.arctan2(sp, cp)
+    trig = np.concatenate([_SQRT2 * np.sin(mphi[::-1]), np.ones((1, len(ct))),
+                           _SQRT2 * np.cos(mphi)])
+    return alp_tables(ct, st, lmax) + (trig,)
 
-    def gradient(self, l, m):
-        gt, gp = self.gradient_coeffs(l, m)
-        return gt[:, None] * self.e_theta + gp[:, None] * self.e_phi
 
-    def rotated_gradient(self, l, m):
-        # x cross e_theta = e_phi and x cross e_phi = -e_theta
-        gt, gp = self.gradient_coeffs(l, m)
-        return gt[:, None] * self.e_phi - gp[:, None] * self.e_theta
+def _gradient_table(factors):
+    """(lmax (lmax + 2), 2, n) components of grad Y_lm on (e_theta, e_phi), l >= 1 in scalar order.
+
+    The theta component is b[l, |m|] trig[m]; the phi component
+    (1 / sin theta) dY_lm / dphi is -m d[l, |m|] trig[-m].
+    """
+    _, b, d, trig = factors
+    lmax = len(b) - 1
+    l, m = _harmonic_orders(lmax, 1)
+    return np.stack([b[l, np.abs(m)] * trig[m + lmax],
+                     -m[:, None] * d[l, np.abs(m)] * trig[lmax - m]], axis=1)
 
 
 def spherical_harmonic(l, m, x):
     """Real orthonormal spherical harmonic Y_lm at unit point(s) x."""
     if abs(m) > l:
         raise InvalidInputError(f"|m| = {abs(m)} exceeds level {l}")
-    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    vals = _SphereTables(X, l).harmonic(l, m)
+    vals = SphereSpectrum(l).scalar_values(x)[l * (l + 1) + m]
     return float(vals[0]) if np.asarray(x).ndim == 1 else vals
 
 
@@ -168,9 +153,9 @@ def sphere_eigenfield(hodge_class, l, m, x):
     if abs(m) > l:
         raise InvalidInputError(f"|m| = {abs(m)} exceeds level {l}")
     p = x if isinstance(x, ManifoldPoint) else sphere_point(x)
-    tab = _SphereTables(p.coords[None, :], l)
-    g = tab.gradient(l, m) if hodge_class == DIV else tab.rotated_gradient(l, m)
-    return TangentVector(p, g[0] / math.sqrt(sphere_eigenvalue(l)))
+    # entries of level l follow the 2 (2k + 1) of each level k < l: div, then curl
+    i = 2 * (l * l - 1) + (0 if hodge_class == DIV else 2 * l + 1) + l + m
+    return TangentVector(p, SphereSpectrum(l).eigenfield_values(p.coords)[i, 0])
 
 
 class SphereSpectrum:
@@ -190,6 +175,8 @@ class SphereSpectrum:
                         for l in range(1, lmax + 1)
                         for cls in (DIV, CURL)
                         for m in range(-l, l + 1)]
+        # the div entries, then the curl entries, each in gradient-table order
+        self._div = np.array([e.hodge_class == DIV for e in self.entries], dtype=bool)
 
     def eigenvalues(self):
         return np.array([e.eigenvalue for e in self.entries])
@@ -199,21 +186,38 @@ class SphereSpectrum:
 
     def scalar_values(self, X):
         """(n_scalar, npts) matrix of Y_lm values at (npts, 3) unit points."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        tab = _SphereTables(X, self.lmax)
-        return np.stack([tab.harmonic(l, m) for (l, m) in
-                         ((s.label[0], s.label[1]) for s in self.scalar)])
+        a, _, _, trig = _harmonic_factors(X, self.lmax)
+        l, m = _harmonic_orders(self.lmax, 0)
+        return a[l, np.abs(m)] * trig[m + self.lmax]
 
     def eigenfield_values(self, X):
         """(n_entries, npts, 3) ambient values of every eigenfield at X."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        tab = _SphereTables(X, self.lmax)
-        out = np.empty((len(self.entries), X.shape[0], 3))
-        for i, e in enumerate(self.entries):
-            l, m = e.label
-            g = tab.gradient(l, m) if e.hodge_class == DIV else tab.rotated_gradient(l, m)
-            out[i] = g / math.sqrt(e.eigenvalue)
+        grad = _gradient_table(_harmonic_factors(X, self.lmax))
+        grad /= np.sqrt(self.eigenvalues()[self._div])[:, None, None]
+        gt, gp = grad[:, 0, :, None], grad[:, 1, :, None]
+        e_theta, e_phi = _local_basis(X)
+        out = np.empty((len(self.entries),) + e_theta.shape)
+        # the curl class is x cross grad: x cross e_theta = e_phi, x cross e_phi = -e_theta
+        out[self._div] = gt * e_theta + gp * e_phi
+        out[~self._div] = gt * e_phi - gp * e_theta
         return out
+
+    def field_values(self, coeffs, X):
+        """(k, npts, 3) ambient values at X of the fields sum_n c_n s_n, one per row of
+        the (k, n_entries) coeffs, without forming the eigenfields.
+
+        The div and the curl coefficients over sqrt(lambda) meet the gradient
+        table in one matrix product; the curl sums are then rotated, as the
+        curl class is x cross grad Y_lm.
+        """
+        c = coeffs / np.sqrt(self.eigenvalues())
+        grad = _gradient_table(_harmonic_factors(X, self.lmax))
+        rows = np.concatenate([c[:, self._div], c[:, ~self._div]])
+        n = grad.shape[2]
+        div, curl = (rows @ grad.reshape(len(grad), 2 * n)).reshape(2, len(c), 2, n)
+        e_theta, e_phi = _local_basis(X)
+        return ((div[:, 0] - curl[:, 1])[..., None] * e_theta
+                + (div[:, 1] + curl[:, 0])[..., None] * e_phi)
 
 
 # ---------------------------------------------------------------------------

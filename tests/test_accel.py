@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
-from hodgegp import _accel, gp
+from hodgegp import _accel, gp, spectrum
 from hodgegp._accel import (_contract_levels, alp_tables, blas_pools, legendre_derivative_maps,
                             legendre_sums, legendre_table, numpy_blas_scope,
                             single_threaded_numpy_blas, using_numba)
@@ -217,6 +217,25 @@ class TestBlasPools:
         monkeypatch.setattr(gp, "solve_triangular", recording)
         gp.predict(model, model.dataset.coords()[:2])
         assert inside == [{"numpy": 1, "scipy": 2}]
+        assert thread_counts() == {"numpy": 2, "scipy": 2}
+
+    def test_sphere_draws_hold_numpy_at_one_thread(self, model, monkeypatch, two_threads_each):
+        # a sphere draw is a GEMM on numpy's pool; at two threads it slowed the
+        # scipy calls that followed it
+        inside = []
+        values = spectrum.SphereSpectrum.field_values
+
+        def recording(*args, **kwargs):
+            inside.append(thread_counts())
+            return values(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum.SphereSpectrum, "field_values", recording)
+        pts = model.dataset.coords()[:2]
+        sphere = spectrum.sphere_spectrum(model.spec.lmax)
+        gp.sample_prior(model.spec, sphere, np.random.default_rng(0)).at(pts)
+        gp.sample_prior_batch(model.spec, sphere, pts, 2, np.random.default_rng(0))
+        gp.sample_posterior(model, pts, np.random.default_rng(0))
+        assert inside == [{"numpy": 1, "scipy": 2}] * 3
         assert thread_counts() == {"numpy": 2, "scipy": 2}
 
     def test_counts_restored_after_an_exception(self, model, two_threads_each):

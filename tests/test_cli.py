@@ -306,13 +306,28 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("option", [
         ["--restarts", "0"], ["--kappa", "0"], ["--kappa", "-1"], ["--lmax", "-1"],
         ["--train", "0"], ["--test", "0"], ["--protocol", "great-circle", "--test", "0"],
-        ["--protocol", "great-circle", "--stride", "0"]], ids=" ".join)
+        ["--protocol", "great-circle", "--stride", "0"], ["--seeds=-1"], ["--seeds=0,-1"],
+        ["--grid=-1x72"], ["--grid=37x0"]], ids=" ".join)
     def test_usage_error_bad_numeric_setting(self, tmp_path, capsys, option):
         out = tmp_path / "bad"
         code = main(["run", "--out", str(out), "--kernel", "noise", "--grid", "3x4"] + option)
         assert code == 1
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_level_zero_hodge_cell_is_a_nan_row(self, tmp_path, capsys):
+        # the sphere's Hodge classes are empty at lmax 0; the projected and
+        # noise kinds still fit there
+        out = tmp_path / "l0"
+        code = main(["run", "--out", str(out), "--kernel", "div-free,noise", "--lmax", "0",
+                     "--train", "8", "--test", "5", "--grid", "3x4", "--restarts", "1"])
+        assert code == 0
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        by_kernel = {r.split(",")[0]: r.split(",") for r in rows}
+        assert by_kernel["div-free"][3] == "nan"
+        assert np.isfinite(float(by_kernel["noise"][3]))
+        assert "failed kernel=div-free nu=0.5 seed=0: empty eigenfield class" in (
+            capsys.readouterr().err)
 
     def test_module_entry_point_runs_once(self):
         # the package must not import hodgegp.cli itself, or runpy warns that

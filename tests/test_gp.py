@@ -726,6 +726,111 @@ class TestPathwisePosterior:
         assert (np.abs(mc - exact) / se).max() < 5.0
 
 
+SPHERE_DRAW_SPECS = {name: POSTERIOR_SPECS["sphere-" + name]
+                     for name in ("full", "div", "curl", "compositional", "projected")}
+# both poles, where the azimuth is undefined, points a hair off them, and random points
+SPHERE_DRAW_POINTS = np.vstack([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
+                                [1e-9, 0.0, math.sqrt(1.0 - 1e-18)], [0.0, -1e-9, -1.0],
+                                sample_sphere(6, np.random.default_rng(54))])
+
+
+def explicit_sphere_expansion(spec, z, pts):
+    """(n_draws, m, 3) prior draws with standard normal z, written out term by term.
+
+    Hodge kinds: sum_n sqrt(w_n) z_n s_n(x) over the eigenfields, with the
+    kernel's weights w = class_weights. Projected: A times three stacked
+    scalar fields sum_lm sqrt(sigma^2 4 pi Phi_l / sum Phi) z_lm Y_lm,
+    projected onto the tangent plane and scaled by 1 / sqrt(2).
+    """
+    sphere = sphere_spectrum(spec.lmax)
+    if spec.kind != PROJECTED:
+        return np.einsum("df,fma->dma", np.sqrt(class_weights(spec, sphere)) * z,
+                         sphere.eigenfield_values(pts))
+    w = kernels.phi(spec.params.nu, spec.params.kappa, sphere.scalar_eigenvalues(), 2)
+    w = spec.params.variance * 4.0 * np.pi * w / w.sum()
+    g = np.einsum("dfj,fm->dmj", np.sqrt(w)[:, None] * z, sphere.scalar_values(pts))
+    g = g @ spec.coreg.T
+    g -= np.einsum("dma,ma->dm", g, pts)[..., None] * pts
+    return g / math.sqrt(2.0)
+
+
+class TestSphereDrawExpansion:
+    @pytest.mark.parametrize("name", list(SPHERE_DRAW_SPECS))
+    def test_draws_equal_the_explicit_expansion(self, name):
+        # z from an rng seeded as the draw's, drawn in the draw's order and
+        # shape; bound 1e-12 of the field's largest component
+        spec = SPHERE_DRAW_SPECS[name]
+        sphere = sphere_spectrum(spec.lmax)
+        shape = ((3, len(sphere.scalar), 3) if spec.kind == PROJECTED
+                 else (3, len(sphere.entries)))
+        z = np.random.default_rng(55).standard_normal(shape)
+        expected = explicit_sphere_expansion(spec, z, SPHERE_DRAW_POINTS)
+        empty = condition(spec, Dataset([], []))
+        draws = {
+            "sample_prior_batch": sample_prior_batch(spec, sphere, SPHERE_DRAW_POINTS, 3,
+                                                     np.random.default_rng(55)),
+            "sample_prior": sample_prior(spec, sphere, np.random.default_rng(55)).at(
+                SPHERE_DRAW_POINTS)[None],
+            "sample_posterior": sample_posterior(empty, SPHERE_DRAW_POINTS,
+                                                 np.random.default_rng(55), n_draws=3),
+        }
+        scale = np.abs(expected).max()
+        assert scale > 0.0
+        for route, d in draws.items():
+            assert np.abs(d - expected[:len(d)]).max() <= 1e-12 * scale, route
+
+    @pytest.mark.parametrize("name", list(SPHERE_DRAW_SPECS))
+    def test_draws_form_no_eigenfield_array(self, name, monkeypatch):
+        # a Hodge draw forms no Y_lm table and a projected draw no gradient table
+        spec = SPHERE_DRAW_SPECS[name]
+        model, Q = posterior_problem(spec, np.random.default_rng(56))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the draw formed a table it does not need")
+
+        monkeypatch.setattr(spectrum.SphereSpectrum, "eigenfield_values", refuse)
+        if spec.kind == PROJECTED:
+            monkeypatch.setattr(spectrum, "_gradient_table", refuse)
+        else:
+            monkeypatch.setattr(spectrum.SphereSpectrum, "scalar_values", refuse)
+        rng = np.random.default_rng(57)
+        assert np.isfinite(sample_posterior(model, Q, rng, n_draws=2)).all()
+        assert np.isfinite(sample_prior(spec, sphere_spectrum(spec.lmax), rng).at(Q)).all()
+        assert np.isfinite(sample_prior_batch(spec, sphere_spectrum(spec.lmax), Q, 2, rng)).all()
+
+
+class TestSphereLevelZero:
+    """At lmax 0 the sphere's Hodge classes are empty: Y_00 is constant and
+    has no gradient. The Hodge kernels were all zero there, and fit returned
+    an arbitrary kappa."""
+
+    @pytest.mark.parametrize("kind", [HODGE_FULL, HODGE_DIV, HODGE_CURL, HODGE_COMPOSITIONAL])
+    def test_hodge_kinds_raise(self, kind):
+        spec = (compositional_spec(1.5, (0.4, 0.8), (0.7, 1.2), noise=0.2, lmax=0)
+                if kind == HODGE_COMPOSITIONAL else KernelSpec(kind, POSTERIOR_PARAMS, lmax=0))
+        ds = make_dataset(5, np.random.default_rng(58))
+        X = ds.coords()
+        calls = [lambda: kernel_matrix(spec, X), lambda: gp.gram(spec, X),
+                 lambda: kernels.diagonal_frame_blocks(spec, X, frames_at(X)),
+                 lambda: condition(spec, ds), lambda: log_marginal_likelihood(spec, ds),
+                 lambda: fit(ds, kind, FitConfig(restarts=1), lmax=0),
+                 lambda: kernels.normalization(spec),
+                 lambda: kernels.normalization(spec, sphere_spectrum(0)),
+                 lambda: sample_prior(spec, sphere_spectrum(0), np.random.default_rng(0))]
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="empty eigenfield class"):
+                call()
+
+    @pytest.mark.parametrize("kind", [PROJECTED, NOISE])
+    def test_projected_and_noise_kinds_work(self, kind):
+        ds = make_dataset(6, np.random.default_rng(59), noise=1e-2)
+        spec = fit(ds, kind, FitConfig(restarts=1), lmax=0)
+        model = condition(spec, ds)
+        X = ds.coords()
+        assert np.isfinite(predict(model, X).mean).all()
+        assert np.isfinite(sample_posterior(model, X, np.random.default_rng(60), n_draws=2)).all()
+
+
 class TestTorusQueryValidation:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_coordinate_arrays_must_be_finite(self, bad):

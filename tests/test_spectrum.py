@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hodgegp._accel import alp_tables
 from hodgegp.diagnostics import numeric_divergence
 from hodgegp.errors import InvalidInputError
 from hodgegp.manifold import frames_at, sample_sphere, sphere_point
@@ -89,7 +90,46 @@ class TestSphericalHarmonics:
             spherical_harmonic(2, 3, np.array([0.0, 0, 1]))
 
 
+def per_entry_sphere_reference(X, lmax):
+    """(Y, eigenfields) at X built one (l, m) at a time from the associated-Legendre
+    tables and explicit cos/sin(m phi); the curl class by np.cross with x."""
+    ct, st = X[:, 2], np.hypot(X[:, 0], X[:, 1])
+    phi = np.where(st > 0.0, np.arctan2(X[:, 1], X[:, 0]), 0.0)
+    e_theta = np.stack([ct * np.cos(phi), ct * np.sin(phi), -st], axis=1)
+    e_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=1)
+    a, b, d = alp_tables(ct, st, lmax)
+    ys, fields = [], []
+    for l in range(lmax + 1):
+        level = []
+        for m in range(-l, l + 1):
+            mu = abs(m)
+            trig = (np.ones_like(phi) if m == 0 else np.sqrt(2) * np.cos(m * phi) if m > 0
+                    else np.sqrt(2) * np.sin(mu * phi))
+            dtrig = (np.zeros_like(phi) if m == 0 else -np.sqrt(2) * m * np.sin(m * phi)
+                     if m > 0 else np.sqrt(2) * mu * np.cos(mu * phi))
+            ys.append(a[l, mu] * trig)
+            level.append(b[l, mu, :, None] * trig[:, None] * e_theta
+                         + (d[l, mu] * dtrig)[:, None] * e_phi)
+        if l > 0:
+            level = [g / np.sqrt(l * (l + 1.0)) for g in level]
+            fields += level + [np.cross(X, g) for g in level]
+    return np.array(ys), np.array(fields)
+
+
 class TestSphereEigenfields:
+    def test_tables_match_the_per_entry_construction(self):
+        # the whole-table builders against the one-(l, m)-at-a-time route
+        # they replaced, at both poles and at random points; bound 1e-13
+        X = np.vstack([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
+                       sample_sphere(7, np.random.default_rng(4))])
+        spec = sphere_spectrum(9)
+        ys, fields = per_entry_sphere_reference(X, 9)
+        np.testing.assert_allclose(spec.scalar_values(X), ys, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(spec.eigenfield_values(X), fields, rtol=0, atol=1e-13)
+        c = np.random.default_rng(5).standard_normal((3, len(spec.entries)))
+        np.testing.assert_allclose(spec.field_values(c, X),
+                                   np.einsum("df,fma->dma", c, fields), rtol=0, atol=1e-12)
+
     def test_tangency(self):
         rng = np.random.default_rng(1)
         for x in sample_sphere(5, rng):
