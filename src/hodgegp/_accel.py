@@ -130,21 +130,21 @@ def alp_tables(cos_theta, sin_theta, lmax):
             d[1, 1] = c * a[0, 0]
         else:
             d[m, m] = c * st * d[m - 1, m - 1]
-    for m in range(0, lmax):
-        c = np.sqrt(2.0 * m + 3.0)
-        a[m + 1, m] = c * ct * a[m, m]
-        b[m + 1, m] = c * (ct * b[m, m] - st * a[m, m])
-        if m >= 1:
-            d[m + 1, m] = c * ct * d[m, m]
-    for m in range(0, lmax + 1):
-        for l in range(m + 2, lmax + 1):
-            fa = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            fb = -np.sqrt(((2.0 * l + 1.0) * ((l - 1.0) ** 2 - m * m))
-                          / ((2.0 * l - 3.0) * (l * l - m * m)))
-            a[l, m] = fa * ct * a[l - 1, m] + fb * a[l - 2, m]
-            b[l, m] = fa * (ct * b[l - 1, m] - st * a[l - 1, m]) + fb * b[l - 2, m]
-            if m >= 1:
-                d[l, m] = fa * ct * d[l - 1, m] + fb * d[l - 2, m]
+    # the subdiagonal l = m + 1, then the l recurrence, each for every m at once
+    m = np.arange(lmax)
+    c = np.sqrt(2.0 * m + 3.0)[:, None]
+    a[m + 1, m] = c * ct * a[m, m]
+    b[m + 1, m] = c * (ct * b[m, m] - st * a[m, m])
+    d[m[1:] + 1, m[1:]] = c[1:] * ct * d[m[1:], m[1:]]
+    for l in range(2, lmax + 1):
+        m = np.arange(l - 1)   # every m <= l - 2
+        fa = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None]
+        fb = -np.sqrt(((2.0 * l + 1.0) * ((l - 1.0) ** 2 - m * m))
+                      / ((2.0 * l - 3.0) * (l * l - m * m)))[:, None]
+        k = slice(0, l - 1)
+        a[l, k] = fa * ct * a[l - 1, k] + fb * a[l - 2, k]
+        b[l, k] = fa * (ct * b[l - 1, k] - st * a[l - 1, k]) + fb * b[l - 2, k]
+        d[l, 1:l - 1] = fa[1:] * ct * d[l - 1, 1:l - 1] + fb[1:] * d[l - 2, 1:l - 1]
     return a, b, d
 
 

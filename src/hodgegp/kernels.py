@@ -19,13 +19,15 @@ eigenfields is kept as the slow reference that tests compare against.
 
 On the sphere the derivative sums are Legendre series themselves (exact
 integer maps of the weights), so each evaluation is one pass of the P_l
-recurrence over all of its pair sums, and the pair geometry comes from
-matrix products of the stacked frames.
+recurrence over all of its pair sums, run over cache-sized row blocks whose
+pair geometry and 2x2 blocks are contiguous planes; a symmetric (X, X) Gram
+is evaluated on and below its diagonal only.
 """
 
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -361,96 +363,95 @@ def _sphere_sum_weights(spec):
                            for kind, p in _sphere_parts(spec)])
 
 
-def _rotate_frame_blocks(blocks):
-    """Conjugate 2x2 blocks by the in-plane 90-degree rotation J.
-
-    Turns divergence-class blocks into curl-class blocks (the curl kernel is
-    the div kernel conjugated by the Hodge star at both arguments).
-    """
-    out = np.empty_like(blocks)
-    out[..., 0, 0] = blocks[..., 1, 1]
-    out[..., 0, 1] = -blocks[..., 1, 0]
-    out[..., 1, 0] = -blocks[..., 0, 1]
-    out[..., 1, 1] = blocks[..., 0, 0]
-    return out
-
-
 _SPHERE_KINDS = (HODGE_FULL, HODGE_DIV, HODGE_CURL, HODGE_COMPOSITIONAL, PROJECTED)
-_BLOCK_PAIRS = 1 << 16   # point pairs per block that frame_blocks assembles at once
+_BLOCK_PAIRS = 1 << 13   # point pairs per block that frame_blocks assembles at once
+# the signs of J B J^T = [[B11, -B10], [-B01, B00]], J the in-plane 90-degree rotation
+_STAR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None]
 
 
-def _sphere_pair_geometry(spec, X, BX, Y, BY, diagonal=False):
-    """The hyperparameter-free pair factors of the sphere frame blocks of spec's kind.
-
-    (B_x A A^T B_y^T,) for the projected kind; for the Hodge kinds
-    (u v^T, B_x B_y^T) with u = B_x^T P_x y and v = B_y^T P_y x (P drops in
-    the frame). Each is (n, m, 2, 2), from matrix products of the stacked
-    (2n, 3) and (2m, 3) frames; with ``diagonal`` only the pairs (x_i, y_i),
-    each (n, 2, 2).
-    """
+def _frame_stacks(spec, X, BX, Y, BY):
+    """(n, 3, 3) and (m, 3, 3) stacks of each point's rows (x, b_1, b_2): the point
+    and its frame vectors. The projected kind's x-side frame vectors are B_x A A^T."""
     if spec.kind == PROJECTED:
         a = spec.coreg if spec.coreg is not None else np.eye(3)
         BX = BX @ (a @ a.T)
-    if diagonal:
-        bb = np.einsum("nka,nla->nkl", BX, BY)
-        if spec.kind == PROJECTED:
-            return (bb,)
-        u = np.einsum("nka,na->nk", BX, Y)
-        v = np.einsum("nka,na->nk", BY, X)
-        return u[:, :, None] * v[:, None, :], bb
-    n, m = BX.shape[0], BY.shape[0]
-    bx, by = BX.reshape(2 * n, 3), BY.reshape(2 * m, 3)
-    bb = (bx @ by.T).reshape(n, 2, m, 2).transpose(0, 2, 1, 3)
-    if spec.kind == PROJECTED:
-        return (bb,)
-    u = (bx @ Y.T).reshape(n, 2, m).transpose(0, 2, 1)
-    v = (X @ by.T).reshape(n, m, 2)
-    # uv and bb sit in memory as (n, 2, m, 2), the Gram matrix layout, so the
-    # blocks assembled from them reshape to the Gram without a copy
-    return u[..., :, None] * v[..., None, :], bb
+    return np.concatenate([X[:, None], BX], axis=1), np.concatenate([Y[:, None], BY], axis=1)
 
 
-def _assemble_sphere_blocks(parts, geom, sums):
-    """(..., 2, 2) sphere frame blocks of the summed parts from the pair geometry and pair sums.
+def _pair_planes(sx, sy, rows, cols):
+    """(3, 3, r, c) planes [p, q] of row p of x's stack dotted with row q of y's at
+    a block's pairs: t = x . y, u_k = b_k . y, v_l = x . b'_l and b_k . b'_l.
+
+    One product of one shape per row of the block: BLAS sums in an order that
+    varies with the shape, and a pair's bits must not depend on the block.
+    """
+    c = cols.stop - cols.start
+    products = np.matmul(sx[rows], sy[cols].transpose(2, 1, 0).reshape(3, 3 * c))
+    return np.ascontiguousarray(products.reshape(len(products), 3, 3, c).transpose(1, 2, 0, 3))
+
+
+def _frame_components(parts, planes, sums):
+    """(..., 2, 2, r, c) component planes B_kl of the summed parts' frame blocks.
 
     ``parts`` is a list of (kind, params) as ``_sphere_parts`` gives, and
-    ``sums`` holds the pair sums of their rows of ``_part_sum_weights`` in
-    order: the scalar kernel for the projected kind, (S1, S2) for the Hodge
-    kinds. The div class is grad_x grad_y^T g of the scalar potential g,
-    the curl class its Hodge-star conjugate, and the projected kernel
-    (1/2) k B_x A A^T B_y^T.
+    ``sums`` (..., k, r, c) holds the pair sums of their rows of
+    ``_part_sum_weights`` in order. The div class is grad_x grad_y^T g of the
+    scalar potential g, S2 u_k v_l + S1 b_k . b'_l; the curl class, its
+    conjugate by the Hodge star J at both arguments, is a signed relabelling
+    of the planes; the projected kernel is (1/2) k B_x A A^T B_y^T.
     """
-    rows = len(sums) // len(parts)
-    out = None
+    out, k = None, sums.shape[-3] // len(parts)
     for i, (kind, p) in enumerate(parts):
-        s = sums[i * rows:(i + 1) * rows]
+        s = sums[..., i * k:(i + 1) * k, :, :]
+        u, v, bb = planes[1:, 0], planes[0, 1:], planes[1:, 1:]
+        if kind == HODGE_CURL:
+            u, v, bb = u[::-1], v[::-1], bb[::-1, ::-1]
         if kind == PROJECTED:
-            b = 0.5 * s[0][..., None, None] * geom[0]
+            b = (0.5 * s[..., 0:1, None, :, :]) * bb
         else:
-            uv, bb = geom
-            b = s[1][..., None, None] * uv
-            b += s[0][..., None, None] * bb
-            b *= p.variance
-            if kind == HODGE_CURL:
-                b = _rotate_frame_blocks(b)
-            elif kind == HODGE_FULL:
-                b = 0.5 * (b + _rotate_frame_blocks(b))
+            b = ((p.variance * s[..., 1:2, :, :]) * u)[..., :, None, :, :] * v
+            b += (p.variance * s[..., 0:1, None, :, :]) * bb
+        if kind == HODGE_CURL:
+            b *= _STAR_SIGNS
+        elif kind == HODGE_FULL:
+            b += _STAR_SIGNS * b[..., ::-1, ::-1, :, :]
+            b *= 0.5
         out = b if out is None else out + b
     return out
 
 
-def _gram_layout_blocks(parts, geom, sums):
-    """(n, m, 2, 2) sphere frame blocks of the summed parts from the (n, m) pair
-    geometry and pair sums, assembled a few rows at a time (small temporaries)
-    into the Gram layout (n, 2, m, 2), which gp reshapes to the Gram without a copy."""
-    n, m = sums.shape[1:]
-    out = np.empty((n, 2, m, 2))
+def _row_blocks(n, m, symmetric):
+    """(rows, cols) slices of the row blocks, ~``_BLOCK_PAIRS`` pairs each, of an
+    (n, m) Gram; a symmetric Gram's blocks stop at its diagonal."""
     step = max(1, _BLOCK_PAIRS // max(1, m))
     for start in range(0, n, step):
-        rows = slice(start, start + step)
-        blocks = _assemble_sphere_blocks(parts, [g[rows] for g in geom], sums[:, rows])
-        out[rows] = blocks.transpose(0, 2, 1, 3)
-    return out.transpose(0, 2, 1, 3)
+        rows = slice(start, min(start + step, n))
+        yield rows, slice(0, rows.stop if symmetric else m)
+
+
+@lru_cache(maxsize=None)
+def _strict_upper(size):
+    """Read-only mask of the entries above the diagonal of a (size, size) square."""
+    mask = ~np.tri(size, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _write_block(out, rows, cols, components, symmetric):
+    """Write one row block's (..., 2, 2, r, c) component planes into ``out``, the Gram
+    layout (..., n, 2, m, 2); mirror a symmetric Gram's block, which stops at the
+    diagonal, to the upper triangle, so the Gram is symmetric bit for bit."""
+    block = out[..., rows, :, cols, :]
+    for k in range(2):
+        for l in range(2):   # one copy per component: numpy loops innermost over dest's last axis
+            block[..., k, :, l] = components[..., k, l, :, :]
+    if symmetric:
+        gram = out.reshape(out.shape[:-4] + (2 * out.shape[-4], 2 * out.shape[-2]))
+        a, b = 2 * rows.start, 2 * rows.stop
+        gram[..., :a, a:b] = np.swapaxes(gram[..., a:b, :a], -1, -2)
+        square = gram[..., a:b, a:b]
+        # the source overlaps the destination, which numpy copies through a buffer
+        np.copyto(square, np.swapaxes(square, -1, -2), where=_strict_upper(b - a))
 
 
 def frame_blocks(spec, X, BX, Y, BY):
@@ -459,7 +460,10 @@ def frame_blocks(spec, X, BX, Y, BY):
     On the sphere BX and BY are (n, 2, 3) and (m, 2, 3) tangent frames; on
     T^d the blocks are in the global frame and the frames are ignored. This
     is the one-shot evaluator of every vector kernel; ``GramTables`` runs the
-    same contraction and assembly over a kept table of P_l.
+    same contraction and assembly over a kept table of P_l. On the sphere it
+    is one pass over row blocks of ~``_BLOCK_PAIRS`` pairs into the Gram layout
+    (n, 2, m, 2); when Y is X and BY is BX only the blocks on and below the
+    diagonal are evaluated, and mirrored.
     """
     if spec.kind == SCALAR:
         raise InvalidInputError("scalar kernels have no vector kernel matrix")
@@ -467,22 +471,28 @@ def frame_blocks(spec, X, BX, Y, BY):
         return _torus_matrix(spec, X, Y)
     if spec.kind == NOISE:
         return np.zeros((X.shape[0], Y.shape[0], 2, 2))
-    geom = _sphere_pair_geometry(spec, X, BX, Y, BY)
-    return _gram_layout_blocks(_sphere_parts(spec), geom,
-                               legendre_sums(X @ Y.T, _sphere_sum_weights(spec)))
+    symmetric = Y is X and BY is BX
+    sx, sy = _frame_stacks(spec, X, BX, Y, BY)
+    parts, weights = _sphere_parts(spec), _sphere_sum_weights(spec)
+    out = np.empty((X.shape[0], 2, Y.shape[0], 2))
+    for rows, cols in _row_blocks(X.shape[0], Y.shape[0], symmetric):
+        planes = _pair_planes(sx, sy, rows, cols)
+        sums = legendre_sums(planes[0, 0], weights)
+        _write_block(out, rows, cols, _frame_components(parts, planes, sums), symmetric)
+    return out.transpose(0, 2, 1, 3)
 
 
 def diagonal_frame_blocks(spec, X, BX):
     """(m, D, D) blocks B_x k(x, x) B_x^T at each point, in O(m).
 
     The diagonal of ``frame_blocks(spec, X, BX, X, BX)`` without the m x m
-    Gram: on the sphere the same assembly at the pairs (x, x), with the pair
+    Gram: on the sphere the same components at the pairs (x, x), with the pair
     sums at t = 1 (there u = v = 0); elsewhere one block serves every point.
     """
     if spec.manifold == SPHERE and spec.kind in _SPHERE_KINDS:
-        geom = _sphere_pair_geometry(spec, X, BX, X, BX, diagonal=True)
-        sums = legendre_sums(np.ones(1), _sphere_sum_weights(spec))
-        return _assemble_sphere_blocks(_sphere_parts(spec), geom, sums)
+        planes = np.einsum("ipa,iqa->pqi", *_frame_stacks(spec, X, BX, X, BX))[..., None]
+        sums = legendre_sums(np.ones((1, 1)), _sphere_sum_weights(spec))
+        return _frame_components(_sphere_parts(spec), planes, sums)[..., 0].transpose(2, 0, 1)
     # tori are stationary and the noise kernel is zero: evaluate at one point
     origin = np.zeros((1, X.shape[1]))
     return np.repeat(frame_blocks(spec, origin, BX, origin, BX)[0], X.shape[0], axis=0)
@@ -744,19 +754,25 @@ class GramTables:
     ``frame_blocks`` gives at (X, X) for any spec of the kind, manifold and
     truncation it was built for, bit for bit, with the derivatives by the
     log-hyperparameters: only the per-level (sphere) or per-frequency (torus)
-    weights are computed per spec. The sphere keeps the
-    pair geometry and the ``legendre_table`` at the pairs, (lmax + 1) n^2
-    floats, and contracts it as ``legendre_sums`` contracts its chunks: the
-    routes differ only in keeping the table. The torus keeps the half lattice
-    and the features [cos XN^T, sin XN^T].
+    weights are computed per spec. The sphere keeps, per row block of the
+    symmetric Gram, the pair planes and the ``legendre_table`` at the block's
+    pairs, on and below the diagonal: (lmax + 10) floats a pair at about
+    n^2 / 2 pairs. It contracts each table as ``legendre_sums`` contracts its
+    chunks and assembles the blocks through the same code as ``frame_blocks``:
+    the routes differ only in keeping the table. The torus keeps the half
+    lattice and the features [cos XN^T, sin XN^T].
     """
 
     def __init__(self, spec, X, frames=None):
+        self._n = X.shape[0]
         if spec.manifold == SPHERE:
             if spec.kind not in _SPHERE_KINDS:
                 raise InvalidInputError(f"no Gram tables for kernel kind {spec.kind!r}")
-            self._geom = _sphere_pair_geometry(spec, X, frames, X, frames)
-            self._table = legendre_table(X @ X.T, spec.lmax)
+            sx, sy = _frame_stacks(spec, X, frames, X, frames)
+            self._blocks = []
+            for rows, cols in _row_blocks(self._n, self._n, True):
+                planes = _pair_planes(sx, sy, rows, cols)
+                self._blocks.append((rows, cols, planes, legendre_table(planes[0, 0], spec.lmax)))
         else:
             check_torus_points(spec, X)
             self._lattice = _torus_lattice(spec)
@@ -790,12 +806,17 @@ class GramTables:
         # rows: the value weights of every part, then their log-kappa derivatives
         weights = np.concatenate([_part_sum_weights(kind, p, spec.lmax) for kind, p in parts],
                                  axis=1)
-        sums = _contract_levels(weights.reshape(-1, weights.shape[2]), self._table)
-        sums = sums.reshape((2, len(parts), -1) + sums.shape[1:])
+        weights = weights.reshape(-1, weights.shape[2])
+        # per part, its blocks and their log-kappa derivatives: one array, two views
+        pairs = np.empty((len(parts), 2, self._n, 2, self._n, 2))
+        for rows, cols, planes, table in self._blocks:
+            sums = _contract_levels(weights, table).reshape((2, len(parts), -1) + table.shape[1:])
+            for own, part, s in zip(pairs, parts, sums.swapaxes(0, 1)):
+                _write_block(own, rows, cols, _frame_components([part], planes, s), True)
         blocks = 0.0
-        for part, suffix, value, slope in zip(parts, suffixes, sums[0], sums[1]):
-            own = _gram_layout_blocks([part], self._geom, value)
-            derivatives["log_variance" + suffix] = own
-            derivatives["log_kappa" + suffix] = _gram_layout_blocks([part], self._geom, slope)
-            blocks = blocks + own   # a new array in the Gram layout, as frame_blocks sums parts
+        for suffix, (value, slope) in zip(suffixes, pairs):
+            derivatives["log_variance" + suffix] = value.transpose(0, 2, 1, 3)
+            derivatives["log_kappa" + suffix] = slope.transpose(0, 2, 1, 3)
+            # a new array, summed as frame_blocks sums parts
+            blocks = blocks + derivatives["log_variance" + suffix]
         return blocks, derivatives

@@ -154,6 +154,43 @@ class TestAlpTables:
         np.testing.assert_allclose(d[:, 1:] * np.sin(theta), a[:, 1:], atol=1e-13)
 
 
+    def test_tables_equal_the_per_entry_recurrence(self):
+        # the recurrence one (m, l) entry at a time, as alp_tables once ran it: the
+        # tables run it for every m at once and must give the same bits, poles included
+        def per_entry(ct, st, lmax):
+            a, b, d = (np.zeros((lmax + 1, lmax + 1, len(ct))) for _ in range(3))
+            a[0, 0] = 0.28209479177387814
+            for m in range(1, lmax + 1):
+                c = np.sqrt((2.0 * m + 1.0) / (2.0 * m))
+                a[m, m] = c * st * a[m - 1, m - 1]
+                b[m, m] = c * (ct * a[m - 1, m - 1] + st * b[m - 1, m - 1])
+                d[m, m] = c * a[0, 0] if m == 1 else c * st * d[m - 1, m - 1]
+            for m in range(0, lmax):
+                c = np.sqrt(2.0 * m + 3.0)
+                a[m + 1, m] = c * ct * a[m, m]
+                b[m + 1, m] = c * (ct * b[m, m] - st * a[m, m])
+                if m >= 1:
+                    d[m + 1, m] = c * ct * d[m, m]
+            for m in range(0, lmax + 1):
+                for l in range(m + 2, lmax + 1):
+                    fa = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+                    fb = -np.sqrt(((2.0 * l + 1.0) * ((l - 1.0) ** 2 - m * m))
+                                  / ((2.0 * l - 3.0) * (l * l - m * m)))
+                    a[l, m] = fa * ct * a[l - 1, m] + fb * a[l - 2, m]
+                    b[l, m] = fa * (ct * b[l - 1, m] - st * a[l - 1, m]) + fb * b[l - 2, m]
+                    if m >= 1:
+                        d[l, m] = fa * ct * d[l - 1, m] + fb * d[l - 2, m]
+            return a, b, d
+
+        theta = np.concatenate([[0.0, np.pi, 1e-9, np.pi - 1e-9],
+                                np.random.default_rng(3).uniform(0.0, np.pi, 40)])
+        ct, st = np.cos(theta), np.sin(theta)
+        ct[:2], st[:2] = [1.0, -1.0], 0.0   # both poles exactly
+        for lmax in (0, 1, 2, 30):
+            for got, want in zip(alp_tables(ct, st, lmax), per_entry(ct, st, lmax)):
+                np.testing.assert_array_equal(got, want)
+
+
 def pool_of(user):
     (pool,) = [pool for pool in blas_pools() if user in pool.users]
     return pool

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hodgegp import kernels
+from hodgegp import gp, kernels
 from hodgegp._accel import _CHUNK
 from hodgegp.errors import InvalidInputError
 from hodgegp.gp import Dataset, condition, predict, sample_prior_batch
@@ -299,6 +300,95 @@ class TestRectangularCrossBlocks:
         got = kernel_matrix(spec, x, y)
         assert got.shape == (7, 11, 3, 3)
         assert np.abs(got - expected).max() <= 1e-12 * PARAMS.variance * np.linalg.norm(a) ** 2
+
+
+def symmetric_case(kind):
+    """A spec of the kind (projected with a coreg), 23 points with both poles, and
+    the spec's total variance."""
+    pts = sample_sphere(23, np.random.default_rng(46))
+    pts[3], pts[17] = [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]
+    if kind == HODGE_COMPOSITIONAL:
+        return compositional_spec(1.5, (0.3, 0.8), (0.6, 1.2), lmax=16), pts, 2.0
+    a = np.array([[1.0, 0.2, -0.5], [0.0, 0.7, 0.3], [0.4, -0.1, 1.2]])
+    if kind == PROJECTED:
+        return (KernelSpec(kind, PARAMS, coreg=a, lmax=16), pts,
+                PARAMS.variance * np.linalg.norm(a) ** 2)
+    return KernelSpec(kind, PARAMS, lmax=16), pts, PARAMS.variance
+
+
+def count_abscissae(monkeypatch):
+    """Patch kernels.legendre_sums to count its abscissae; returns the running count."""
+    count = [0]
+    inner = kernels.legendre_sums
+
+    def counted(t, weights):
+        count[0] += np.size(t)
+        return inner(t, weights)
+
+    monkeypatch.setattr(kernels, "legendre_sums", counted)
+    return count
+
+
+SPHERE_GRAM_KINDS = [HODGE_DIV, HODGE_CURL, HODGE_FULL, HODGE_COMPOSITIONAL, PROJECTED]
+
+
+class TestSymmetricGram:
+    # 100 pairs per block over 23 columns: row blocks of 4, six of them, the last partial
+
+    @pytest.mark.parametrize("kind", SPHERE_GRAM_KINDS)
+    def test_gram_is_bitwise_symmetric(self, kind, monkeypatch):
+        spec, pts, _ = symmetric_case(kind)
+        monkeypatch.setattr(kernels, "_BLOCK_PAIRS", 100)
+        count = count_abscissae(monkeypatch)
+        k = gp.gram(spec, pts)
+        np.testing.assert_array_equal(k, k.T)
+        # only the row blocks' pairs up to the diagonal: 4 * (4 + 8 + ... + 20) + 3 * 23
+        assert count[0] == 4 * (4 + 8 + 12 + 16 + 20) + 3 * 23 < 23 ** 2
+
+    @pytest.mark.parametrize("kind", SPHERE_GRAM_KINDS)
+    def test_gram_equals_the_rectangular_path(self, kind, monkeypatch):
+        spec, pts, variance = symmetric_case(kind)
+        monkeypatch.setattr(kernels, "_BLOCK_PAIRS", 100)
+        frames = frames_at(pts)
+        count = count_abscissae(monkeypatch)
+        rectangular = frame_blocks(spec, pts.copy(), frames.copy(), pts.copy(), frames.copy())
+        assert count[0] == 23 ** 2
+        symmetric = frame_blocks(spec, pts, frames, pts, frames)
+        assert np.abs(symmetric - rectangular).max() <= 1e-14 * variance
+
+    @pytest.mark.parametrize("kind", SPHERE_GRAM_KINDS)
+    def test_rotated_frames_take_the_rectangular_path(self, kind, monkeypatch):
+        # the same points with frames rotated per point are not a symmetric Gram:
+        # the blocks conjugate by the rotations, as TestFrameIndependence states
+        spec, pts, variance = symmetric_case(kind)
+        monkeypatch.setattr(kernels, "_BLOCK_PAIRS", 100)
+        angles = np.random.default_rng(47).uniform(0.0, 2.0 * np.pi, len(pts))
+        c, s = np.cos(angles), np.sin(angles)
+        r = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
+        frames = frames_at(pts)
+        count = count_abscissae(monkeypatch)
+        rotated = frame_blocks(spec, pts, r @ frames, pts, frames)
+        assert count[0] == 23 ** 2
+        expected = np.einsum("nkp,nmpl->nmkl", r, frame_blocks(spec, pts, frames, pts, frames))
+        assert np.abs(rotated - expected).max() <= 1e-12 * variance
+
+
+class TestFrameBlocksMemory:
+    def test_peak_is_the_output_plus_a_block(self):
+        # a row block holds its P_l table (lmax + 1 floats a pair), nine planes,
+        # its pair sums and the parts' components: no temporary spans every pair
+        rng = np.random.default_rng(48)
+        x, y = sample_sphere(1000, rng), sample_sphere(300, rng)
+        bx, by = frames_at(x), frames_at(y)
+        spec = compositional_spec(1.5, (0.3, 0.8), (0.6, 1.2))
+        frame_blocks(spec, x[:3], bx[:3], y, by)   # fill the cached Legendre maps
+        tracemalloc.start()
+        try:
+            out = frame_blocks(spec, x, bx, y, by)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 8 * kernels._BLOCK_PAIRS * (spec.lmax + 1 + 32)
 
 
 class TestProjected:
