@@ -25,8 +25,8 @@ from .gp import Dataset, FitConfig, condition, fit, metrics, predict, sample_pri
 from .kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NOISE, PROJECTED,
                       KernelSpec, MaternParams)
 from .manifold import (SPHERE, ManifoldPoint, TangentVector, east_north_components,
-                       lonlat_to_point, point_to_lonlat, sample_uniform, tangent_from_east_north,
-                       torus_point)
+                       lonlat_to_point, point_to_lonlat, points_array, sample_uniform,
+                       tangent_from_east_north, torus_point)
 from .spectrum import sphere_spectrum, torus_spectrum
 
 KERNEL_NAMES = {
@@ -201,10 +201,7 @@ def normalize_dataset(train):
     if mean_norm == 0.0:
         raise InvalidInputError("cannot normalize all-zero observations")
     s = 1.0 / mean_norm
-    scaled = Dataset(train.points,
-                     [TangentVector(v.base, v.components * s) for v in train.observations],
-                     scale=s)
-    return s, scaled
+    return s, _scale_dataset(train, s)
 
 
 def _scale_dataset(dataset, s):
@@ -229,16 +226,15 @@ def synthetic_field(name, points, spec=None, seed=0):
     ``rotation`` is the divergence-free rotation field; ``kernel-sample``
     draws a frozen prior sample of ``spec`` with the given seed.
     """
-    coords = np.stack([p.coords for p in points])
     if name == "rotation":
-        values = rotation_field_values(coords)
+        values = rotation_field_values(points_array(points))
     elif name == "kernel-sample":
         if spec is None:
             raise InvalidInputError("kernel-sample needs a kernel spec")
         spectrum = sphere_spectrum(spec.lmax) if spec.manifold == SPHERE \
             else torus_spectrum(spec.dim, spec.lambda_cap)
         sample = sample_prior(spec, spectrum, np.random.default_rng(seed))
-        values = sample.at(coords)
+        values = sample.at(list(points))   # as a list, no points take the spec's dimension
     else:
         raise InvalidInputError(f"unknown synthetic field {name!r}")
     obs = [TangentVector(p, v) for p, v in zip(points, values)]
@@ -456,13 +452,8 @@ def load_config_file(path):
 
 def _config_from_options(options):
     raw = load_config_file(options.config) if options.config else {}
-    overrides = {
-        "kernel": options.kernel, "nu": options.nu, "kappa": options.kappa,
-        "lmax": options.lmax, "seeds": options.seeds, "protocol": options.protocol,
-        "train": options.train, "test": options.test, "out": options.out,
-        "field": options.field, "grid": options.grid, "stride": options.stride,
-        "restarts": options.restarts,
-    }
+    # every run flag but --config is a config key
+    overrides = {k: v for k, v in vars(options).items() if k not in ("command", "config")}
     unknown = sorted(raw.keys() - overrides.keys())
     if unknown:
         raise _UsageError(f"{options.config}: unknown config key(s) {', '.join(unknown)}; "

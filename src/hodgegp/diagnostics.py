@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .gp import sample_prior_batch
 from .kernels import (HODGE_CURL, HODGE_DIV, HODGE_FULL, PROJECTED, MaternParams,
-                      projected_matern, stable_phi_ratios)
+                      _level_weights, projected_matern)
 from .spectrum import _local_basis, sphere_spectrum
 
 _POLE_BAND = math.sin(math.radians(80.0))  # |x3| above this is too close to a pole
@@ -59,23 +59,17 @@ class LimitationReport:
     x_prime: np.ndarray
 
 
-def _level_ratio(params, lmax, include_constant):
-    """sum (2l+1) lambda w / sum (2l+1) w over the retained levels.
-
-    Weights are rescaled by their maximum so the ratio stays finite at
-    extreme length scales.
-    """
-    l0 = 0 if include_constant else 1
-    l = np.arange(l0, lmax + 1, dtype=np.float64)
-    lam = l * (l + 1.0)
-    w = stable_phi_ratios(params.nu, params.kappa, lam, 2)
-    mult = 2.0 * l + 1.0
-    return float((mult * lam * w).sum() / (mult * w).sum())
+def _level_ratio(params, lmax, first):
+    """Mean eigenvalue sum_l c_l lambda_l under the kernel's level weights c_l
+    over the levels l >= first (``kernels._level_weights``)."""
+    l = np.arange(lmax + 1, dtype=np.float64)
+    return float(_level_weights(params.nu, params.kappa, lmax, first)[0] @ (l * (l + 1.0)))
 
 
 def var_div_hodge_sphere(params, lmax):
-    """Pointwise divergence variance of the full Hodge-Matern field on S2."""
-    return 0.5 * params.variance * _level_ratio(params, lmax, include_constant=False)
+    """Pointwise divergence variance of the full Hodge-Matern field on S2; raises
+    InvalidInputError at lmax 0, where the Hodge classes are empty."""
+    return 0.5 * params.variance * _level_ratio(params, lmax, 1)
 
 
 def var_div_projected_sphere(params, lmax):
@@ -85,7 +79,7 @@ def var_div_projected_sphere(params, lmax):
     under the trace convention; it survives as kappa grows while the
     spectral term decays.
     """
-    return 0.5 * params.variance * (_level_ratio(params, lmax, include_constant=True) + 4.0)
+    return 0.5 * params.variance * (_level_ratio(params, lmax, 0) + 4.0)
 
 
 def divergence_stencil(x, h):
@@ -140,8 +134,10 @@ def divergence_variance_mc(spec, x, n_samples, rng, h=1e-4):
 
     Draws prior samples, measures their finite-difference divergence at x,
     and compares the sample variance with the matching closed form (zero for
-    the divergence-free kernel).
+    the divergence-free kernel). Needs at least two samples.
     """
+    if n_samples < 2:
+        raise InvalidInputError(f"a sample variance needs at least 2 samples, got {n_samples}")
     spectrum = sphere_spectrum(spec.lmax)
     pts, combine = divergence_stencil(x, h)
     values = sample_prior_batch(spec, spectrum, pts, n_samples, rng)

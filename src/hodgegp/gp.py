@@ -552,13 +552,15 @@ def metrics(means, covs, truths, noise_variance, frames=None):
     MSE is the mean squared Euclidean norm of the mean error. PNLL is the
     mean negative log-density of the truth under the per-point Gaussian
     N(mean, cov + noise * I) expressed in the query frame, each test point
-    scored independently.
+    scored independently. Raises InvalidInputError for zero predictions.
     """
     means = np.atleast_2d(means)
     truths = np.atleast_2d(truths)
     covs = np.asarray(covs)
     if means.shape != truths.shape or covs.shape[0] != means.shape[0]:
         raise InvalidInputError("prediction and truth lists must align")
+    if means.size == 0:
+        raise InvalidInputError("metrics need at least one prediction")
     diff = means - truths
     mse = float(np.mean(np.sum(diff ** 2, axis=1)))
     r = _frame_components(diff, frames)

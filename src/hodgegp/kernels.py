@@ -35,7 +35,7 @@ import numpy as np
 from ._accel import _contract_levels, legendre_derivative_maps, legendre_sums, legendre_table
 from .errors import InvalidInputError
 from .manifold import CIRCLE, SPHERE, TORUS, check_sphere_points, frames_at
-from .spectrum import CURL, DIV, HARM, torus_spectrum
+from .spectrum import CURL, DIV, HARM, sphere_spectrum, torus_spectrum
 
 SCALAR = "scalar"
 HODGE_FULL = "hodge-full"
@@ -46,8 +46,6 @@ PROJECTED = "projected"
 NOISE = "noise"
 
 KINDS = (SCALAR, HODGE_FULL, HODGE_DIV, HODGE_CURL, HODGE_COMPOSITIONAL, PROJECTED, NOISE)
-
-_FOUR_PI = 4.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -137,6 +135,11 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidInputError(f"unknown kernel kind {self.kind!r}")
+        if self.manifold not in (SPHERE, CIRCLE, TORUS):
+            raise InvalidInputError(f"unknown manifold {self.manifold!r}")
+        if not isinstance(self.torus_dim, numbers.Integral) or self.torus_dim < 1:
+            raise InvalidInputError(f"torus_dim must be a positive integer, "
+                                    f"got {self.torus_dim!r}")
         if not isinstance(self.lmax, numbers.Integral) or self.lmax < 0:
             raise InvalidInputError(f"lmax must be a nonnegative integer, got {self.lmax!r}")
         if not (math.isfinite(self.lambda_cap) and self.lambda_cap >= 0.0):
@@ -201,79 +204,50 @@ def compositional_spec(nu, div_part, curl_part, harm_variance=None, noise=0.0,
 # Normalization constants
 # ---------------------------------------------------------------------------
 
-def _sphere_phi_levels(nu, kappa, lmax):
-    l = np.arange(lmax + 1, dtype=np.float64)
-    return phi(nu, kappa, l * (l + 1.0), 2)
+def _class_parts(spec, spectrum):
+    """[(cls, mask, params)]: the eigenfields of spectrum that each part of a Hodge
+    spec sums over, with the part's hyperparameters.
 
-
-def sphere_norm_constant(which, nu, kappa, lmax):
-    """Closed-form multiplicity sums for the sphere normalization constant.
-
-    which: 'scalar' sums (2l+1) Phi over l >= 0; 'div' or 'curl' over l >= 1;
-    'full' doubles the div sum. All divided by the volume 4 pi.
+    The full kind sums over every eigenfield, the div and curl kinds over their
+    class, the compositional kind over each of its parts' classes. Raises for
+    an empty class and for kinds that have no per-eigenfield weights.
     """
-    if which in (DIV, CURL, "full") and lmax < 1:
-        raise InvalidInputError(f"empty eigenfield class {which!r} on the sphere at lmax {lmax}")
-    w = _sphere_phi_levels(nu, kappa, lmax)
-    mult = 2.0 * np.arange(lmax + 1) + 1.0
-    if which == "scalar":
-        return float((mult * w).sum() / _FOUR_PI)
-    if which in (DIV, CURL):
-        return float((mult[1:] * w[1:]).sum() / _FOUR_PI)
-    if which == "full":
-        return float(2.0 * (mult[1:] * w[1:]).sum() / _FOUR_PI)
-    raise InvalidInputError(f"unknown class {which!r}")
+    if spec.kind == HODGE_COMPOSITIONAL:
+        parts = spec.parts.items()
+    elif spec.kind in (HODGE_FULL, HODGE_DIV, HODGE_CURL):
+        parts = [({HODGE_DIV: DIV, HODGE_CURL: CURL}.get(spec.kind, "all"), spec.params)]
+    else:
+        raise InvalidInputError(f"kind {spec.kind!r} has no per-eigenfield weights")
+    classes = np.array([e.hodge_class for e in spectrum.entries])
+    out = []
+    for cls, p in parts:
+        mask = classes == cls if cls != "all" else np.ones(len(classes), dtype=bool)
+        if not mask.any():
+            raise InvalidInputError(f"empty eigenfield class {cls!r} on {spectrum.manifold}")
+        out.append((cls, mask, p))
+    return out
 
 
 def normalization(spec, spectrum=None):
     """Normalization constant(s) C of a kernel spec over a truncated spectrum.
 
-    C = (1/vol M) * sum of Phi over the eigenfields of the spec's class(es).
-    Returns a float, or a per-class dict for the compositional kernel.
-    Raises when the requested class is empty on the manifold.
+    C = (1/vol M) * sum of Phi over the eigenfields of the spec's class(es);
+    the scalar and projected kinds sum over the scalar eigenvalues. Without a
+    spectrum the sum runs over the spec's own truncation. Returns a float, or
+    a per-class dict for the compositional kernel. Raises when the requested
+    class is empty on the manifold.
     """
-    if spec.kind == SCALAR:
-        if spectrum is None and spec.manifold == SPHERE:
-            return sphere_norm_constant("scalar", spec.params.nu, spec.params.kappa, spec.lmax)
-        lam = spectrum.scalar_eigenvalues()
-        return float(phi(spec.params.nu, spec.params.kappa, lam, spectrum.dim).sum()
-                     / spectrum.volume)
-    if spec.kind == PROJECTED:
-        # normalized through the scalar kernel it stacks
-        return normalization(KernelSpec(SCALAR, spec.params, manifold=spec.manifold,
-                                        lmax=spec.lmax, lambda_cap=spec.lambda_cap,
-                                        torus_dim=spec.torus_dim), spectrum)
-    if spec.kind == NOISE:
-        raise InvalidInputError("the pure-noise kernel has no spectral class")
-
     if spectrum is None:
-        if spec.manifold != SPHERE:
-            spectrum = torus_spectrum(spec.dim, spec.lambda_cap)
-        else:
-            if spec.kind == HODGE_COMPOSITIONAL:
-                return {cls: sphere_norm_constant(cls, p.nu, p.kappa, spec.lmax)
-                        for cls, p in spec.parts.items()}
-            which = {HODGE_FULL: "full", HODGE_DIV: DIV, HODGE_CURL: CURL}[spec.kind]
-            return sphere_norm_constant(which, spec.params.nu, spec.params.kappa, spec.lmax)
-
-    lam = spectrum.eigenvalues()
-    classes = np.array([e.hodge_class for e in spectrum.entries])
-
-    def class_sum(cls, p):
-        mask = classes == cls if cls != "all" else np.ones(len(lam), dtype=bool)
-        if not mask.any():
-            raise InvalidInputError(f"empty eigenfield class {cls!r} on {spectrum.manifold}")
-        return float(phi(p.nu, p.kappa, lam[mask], spectrum.dim).sum() / spectrum.volume)
-
-    if spec.kind == HODGE_FULL:
-        return class_sum("all", spec.params)
-    if spec.kind == HODGE_DIV:
-        return class_sum(DIV, spec.params)
-    if spec.kind == HODGE_CURL:
-        return class_sum(CURL, spec.params)
-    if spec.kind == HODGE_COMPOSITIONAL:
-        return {cls: class_sum(cls, p) for cls, p in spec.parts.items()}
-    raise InvalidInputError(f"no normalization for kind {spec.kind!r}")
+        spectrum = (sphere_spectrum(spec.lmax) if spec.manifold == SPHERE
+                    else torus_spectrum(spec.dim, spec.lambda_cap))
+    if spec.kind in (SCALAR, PROJECTED):
+        # the projected kernel is normalized through the scalar kernel it stacks
+        lam, parts = spectrum.scalar_eigenvalues(), [(SCALAR, slice(None), spec.params)]
+    else:
+        lam, parts = spectrum.eigenvalues(), _class_parts(spec, spectrum)
+    sums = {cls: float(phi(p.nu, p.kappa, lam[mask], spectrum.dim).sum() / spectrum.volume)
+            for cls, mask, p in parts}
+    return sums if spec.kind == HODGE_COMPOSITIONAL else sums.popitem()[1]
 
 
 # ---------------------------------------------------------------------------
@@ -667,31 +641,15 @@ def class_weights(spec, spectrum):
     Aligned with ``spectrum.entries``. The projected kernel is not diagonal
     in the eigenfield basis and is rejected.
     """
-    lam = spectrum.eigenvalues()
-    classes = np.array([e.hodge_class for e in spectrum.entries])
-    w = np.zeros(len(lam))
+    w = np.zeros(len(spectrum.entries))
     if spec.kind == NOISE:
         return w
-
-    def fill(mask, p):
-        if not mask.any():
-            raise InvalidInputError(f"empty eigenfield class on {spectrum.manifold}")
+    lam = spectrum.eigenvalues()
+    for _, mask, p in _class_parts(spec, spectrum):
         ratios = stable_phi_ratios(p.nu, p.kappa, lam[mask], spectrum.dim)
         # sigma^2 Phi / C with C = sum(Phi) / vol, in underflow-safe ratios
         w[mask] = p.variance * spectrum.volume * ratios / ratios.sum()
-
-    if spec.kind == HODGE_COMPOSITIONAL:
-        for cls, p in spec.parts.items():
-            fill(classes == cls, p)
-        return w
-    if spec.kind in (HODGE_FULL, HODGE_DIV, HODGE_CURL):
-        if spec.kind == HODGE_FULL:
-            mask = np.ones(len(lam), dtype=bool)
-        else:
-            mask = classes == (DIV if spec.kind == HODGE_DIV else CURL)
-        fill(mask, spec.params)
-        return w
-    raise InvalidInputError(f"kind {spec.kind!r} has no per-eigenfield weights")
+    return w
 
 
 def spectral_kernel_oracle(weights, spectrum, X, Y):

@@ -156,6 +156,14 @@ class TestSyntheticFields:
         b = synthetic_field("kernel-sample", pts, spec=spec, seed=11)
         np.testing.assert_array_equal(a.values(), b.values())
 
+    @pytest.mark.parametrize("field", ["rotation", "sample:div-free:0.5:0.5"])
+    def test_empty_point_list_gives_empty_dataset(self, field):
+        # np.stack of no coordinates raises ValueError
+        name, spec = parse_field_name(field)
+        ds = synthetic_field(name, [], spec=spec)
+        assert len(ds) == 0
+        assert ds.values().shape == (0, 3)
+
 
 class TestRunExperiment:
     def make_config(self, out, **kw):

@@ -110,6 +110,18 @@ class TestDivergenceVariance:
         # estimates within Monte-Carlo error of each other
         assert mcs.std() / mcs.mean() < 0.2
 
+    def test_level_zero_hodge_variance_raises(self):
+        # level 0 alone has no gradient: the Hodge level sums are empty
+        with pytest.raises(InvalidInputError, match="empty eigenfield class"):
+            var_div_hodge_sphere(PARAMS, 0)
+        assert var_div_projected_sphere(PARAMS, 0) == pytest.approx(2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_monte_carlo_needs_two_samples(self, n_samples):
+        spec = KernelSpec(HODGE_FULL, PARAMS, lmax=10)
+        with pytest.raises(InvalidInputError, match="at least 2 samples"):
+            divergence_variance_mc(spec, POINT, n_samples, np.random.default_rng(4))
+
 
 class TestLimitationDemo:
     def test_identity_matrix(self):

@@ -816,6 +816,7 @@ class TestSphereLevelZero:
                  lambda: fit(ds, kind, FitConfig(restarts=1), lmax=0),
                  lambda: kernels.normalization(spec),
                  lambda: kernels.normalization(spec, sphere_spectrum(0)),
+                 lambda: kernels.class_weights(spec, sphere_spectrum(0)),
                  lambda: sample_prior(spec, sphere_spectrum(0), np.random.default_rng(0))]
         for call in calls:
             with pytest.raises(InvalidInputError, match="empty eigenfield class"):
@@ -952,3 +953,9 @@ class TestMetrics:
         other = metrics(means, angles_cov, truths, 0.05, rotated)
         assert base[0] == pytest.approx(other[0], abs=1e-12)
         assert base[1] == pytest.approx(other[1], abs=1e-9)
+
+    def test_zero_predictions_rejected(self):
+        # unchecked, the mean of an empty slice warns and returns NaN
+        with pytest.raises(InvalidInputError, match="at least one prediction"):
+            metrics(np.zeros((0, 3)), np.zeros((0, 2, 2)), np.zeros((0, 3)), 0.1,
+                    np.zeros((0, 2, 3)))

@@ -95,14 +95,28 @@ class TestNormalization:
         np.testing.assert_allclose(traces, 1.2, atol=1e-8)
 
     def test_closed_form_matches_direct_sum(self):
-        # small kappa flattens the weights; the closed form must still equal
-        # the direct sum over spectrum entries
-        spectrum = sphere_spectrum(12)
-        for kind in (HODGE_DIV, HODGE_FULL):
-            spec = KernelSpec(kind, MaternParams(0.5, 0.05, 1.0), lmax=12)
-            direct = normalization(spec, spectrum)
-            closed = normalization(spec)
-            assert closed == pytest.approx(direct, rel=1e-12)
+        # small kappa flattens the weights; the sum over the spec's own
+        # truncation must still equal the closed-form level sum
+        # sum_{l >= first} (2l+1) Phi(l(l+1)) / 4 pi, computed here
+        lmax = 12
+
+        def closed(nu, kappa, first):
+            return sum((2 * l + 1) * phi(nu, kappa, l * (l + 1.0), 2)
+                       for l in range(first, lmax + 1)) / (4.0 * math.pi)
+
+        for nu, kappa in [(0.5, 0.05), (1.5, 0.4), (math.inf, 3.0)]:
+            params = MaternParams(nu, kappa, 1.0)
+            expected = {SCALAR: closed(nu, kappa, 0), PROJECTED: closed(nu, kappa, 0),
+                        HODGE_DIV: closed(nu, kappa, 1), HODGE_CURL: closed(nu, kappa, 1),
+                        HODGE_FULL: 2.0 * closed(nu, kappa, 1)}
+            for kind, value in expected.items():
+                assert normalization(KernelSpec(kind, params, lmax=lmax)) == pytest.approx(
+                    value, rel=1e-13)
+            spec = compositional_spec(nu, (kappa, 0.7), (2.0 * kappa, 1.1), lmax=lmax)
+            got = normalization(spec)
+            assert got.keys() == {"div", "curl"}
+            assert got["div"] == pytest.approx(closed(nu, kappa, 1), rel=1e-13)
+            assert got["curl"] == pytest.approx(closed(nu, 2.0 * kappa, 1), rel=1e-13)
 
     def test_full_is_sum_of_div_and_curl(self):
         spec_full = KernelSpec(HODGE_FULL, PARAMS, lmax=18)
@@ -663,6 +677,18 @@ class TestSpecValidation:
             kernel_matrix(spec, Y)
         with pytest.raises(InvalidInputError, match="unit norm"):
             kernel_matrix(spec, X, Y)
+
+    @pytest.mark.parametrize("manifold", ["plane", "Sphere", None])
+    def test_manifold_must_be_known(self, manifold):
+        # unchecked, an unknown manifold is evaluated as a torus
+        with pytest.raises(InvalidInputError, match="manifold"):
+            KernelSpec(HODGE_FULL, PARAMS, manifold=manifold)
+
+    @pytest.mark.parametrize("torus_dim", [0, -1, 2.0, "2", None])
+    def test_torus_dim_must_be_a_positive_integer(self, torus_dim):
+        # unchecked, torus_dim 0 ends in a numpy ValueError from kernel_matrix
+        with pytest.raises(InvalidInputError, match="torus_dim"):
+            KernelSpec(HODGE_FULL, PARAMS, manifold=TORUS, torus_dim=torus_dim)
 
     def test_zero_truncations_are_valid(self):
         KernelSpec(HODGE_DIV, PARAMS, lmax=np.int64(0))
