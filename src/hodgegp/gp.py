@@ -22,8 +22,8 @@ from scipy.optimize import minimize
 from ._accel import single_threaded_numpy_blas
 from .errors import InvalidInputError, NumericalError
 from .kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NOISE, PROJECTED,
-                      GramTables, KernelSpec, MaternParams, check_torus_points, class_weights,
-                      compositional_spec, diagonal_frame_blocks, frame_blocks,
+                      GramTables, KernelSpec, MaternParams, _torus_lattice, check_torus_points,
+                      class_weights, compositional_spec, diagonal_frame_blocks, frame_blocks,
                       lattice_draw_factors, lattice_features, noise_spec, stable_phi_ratios)
 # Not called here: gp evaluates no kernel itself. benchmark/run.py traces these
 # names in gp as well as in kernels, so they stay importable from this module.
@@ -141,12 +141,6 @@ def _chol_with_jitter(mat, scale):
         f"eigenvalue range [{eigs.min():.3e}, {eigs.max():.3e}]")
 
 
-def _total_variance(spec):
-    if spec.kind == HODGE_COMPOSITIONAL:
-        return sum(p.variance for p in spec.parts.values())
-    return spec.params.variance if spec.params is not None else 1.0
-
-
 class PosteriorModel:
     """Conditioned GP state: training data, Gram factor, solved coefficients."""
 
@@ -177,7 +171,8 @@ def _observations(manifold, dataset):
 def _factor(spec, k, y):
     """(chol, alpha, jitter) of the Gram k plus noise (added in place) against y."""
     k[np.diag_indices_from(k)] += spec.noise_variance
-    chol, jitter = _chol_with_jitter(k, _total_variance(spec))
+    # the jitter scales with the prior variance; the noise kind's is 1
+    chol, jitter = _chol_with_jitter(k, sum(p.variance for _, p in spec.classes) or 1.0)
     return chol, cho_solve((chol, True), y), jitter
 
 
@@ -314,7 +309,9 @@ def _spec_builder(kind, nu, manifold, lmax, lambda_cap, torus_dim, config):
 def _objective(dataset, names, build, theta0):
     """fit's objective: theta -> (-LML, -dLML/dtheta) of build(theta), (1e30, 0) where it fails.
 
-    ``names`` are the log-parameters theta holds. The frames, frame
+    ``names`` are the log-parameters theta holds, as ``_spec_builder`` names them;
+    the per-part kernel derivatives come in ``spec.classes`` order and are named
+    here, so no other module knows the names. The frames, frame
     observations and ``GramTables`` of the points are built once, for the kind
     of build(theta0), and live as long as the objective; each evaluation only
     weights the tables and factors the Gram. With W = alpha alpha^T - K^-1,
@@ -328,7 +325,11 @@ def _objective(dataset, names, build, theta0):
     def objective(theta):
         try:
             spec = build(theta)
-            blocks, derivatives = tables.blocks_and_derivatives(spec)
+            blocks, parts = tables.blocks_and_derivatives(spec)
+            derivatives = {}
+            for (cls, _), pair in zip(spec.classes, parts):
+                suffix = f"_{cls}" if spec.kind == HODGE_COMPOSITIONAL else ""
+                derivatives.update(zip(("log_variance" + suffix, "log_kappa" + suffix), pair))
             chol, alpha, _ = _factor(spec, _blocks_to_matrix(blocks), y)
             w = np.outer(alpha, alpha) - cho_solve((chol, True), np.eye(len(y)))
             # einsum, not np.vdot: vdot is BLAS ddot, whose summation order (and
@@ -437,7 +438,7 @@ def _check_spectrum(spec, spectrum):
     if spec.kind == NOISE:
         return
     own = (sphere_spectrum(spec.lmax).scalar_eigenvalues() if spec.manifold == SPHERE
-           else (lattice_draw_factors(spec)[0] ** 2).sum(axis=1))
+           else _torus_lattice(spec).lam)
     if ((spectrum.manifold == SPHERE) != (spec.manifold == SPHERE) or spectrum.dim != spec.dim
             or not np.array_equal(np.unique(spectrum.scalar_eigenvalues()), np.unique(own))):
         raise InvalidInputError(f"the spectrum is not the truncation of the {spec.kind} spec")

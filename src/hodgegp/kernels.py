@@ -8,6 +8,10 @@ where Phi is the Matern spectral weight, the s_n are Laplacian eigenpairs of
 the manifold, and C normalizes the volume-averaged trace of k(x, x) to
 sigma^2 over the same truncation.
 
+A kernel is the sum of separately normalized parts, one per Hodge class it
+covers; ``KernelSpec.classes`` is the one place that lists them, and every
+evaluator, normalizer and sampler sums over that list.
+
 Only this module evaluates kernels. ``frame_blocks`` gives the blocks
 B_x k(x, y) B_y^T of every vector kernel: on the sphere in tangent frames,
 where the sums over the order m collapse through the Legendre addition
@@ -27,7 +31,7 @@ is evaluated on and below its diagonal only.
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -117,10 +121,13 @@ class KernelSpec:
     """A kernel family pinned to a manifold and a truncation level.
 
     ``params`` drives every kind except the compositional one, which carries
-    an independent (kappa, variance) pair per Hodge class in ``parts`` with a
-    shared nu. ``coreg`` is the optional 3x3 coregionalization matrix of the
-    projected kernel (identity when omitted). Sphere kernels truncate at
-    harmonic level ``lmax``; torus kernels at eigenvalue ``lambda_cap``.
+    an independent (kappa, variance) pair per Hodge class in ``parts``: div
+    and curl, and harm off the sphere, with a shared nu and noise. ``classes``
+    lists the separately normalized parts of any kind. ``coreg`` is the
+    optional 3x3 coregionalization matrix of the projected kernel (identity
+    when omitted), which is defined on the sphere only. Sphere kernels
+    truncate at harmonic level ``lmax``; torus kernels at eigenvalue
+    ``lambda_cap``.
     """
 
     kind: str
@@ -146,15 +153,16 @@ class KernelSpec:
             raise InvalidInputError(f"lambda_cap must be finite and nonnegative, "
                                     f"got {self.lambda_cap!r}")
         if self.kind == HODGE_COMPOSITIONAL:
-            if not self.parts:
-                raise InvalidInputError("compositional kernel needs per-class parts")
-            nus = {p.nu for p in self.parts.values()}
-            if len(nus) != 1:
-                raise InvalidInputError("compositional parts must share nu")
-            if self.manifold == SPHERE and HARM in self.parts:
-                raise InvalidInputError("the sphere has no harmonic class")
+            allowed = {DIV, CURL} if self.manifold == SPHERE else {DIV, CURL, HARM}
+            if not {DIV, CURL} <= set(self.parts or ()) <= allowed:
+                raise InvalidInputError(f"compositional parts must be div and curl (and harm off "
+                                        f"the sphere), got {list(self.parts or ())}")
+            if len({(p.nu, p.noise) for p in self.parts.values()}) != 1:
+                raise InvalidInputError("compositional parts must share nu and noise")
         elif self.kind != NOISE and self.params is None:
             raise InvalidInputError(f"kernel kind {self.kind!r} needs params")
+        if self.kind == PROJECTED and self.manifold != SPHERE:
+            raise InvalidInputError("the projected kernel is defined on the sphere only")
         if self.coreg is not None:
             a = np.asarray(self.coreg, dtype=np.float64)
             if a.shape != (3, 3):
@@ -174,11 +182,27 @@ class KernelSpec:
     def ambient_dim(self):
         return 3 if self.manifold == SPHERE else self.dim
 
+    @cached_property
+    def classes(self):
+        """((cls, params), ...) of the separately normalized parts, in class order.
+
+        The compositional kind has one part per entry of ``parts`` (div, curl,
+        harm); the div and curl kinds one of their class, the full kind one of
+        class HODGE_FULL (every eigenfield) and the scalar and projected kinds
+        one of class SCALAR. The noise kind has none. Built once per spec.
+        """
+        if self.kind == NOISE:
+            return ()
+        if self.kind == HODGE_COMPOSITIONAL:
+            return tuple((c, self.parts[c]) for c in (DIV, CURL, HARM) if c in self.parts)
+        return (({HODGE_DIV: DIV, HODGE_CURL: CURL, HODGE_FULL: HODGE_FULL}.get(self.kind, SCALAR),
+                 self.params),)
+
     @property
     def noise_variance(self):
-        if self.kind == HODGE_COMPOSITIONAL:
-            return next(iter(self.parts.values())).noise
-        return self.params.noise if self.params is not None else 0.0
+        """The observation noise variance, which every part shares (0 without params)."""
+        params = self.classes[0][1] if self.classes else self.params
+        return params.noise if params is not None else 0.0
 
 
 def noise_spec(noise, manifold=SPHERE, torus_dim=2):
@@ -205,23 +229,17 @@ def compositional_spec(nu, div_part, curl_part, harm_variance=None, noise=0.0,
 # ---------------------------------------------------------------------------
 
 def _class_parts(spec, spectrum):
-    """[(cls, mask, params)]: the eigenfields of spectrum that each part of a Hodge
-    spec sums over, with the part's hyperparameters.
+    """[(cls, mask, params)]: the eigenfields of spectrum that each of ``spec.classes``
+    sums over (every one for HODGE_FULL), with the part's hyperparameters.
 
-    The full kind sums over every eigenfield, the div and curl kinds over their
-    class, the compositional kind over each of its parts' classes. Raises for
-    an empty class and for kinds that have no per-eigenfield weights.
+    Raises for an empty class and for kinds that have no per-eigenfield weights.
     """
-    if spec.kind == HODGE_COMPOSITIONAL:
-        parts = spec.parts.items()
-    elif spec.kind in (HODGE_FULL, HODGE_DIV, HODGE_CURL):
-        parts = [({HODGE_DIV: DIV, HODGE_CURL: CURL}.get(spec.kind, "all"), spec.params)]
-    else:
+    if not spec.classes or spec.classes[0][0] == SCALAR:
         raise InvalidInputError(f"kind {spec.kind!r} has no per-eigenfield weights")
     classes = np.array([e.hodge_class for e in spectrum.entries])
     out = []
-    for cls, p in parts:
-        mask = classes == cls if cls != "all" else np.ones(len(classes), dtype=bool)
+    for cls, p in spec.classes:
+        mask = classes == cls if cls != HODGE_FULL else np.ones(len(classes), dtype=bool)
         if not mask.any():
             raise InvalidInputError(f"empty eigenfield class {cls!r} on {spectrum.manifold}")
         out.append((cls, mask, p))
@@ -242,7 +260,7 @@ def normalization(spec, spectrum=None):
                     else torus_spectrum(spec.dim, spec.lambda_cap))
     if spec.kind in (SCALAR, PROJECTED):
         # the projected kernel is normalized through the scalar kernel it stacks
-        lam, parts = spectrum.scalar_eigenvalues(), [(SCALAR, slice(None), spec.params)]
+        lam, parts = spectrum.scalar_eigenvalues(), [(c, slice(None), p) for c, p in spec.classes]
     else:
         lam, parts = spectrum.eigenvalues(), _class_parts(spec, spectrum)
     sums = {cls: float(phi(p.nu, p.kappa, lam[mask], spectrum.dim).sum() / spectrum.volume)
@@ -254,7 +272,7 @@ def normalization(spec, spectrum=None):
 # Sphere kernels via the addition theorem, in tangent-frame coordinates
 # ---------------------------------------------------------------------------
 
-def _dlog_phi_dlog_kappa(nu, kappa, lam, dim):
+def _log_phi_slope(nu, kappa, lam, dim):
     """d log Phi_{nu, kappa}(lambda) / d log kappa.
 
     4 nu (nu + dim/2) / (2 nu + kappa^2 lambda) for finite nu, -kappa^2 lambda
@@ -278,7 +296,7 @@ def _level_weights(nu, kappa, lmax, first):
     lam = l * (l + 1.0)
     c = (2.0 * l + 1.0) * stable_phi_ratios(nu, kappa, lam, 2)
     c /= c.sum()
-    g = _dlog_phi_dlog_kappa(nu, kappa, lam, 2)
+    g = _log_phi_slope(nu, kappa, lam, 2)
     out = np.zeros((2, lmax + 1))
     out[0, first:] = c
     out[1, first:] = c * (g - c @ g)
@@ -287,7 +305,7 @@ def _level_weights(nu, kappa, lmax, first):
 
 def scalar_pair_sums(params, lmax, t):
     """Normalized scalar kernel values at an array of inner products t."""
-    return legendre_sums(t, _part_sum_weights(PROJECTED, params, lmax)[0])[0]
+    return legendre_sums(t, _part_sum_weights(SCALAR, params, lmax)[0])[0]
 
 
 def hodge_pair_sums(nu, kappa, lmax, t):
@@ -298,27 +316,19 @@ def hodge_pair_sums(nu, kappa, lmax, t):
     divergence-class kernel with unit variance is S2 * rank-one + S1 * P P.
     Both are Legendre series in P_l(t), from one pass.
     """
-    return tuple(legendre_sums(t, _part_sum_weights(HODGE_DIV, MaternParams(nu, kappa), lmax)[0]))
+    return tuple(legendre_sums(t, _part_sum_weights(DIV, MaternParams(nu, kappa), lmax)[0]))
 
 
-def _sphere_parts(spec):
-    """[(kind, params)] of the separately weighted parts of a sphere spec: the div
-    then the curl class of the compositional kind, else the spec itself."""
-    if spec.kind == HODGE_COMPOSITIONAL:
-        return [(HODGE_DIV, spec.parts[DIV]), (HODGE_CURL, spec.parts[CURL])]
-    return [(spec.kind, spec.params)]
-
-
-def _part_sum_weights(kind, params, lmax):
+def _part_sum_weights(cls, params, lmax):
     """(2, k, lmax + 1) Legendre weights of a part's k pair sums, then their
     derivatives by log kappa.
 
-    The projected kind has one sum (k = 1), the scalar kernel with weights
-    sigma^2 c_l. The Hodge kinds have (S1, S2): the integer maps of the
-    div-kernel potential's weights c_l / lambda_l (zero at l = 0), whose
-    variance enters at assembly.
+    The scalar class (of the projected kind) has one sum (k = 1), the scalar
+    kernel with weights sigma^2 c_l. The Hodge classes have (S1, S2): the
+    integer maps of the div-kernel potential's weights c_l / lambda_l (zero at
+    l = 0), whose variance enters at assembly.
     """
-    if kind == PROJECTED:
+    if cls == SCALAR:
         return params.variance * _level_weights(params.nu, params.kappa, lmax, 0)[:, None]
     c = _level_weights(params.nu, params.kappa, lmax, 1)
     l = np.arange(1, lmax + 1, dtype=np.float64)
@@ -328,16 +338,12 @@ def _part_sum_weights(kind, params, lmax):
 
 
 def _sphere_sum_weights(spec):
-    """(k, lmax + 1) Legendre weights of every pair sum of spec's kind, one row each.
-
-    The scalar kernel for the projected kind; (S1, S2) of the Hodge kinds,
-    for the div part then the curl part of the compositional kind.
-    """
-    return np.concatenate([_part_sum_weights(kind, p, spec.lmax)[0]
-                           for kind, p in _sphere_parts(spec)])
+    """(k, lmax + 1) Legendre weights of every pair sum of spec's parts, one row each,
+    in ``spec.classes`` order: the scalar kernel of the projected kind, (S1, S2)
+    of each Hodge class."""
+    return np.concatenate([_part_sum_weights(cls, p, spec.lmax)[0] for cls, p in spec.classes])
 
 
-_SPHERE_KINDS = (HODGE_FULL, HODGE_DIV, HODGE_CURL, HODGE_COMPOSITIONAL, PROJECTED)
 _BLOCK_PAIRS = 1 << 13   # point pairs per block that frame_blocks assembles at once
 # the signs of J B J^T = [[B11, -B10], [-B01, B00]], J the in-plane 90-degree rotation
 _STAR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None]
@@ -367,7 +373,7 @@ def _pair_planes(sx, sy, rows, cols):
 def _frame_components(parts, planes, sums):
     """(..., 2, 2, r, c) component planes B_kl of the summed parts' frame blocks.
 
-    ``parts`` is a list of (kind, params) as ``_sphere_parts`` gives, and
+    ``parts`` is a list of (cls, params) as ``KernelSpec.classes`` gives, and
     ``sums`` (..., k, r, c) holds the pair sums of their rows of
     ``_part_sum_weights`` in order. The div class is grad_x grad_y^T g of the
     scalar potential g, S2 u_k v_l + S1 b_k . b'_l; the curl class, its
@@ -375,19 +381,19 @@ def _frame_components(parts, planes, sums):
     of the planes; the projected kernel is (1/2) k B_x A A^T B_y^T.
     """
     out, k = None, sums.shape[-3] // len(parts)
-    for i, (kind, p) in enumerate(parts):
+    for i, (cls, p) in enumerate(parts):
         s = sums[..., i * k:(i + 1) * k, :, :]
         u, v, bb = planes[1:, 0], planes[0, 1:], planes[1:, 1:]
-        if kind == HODGE_CURL:
+        if cls == CURL:
             u, v, bb = u[::-1], v[::-1], bb[::-1, ::-1]
-        if kind == PROJECTED:
+        if cls == SCALAR:
             b = (0.5 * s[..., 0:1, None, :, :]) * bb
         else:
             b = ((p.variance * s[..., 1:2, :, :]) * u)[..., :, None, :, :] * v
             b += (p.variance * s[..., 0:1, None, :, :]) * bb
-        if kind == HODGE_CURL:
+        if cls == CURL:
             b *= _STAR_SIGNS
-        elif kind == HODGE_FULL:
+        elif cls == HODGE_FULL:
             b += _STAR_SIGNS * b[..., ::-1, ::-1, :, :]
             b *= 0.5
         out = b if out is None else out + b
@@ -447,7 +453,7 @@ def frame_blocks(spec, X, BX, Y, BY):
         return np.zeros((X.shape[0], Y.shape[0], 2, 2))
     symmetric = Y is X and BY is BX
     sx, sy = _frame_stacks(spec, X, BX, Y, BY)
-    parts, weights = _sphere_parts(spec), _sphere_sum_weights(spec)
+    parts, weights = spec.classes, _sphere_sum_weights(spec)
     out = np.empty((X.shape[0], 2, Y.shape[0], 2))
     for rows, cols in _row_blocks(X.shape[0], Y.shape[0], symmetric):
         planes = _pair_planes(sx, sy, rows, cols)
@@ -463,10 +469,10 @@ def diagonal_frame_blocks(spec, X, BX):
     Gram: on the sphere the same components at the pairs (x, x), with the pair
     sums at t = 1 (there u = v = 0); elsewhere one block serves every point.
     """
-    if spec.manifold == SPHERE and spec.kind in _SPHERE_KINDS:
+    if spec.manifold == SPHERE and spec.kind not in (SCALAR, NOISE):
         planes = np.einsum("ipa,iqa->pqi", *_frame_stacks(spec, X, BX, X, BX))[..., None]
         sums = legendre_sums(np.ones((1, 1)), _sphere_sum_weights(spec))
-        return _frame_components(_sphere_parts(spec), planes, sums)[..., 0].transpose(2, 0, 1)
+        return _frame_components(spec.classes, planes, sums)[..., 0].transpose(2, 0, 1)
     # tori are stationary and the noise kernel is zero: evaluate at one point
     origin = np.zeros((1, X.shape[1]))
     return np.repeat(frame_blocks(spec, origin, BX, origin, BX)[0], X.shape[0], axis=0)
@@ -530,7 +536,7 @@ def _torus_lattice(spec):
 
 
 def _lattice_part_weights(spec, lattice):
-    """[(cls, W, dW)] per Hodge-class part of a torus spec over its half lattice.
+    """[(W, dW)] per part of a torus spec, in ``spec.classes`` order, over its half lattice.
 
     W = mult_n sigma^2 Phi(|n|^2) Pi_cls(n) / Z_cls (F, D, D) with
     Z_cls = sum_n Phi tr Pi_cls; the kernel's weights mult_n M_n are the sum
@@ -538,22 +544,17 @@ def _lattice_part_weights(spec, lattice):
     W_n (g_n - <g>) with g = d log Phi / d log kappa and <g> its mean under
     the normalizer's weights Phi tr Pi_cls.
     """
-    cls = {HODGE_DIV: DIV, HODGE_CURL: CURL}.get(spec.kind, spec.kind)
-    parts = spec.parts if spec.kind == HODGE_COMPOSITIONAL else {cls: spec.params}
-    if (not parts.keys() <= lattice.proj.keys()
-            or (spec.dim > 2 and cls not in (SCALAR, HODGE_FULL))):
-        raise InvalidInputError(f"kernel kind {spec.kind!r} is not defined on T^{spec.dim}")
     out = []
-    for c, p in parts.items():
+    for c, p in spec.classes:
         rank = lattice.rank[c]
         if not rank.any():
             raise InvalidInputError(f"empty eigenfield class {c!r} on {spec.manifold}")
         lw = np.where(rank > 0, log_phi(p.nu, p.kappa, lattice.lam, spec.dim), -np.inf)
         phis = lattice.mult * np.exp(lw - lw.max())   # Phi ratios, safe where Phi underflows
         z = phis @ rank
-        g = _dlog_phi_dlog_kappa(p.nu, p.kappa, lattice.lam, spec.dim)
+        g = _log_phi_slope(p.nu, p.kappa, lattice.lam, spec.dim)
         dphis = phis * (g - (phis * rank) @ g / z)
-        out.append((c, p.variance * phis[:, None, None] * lattice.proj[c] / z,
+        out.append((p.variance * phis[:, None, None] * lattice.proj[c] / z,
                     p.variance * dphis[:, None, None] * lattice.proj[c] / z))
     return out
 
@@ -589,7 +590,7 @@ def _torus_matrix(spec, X, Y):
     if spec.kind == NOISE:
         return np.zeros((X.shape[0], Y.shape[0], spec.dim, spec.dim))
     lattice = _torus_lattice(spec)
-    w = sum(w for _, w, _ in _lattice_part_weights(spec, lattice))   # mult_n M_n
+    w = sum(w for w, _ in _lattice_part_weights(spec, lattice))   # mult_n M_n
     fx = lattice_features(X, lattice.n)
     fy = fx if Y is X else lattice_features(Y, lattice.n)
     return _lattice_sum(fx, fy, w)
@@ -603,7 +604,7 @@ def lattice_draw_factors(spec):
     has covariance sum_n cos(n . (x - y)) mult_n M_n, the kernel itself.
     """
     lattice = _torus_lattice(spec)
-    e, v = np.linalg.eigh(sum(w for _, w, _ in _lattice_part_weights(spec, lattice)))
+    e, v = np.linalg.eigh(sum(w for w, _ in _lattice_part_weights(spec, lattice)))
     return lattice.n, v * np.sqrt(np.maximum(e, 0.0))[:, None, :]
 
 
@@ -724,7 +725,7 @@ class GramTables:
     def __init__(self, spec, X, frames=None):
         self._n = X.shape[0]
         if spec.manifold == SPHERE:
-            if spec.kind not in _SPHERE_KINDS:
+            if spec.kind in (SCALAR, NOISE):
                 raise InvalidInputError(f"no Gram tables for kernel kind {spec.kind!r}")
             sx, sy = _frame_stacks(spec, X, frames, X, frames)
             self._blocks = []
@@ -737,32 +738,25 @@ class GramTables:
             self._features = lattice_features(X, self._lattice.n)
 
     def blocks_and_derivatives(self, spec):
-        """(n, n, D, D) frame blocks of spec at the prepared points, and a dict of
-        their derivatives by spec's log-hyperparameters, each a new array.
+        """(n, n, D, D) frame blocks of spec at the prepared points, and per part of
+        ``spec.classes``, in its order, the pair of their derivatives by the part's
+        log variance and log kappa; each is a new array.
 
-        Keys are ``log_kappa`` and ``log_variance``, suffixed ``_div``,
-        ``_curl`` (and ``_harm`` on tori) per class of the compositional kind.
         Every kernel is linear in its per-level (per-frequency) weights, so a
         part's log-variance derivative is that part's blocks, and its
         log-kappa derivative the same contraction and assembly with the
         weights' log-kappa derivatives. The blocks equal ``frame_blocks`` at
         (X, X) bit for bit.
         """
-        derivatives = {}
         if spec.manifold != SPHERE:
             f = self._features
             parts = _lattice_part_weights(spec, self._lattice)
-            blocks = _lattice_sum(f, f, sum(w for _, w, _ in parts))
-            for cls, w, dw in parts:
-                suffix = f"_{cls}" if spec.kind == HODGE_COMPOSITIONAL else ""
-                derivatives["log_variance" + suffix] = (
-                    _lattice_sum(f, f, w) if len(parts) > 1 else blocks.copy())
-                derivatives["log_kappa" + suffix] = _lattice_sum(f, f, dw)
-            return blocks, derivatives
-        parts = _sphere_parts(spec)
-        suffixes = (f"_{DIV}", f"_{CURL}") if len(parts) > 1 else ("",)
+            blocks = _lattice_sum(f, f, sum(w for w, _ in parts))
+            return blocks, [(_lattice_sum(f, f, w) if len(parts) > 1 else blocks.copy(),
+                             _lattice_sum(f, f, dw)) for w, dw in parts]
+        parts = spec.classes
         # rows: the value weights of every part, then their log-kappa derivatives
-        weights = np.concatenate([_part_sum_weights(kind, p, spec.lmax) for kind, p in parts],
+        weights = np.concatenate([_part_sum_weights(cls, p, spec.lmax) for cls, p in parts],
                                  axis=1)
         weights = weights.reshape(-1, weights.shape[2])
         # per part, its blocks and their log-kappa derivatives: one array, two views
@@ -771,10 +765,6 @@ class GramTables:
             sums = _contract_levels(weights, table).reshape((2, len(parts), -1) + table.shape[1:])
             for own, part, s in zip(pairs, parts, sums.swapaxes(0, 1)):
                 _write_block(own, rows, cols, _frame_components([part], planes, s), True)
-        blocks = 0.0
-        for suffix, (value, slope) in zip(suffixes, pairs):
-            derivatives["log_variance" + suffix] = value.transpose(0, 2, 1, 3)
-            derivatives["log_kappa" + suffix] = slope.transpose(0, 2, 1, 3)
-            # a new array, summed as frame_blocks sums parts
-            blocks = blocks + derivatives["log_variance" + suffix]
-        return blocks, derivatives
+        derivatives = pairs.transpose(0, 1, 2, 4, 3, 5)
+        # a new array, summed as frame_blocks sums parts
+        return derivatives[:, 0].sum(axis=0), list(derivatives)

@@ -380,6 +380,12 @@ def product_spectrum(a, b, lambda_cap):
         if s.max_scalar_eigenvalue() < lambda_cap:
             raise InvalidInputError(
                 "factor spectra must be truncated at or beyond lambda_cap")
+    return _capped_product(a, b, lambda_cap)
+
+
+def _capped_product(a, b, lambda_cap):
+    """The levels of a x b with eigenvalue sum at most lambda_cap; complete below the
+    cap when a and b are, whatever their largest eigenvalues."""
     lam_a = a.scalar_eigenvalues()
     lam_b = b.scalar_eigenvalues()
     keep = lam_a[:, None] + lam_b[None, :] <= lambda_cap
@@ -402,7 +408,8 @@ def torus_spectrum(d, lambda_cap):
     n_max = int(math.ceil(math.sqrt(lambda_cap)))
     spec = circle_spectrum(n_max)
     for _ in range(d - 1):
-        spec = product_spectrum(spec, circle_spectrum(n_max), lambda_cap)
+        # a capped spectrum may top out under the cap, yet it holds every level up to it
+        spec = _capped_product(spec, circle_spectrum(n_max), lambda_cap)
     if d == 1:
         # keep only levels within the cap for consistency with products
         keep = spec.scalar_eigenvalues() <= lambda_cap

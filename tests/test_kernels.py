@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -15,8 +16,8 @@ from hodgegp.kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_F
                              frame_blocks, hodge_matern_sphere, kernel_matrix, noise_spec, normalization, phi, projected_matern,
                              scalar_kernel_matrix, scalar_matern_sphere, scalar_matern_torus,
                              spectral_kernel_oracle, torus_matern)
-from hodgegp.manifold import CIRCLE, TORUS, frames_at, sample_sphere
-from hodgegp.spectrum import circle_spectrum, sphere_spectrum, torus_spectrum
+from hodgegp.manifold import CIRCLE, SPHERE, TORUS, frames_at, sample_sphere
+from hodgegp.spectrum import CURL, DIV, HARM, circle_spectrum, sphere_spectrum, torus_spectrum
 
 PARAMS = MaternParams(nu=1.5, kappa=0.4, variance=1.3)
 
@@ -513,7 +514,51 @@ class TestTorus:
         expected = brute[:, :, None, None] * np.eye(3) / 3.0
         assert np.abs(kernel_matrix(spec, pts_a, pts_b) - expected).max() <= 1e-12
 
-    @pytest.mark.parametrize("kind, d", [(HODGE_CURL, 1), (HODGE_DIV, 3)])
+    def test_t3_div_kernel_is_hessian_of_scalar_potential(self):
+        # k_div(x, y) = sigma^2 / Z grad_x grad_y^T g(x - y) = -sigma^2 / Z (Hess g)(x - y)
+        # for the potential g(r) = sum_{n != 0} Phi(|n|^2) / |n|^2 cos(n . r), Z = sum_{n != 0}
+        # Phi(|n|^2), summed here over the whole lattice and differentiated by central differences
+        cap = 30.0
+        n = np.array(list(itertools.product(range(-6, 7), repeat=3)), dtype=np.float64)
+        lam = (n ** 2).sum(axis=1)
+        keep = (lam > 0.0) & (lam <= cap)
+        n, lam = n[keep], lam[keep]
+        w = phi(PARAMS.nu, PARAMS.kappa, lam, 3)
+
+        def g(r):
+            return (w / lam) @ np.cos(n @ r)
+
+        spec = KernelSpec(HODGE_DIV, PARAMS, manifold=TORUS, lambda_cap=cap, torus_dim=3)
+        h = 1e-4
+        e = h * np.eye(3)
+        x = np.random.default_rng(23).uniform(0, 2 * np.pi, (3, 3))
+        for y in (x[1], x[2], x[0]):
+            r = x[0] - y
+            hess = np.array([[g(r + e[a] + e[b]) - g(r + e[a] - e[b]) - g(r - e[a] + e[b])
+                              + g(r - e[a] - e[b]) for b in range(3)] for a in range(3)]) / (4 * h * h)
+            expected = -PARAMS.variance * hess / w.sum()
+            np.testing.assert_allclose(kernel_matrix(spec, x[0], y)[0, 0], expected,
+                                       rtol=0.0, atol=1e-7 * PARAMS.variance)
+        # the trace at x = y is the variance
+        assert np.trace(kernel_matrix(spec, x[0], x[0])[0, 0]) == pytest.approx(PARAMS.variance,
+                                                                                 rel=1e-12)
+
+    def test_t3_curl_prior_draw_is_divergence_free(self):
+        # the co-exact class I - n n^T / |n|^2 has n^T Pi = 0, so a curl draw has no divergence;
+        # a div draw at the same points shows the finite differences can see one
+        x = np.random.default_rng(25).uniform(0, 2 * np.pi, (6, 3))
+        h = 1e-4
+        result = {}
+        for kind in (HODGE_CURL, HODGE_DIV):
+            spec = KernelSpec(kind, PARAMS, manifold=TORUS, lambda_cap=30.0, torus_dim=3)
+            draw = gp.sample_prior(spec, torus_spectrum(3, 30.0), np.random.default_rng(24))
+            jac = np.stack([(draw(x + h * e) - draw(x - h * e)) / (2.0 * h) for e in np.eye(3)],
+                           axis=2)
+            result[kind] = np.abs(np.trace(jac, axis1=1, axis2=2)).max() / np.abs(jac).max()
+        assert result[HODGE_CURL] <= 1e-6
+        assert result[HODGE_DIV] >= 0.1
+
+    @pytest.mark.parametrize("kind, d", [(HODGE_CURL, 1)])
     def test_absent_hodge_class_rejected(self, kind, d):
         with pytest.raises(InvalidInputError):
             torus_matern(PARAMS, 16.0, np.zeros(d), np.ones(d), kind=kind)
@@ -634,6 +679,33 @@ class TestSpecValidation:
         with pytest.raises(InvalidInputError):
             KernelSpec(HODGE_COMPOSITIONAL, parts={
                 "div": MaternParams(0.5, 1.0), "curl": MaternParams(1.5, 1.0)})
+
+    @pytest.mark.parametrize("manifold", [SPHERE, TORUS])
+    @pytest.mark.parametrize("case", ["div-only", "curl-only", "unknown-class", "noise-differs"])
+    def test_compositional_parts_rejected(self, manifold, case):
+        # div and curl are required, no other key but harm (off the sphere), and the parts
+        # share their noise, the one noise_variance reports
+        p = MaternParams(1.5, 0.4, 1.0, 0.1)
+        parts = {"div-only": {DIV: p}, "curl-only": {CURL: p},
+                 "unknown-class": {DIV: p, CURL: p, "bogus": p},
+                 "noise-differs": {DIV: MaternParams(1.5, 0.4, 1.0, 0.5), CURL: p}}[case]
+        with pytest.raises(InvalidInputError, match="compositional"):
+            KernelSpec(HODGE_COMPOSITIONAL, parts=parts, manifold=manifold)
+
+    def test_projected_kind_is_sphere_only(self):
+        with pytest.raises(InvalidInputError, match="sphere"):
+            KernelSpec(PROJECTED, PARAMS, manifold=TORUS)
+
+    def test_classes_in_class_order(self):
+        p, q, r = (MaternParams(1.5, k, 1.0, 0.1) for k in (0.2, 0.3, 0.4))
+        spec = KernelSpec(HODGE_COMPOSITIONAL, parts={HARM: r, CURL: q, DIV: p}, manifold=TORUS)
+        assert spec.classes == ((DIV, p), (CURL, q), (HARM, r))
+        assert spec.noise_variance == 0.1
+        expected = {HODGE_FULL: HODGE_FULL, HODGE_DIV: DIV, HODGE_CURL: CURL, PROJECTED: SCALAR,
+                    SCALAR: SCALAR}
+        for kind, cls in expected.items():
+            assert KernelSpec(kind, PARAMS).classes == ((cls, PARAMS),)
+        assert noise_spec(0.3).classes == ()
 
     def test_sphere_has_no_harmonic_part(self):
         with pytest.raises(InvalidInputError):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -259,6 +261,15 @@ class TestProductSpectrum:
     def test_empty_factor_rejected(self):
         with pytest.raises(InvalidInputError):
             product_spectrum(circle_spectrum(2), "not a spectrum", 4.0)
+
+    @pytest.mark.parametrize("d, cap", [(3, 30.0), (3, 21.0), (4, 30.0)])
+    def test_torus_spectrum_at_any_cap(self, d, cap):
+        # one scalar eigenfunction per integer vector n with |n|^2 <= cap; a capped T^2 factor
+        # tops out under these caps, which are not sums of two squares
+        r = int(np.ceil(np.sqrt(cap)))
+        lam = (np.array(list(itertools.product(range(-r, r + 1), repeat=d))) ** 2).sum(axis=1)
+        np.testing.assert_array_equal(np.sort(torus_spectrum(d, cap).scalar_eigenvalues()),
+                                      np.sort(lam[lam <= cap]).astype(np.float64))
 
     def test_insufficient_truncation_rejected(self):
         with pytest.raises(InvalidInputError):
