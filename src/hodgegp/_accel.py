@@ -1,12 +1,13 @@
-"""Numpy Legendre recurrences: one recurrence that tables P_l, one contraction
-of such a table with per-level weights (weighted sums, the fit's kept table),
-the exact integer maps that turn weighted sums of P_l' and P_l'' into plain
-Legendre series, and the associated-Legendre tables. Also the scope that
-holds numpy's own OpenBLAS thread pool at one thread inside the public GP
-entry points."""
+"""Numpy Legendre recurrences: one recurrence that tables a basis in s = 2t^2 - 1
+over half the levels, one contraction of such a table with per-level weights
+(weighted sums, the fit's kept table), the exact integer maps that turn weighted
+sums of P_l' and P_l'' into plain Legendre series, and the associated-Legendre
+tables. Also the scope that holds numpy's own OpenBLAS thread pool at one thread
+inside the public GP entry points."""
 
 import ctypes
 import importlib
+import math
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache, wraps
@@ -23,37 +24,70 @@ def using_numba():
 
 
 # ---------------------------------------------------------------------------
-# Legendre polynomials P_l(t) as a table of levels. Three-term recurrence,
-# exact at t = +-1. Derivative sums are Legendre series with mapped weights.
+# Legendre series split by parity, e(s) + t o(s) with s = 2t^2 - 1, exact at
+# t = +-1. Derivative sums are Legendre series with mapped weights.
 # ---------------------------------------------------------------------------
 
 def legendre_table(t, lmax, out=None):
-    """The (lmax + 1,) + shape(t) table of P_l(t), l = 0..lmax, filled into ``out`` if given."""
+    """The (J + 1,) + shape(t) table, J = lmax // 2 + 1, of B_0 .. B_{J-1} at s = 2t^2 - 1,
+    then t; filled into ``out`` if given. ``_contract_levels`` sums any Legendre series from it.
+
+    B_0 = 1, B_1 = s - 1, B_2 = (s - 1)(2s + 1), B_j = 2s B_{j-1} - B_{j-2}: two array
+    operations a level for B_j = T_j(s) - T_{j-1}(s) (Chebyshev T), each 0 at t = +-1.
+    """
     t = np.asarray(t, dtype=np.float64)
-    table = np.empty((lmax + 1,) + t.shape) if out is None else out
-    table[0] = 1.0
-    table[1:2] = t   # no level 1 when lmax = 0
-    u = np.empty_like(t)
-    for l in range(2, lmax + 1):
-        # ((2l - 1) t P_{l-1} - (l - 1) P_{l-2}) / l; one division keeps t = +-1 integer-exact
-        p = table[l, ...]   # a view also for 0-d t
-        np.multiply(t, 2.0 * l - 1.0, out=p)
-        p *= table[l - 1]
-        np.multiply(table[l - 2], l - 1.0, out=u)
-        p -= u
-        p /= l
+    half = lmax // 2 + 1
+    table = np.empty((half + 1,) + t.shape) if out is None else out
+    table[0], table[half] = 1.0, t
+    if half > 1:   # s - 1 = 2 (t - 1)(t + 1), into a view also for 0-d t
+        s1 = np.multiply(t - 1.0, 2.0 * t + 2.0, out=table[1, ...])
+        two_s = 2.0 * s1 + 2.0
+    if half > 2:
+        np.multiply(s1, two_s + 1.0, out=table[2, ...])
+    for j in range(3, half):
+        b = table[j, ...]
+        np.multiply(two_s, table[j - 1], out=b)
+        b -= table[j - 2]
     return table
 
 
 def _contract_levels(weights, table, out=None):
-    """(k,) + table.shape[1:] sums sum_l weights[j, l] table[l], one per weight row.
+    """(k,) + table.shape[1:] sums sum_l weights[j, l] P_l(t), one per weight row, from
+    the ``legendre_table`` at t: e . B + t (o . B), (e, o) from ``legendre_parity_maps``.
 
-    einsum adds the levels in order (for one abscissa it may pair them), so a
-    chunk and the whole table give the same bits; ``weights @ table`` does not,
-    as BLAS picks its summation order by the shape.
+    einsum sums in an order set by the level count (for one abscissa it may pair
+    levels), so a chunk or the whole table, a weight row alone or among others,
+    give the same bits; BLAS products do not, as BLAS picks its order by the shape.
     """
-    sums = np.einsum("kl,ln->kn", weights, table.reshape(table.shape[0], -1), out=out)
+    flat = table.reshape(table.shape[0], -1)   # B_0 .. B_{J-1}, then t
+    coeffs = np.einsum("kl,jl->kj", weights, legendre_parity_maps(weights.shape[1] - 1))
+    parts = np.einsum("kj,jn->kn", coeffs.reshape(-1, len(flat) - 1), flat[:-1])   # e . B, o . B
+    sums = np.multiply(parts[1::2], flat[-1], out=out)
+    sums += parts[::2]
     return sums.reshape((weights.shape[0],) + table.shape[1:])
+
+
+@lru_cache(maxsize=None)
+def legendre_parity_maps(lmax):
+    """The (2J, lmax + 1) map M, J = lmax // 2 + 1, with, for weights w and (e, o) = M w,
+    sum_l w_l P_l(t) = sum_j e_j B_j(s) + t sum_j o_j B_j(s), B_j the ``legendre_table``'s.
+
+    From P_l(cos a) = sum_i g_i g_{l-i} cos((l - 2i) a), g_i = binom(2i, i) / 4^i, with
+    cos(2m a) = B_0 + ... + B_m and cos((2m + 1) a) = t (B_0 + 2 sum_{0 < j <= m, m - j even} B_j):
+    sums of nonnegative terms; rows e_0, o_0 are the exact parity indicators. Read-only, cached.
+    """
+    half = lmax // 2 + 1
+    g = np.array([math.comb(2 * i, i) / 4 ** i for i in range(lmax + 1)])
+    i, l = np.triu_indices(lmax + 1)
+    cheb = np.zeros((half, lmax + 1))   # per l, the weight of cos(2m a) or cos((2m + 1) a)
+    np.add.at(cheb, (np.abs(l - 2 * i) // 2, l), g[i] * g[l - i])
+    j, m = np.indices((half, half))
+    odd = np.arange(lmax + 1) % 2 == 1
+    maps = np.concatenate([((j <= m) @ cheb) * ~odd,
+                           (np.where(j == 0, 1, 2 * ((j <= m) & ((m - j) % 2 == 0))) @ cheb) * odd])
+    maps[0], maps[half] = ~odd, odd
+    maps.flags.writeable = False
+    return maps
 
 
 @lru_cache(maxsize=None)
@@ -86,13 +120,13 @@ def legendre_sums(t, weights):
     """
     weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
     t = np.asarray(t, dtype=np.float64)
+    lmax = weights.shape[1] - 1
     sums = np.empty((weights.shape[0],) + t.shape)
     parts = max(1, -(-t.size // _CHUNK))
-    table = np.empty((weights.shape[1], -(-t.size // parts)))
+    table = np.empty((lmax // 2 + 2, -(-t.size // parts)))
     for chunk, out in zip(np.array_split(t.reshape(-1), parts),
                           np.array_split(sums.reshape(weights.shape[0], -1), parts, axis=1)):
-        _contract_levels(weights, legendre_table(chunk, weights.shape[1] - 1,
-                                                 out=table[:, :chunk.size]), out=out)
+        _contract_levels(weights, legendre_table(chunk, lmax, out=table[:, :chunk.size]), out=out)
     return sums
 
 

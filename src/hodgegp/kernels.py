@@ -22,10 +22,10 @@ ambient 3x3 matrices are the lift of the sphere blocks. A direct sum over
 eigenfields is kept as the slow reference that tests compare against.
 
 On the sphere the derivative sums are Legendre series themselves (exact
-integer maps of the weights), so each evaluation is one pass of the P_l
-recurrence over all of its pair sums, run over cache-sized row blocks whose
-pair geometry and 2x2 blocks are contiguous planes; a symmetric (X, X) Gram
-is evaluated on and below its diagonal only.
+integer maps of the weights), so each evaluation is one pass of the Legendre
+table recurrence (lmax // 2 + 1 levels) over all of its pair sums, run over
+cache-sized row blocks whose pair geometry and 2x2 blocks are contiguous
+planes; a symmetric (X, X) Gram is evaluated on and below its diagonal only.
 """
 
 import math
@@ -333,8 +333,7 @@ def _part_sum_weights(cls, params, lmax):
     c = _level_weights(params.nu, params.kappa, lmax, 1)
     l = np.arange(1, lmax + 1, dtype=np.float64)
     c[:, 1:] /= l * (l + 1.0)
-    maps = legendre_derivative_maps(lmax)
-    return np.stack([maps @ row for row in c])
+    return np.matmul(legendre_derivative_maps(lmax), c.T).transpose(2, 0, 1)
 
 
 def _sphere_sum_weights(spec):
@@ -358,16 +357,20 @@ def _frame_stacks(spec, X, BX, Y, BY):
     return np.concatenate([X[:, None], BX], axis=1), np.concatenate([Y[:, None], BY], axis=1)
 
 
-def _pair_planes(sx, sy, rows, cols):
+def _pair_planes(kind, sx, sy, rows, cols):
     """(3, 3, r, c) planes [p, q] of row p of x's stack dotted with row q of y's at
-    a block's pairs: t = x . y, u_k = b_k . y, v_l = x . b'_l and b_k . b'_l.
+    a block's pairs: t = x . y, u_k = b_k . y, v_l = x . b'_l and b_k . b'_l (the
+    projected kind's u_k and v_l, which it does not read, are left unset).
 
-    One product of one shape per row of the block: BLAS sums in an order that
-    varies with the shape, and a pair's bits must not depend on the block.
+    One product of one shape per row of the block and group of planes: BLAS sums in
+    an order that varies with the shape, and a pair's bits must not depend on the block.
     """
     c = cols.stop - cols.start
-    products = np.matmul(sx[rows], sy[cols].transpose(2, 1, 0).reshape(3, 3 * c))
-    return np.ascontiguousarray(products.reshape(len(products), 3, 3, c).transpose(1, 2, 0, 3))
+    planes = np.empty((3, 3, rows.stop - rows.start, c))
+    for p in ((slice(0, 1), slice(1, 3)) if kind == PROJECTED else (slice(0, 3),)):
+        products = np.matmul(sx[rows, p], sy[cols, p].transpose(2, 1, 0).reshape(3, -1))
+        planes[p, p] = products.reshape(products.shape[:2] + (-1, c)).transpose(1, 2, 0, 3)
+    return planes
 
 
 def _frame_components(parts, planes, sums):
@@ -440,7 +443,7 @@ def frame_blocks(spec, X, BX, Y, BY):
     On the sphere BX and BY are (n, 2, 3) and (m, 2, 3) tangent frames; on
     T^d the blocks are in the global frame and the frames are ignored. This
     is the one-shot evaluator of every vector kernel; ``GramTables`` runs the
-    same contraction and assembly over a kept table of P_l. On the sphere it
+    same contraction and assembly over kept Legendre tables. On the sphere it
     is one pass over row blocks of ~``_BLOCK_PAIRS`` pairs into the Gram layout
     (n, 2, m, 2); when Y is X and BY is BX only the blocks on and below the
     diagonal are evaluated, and mirrored.
@@ -456,7 +459,7 @@ def frame_blocks(spec, X, BX, Y, BY):
     parts, weights = spec.classes, _sphere_sum_weights(spec)
     out = np.empty((X.shape[0], 2, Y.shape[0], 2))
     for rows, cols in _row_blocks(X.shape[0], Y.shape[0], symmetric):
-        planes = _pair_planes(sx, sy, rows, cols)
+        planes = _pair_planes(spec.kind, sx, sy, rows, cols)
         sums = legendre_sums(planes[0, 0], weights)
         _write_block(out, rows, cols, _frame_components(parts, planes, sums), symmetric)
     return out.transpose(0, 2, 1, 3)
@@ -485,8 +488,7 @@ def hodge_matern_sphere(spec, x, y):
 
 def scalar_matern_sphere(params, lmax, x, y):
     """Normalized scalar Matern kernel on S2 via the addition theorem."""
-    t = float(np.asarray(x) @ np.asarray(y))
-    return float(scalar_pair_sums(params, lmax, np.array([t]))[0])
+    return float(scalar_kernel_matrix(KernelSpec(SCALAR, params, lmax=lmax), x, y)[0, 0])
 
 
 def projected_matern(params, A, x, y, lmax=30):
@@ -692,12 +694,14 @@ def kernel_matrix(spec, X, Y=None):
 
 
 def scalar_kernel_matrix(spec, X, Y=None):
-    """(n, m) scalar-kernel matrix for a scalar spec."""
+    """(n, m) scalar-kernel matrix for a scalar spec, after checking the points."""
     if spec.kind != SCALAR:
         raise InvalidInputError("scalar_kernel_matrix needs a scalar spec")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = X if Y is None else np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if spec.manifold == SPHERE:
+        check_sphere_points(X)
+        check_sphere_points(Y)
         return scalar_pair_sums(spec.params, spec.lmax, X @ Y.T)
     return _torus_matrix(spec, X, Y)[:, :, 0, 0]
 
@@ -715,7 +719,7 @@ class GramTables:
     log-hyperparameters: only the per-level (sphere) or per-frequency (torus)
     weights are computed per spec. The sphere keeps, per row block of the
     symmetric Gram, the pair planes and the ``legendre_table`` at the block's
-    pairs, on and below the diagonal: (lmax + 10) floats a pair at about
+    pairs, on and below the diagonal: lmax // 2 + 11 floats a pair at about
     n^2 / 2 pairs. It contracts each table as ``legendre_sums`` contracts its
     chunks and assembles the blocks through the same code as ``frame_blocks``:
     the routes differ only in keeping the table. The torus keeps the half
@@ -730,7 +734,7 @@ class GramTables:
             sx, sy = _frame_stacks(spec, X, frames, X, frames)
             self._blocks = []
             for rows, cols in _row_blocks(self._n, self._n, True):
-                planes = _pair_planes(sx, sy, rows, cols)
+                planes = _pair_planes(spec.kind, sx, sy, rows, cols)
                 self._blocks.append((rows, cols, planes, legendre_table(planes[0, 0], spec.lmax)))
         else:
             check_torus_points(spec, X)

@@ -13,6 +13,7 @@ the unit circle, adding across product factors.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -65,10 +66,10 @@ def sphere_eigenvalue(l):
 
 def legendre(l, t):
     """Legendre polynomial value and first two derivatives at t in [-1, 1]."""
-    if l < 0:
-        raise InvalidInputError("level must be nonnegative")
+    if not isinstance(l, numbers.Integral) or isinstance(l, bool) or l < 0:
+        raise InvalidInputError(f"level must be a nonnegative integer, got {l!r}")
     t = float(t)
-    if abs(t) > 1.0 + 1e-12:
+    if not abs(t) <= 1.0 + 1e-12:   # NaN fails too
         raise InvalidInputError(f"Legendre argument {t} outside [-1, 1]")
     # weight rows: one-hot at level l, then the maps' columns for P_l' and P_l''
     weights = np.concatenate([np.eye(l + 1)[None], legendre_derivative_maps(l)])[:, :, l]

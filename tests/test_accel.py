@@ -5,11 +5,12 @@ import threading
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import legendre as npleg
 
 from hodgegp import _accel, gp, spectrum
 from hodgegp._accel import (_contract_levels, alp_tables, blas_pools, legendre_derivative_maps,
-                            legendre_sums, legendre_table, numpy_blas_scope,
+                            legendre_parity_maps, legendre_sums, legendre_table, numpy_blas_scope,
                             single_threaded_numpy_blas, using_numba)
 from hodgegp.errors import InvalidInputError
 from hodgegp.kernels import HODGE_CURL, KernelSpec, MaternParams
@@ -93,33 +94,90 @@ class TestLegendreSums:
 class TestLegendreLevels:
     @pytest.mark.parametrize("lmax", [0, 1, 2, 30])
     def test_level_tables_equal_one_hot_sums(self, lmax):
-        # the table must hold exactly the levels legendre_sums contracts, and
-        # its contraction must equal the sums of any weights, so a prepared fit
+        # the kept table must contract to the sums legendre_sums gives, bit for bit,
+        # for any weights and for any rows of them (the one-shot route passes a part's
+        # value rows, the kept one its value and derivative rows), so a prepared fit
         # follows the same optimizer path as the one-shot LML
         rng = np.random.default_rng(40 + lmax)
         t = np.concatenate([rng.uniform(-1.0, 1.0, size=300), [-1.0, 0.0, 1.0]])
         table = legendre_table(t, lmax)
-        assert table.shape == (lmax + 1, t.size)
+        assert table.shape == (lmax // 2 + 2, t.size)
         for l in range(lmax + 1):
-            w = np.zeros(l + 1)
-            w[l] = 1.0
-            np.testing.assert_array_equal(table[l], legendre_sums(t, w)[0])
+            w = np.eye(lmax + 1)[l:l + 1]
+            np.testing.assert_array_equal(_contract_levels(w, table), legendre_sums(t, w))
         w = rng.uniform(-1.0, 1.0, size=lmax + 1)
         weights = value_and_derivative_weights(w, w, w)
-        np.testing.assert_array_equal(_contract_levels(weights, table),
-                                      legendre_sums(t, weights))
+        sums = legendre_sums(t, weights)
+        np.testing.assert_array_equal(_contract_levels(weights, table), sums)
+        for row, want in zip(weights, sums):
+            np.testing.assert_array_equal(_contract_levels(row[None], table)[0], want)
 
     def test_levels_match_numpy_series_and_single_values(self):
+        # B_j = T_j(s) - T_{j-1}(s) at s = 2t^2 - 1 from numpy's Chebyshev series, then t
         t = np.array([-1.0, -0.3, 0.0, 0.55, 1.0])
-        for l, level in enumerate(legendre_table(t, 12)):
-            w = np.zeros(l + 1)
-            w[l] = 1.0
-            want = reference_sums(t, w)
-            np.testing.assert_allclose(level, want[0], rtol=0.0, atol=1e-12 * max(1.0, l ** 4))
+        table = legendre_table(t, 24)
+        assert table.shape == (14, 5)
+        s = 2.0 * t * t - 1.0
+        for j, level in enumerate(table[:-1]):
+            c = np.zeros(j + 1)
+            c[j] = 1.0
+            if j:
+                c[j - 1] = -1.0
+            np.testing.assert_allclose(level, npcheb.chebval(s, c), rtol=0.0, atol=1e-14 * (j + 1))
+        np.testing.assert_array_equal(table[-1], t)
+        # one-hot Legendre weights contract to P_l, as legendre(l, t) gives it (a single
+        # abscissa may pair the levels, so not bit for bit)
+        for l in range(13):
+            w = np.eye(l + 1)[l:l + 1]
+            level = _contract_levels(w, legendre_table(t, l))[0]
+            want = reference_sums(t, w[0])
+            np.testing.assert_allclose(level, want[0], rtol=0.0, atol=1e-14)
             single = legendre(l, t[3])
-            assert single[0] == float(level[3])
+            assert single[0] == pytest.approx(float(level[3]), rel=0.0, abs=1e-15)
             np.testing.assert_allclose(single, [w_[3] for w_ in want], rtol=0.0,
                                        atol=1e-12 * max(1.0, l ** 4))
+
+    @pytest.mark.parametrize("lmax", [2, 3, 30, 31, 200])
+    def test_levels_vanish_exactly_at_both_ends(self, lmax):
+        # B_j(1) = T_j(1) - T_{j-1}(1) = 0, with s - 1 = 2 (t - 1)(t + 1) exactly 0 at
+        # t = +-1, so endpoint sums are the even and odd weight sums alone
+        table = legendre_table(np.array([-1.0, 1.0]), lmax)
+        assert table[0].tolist() == [1.0, 1.0]
+        assert table[-1].tolist() == [-1.0, 1.0]
+        assert (table[1:-1] == 0.0).all()
+        near = legendre_table(np.array([-1.0 + 2.0 ** -40, 1.0 - 2.0 ** -40]), lmax)
+        assert (near[1:-1] != 0.0).all()
+
+    @pytest.mark.parametrize("lmax", [0, 1, 2, 7, 30])
+    def test_parity_maps_are_read_only_with_exact_parity_rows(self, lmax):
+        maps = legendre_parity_maps(lmax)
+        half = lmax // 2 + 1
+        assert maps.shape == (2 * half, lmax + 1)
+        even = np.arange(lmax + 1) % 2 == 0
+        assert maps[0].tolist() == even.tolist()
+        assert maps[half].tolist() == (~even).tolist()
+        # an even level has no odd part and an odd level no even part
+        assert (maps[:half, ~even] == 0.0).all() and (maps[half:, even] == 0.0).all()
+        with pytest.raises(ValueError):
+            maps[0, 0] = 2.0
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="long double is no wider than double on this platform")
+    @pytest.mark.parametrize("lmax", [100, 200])
+    def test_high_degree_sums_against_long_double(self, lmax):
+        # value, P' and P'' rows against numpy's Legendre series in long double, with
+        # points near and at both ends; the bound, 2e-13 of each row's largest
+        # magnitude, was set before the first run
+        rng = np.random.default_rng(50 + lmax)
+        t = np.concatenate([rng.uniform(-1.0, 1.0, size=2000), 1.0 - rng.uniform(0.0, 1e-6, 50),
+                            -1.0 + rng.uniform(0.0, 1e-6, 50), [-1.0, 0.0, 1.0]])
+        w = rng.uniform(-1.0, 1.0, size=lmax + 1)
+        sums = legendre_sums(t, value_and_derivative_weights(w, w, w))
+        t_ld, w_ld = t.astype(np.longdouble), w.astype(np.longdouble)
+        for k, got in enumerate(sums):
+            want = npleg.legval(t_ld, npleg.legder(w_ld, k))
+            scale = float(np.abs(want).max())
+            assert float(np.abs(got - want).max()) <= 2e-13 * scale
 
 
 class TestAlpTables:

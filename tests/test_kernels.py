@@ -390,8 +390,8 @@ class TestSymmetricGram:
 
 class TestFrameBlocksMemory:
     def test_peak_is_the_output_plus_a_block(self):
-        # a row block holds its P_l table (lmax + 1 floats a pair), nine planes,
-        # its pair sums and the parts' components: no temporary spans every pair
+        # a row block holds its Legendre table (lmax // 2 + 2 floats a pair), nine
+        # planes, its pair sums and the parts' components: no temporary spans every pair
         rng = np.random.default_rng(48)
         x, y = sample_sphere(1000, rng), sample_sphere(300, rng)
         bx, by = frames_at(x), frames_at(y)
@@ -403,7 +403,7 @@ class TestFrameBlocksMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= out.nbytes + 8 * kernels._BLOCK_PAIRS * (spec.lmax + 1 + 32)
+        assert peak <= out.nbytes + 8 * kernels._BLOCK_PAIRS * (spec.lmax // 2 + 2 + 32)
 
 
 class TestProjected:
@@ -749,6 +749,20 @@ class TestSpecValidation:
             kernel_matrix(spec, Y)
         with pytest.raises(InvalidInputError, match="unit norm"):
             kernel_matrix(spec, X, Y)
+
+    @pytest.mark.parametrize("scale, bad", [(2.0, 0), (math.nan, 1)])
+    def test_scalar_sphere_points_must_be_finite_unit_rows(self, scale, bad):
+        # before, a row at 2 x gave 5.6e22 and a NaN row NaN, with no error
+        X = sample_sphere(3, np.random.default_rng(19))
+        Y = X.copy()
+        Y[bad] *= scale
+        spec = KernelSpec(SCALAR, PARAMS, lmax=10)
+        with pytest.raises(InvalidInputError, match="unit norm"):
+            scalar_kernel_matrix(spec, Y)
+        with pytest.raises(InvalidInputError, match="unit norm"):
+            scalar_kernel_matrix(spec, X, Y)
+        with pytest.raises(InvalidInputError, match="unit norm"):
+            scalar_matern_sphere(PARAMS, 10, X[0], Y[bad])
 
     @pytest.mark.parametrize("manifold", ["plane", "Sphere", None])
     def test_manifold_must_be_known(self, manifold):

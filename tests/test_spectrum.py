@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -62,6 +63,17 @@ class TestLegendre:
             legendre(3, 1.1)
         with pytest.raises(InvalidInputError):
             legendre(-1, 0.0)
+
+    @pytest.mark.parametrize("l, t", [(3, math.nan), (3, math.inf), (0, -math.inf),
+                                      (2.5, 0.3), (True, 0.3), (2.0, 0.3), ("3", 0.3)])
+    def test_level_and_argument_validated(self, l, t):
+        # before, a NaN argument returned NaNs, a float level raised TypeError and a
+        # bool level numpy's ValueError
+        with pytest.raises(InvalidInputError):
+            legendre(l, t)
+
+    def test_numpy_integer_level(self):
+        assert legendre(np.int64(3), 0.3) == legendre(3, 0.3)
 
 
 class TestSphereEigenvalues:
