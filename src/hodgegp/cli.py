@@ -27,7 +27,6 @@ from .kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NO
 from .manifold import (SPHERE, ManifoldPoint, TangentVector, east_north_components,
                        lonlat_to_point, point_to_lonlat, points_array, sample_uniform,
                        tangent_from_east_north, torus_point)
-from .spectrum import sphere_spectrum, torus_spectrum
 
 KERNEL_NAMES = {
     "noise": NOISE,
@@ -77,6 +76,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if min(np.atleast_1d(value)) < low:
                 raise InvalidInputError(f"{name} must be at least {low}, got {value!r}")
+        parse_field_name(self.field_name)
         if self.kappa is not None and not (0.0 < self.kappa < math.inf):
             raise InvalidInputError(f"kappa must be positive and finite, got {self.kappa}")
         # synthetic protocols draw the points; great-circle takes its train points from stride
@@ -231,9 +231,7 @@ def synthetic_field(name, points, spec=None, seed=0):
     elif name == "kernel-sample":
         if spec is None:
             raise InvalidInputError("kernel-sample needs a kernel spec")
-        spectrum = sphere_spectrum(spec.lmax) if spec.manifold == SPHERE \
-            else torus_spectrum(spec.dim, spec.lambda_cap)
-        sample = sample_prior(spec, spectrum, np.random.default_rng(seed))
+        sample = sample_prior(spec, np.random.default_rng(seed))
         values = sample.at(list(points))   # as a list, no points take the spec's dimension
     else:
         raise InvalidInputError(f"unknown synthetic field {name!r}")
@@ -252,11 +250,11 @@ def parse_field_name(text):
         _, kname, nu_s, kappa_s = parts
         if kname not in KERNEL_NAMES or kname in ("noise",):
             raise InvalidInputError(f"cannot sample from kernel {kname!r}")
-        nu = float(nu_s)
-        kappa = float(kappa_s)
-        kind = KERNEL_NAMES[kname]
-        spec = KernelSpec(kind, MaternParams(nu, kappa, 1.0, 0.0))
-        return "kernel-sample", spec
+        try:
+            nu, kappa = float(nu_s), float(kappa_s)
+        except ValueError:
+            raise InvalidInputError(f"sample field nu and kappa must be numbers, got {text!r}")
+        return "kernel-sample", KernelSpec(KERNEL_NAMES[kname], MaternParams(nu, kappa, 1.0, 0.0))
     raise InvalidInputError(f"unknown field {text!r}")
 
 

@@ -27,7 +27,8 @@ from .errors import InvalidInputError
 from .gp import sample_prior_batch
 from .kernels import (HODGE_CURL, HODGE_DIV, HODGE_FULL, PROJECTED, MaternParams,
                       _level_weights, projected_matern)
-from .spectrum import _local_basis, sphere_spectrum
+from .manifold import SPHERE
+from .spectrum import _local_basis
 
 _POLE_BAND = math.sin(math.radians(80.0))  # |x3| above this is too close to a pole
 
@@ -134,15 +135,13 @@ def divergence_variance_mc(spec, x, n_samples, rng, h=1e-4):
 
     Draws prior samples, measures their finite-difference divergence at x,
     and compares the sample variance with the matching closed form (zero for
-    the divergence-free kernel). Needs at least two samples.
+    the divergence-free kernel). Needs at least two samples, and a sphere spec
+    of a kind with a closed form: anything else raises before drawing.
     """
     if n_samples < 2:
         raise InvalidInputError(f"a sample variance needs at least 2 samples, got {n_samples}")
-    spectrum = sphere_spectrum(spec.lmax)
-    pts, combine = divergence_stencil(x, h)
-    values = sample_prior_batch(spec, spectrum, pts, n_samples, rng)
-    divs = combine(values)
-    mc = float(np.var(divs))
+    if spec.manifold != SPHERE:
+        raise InvalidInputError(f"no closed-form divergence variance on {spec.manifold}")
     if spec.kind == HODGE_FULL:
         analytic = var_div_hodge_sphere(spec.params, spec.lmax)
     elif spec.kind == HODGE_DIV:
@@ -153,6 +152,8 @@ def divergence_variance_mc(spec, x, n_samples, rng, h=1e-4):
         analytic = var_div_projected_sphere(spec.params, spec.lmax)
     else:
         raise InvalidInputError(f"no divergence variance for kind {spec.kind!r}")
+    pts, combine = divergence_stencil(x, h)
+    mc = float(np.var(combine(sample_prior_batch(spec, pts, n_samples, rng))))
     gap = abs(mc - analytic) / analytic if analytic > 0.0 else abs(mc)
     return DivergenceReport(analytic=analytic, monte_carlo=mc,
                             n_samples=n_samples, relative_gap=float(gap))

@@ -4,15 +4,16 @@ Gram matrices are the frame blocks of ``kernels.frame_blocks`` in per-point
 orthonormal tangent frames, full-rank 2x2 blocks on the sphere (d x d
 global-frame blocks on tori); this module evaluates no kernel itself.
 Conditioning is exact via Cholesky with a documented jitter-escalation
-fallback. Sampling has one basis per manifold, the kernel's own: the
-sphere's truncated eigenfield expansion, one matrix product with the grad
-Y_lm table (Y_lm when projected), and the torus kernel's half lattice.
-Posterior draws are prior draws moved by Matheron's rule through the
-conditioned model's Cholesky factor, with no factorization of their own.
+fallback. A prior draw is fixed by its spec and an rng, in the kernel's own
+basis: the sphere's truncated eigenfield expansion, one matrix product with
+the grad Y_lm table (Y_lm when projected), and the torus kernel's half
+lattice. Posterior draws are prior draws moved by Matheron's rule through
+the conditioned model's Cholesky factor, with no factorization of their own.
 """
 
 import math
 import numbers
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ from .kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NO
 from .kernels import hodge_pair_sums, kernel_matrix, scalar_pair_sums  # noqa: F401
 from .manifold import (SPHERE, ManifoldPoint, TangentVector, check_sphere_points, frames_at,
                        points_array)
-from .spectrum import CURL, DIV, sphere_spectrum
+from .spectrum import CURL, DIV, SphereSpectrum, TorusSpectrum, sphere_spectrum
 
 
 @dataclass
@@ -416,13 +417,12 @@ class PriorSample:
     """A frozen draw from a truncated prior, evaluable at arbitrary points.
 
     The draw is a finite sum over the spec's own basis (see ``_prior_coeffs``);
-    ``spectrum`` is only checked to be the truncation of the spec.
+    rng fixes its coefficients (a spectrum before rng is deprecated).
     """
 
-    def __init__(self, spec, spectrum, rng):
-        _check_spectrum(spec, spectrum)
+    def __init__(self, spec, rng, *spectrum_form):
+        rng, = _spectrum_form(spec, (rng,) + spectrum_form, "PriorSample(spec, rng)", 3)
         self.spec = spec
-        self.spectrum = spectrum
         self._coeffs = _prior_coeffs(spec, rng, 1)
 
     @single_threaded_numpy_blas
@@ -431,6 +431,17 @@ class PriorSample:
         return _prior_values(self.spec, self._coeffs, points)[0]
 
     __call__ = at
+
+
+def _spectrum_form(spec, args, new_call, stacklevel):
+    """args less a leading spectrum: the deprecated form, warned at the sampler's caller
+    (stacklevel frames up, the BLAS wrapper's included) and checked by ``_check_spectrum``."""
+    if not isinstance(args[0], (SphereSpectrum, TorusSpectrum)):
+        return args
+    warnings.warn(f"passing a spectrum is deprecated; call {new_call}", DeprecationWarning,
+                  stacklevel)
+    _check_spectrum(spec, args[0])
+    return args[1:]
 
 
 def _check_spectrum(spec, spectrum):
@@ -479,8 +490,7 @@ def _prior_values(spec, coeffs, points):
     if spec.kind == NOISE:
         return np.zeros((len(coeffs), pts.shape[0], spec.ambient_dim))
     if spec.manifold != SPHERE:
-        n, _ = lattice_draw_factors(spec)
-        return np.einsum("mf,dfa->dma", lattice_features(pts, n), coeffs)
+        return np.einsum("mf,dfa->dma", lattice_features(pts, _torus_lattice(spec).n), coeffs)
     spectrum = sphere_spectrum(spec.lmax)
     if spec.kind != PROJECTED:
         return spectrum.field_values(coeffs, pts)
@@ -490,18 +500,20 @@ def _prior_values(spec, coeffs, points):
     return g / math.sqrt(2.0)
 
 
-def sample_prior(spec, spectrum, rng) -> PriorSample:
-    """Draw one prior field from the spectrum of spec's truncation; it evaluates anywhere."""
-    return PriorSample(spec, spectrum, rng)
+def sample_prior(spec, rng, *spectrum_form) -> PriorSample:
+    """Draw one prior field of spec's truncation from rng; it evaluates anywhere."""
+    rng, = _spectrum_form(spec, (rng,) + spectrum_form, "sample_prior(spec, rng)", 3)
+    return PriorSample(spec, rng)
 
 
 @single_threaded_numpy_blas
-def sample_prior_batch(spec, spectrum, points, n_draws, rng):
+def sample_prior_batch(spec, points, n_draws, rng, *spectrum_form):
     """(n_draws, m, D) values of independent prior draws at fixed points.
 
     Equal to n_draws successive ``sample_prior`` draws from rng evaluated at points.
     """
-    _check_spectrum(spec, spectrum)
+    points, n_draws, rng = _spectrum_form(spec, (points, n_draws, rng) + spectrum_form,
+                                          "sample_prior_batch(spec, points, n_draws, rng)", 4)
     return _prior_values(spec, _prior_coeffs(spec, rng, _draw_count(n_draws)), points)
 
 

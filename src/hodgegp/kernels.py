@@ -232,10 +232,13 @@ def _class_parts(spec, spectrum):
     """[(cls, mask, params)]: the eigenfields of spectrum that each of ``spec.classes``
     sums over (every one for HODGE_FULL), with the part's hyperparameters.
 
-    Raises for an empty class and for kinds that have no per-eigenfield weights.
+    Raises for an empty class, for kinds that have no per-eigenfield weights and
+    on tori of dimension > 2, whose spectra classify no eigenfields.
     """
     if not spec.classes or spec.classes[0][0] == SCALAR:
         raise InvalidInputError(f"kind {spec.kind!r} has no per-eigenfield weights")
+    if spectrum.dim > 2:
+        raise InvalidInputError("classified eigenfields are available for tori of dimension <= 2")
     classes = np.array([e.hodge_class for e in spectrum.entries])
     out = []
     for cls, p in spec.classes:

@@ -326,9 +326,8 @@ class TestBlasPools:
 
         monkeypatch.setattr(spectrum.SphereSpectrum, "field_values", recording)
         pts = model.dataset.coords()[:2]
-        sphere = spectrum.sphere_spectrum(model.spec.lmax)
-        gp.sample_prior(model.spec, sphere, np.random.default_rng(0)).at(pts)
-        gp.sample_prior_batch(model.spec, sphere, pts, 2, np.random.default_rng(0))
+        gp.sample_prior(model.spec, np.random.default_rng(0)).at(pts)
+        gp.sample_prior_batch(model.spec, pts, 2, np.random.default_rng(0))
         gp.sample_posterior(model, pts, np.random.default_rng(0))
         assert inside == [{"numpy": 1, "scipy": 2}] * 3
         assert thread_counts() == {"numpy": 2, "scipy": 2}

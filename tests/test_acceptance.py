@@ -116,12 +116,11 @@ def test_criterion_2_trace_normalization_everywhere():
 
 def test_criterion_3_sampling_reproduces_truncated_kernel():
     pts = geodesic_fan(np.deg2rad([0.0, 10.0, 20.0, 30.0, 40.0]))
-    spectrum = sphere_spectrum(12)
     worst = 0.0
     for kind in (HODGE_FULL, HODGE_CURL):
         spec = KernelSpec(kind, MaternParams(0.5, 0.4, 1.0), lmax=12)
         exact = kernel_matrix(spec, pts, pts)
-        draws = sample_prior_batch(spec, spectrum, pts, 3000, np.random.default_rng(8))
+        draws = sample_prior_batch(spec, pts, 3000, np.random.default_rng(8))
         for j in range(5):
             mc = np.einsum("da,db->ab", draws[:, 0], draws[:, j]) / len(draws)
             rel = np.linalg.norm(mc - exact[0, j]) / np.linalg.norm(exact[0, j])
@@ -132,7 +131,6 @@ def test_criterion_3_sampling_reproduces_truncated_kernel():
 
 def test_criterion_4_divergence_free_samples():
     spec = KernelSpec(HODGE_CURL, MaternParams(0.5, 0.4, 1.0), lmax=20)
-    spectrum = sphere_spectrum(20)
     lats = np.linspace(-75.0, 75.0, 20)
     lons = np.linspace(0.0, 351.0, 40)
     grid = np.stack([lonlat_to_point(lon, lat).coords for lat in lats for lon in lons])
@@ -140,7 +138,7 @@ def test_criterion_4_divergence_free_samples():
     stencil_pts = np.concatenate([s[0] for s in stencils])
     worst_ratio = 0.0
     for seed in (5, 6):
-        field = sample_prior(spec, spectrum, np.random.default_rng(seed))
+        field = sample_prior(spec, np.random.default_rng(seed))
         values = field.at(stencil_pts).reshape(len(grid), 4, 3)
         divs = np.array([s[1](v) for s, v in zip(stencils, values)])
         rms = float(np.sqrt(np.mean(np.sum(field.at(grid) ** 2, axis=1))))
@@ -277,7 +275,7 @@ def test_criterion_10_embedding_and_frame_routes_agree():
     rng = np.random.default_rng(110)
     spec = KernelSpec(HODGE_FULL, MaternParams(0.5, 0.5, 1.0, 1e-3), lmax=20)
     pts = sample_sphere(15, rng)
-    field = sample_prior(spec, sphere_spectrum(20), np.random.default_rng(111))
+    field = sample_prior(spec, np.random.default_rng(111))
     values = field.at(pts)
     ds = Dataset.from_arrays("sphere", pts, values)
     queries = sample_sphere(25, rng)

@@ -315,7 +315,12 @@ class TestMainExitCodes:
         ["--restarts", "0"], ["--kappa", "0"], ["--kappa", "-1"], ["--lmax", "-1"],
         ["--train", "0"], ["--test", "0"], ["--protocol", "great-circle", "--test", "0"],
         ["--protocol", "great-circle", "--stride", "0"], ["--seeds=-1"], ["--seeds=0,-1"],
-        ["--grid=-1x72"], ["--grid=37x0"]], ids=" ".join)
+        ["--grid=-1x72"], ["--grid=37x0"],
+        # a malformed --field was a traceback (abc) or a data error after the
+        # output directory was made (the other three)
+        ["--field", "sample:div-free:abc:0.5"], ["--field", "sample:div-free:1.5"],
+        ["--field", "sample:noise:1.5:0.5"], ["--field", "sample:div-free:1.5:-1"]],
+        ids=" ".join)
     def test_usage_error_bad_numeric_setting(self, tmp_path, capsys, option):
         out = tmp_path / "bad"
         code = main(["run", "--out", str(out), "--kernel", "noise", "--grid", "3x4"] + option)

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from hodgegp import diagnostics
 from hodgegp.diagnostics import (divergence_variance_mc, limitation_demo, numeric_divergence,
                                  var_div_hodge_sphere, var_div_projected_sphere)
 from hodgegp.errors import InvalidInputError
-from hodgegp.kernels import HODGE_CURL, HODGE_DIV, HODGE_FULL, PROJECTED, KernelSpec, MaternParams
+from hodgegp.kernels import (HODGE_CURL, HODGE_DIV, HODGE_FULL, PROJECTED, KernelSpec,
+                             MaternParams, compositional_spec, noise_spec)
 from hodgegp.spectrum import DIV, sphere_eigenvalue, sphere_spectrum, spherical_harmonic
 
 POINT = np.array([math.sin(1.1) * math.cos(0.6), math.sin(1.1) * math.sin(0.6), math.cos(1.1)])
@@ -121,6 +123,22 @@ class TestDivergenceVariance:
         spec = KernelSpec(HODGE_FULL, PARAMS, lmax=10)
         with pytest.raises(InvalidInputError, match="at least 2 samples"):
             divergence_variance_mc(spec, POINT, n_samples, np.random.default_rng(4))
+
+    @pytest.mark.parametrize("spec, match", [
+        (compositional_spec(0.5, (0.2, 1.0), (0.3, 1.0), lmax=10), "kind 'hodge-compositional'"),
+        (noise_spec(0.1), "kind 'noise'"),
+        (KernelSpec(HODGE_CURL, PARAMS, manifold="torus", lambda_cap=25.0), "on torus"),
+        (KernelSpec(HODGE_FULL, PARAMS, manifold="torus", torus_dim=3, lambda_cap=9.0),
+         "on torus")], ids=["compositional", "noise", "t2", "t3"])
+    def test_monte_carlo_rejects_its_input_before_drawing(self, spec, match, monkeypatch):
+        # at the parent the two kinds raised only after n_samples draws, and the
+        # tori inside the sampler, about an argument the caller never passed
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before checking the input")
+
+        monkeypatch.setattr(diagnostics, "sample_prior_batch", refuse)
+        with pytest.raises(InvalidInputError, match=match):
+            divergence_variance_mc(spec, POINT, 10, np.random.default_rng(5))
 
 
 class TestLimitationDemo:

@@ -22,7 +22,7 @@ SPHERE_SPECTRUM = sphere_spectrum(20)
 
 def make_dataset(n, rng, spec=SPEC, noise=0.0):
     pts = sample_sphere(n, rng)
-    field = sample_prior(spec, sphere_spectrum(spec.lmax), rng)
+    field = sample_prior(spec, rng)
     values = field.at(pts)
     if noise:
         frames = frames_at(pts)
@@ -136,7 +136,7 @@ class TestPredict:
         pts = sample_sphere(10, rng)
         pts[:, 2] = 0.8 + 0.2 * np.abs(pts[:, 2])  # a cap around the north pole
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        field = sample_prior(spec, sphere_spectrum(30), rng)
+        field = sample_prior(spec, rng)
         ds = Dataset.from_arrays("sphere", pts, field.at(pts))
         model = condition(spec, ds)
         far = np.array([[0.0, 0.0, -1.0]])
@@ -429,8 +429,8 @@ class TestQueryValidation:
         Q[1] *= scale
         calls = [lambda: predict(model, Q), lambda: sample_posterior(model, Q, rng),
                  lambda: gp.gram(SPEC, Q),
-                 lambda: sample_prior(SPEC, SPHERE_SPECTRUM, rng).at(Q),
-                 lambda: sample_prior_batch(SPEC, SPHERE_SPECTRUM, Q, 2, rng)]
+                 lambda: sample_prior(SPEC, rng).at(Q),
+                 lambda: sample_prior_batch(SPEC, Q, 2, rng)]
         for call in calls:
             with pytest.raises(InvalidInputError, match="unit norm"):
                 call()
@@ -466,7 +466,7 @@ class TestDrawCounts:
         spec = (noise_spec(0.1) if kind == NOISE
                 else KernelSpec(kind, MaternParams(0.5, 0.5, 1.0), lmax=20))
         pts = sample_sphere(3, np.random.default_rng(34))
-        draws = sample_prior_batch(spec, SPHERE_SPECTRUM, pts, 0, np.random.default_rng(0))
+        draws = sample_prior_batch(spec, pts, 0, np.random.default_rng(0))
         assert draws.shape == (0, 3, 3)
 
     @pytest.mark.parametrize("n_draws", [-1, 1.5, 2.0, "2", True, None])
@@ -475,7 +475,7 @@ class TestDrawCounts:
         with pytest.raises(InvalidInputError, match="n_draws"):
             sample_posterior(model, pts, np.random.default_rng(0), n_draws=n_draws)
         with pytest.raises(InvalidInputError, match="n_draws"):
-            sample_prior_batch(SPEC, SPHERE_SPECTRUM, pts, n_draws, np.random.default_rng(0))
+            sample_prior_batch(SPEC, pts, n_draws, np.random.default_rng(0))
 
     def test_integer_types_accepted(self, model):
         pts = sample_sphere(2, np.random.default_rng(36))
@@ -486,8 +486,8 @@ class TestDrawCounts:
 class TestSampling:
     def test_prior_determinism(self):
         pts = sample_sphere(5, np.random.default_rng(19))
-        a = sample_prior(SPEC, SPHERE_SPECTRUM, np.random.default_rng(42)).at(pts)
-        b = sample_prior(SPEC, SPHERE_SPECTRUM, np.random.default_rng(42)).at(pts)
+        a = sample_prior(SPEC, np.random.default_rng(42)).at(pts)
+        b = sample_prior(SPEC, np.random.default_rng(42)).at(pts)
         np.testing.assert_array_equal(a, b)
 
     def test_prior_samples_are_tangent(self):
@@ -495,13 +495,13 @@ class TestSampling:
         pts = sample_sphere(8, rng)
         for kind in (HODGE_CURL, HODGE_FULL, PROJECTED):
             spec = KernelSpec(kind, MaternParams(0.5, 0.5, 1.0), lmax=12)
-            vals = sample_prior(spec, sphere_spectrum(12), rng).at(pts)
+            vals = sample_prior(spec, rng).at(pts)
             assert np.abs(np.einsum("na,na->n", vals, pts)).max() < 1e-10
 
     def test_batch_matches_single_draws(self):
         pts = sample_sphere(4, np.random.default_rng(21))
-        batch = sample_prior_batch(SPEC, SPHERE_SPECTRUM, pts, 3, np.random.default_rng(7))
-        singles = [sample_prior(SPEC, SPHERE_SPECTRUM, np.random.default_rng(7)).at(pts)]
+        batch = sample_prior_batch(SPEC, pts, 3, np.random.default_rng(7))
+        singles = [sample_prior(SPEC, np.random.default_rng(7)).at(pts)]
         np.testing.assert_allclose(batch[0], singles[0], atol=1e-12)
 
     @pytest.mark.parametrize("manifold, kind", [
@@ -513,12 +513,12 @@ class TestSampling:
         rng = np.random.default_rng(24)
         params = MaternParams(1.5, 0.4, 1.3)
         if manifold == "sphere":
-            spectrum, pts = sphere_spectrum(10), sample_sphere(5, rng)
+            pts = sample_sphere(5, rng)
             coreg = np.array([[1.0, 0.2, -0.5], [0.0, 0.7, 0.3], [0.4, -0.1, 1.2]])
             extra = dict(lmax=10, coreg=coreg if kind == PROJECTED else None)
             harm = None
         else:
-            spectrum, pts = torus_spectrum(2, 64.0), rng.uniform(0, 2 * np.pi, size=(5, 2))
+            pts = rng.uniform(0, 2 * np.pi, size=(5, 2))
             extra = dict(manifold="torus", lambda_cap=64.0)
             harm = 0.3
         if kind == NOISE:
@@ -528,9 +528,9 @@ class TestSampling:
                                       **{k: v for k, v in extra.items() if k != "coreg"})
         else:
             spec = KernelSpec(kind, params, **extra)
-        batch = sample_prior_batch(spec, spectrum, pts, 4, np.random.default_rng(9))
+        batch = sample_prior_batch(spec, pts, 4, np.random.default_rng(9))
         rng = np.random.default_rng(9)
-        singles = np.stack([sample_prior(spec, spectrum, rng).at(pts) for _ in range(4)])
+        singles = np.stack([sample_prior(spec, rng).at(pts) for _ in range(4)])
         assert batch.shape == singles.shape == (4, 5, pts.shape[1])
         assert np.abs(batch - singles).max() <= 1e-12
         if kind != NOISE:
@@ -551,12 +551,13 @@ class TestSampling:
             spec = KernelSpec(HODGE_CURL, MaternParams(0.5, 0.5, 1.0), manifold="torus",
                               lambda_cap=64.0)
             pts = np.zeros((3, 2))
+        # only the deprecated form passes a spectrum; it warns, then checks it
         rng = np.random.default_rng(26)
-        with pytest.raises(InvalidInputError):
+        with pytest.warns(DeprecationWarning), pytest.raises(InvalidInputError):
             sample_prior(spec, spectrum, rng)
-        with pytest.raises(InvalidInputError):
+        with pytest.warns(DeprecationWarning), pytest.raises(InvalidInputError):
             gp.PriorSample(spec, spectrum, rng)
-        with pytest.raises(InvalidInputError):
+        with pytest.warns(DeprecationWarning), pytest.raises(InvalidInputError):
             sample_prior_batch(spec, spectrum, pts, 2, rng)
 
     def test_posterior_mean_consistency(self):
@@ -717,7 +718,7 @@ class TestPathwisePosterior:
         rng = np.random.default_rng(51)
         pts = rng.uniform(0, 2 * np.pi, size=(3, 3))
         pts[1] = pts[0] + 0.3
-        draws = np.concatenate([sample_prior_batch(spec, torus_spectrum(3, 9.0), pts, 5000, rng)
+        draws = np.concatenate([sample_prior_batch(spec, pts, 5000, rng)
                                 for _ in range(4)]).reshape(20000, 9)
         exact = kernel_matrix(spec, pts).transpose(0, 2, 1, 3).reshape(9, 9)
         mc = draws.T @ draws / len(draws)
@@ -767,9 +768,9 @@ class TestSphereDrawExpansion:
         expected = explicit_sphere_expansion(spec, z, SPHERE_DRAW_POINTS)
         empty = condition(spec, Dataset([], []))
         draws = {
-            "sample_prior_batch": sample_prior_batch(spec, sphere, SPHERE_DRAW_POINTS, 3,
+            "sample_prior_batch": sample_prior_batch(spec, SPHERE_DRAW_POINTS, 3,
                                                      np.random.default_rng(55)),
-            "sample_prior": sample_prior(spec, sphere, np.random.default_rng(55)).at(
+            "sample_prior": sample_prior(spec, np.random.default_rng(55)).at(
                 SPHERE_DRAW_POINTS)[None],
             "sample_posterior": sample_posterior(empty, SPHERE_DRAW_POINTS,
                                                  np.random.default_rng(55), n_draws=3),
@@ -795,8 +796,107 @@ class TestSphereDrawExpansion:
             monkeypatch.setattr(spectrum.SphereSpectrum, "scalar_values", refuse)
         rng = np.random.default_rng(57)
         assert np.isfinite(sample_posterior(model, Q, rng, n_draws=2)).all()
-        assert np.isfinite(sample_prior(spec, sphere_spectrum(spec.lmax), rng).at(Q)).all()
-        assert np.isfinite(sample_prior_batch(spec, sphere_spectrum(spec.lmax), Q, 2, rng)).all()
+        assert np.isfinite(sample_prior(spec, rng).at(Q)).all()
+        assert np.isfinite(sample_prior_batch(spec, Q, 2, rng)).all()
+
+
+SPECTRUM_FORM_SPECS = {
+    **{"sphere-" + name: spec for name, spec in SPHERE_DRAW_SPECS.items()},
+    "t2-curl": KernelSpec(HODGE_CURL, POSTERIOR_PARAMS, manifold="torus", lambda_cap=64.0),
+    "t2-compositional": POSTERIOR_SPECS["t2-compositional"],
+    "t3-full": POSTERIOR_SPECS["t3-full"],
+    "noise": noise_spec(0.1),
+}
+
+
+def own_spectrum(spec):
+    """The truncation the deprecated sampler forms check a spectrum against."""
+    if spec.manifold == "sphere":
+        return sphere_spectrum(spec.lmax)
+    return torus_spectrum(spec.dim, spec.lambda_cap)
+
+
+def draw_points(spec):
+    if spec.manifold == "sphere":
+        return SPHERE_DRAW_POINTS
+    return np.random.default_rng(61).uniform(0, 2 * np.pi, size=(6, spec.dim))
+
+
+class TestSpectrumFreeSamplers:
+    """The samplers take the spec and an rng; a spectrum before the rng is the
+    deprecated form, which warns, checks the spectrum and draws the same field."""
+
+    @pytest.mark.parametrize("name", list(SPECTRUM_FORM_SPECS))
+    def test_deprecated_form_draws_the_same_values(self, name):
+        spec = SPECTRUM_FORM_SPECS[name]
+        own, pts = own_spectrum(spec), draw_points(spec)
+        new = [sample_prior(spec, np.random.default_rng(62)).at(pts),
+               gp.PriorSample(spec, np.random.default_rng(62)).at(pts),
+               sample_prior_batch(spec, pts, 3, np.random.default_rng(62))]
+        with pytest.warns(DeprecationWarning):
+            old = [sample_prior(spec, own, np.random.default_rng(62)).at(pts),
+                   gp.PriorSample(spec, own, np.random.default_rng(62)).at(pts),
+                   sample_prior_batch(spec, own, pts, 3, np.random.default_rng(62))]
+        for a, b in zip(old, new):
+            np.testing.assert_array_equal(a, b)
+        assert spec.kind == NOISE or np.abs(new[2]).max() > 0.0
+
+    def test_deprecated_form_warns_at_the_callers_line(self):
+        spec = SPECTRUM_FORM_SPECS["sphere-curl"]
+        own, pts, rng = own_spectrum(spec), SPHERE_DRAW_POINTS, np.random.default_rng(63)
+        calls = {"sample_prior(spec, rng)": lambda: sample_prior(spec, own, rng),
+                 "PriorSample(spec, rng)": lambda: gp.PriorSample(spec, own, rng),
+                 # through the single_threaded_numpy_blas wrapper
+                 "sample_prior_batch(spec, points, n_draws, rng)":
+                     lambda: sample_prior_batch(spec, own, pts, 2, rng)}
+        for new_call, call in calls.items():
+            with pytest.warns(DeprecationWarning) as record:
+                call()
+            assert len(record) == 1
+            assert f"call {new_call}" in str(record[0].message)
+            assert record[0].filename == __file__
+
+    def test_new_form_builds_no_torus_spectrum(self, monkeypatch):
+        spec = KernelSpec(HODGE_CURL, POSTERIOR_PARAMS, manifold="torus", torus_dim=3,
+                          lambda_cap=900.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a TorusSpectrum was built")
+
+        for module in (spectrum, kernels, gp):
+            monkeypatch.setattr(module, "torus_spectrum", refuse, raising=False)
+        monkeypatch.setattr(spectrum.TorusSpectrum, "__init__", refuse)
+        pts = draw_points(spec)
+        assert np.isfinite(sample_prior(spec, np.random.default_rng(64)).at(pts)).all()
+        assert sample_prior_batch(spec, pts, 2, np.random.default_rng(64)).shape == (2, 6, 3)
+
+    def test_callers_import_no_spectrum_builder(self):
+        from hodgegp import cli, diagnostics
+        for module in (cli, diagnostics):
+            assert not hasattr(module, "sphere_spectrum")
+            assert not hasattr(module, "torus_spectrum")
+        assert not hasattr(sample_prior(SPEC, np.random.default_rng(65)), "spectrum")
+
+    @pytest.mark.parametrize("name", ["t2-curl", "t2-compositional", "t3-full"])
+    def test_torus_draws_factor_their_weights_once(self, name, monkeypatch):
+        # at the parent every .at call factored the weights again, only to read N
+        spec, calls = SPECTRUM_FORM_SPECS[name], []
+        factors = kernels.lattice_draw_factors
+        n, a = factors(spec)
+        monkeypatch.setattr(gp, "lattice_draw_factors", lambda s: calls.append(s) or factors(s))
+        pts = draw_points(spec)
+        field = sample_prior(spec, np.random.default_rng(66))
+        assert len(calls) == 1
+        values = [field.at(pts), field(pts)]
+        assert len(calls) == 1
+        sample_prior_batch(spec, pts, 2, np.random.default_rng(66))
+        assert len(calls) == 2
+        # the values are the features at N times the coefficients A_n z_n, bit for bit
+        z = np.random.default_rng(66).standard_normal((1, 2, len(a), spec.dim))
+        coeffs = np.einsum("fab,dcfb->dcfa", a, z).reshape(1, 2 * len(a), spec.dim)
+        expected = np.einsum("mf,dfa->dma", kernels.lattice_features(pts, n), coeffs)[0]
+        for v in values:
+            np.testing.assert_array_equal(v, expected)
 
 
 class TestSphereLevelZero:
@@ -817,7 +917,7 @@ class TestSphereLevelZero:
                  lambda: kernels.normalization(spec),
                  lambda: kernels.normalization(spec, sphere_spectrum(0)),
                  lambda: kernels.class_weights(spec, sphere_spectrum(0)),
-                 lambda: sample_prior(spec, sphere_spectrum(0), np.random.default_rng(0))]
+                 lambda: sample_prior(spec, np.random.default_rng(0))]
         for call in calls:
             with pytest.raises(InvalidInputError, match="empty eigenfield class"):
                 call()
@@ -842,13 +942,12 @@ class TestTorusQueryValidation:
         model, _ = posterior_problem(spec, np.random.default_rng(52))
         empty = condition(spec, Dataset([], []))
         rng = np.random.default_rng(53)
-        spectrum_t2 = torus_spectrum(2, 25.0)
         Q = np.array([[0.3, 0.1], [bad, 0.0]])
         calls = [lambda: predict(model, Q), lambda: predict(empty, Q),
                  lambda: sample_posterior(model, Q, rng), lambda: sample_posterior(empty, Q, rng),
                  lambda: gp.gram(spec, Q), lambda: kernel_matrix(spec, Q),
-                 lambda: sample_prior(spec, spectrum_t2, rng).at(Q),
-                 lambda: sample_prior_batch(spec, spectrum_t2, Q, 2, rng)]
+                 lambda: sample_prior(spec, rng).at(Q),
+                 lambda: sample_prior_batch(spec, Q, 2, rng)]
         for call in calls:
             with pytest.raises(InvalidInputError, match="finite"):
                 call()
@@ -859,9 +958,8 @@ class TestTorusGP:
         rng = np.random.default_rng(31)
         spec = KernelSpec(HODGE_FULL, MaternParams(0.5, 0.8, 1.0, 0.0),
                           manifold="torus", lambda_cap=64.0)
-        from hodgegp.spectrum import torus_spectrum
         theta = rng.uniform(0, 2 * np.pi, size=(12, 2))
-        field = sample_prior(spec, torus_spectrum(2, 64.0), rng)
+        field = sample_prior(spec, rng)
         ds = Dataset.from_arrays("torus", theta, field.at(theta))
         model = condition(spec, ds)
         pred = predict(model, theta)
@@ -877,9 +975,8 @@ class TestTorusGP:
         rng = np.random.default_rng(32)
         spec = KernelSpec(HODGE_CURL, MaternParams(0.5, 0.8, 1.0, 1e-4),
                           manifold="torus", lambda_cap=25.0)
-        from hodgegp.spectrum import torus_spectrum
         theta = rng.uniform(0, 2 * np.pi, size=(15, 2))
-        field = sample_prior(spec, torus_spectrum(2, 25.0), rng)
+        field = sample_prior(spec, rng)
         ds = Dataset.from_arrays("torus", theta, field.at(theta))
         cfg = FitConfig(restarts=1, max_iter=40, seed=0)
         fitted = fit(ds, HODGE_CURL, cfg, nu=0.5, lambda_cap=25.0)

@@ -426,7 +426,7 @@ class TestProjected:
         # away from zero so a relative comparison is meaningful
         pts = geodesic_fan(np.deg2rad([0.0, 10.0, 20.0, 30.0, 40.0]))
         spec = KernelSpec(PROJECTED, MaternParams(1.5, 0.6, 1.0), lmax=12)
-        draws = sample_prior_batch(spec, sphere_spectrum(12), pts, 2000,
+        draws = sample_prior_batch(spec, pts, 2000,
                                    np.random.default_rng(8))
         exact = kernel_matrix(spec, pts, pts)
         for j in range(5):
@@ -551,12 +551,27 @@ class TestTorus:
         result = {}
         for kind in (HODGE_CURL, HODGE_DIV):
             spec = KernelSpec(kind, PARAMS, manifold=TORUS, lambda_cap=30.0, torus_dim=3)
-            draw = gp.sample_prior(spec, torus_spectrum(3, 30.0), np.random.default_rng(24))
+            draw = gp.sample_prior(spec, np.random.default_rng(24))
             jac = np.stack([(draw(x + h * e) - draw(x - h * e)) / (2.0 * h) for e in np.eye(3)],
                            axis=2)
             result[kind] = np.abs(np.trace(jac, axis1=1, axis2=2)).max() / np.abs(jac).max()
         assert result[HODGE_CURL] <= 1e-6
         assert result[HODGE_DIV] >= 0.1
+
+    @pytest.mark.parametrize("call", ["normalization", "class_weights", "spectral_kernel_oracle"])
+    @pytest.mark.parametrize("kind", [HODGE_DIV, HODGE_CURL, HODGE_FULL])
+    def test_eigenfield_oracle_names_why_it_refuses_t3(self, kind, call):
+        # the T^3 classes are not empty; its spectrum classifies no eigenfields
+        # (the parent said "empty eigenfield class 'div' on torus")
+        spec = KernelSpec(kind, PARAMS, manifold=TORUS, lambda_cap=9.0, torus_dim=3)
+        sp, x = torus_spectrum(3, 9.0), np.zeros((2, 3))
+        calls = {"normalization": lambda: normalization(spec),
+                 "class_weights": lambda: class_weights(spec, sp),
+                 "spectral_kernel_oracle":
+                     lambda: spectral_kernel_oracle(class_weights(spec, sp), sp, x, x)}
+        with pytest.raises(InvalidInputError,
+                           match="classified eigenfields are available for tori of dimension <= 2"):
+            calls[call]()
 
     @pytest.mark.parametrize("kind, d", [(HODGE_CURL, 1)])
     def test_absent_hodge_class_rejected(self, kind, d):
