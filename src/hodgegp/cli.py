@@ -70,6 +70,10 @@ class ExperimentConfig:
             if k not in KERNEL_NAMES:
                 raise InvalidInputError(f"unknown kernel {k!r}; choose from "
                                         f"{sorted(KERNEL_NAMES)}")
+        grid = np.atleast_1d(self.grid)
+        if grid.shape != (2,) or grid.dtype.kind not in "iu":
+            raise InvalidInputError("grid must be two integer counts (lat, lon), "
+                                    f"got {self.grid!r}")
         # lower bounds of the integer settings; for seeds and grid, of every entry
         for name, low in (("restarts", 1), ("max_iter", 1), ("lmax", 0), ("stride", 1),
                           ("seeds", 0), ("grid", 1)):
@@ -462,8 +466,6 @@ def _config_from_options(options):
     if "out" not in raw:
         raise _UsageError("an output directory is required (--out or config key 'out')")
     try:
-        grid = raw.get("grid", "37x72")
-        n_lat, n_lon = (int(v) for v in str(grid).lower().split("x"))
         return ExperimentConfig(
             out=raw["out"],
             kernels=[k.strip() for k in str(raw.get("kernel", "div-free")).split(",")],
@@ -475,7 +477,7 @@ def _config_from_options(options):
             field_name=raw.get("field", "rotation"),
             kappa=float(raw["kappa"]) if raw.get("kappa") not in (None, "") else None,
             lmax=int(raw.get("lmax", 30)),
-            grid=(n_lat, n_lon),
+            grid=tuple(int(v) for v in str(raw.get("grid", "37x72")).lower().split("x")),
             stride=int(raw.get("stride", 42)),
             restarts=int(raw.get("restarts", 3)),
         )

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .gp import sample_prior_batch
-from .kernels import (HODGE_CURL, HODGE_DIV, HODGE_FULL, PROJECTED, MaternParams,
-                      _level_weights, projected_matern)
+from .kernels import (HODGE_CURL, HODGE_DIV, HODGE_FULL, PROJECTED, KernelSpec, MaternParams,
+                      _level_weights, kernel_matrix)
 from .manifold import SPHERE
 from .spectrum import _local_basis
 
@@ -177,11 +177,11 @@ def limitation_demo(a, kappa, lmax=30, nu=math.inf):
         raise InvalidInputError("limitation demo requires rank A > 1")
     x = u[:, 0]
     x_prime = u[:, 1]
-    params = MaternParams(nu=nu, kappa=kappa, variance=1.0)
+    spec = KernelSpec(PROJECTED, MaternParams(nu, kappa, 1.0), coreg=a, lmax=lmax)
 
     def cov(p, q):
         # the projected kernel is (1/2) k P_x A A^T P_y
-        return 2.0 * projected_matern(params, a, p, q, lmax)
+        return 2.0 * kernel_matrix(spec, p[None, :], q[None, :])[0, 0]
 
     return LimitationReport(
         norm_orthogonal=float(np.linalg.norm(cov(x, x_prime))),

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the deprecation warning shared across the package."""
+
+import warnings
 
 
 class InvalidInputError(ValueError):
@@ -11,3 +13,8 @@ class DataError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical routine failed beyond its documented fallbacks."""
+
+
+def warn_deprecated(old, new, stacklevel=2):
+    """DeprecationWarning "<old> is deprecated; call <new>", stacklevel as if the caller warned."""
+    warnings.warn(f"{old} is deprecated; call {new}", DeprecationWarning, stacklevel + 1)

@@ -13,7 +13,6 @@ the conditioned model's Cholesky factor, with no factorization of their own.
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import minimize
 
 from ._accel import single_threaded_numpy_blas
-from .errors import InvalidInputError, NumericalError
+from .errors import InvalidInputError, NumericalError, warn_deprecated
 from .kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NOISE, PROJECTED,
                       GramTables, KernelSpec, MaternParams, _torus_lattice, check_torus_points,
                       class_weights, compositional_spec, diagonal_frame_blocks, frame_blocks,
@@ -423,12 +422,12 @@ class PriorSample:
     def __init__(self, spec, rng, *spectrum_form):
         rng, = _spectrum_form(spec, (rng,) + spectrum_form, "PriorSample(spec, rng)", 3)
         self.spec = spec
-        self._coeffs = _prior_coeffs(spec, rng, 1)
+        self._draw = _prior_coeffs(spec, rng, 1)
 
     @single_threaded_numpy_blas
     def at(self, points):
         """Field values at an (m, k)-coordinate array (ambient on the sphere)."""
-        return _prior_values(self.spec, self._coeffs, points)[0]
+        return _prior_values(self.spec, self._draw, points)[0]
 
     __call__ = at
 
@@ -438,8 +437,7 @@ def _spectrum_form(spec, args, new_call, stacklevel):
     (stacklevel frames up, the BLAS wrapper's included) and checked by ``_check_spectrum``."""
     if not isinstance(args[0], (SphereSpectrum, TorusSpectrum)):
         return args
-    warnings.warn(f"passing a spectrum is deprecated; call {new_call}", DeprecationWarning,
-                  stacklevel)
+    warn_deprecated("passing a spectrum", new_call, stacklevel)
     _check_spectrum(spec, args[0])
     return args[1:]
 
@@ -456,41 +454,43 @@ def _check_spectrum(spec, spectrum):
 
 
 def _prior_coeffs(spec, rng, n_draws):
-    """Coefficients of n_draws independent prior fields in the spec's own basis, in draw order.
+    """(coeffs, N): n_draws independent prior fields in the spec's own basis, in draw order.
 
     Sphere: (n_draws, F) coefficients z_n sqrt(w_n) of the eigenfields of
     ``sphere_spectrum(lmax)``, or (n_draws, F, 3) of three stacked scalar
     fields (projected kind, unit-trace weights sigma^2 Phi / C0). Tori:
     (n_draws, 2F, D) coefficients A_n z_n of cos(n . x), then sin(n . x), over
-    the kernel's half lattice (``lattice_draw_factors``). Noise: none.
+    the kernel's half lattice N (``lattice_draw_factors``), kept with them so
+    that evaluating the draws builds no lattice. Noise: none. N is None off tori.
     """
     if spec.kind == NOISE:
-        return np.zeros((n_draws, 0))
+        return np.zeros((n_draws, 0)), None
     if spec.manifold != SPHERE:
-        _, a = lattice_draw_factors(spec)
+        n, a = lattice_draw_factors(spec)
         z = rng.standard_normal((n_draws, 2, len(a), spec.dim))
-        return np.einsum("fab,dcfb->dcfa", a, z).reshape(n_draws, 2 * len(a), spec.dim)
+        return np.einsum("fab,dcfb->dcfa", a, z).reshape(n_draws, 2 * len(a), spec.dim), n
     spectrum = sphere_spectrum(spec.lmax)
     if spec.kind == PROJECTED:
         lam = spectrum.scalar_eigenvalues()
         w = stable_phi_ratios(spec.params.nu, spec.params.kappa, lam, spectrum.dim)
         scale = np.sqrt(spec.params.variance * spectrum.volume * w / w.sum())
-        return scale[None, :, None] * rng.standard_normal((n_draws, len(scale), 3))
+        return scale[None, :, None] * rng.standard_normal((n_draws, len(scale), 3)), None
     w = class_weights(spec, spectrum)
-    return np.sqrt(w) * rng.standard_normal((n_draws, len(w)))
+    return np.sqrt(w) * rng.standard_normal((n_draws, len(w))), None
 
 
-def _prior_values(spec, coeffs, points):
-    """(n_draws, m, D) values at points of the prior fields with these coefficients.
+def _prior_values(spec, draw, points):
+    """(n_draws, m, D) values at points of the prior fields of a ``_prior_coeffs`` draw.
 
     A projected field is A times the stacked scalar fields, projected onto
     the tangent plane and scaled by 1/sqrt(2).
     """
+    coeffs, n = draw
     pts = _coords(spec, points)
     if spec.kind == NOISE:
         return np.zeros((len(coeffs), pts.shape[0], spec.ambient_dim))
     if spec.manifold != SPHERE:
-        return np.einsum("mf,dfa->dma", lattice_features(pts, _torus_lattice(spec).n), coeffs)
+        return np.einsum("mf,dfa->dma", lattice_features(pts, n), coeffs)
     spectrum = sphere_spectrum(spec.lmax)
     if spec.kind != PROJECTED:
         return spectrum.field_values(coeffs, pts)
@@ -565,7 +565,10 @@ def metrics(means, covs, truths, noise_variance, frames=None):
     MSE is the mean squared Euclidean norm of the mean error. PNLL is the
     mean negative log-density of the truth under the per-point Gaussian
     N(mean, cov + noise * I) expressed in the query frame, each test point
-    scored independently. Raises InvalidInputError for zero predictions.
+    scored independently. Raises InvalidInputError for zero predictions, and
+    unless there is one frame per prediction, of the predictions' ambient
+    dimension (sphere), and the residuals in those frames have the
+    covariance blocks' size.
     """
     means = np.atleast_2d(means)
     truths = np.atleast_2d(truths)
@@ -574,10 +577,16 @@ def metrics(means, covs, truths, noise_variance, frames=None):
         raise InvalidInputError("prediction and truth lists must align")
     if means.size == 0:
         raise InvalidInputError("metrics need at least one prediction")
+    if frames is not None and (np.ndim(frames) != 3 or np.shape(frames)[::2] != means.shape):
+        raise InvalidInputError(f"frames of shape {np.shape(frames)} for predictions of shape "
+                                f"{means.shape}: need one (k, {means.shape[1]}) frame per point")
     diff = means - truths
     mse = float(np.mean(np.sum(diff ** 2, axis=1)))
     r = _frame_components(diff, frames)
     d = r.shape[1]
+    if covs.shape[1:] != (d, d):
+        raise InvalidInputError(f"covariance blocks of shape {covs.shape[1:]} for {d}-component "
+                                "residuals; sphere predictions are scored in their frames")
     sigma = covs + noise_variance * np.eye(d)[None]
     sign, logdet = np.linalg.slogdet(sigma)
     if np.any(sign <= 0):

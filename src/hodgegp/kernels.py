@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._accel import _contract_levels, legendre_derivative_maps, legendre_sums, legendre_table
-from .errors import InvalidInputError
+from .errors import InvalidInputError, warn_deprecated
 from .manifold import CIRCLE, SPHERE, TORUS, check_sphere_points, frames_at
 from .spectrum import CURL, DIV, HARM, sphere_spectrum, torus_spectrum
 
@@ -485,20 +485,23 @@ def diagonal_frame_blocks(spec, X, BX):
 
 
 def hodge_matern_sphere(spec, x, y):
-    """3x3 ambient kernel matrix of a Hodge-Matern kernel at one point pair."""
+    """Deprecated: the 3x3 ambient kernel matrix at one point pair, kernel_matrix's [0, 0]."""
+    warn_deprecated("hodge_matern_sphere", "kernel_matrix(spec, x, y)[0, 0]")
     return kernel_matrix(spec, np.asarray(x)[None, :], np.asarray(y)[None, :])[0, 0]
 
 
 def scalar_matern_sphere(params, lmax, x, y):
-    """Normalized scalar Matern kernel on S2 via the addition theorem."""
+    """Deprecated: scalar_kernel_matrix(KernelSpec(SCALAR, params, lmax=lmax), x, y)[0, 0]."""
+    warn_deprecated("scalar_matern_sphere", "scalar_kernel_matrix(KernelSpec(SCALAR, ...), x, y)")
     return float(scalar_kernel_matrix(KernelSpec(SCALAR, params, lmax=lmax), x, y)[0, 0])
 
 
 def projected_matern(params, A, x, y, lmax=30):
-    """3x3 projected Matern kernel (1/2) k P_x A A^T P_y at one point pair.
+    """Deprecated: the 3x3 projected Matern kernel (1/2) k P_x A A^T P_y at one point pair.
 
-    ``A`` is the 3x3 coregionalization matrix (identity when None).
+    Use ``kernel_matrix(KernelSpec(PROJECTED, params, coreg=A, lmax=lmax), x, y)[0, 0]``.
     """
+    warn_deprecated("projected_matern", "kernel_matrix(KernelSpec(PROJECTED, ...), x, y)[0, 0]")
     spec = KernelSpec(PROJECTED, params, coreg=A, lmax=lmax)
     return kernel_matrix(spec, np.asarray(x)[None, :], np.asarray(y)[None, :])[0, 0]
 
@@ -614,23 +617,25 @@ def lattice_draw_factors(spec):
 
 
 def scalar_matern_torus(params, d, lambda_cap, x, y):
-    """Normalized scalar Matern kernel on T^d: a float for two points, else a matrix."""
+    """Deprecated: scalar_kernel_matrix of a T^d scalar spec, a float for two points."""
+    warn_deprecated("scalar_matern_torus", "scalar_kernel_matrix(KernelSpec(SCALAR, ...), x, y)")
     spec = KernelSpec(SCALAR, params, manifold=TORUS, lambda_cap=lambda_cap, torus_dim=d)
     m = scalar_kernel_matrix(spec, x, y)
     return float(m[0, 0]) if np.asarray(x).ndim == 1 else m
 
 
 def torus_matern(params, lambda_cap, x, y, d=None, kind=HODGE_FULL):
-    """Vector Hodge-Matern kernel value on T^d at one point pair.
+    """Deprecated: the vector Hodge-Matern kernel on T^d at one point pair.
 
-    The full kernel is (1/d) k_scalar I_d; the circle (d = 1) has no curl class.
+    Use ``kernel_matrix(KernelSpec(kind, params, manifold=TORUS, lambda_cap=lambda_cap,
+    torus_dim=d), x, y)[0, 0]``. The circle (d = 1) has no curl class.
     """
+    warn_deprecated("torus_matern", "kernel_matrix(KernelSpec(kind, ...), x, y)[0, 0]")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise InvalidInputError("torus kernel needs two points of equal dimension")
-    if d is None:
-        d = x.shape[0]
+    d = x.shape[0] if d is None else d
     if d != x.shape[0]:
         raise InvalidInputError(f"points have dimension {x.shape[0]}, expected {d}")
     spec = KernelSpec(kind, params, manifold=TORUS, lambda_cap=lambda_cap, torus_dim=d)

@@ -6,11 +6,11 @@ points are stored as unit 3-vectors so that kernel code never touches a
 coordinate singularity; angles appear only at ingestion and emission.
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, warn_deprecated
 
 SPHERE = "sphere"
 CIRCLE = "circle"
@@ -39,7 +39,11 @@ def check_sphere_points(X):
 
 
 def _reduce_angles(a):
-    r = np.mod(np.asarray(a, dtype=np.float64), TWO_PI)
+    """Angles reduced to [0, 2*pi); InvalidInputError unless every angle is finite."""
+    if not np.isfinite(a).all():
+        raise InvalidInputError("circle and torus angles must be finite, "
+                                f"got {a[~np.isfinite(a)][0]}")
+    r = np.mod(a, TWO_PI)
     # np.mod can round up to exactly 2*pi for tiny negative inputs
     return np.where(r >= TWO_PI, 0.0, r)
 
@@ -129,15 +133,18 @@ class TangentVector:
 
 @dataclass(frozen=True, eq=False)
 class TangentFrame:
-    """Orthonormal oriented basis (b1, b2) of a sphere tangent plane.
+    """Deprecated: an orthonormal oriented basis (b1, b2) of a sphere tangent plane.
 
     Orientation fixed by b2 = x cross b1, so (b1, b2, x) is right-handed.
+    ``frames_at(sphere_point(x).coords)[0]`` is the basis as a (2, 3) array with rows b1, b2.
     """
 
     base: ManifoldPoint
     basis: np.ndarray  # shape (2, 3), rows b1 and b2
+    stacklevel: InitVar[int] = 3  # the warning's frame: the constructor's caller
 
-    def __post_init__(self):
+    def __post_init__(self, stacklevel):
+        warn_deprecated("frame_at/TangentFrame", "frames_at(sphere_point(x).coords)[0]", stacklevel)
         b = np.asarray(self.basis, dtype=np.float64)
         if b.shape != (2, 3):
             raise InvalidInputError("frame basis must be two 3-vectors")
@@ -199,10 +206,9 @@ def frames_at(xs):
 
 
 def frame_at(x) -> TangentFrame:
-    """Deterministic oriented orthonormal frame at a sphere point."""
+    """Deprecated: the frame of ``frames_at`` at a sphere point, as a TangentFrame."""
     p = x if isinstance(x, ManifoldPoint) else sphere_point(x)
-    basis = frames_at(p.coords[None, :])[0]
-    return TangentFrame(p, basis)
+    return TangentFrame(p, frames_at(p.coords)[0], 4)  # warned at frame_at's caller
 
 
 def lonlat_to_point(lon_deg, lat_deg) -> ManifoldPoint:
@@ -224,16 +230,16 @@ def point_to_lonlat(p) -> tuple:
 
 
 def tangent_from_east_north(x, u_east, v_north) -> TangentVector:
-    """Tangent vector from east/north components through the frame at x."""
+    """Tangent vector from east/north components in the frame of ``frames_at`` at x."""
     p = x if isinstance(x, ManifoldPoint) else sphere_point(x)
-    f = frame_at(p)
-    return TangentVector(p, u_east * f.b1 + v_north * f.b2)
+    b1, b2 = frames_at(p.coords)[0]
+    return TangentVector(p, u_east * b1 + v_north * b2)
 
 
 def east_north_components(v: TangentVector) -> tuple:
-    """East/north components of a sphere tangent vector."""
-    f = frame_at(v.base)
-    return float(v.components @ f.b1), float(v.components @ f.b2)
+    """East/north components of a sphere tangent vector, in the frame of ``frames_at``."""
+    b1, b2 = frames_at(v.base.coords)[0]
+    return float(v.components @ b1), float(v.components @ b2)
 
 
 def sample_uniform(manifold, n, rng, dim=2):

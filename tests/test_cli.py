@@ -83,6 +83,18 @@ class TestIngest:
         for a, b in zip(ds.observations, back.observations):
             np.testing.assert_allclose(a.components, b.components, atol=1e-9)
 
+    @pytest.mark.parametrize("angle", ["nan", "inf"])
+    def test_torus_angles_must_be_finite(self, tmp_path, capsys, angle):
+        # before, a NaN angle reached the CLI as "observation base point mismatch"
+        path = tmp_path / "torus.csv"
+        path.write_text(f"theta_1,theta_2,v_1,v_2\n0.1,0.2,1,0\n{angle},0.3,0,1\n")
+        with pytest.raises(InvalidInputError, match="finite"):
+            ingest_csv(path)
+        code = main(["run", "--out", str(tmp_path / "out"), "--protocol", "file",
+                     "--train", str(path), "--test", str(path), "--kernel", "noise"])
+        assert code == 2
+        assert "angles must be finite" in capsys.readouterr().err
+
     def test_torus_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         pts = sample_uniform("torus", 8, rng, dim=2)
@@ -296,6 +308,14 @@ class TestRunExperiment:
         with pytest.raises(InvalidInputError):
             ExperimentConfig(out=str(tmp_path), kernels=["fourier"])
 
+    @pytest.mark.parametrize("grid", [(3,), (3, 4, 5), (3.5, 4)])
+    def test_grid_must_be_two_counts(self, tmp_path, grid):
+        # before, run_experiment wrote both tables and then failed to unpack the grid
+        # (or, for a fractional count, to build it)
+        with pytest.raises(InvalidInputError, match="two integer counts"):
+            ExperimentConfig(out=str(tmp_path / "out"), grid=grid)
+        assert not (tmp_path / "out").exists()
+
 
 class TestMainExitCodes:
     def test_usage_error_unknown_kernel(self, tmp_path, capsys):
@@ -315,7 +335,7 @@ class TestMainExitCodes:
         ["--restarts", "0"], ["--kappa", "0"], ["--kappa", "-1"], ["--lmax", "-1"],
         ["--train", "0"], ["--test", "0"], ["--protocol", "great-circle", "--test", "0"],
         ["--protocol", "great-circle", "--stride", "0"], ["--seeds=-1"], ["--seeds=0,-1"],
-        ["--grid=-1x72"], ["--grid=37x0"],
+        ["--grid=-1x72"], ["--grid=37x0"], ["--grid", "3"], ["--grid", "3x4x5"],
         # a malformed --field was a traceback (abc) or a data error after the
         # output directory was made (the other three)
         ["--field", "sample:div-free:abc:0.5"], ["--field", "sample:div-free:1.5"],

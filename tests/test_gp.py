@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -879,18 +880,22 @@ class TestSpectrumFreeSamplers:
 
     @pytest.mark.parametrize("name", ["t2-curl", "t2-compositional", "t3-full"])
     def test_torus_draws_factor_their_weights_once(self, name, monkeypatch):
-        # at the parent every .at call factored the weights again, only to read N
-        spec, calls = SPECTRUM_FORM_SPECS[name], []
-        factors = kernels.lattice_draw_factors
+        # before, every .at call factored the weights again, and later rebuilt the
+        # lattice with every class's projectors, only to read N
+        spec, calls, lattices = SPECTRUM_FORM_SPECS[name], [], []
+        factors, lattice = kernels.lattice_draw_factors, kernels._torus_lattice
         n, a = factors(spec)
         monkeypatch.setattr(gp, "lattice_draw_factors", lambda s: calls.append(s) or factors(s))
+        for module in (kernels, gp):
+            monkeypatch.setattr(module, "_torus_lattice",
+                                lambda s: lattices.append(s) or lattice(s))
         pts = draw_points(spec)
         field = sample_prior(spec, np.random.default_rng(66))
-        assert len(calls) == 1
+        assert len(calls) == len(lattices) == 1
         values = [field.at(pts), field(pts)]
-        assert len(calls) == 1
+        assert len(calls) == len(lattices) == 1
         sample_prior_batch(spec, pts, 2, np.random.default_rng(66))
-        assert len(calls) == 2
+        assert len(calls) == len(lattices) == 2
         # the values are the features at N times the coefficients A_n z_n, bit for bit
         z = np.random.default_rng(66).standard_normal((1, 2, len(a), spec.dim))
         coeffs = np.einsum("fab,dcfb->dcfa", a, z).reshape(1, 2 * len(a), spec.dim)
@@ -951,6 +956,13 @@ class TestTorusQueryValidation:
         for call in calls:
             with pytest.raises(InvalidInputError, match="finite"):
                 call()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_dataset_rows_must_be_finite(self, bad):
+        # before, a NaN angle was stored, and the dataset then failed with "observation
+        # base point mismatch" (NaN != NaN)
+        with pytest.raises(InvalidInputError, match="finite"):
+            Dataset.from_arrays("torus", [[0.1, 0.2], [bad, 0.3]], [[1.0, 0.0], [0.0, 1.0]])
 
 
 class TestTorusGP:
@@ -1050,6 +1062,23 @@ class TestMetrics:
         other = metrics(means, angles_cov, truths, 0.05, rotated)
         assert base[0] == pytest.approx(other[0], abs=1e-12)
         assert base[1] == pytest.approx(other[1], abs=1e-9)
+
+    def test_sphere_residuals_need_their_frames(self):
+        # before, numpy failed to broadcast the (4, 2, 2) blocks against a 3x3 identity
+        pts = sample_sphere(4, np.random.default_rng(31))
+        means, covs = np.zeros((4, 3)), np.repeat(0.1 * np.eye(2)[None], 4, axis=0)
+        with pytest.raises(InvalidInputError, match="covariance blocks"):
+            metrics(means, covs, means, 0.01)
+        np.testing.assert_array_equal(metrics(means, covs, means, 0.01, frames_at(pts))[0], 0.0)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 3), (5, 2, 3), (4, 2, 2), (4, 6)])
+    def test_one_frame_per_prediction(self, shape):
+        # before, einsum failed on the mismatched frame count or ambient dimension
+        frames = frames_at(sample_sphere(5, np.random.default_rng(32)))
+        frames = frames[:shape[0], :, :shape[-1]].reshape(shape)
+        means, covs = np.zeros((4, 3)), np.repeat(0.1 * np.eye(2)[None], 4, axis=0)
+        with pytest.raises(InvalidInputError, match=re.escape(f"frames of shape {shape}")):
+            metrics(means, covs, means, 0.01, frames)
 
     def test_zero_predictions_rejected(self):
         # unchecked, the mean of an empty slice warns and returns NaN

@@ -13,9 +13,8 @@ from hodgegp.gp import Dataset, condition, predict, sample_prior_batch
 from hodgegp.kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL,
                              PROJECTED, SCALAR, GramTables, KernelSpec, MaternParams,
                              class_weights, compositional_spec, diagonal_frame_blocks,
-                             frame_blocks, hodge_matern_sphere, kernel_matrix, noise_spec, normalization, phi, projected_matern,
-                             scalar_kernel_matrix, scalar_matern_sphere, scalar_matern_torus,
-                             spectral_kernel_oracle, torus_matern)
+                             frame_blocks, kernel_matrix, noise_spec, normalization, phi,
+                             scalar_kernel_matrix, spectral_kernel_oracle)
 from hodgegp.manifold import CIRCLE, SPHERE, TORUS, frames_at, sample_sphere
 from hodgegp.spectrum import CURL, DIV, HARM, circle_spectrum, sphere_spectrum, torus_spectrum
 
@@ -127,9 +126,9 @@ class TestNormalization:
             normalization(spec_div) + normalization(spec_curl), rel=1e-14)
         rng = np.random.default_rng(2)
         x, y = sample_sphere(2, rng)
-        m_full = hodge_matern_sphere(spec_full, x, y)
-        m_half = 0.5 * (hodge_matern_sphere(spec_div, x, y)
-                        + hodge_matern_sphere(spec_curl, x, y))
+        m_full = kernel_matrix(spec_full, x, y)[0, 0]
+        m_half = 0.5 * (kernel_matrix(spec_div, x, y)[0, 0]
+                        + kernel_matrix(spec_curl, x, y)[0, 0])
         np.testing.assert_allclose(m_full, m_half, atol=1e-14)
 
     def test_empty_class_rejected(self):
@@ -141,8 +140,8 @@ class TestNormalization:
 class TestScalarSphere:
     def test_diagonal_value(self):
         x = sample_sphere(1, np.random.default_rng(3))[0]
-        assert scalar_matern_sphere(PARAMS, 30, x, x) == pytest.approx(PARAMS.variance,
-                                                                       rel=1e-12)
+        k = scalar_kernel_matrix(KernelSpec(SCALAR, PARAMS, lmax=30), x, x)[0, 0]
+        assert float(k) == pytest.approx(PARAMS.variance, rel=1e-12)
 
     def test_matches_order_sum_oracle(self):
         rng = np.random.default_rng(4)
@@ -172,11 +171,11 @@ class TestHodgeSphere:
         x, y = sample_sphere(2, rng)
         for kind in (HODGE_DIV, HODGE_CURL, HODGE_FULL):
             spec = KernelSpec(kind, PARAMS, lmax=15)
-            m = hodge_matern_sphere(spec, x, y)
+            m = kernel_matrix(spec, x, y)[0, 0]
             px = np.eye(3) - np.outer(x, x)
             py = np.eye(3) - np.outer(y, y)
             np.testing.assert_allclose(px @ m @ py, m, atol=1e-10)
-            np.testing.assert_allclose(hodge_matern_sphere(spec, y, x), m.T, atol=1e-12)
+            np.testing.assert_allclose(kernel_matrix(spec, y, x)[0, 0], m.T, atol=1e-12)
 
     def test_hodge_pair_sums_give_unit_div_kernel(self):
         # documented: the unit-variance div kernel is S2 (P_x y)(P_y x)^T + S1 P_x P_y
@@ -209,7 +208,7 @@ class TestHodgeSphere:
     def test_antipodal_pair_is_finite(self):
         x = np.array([0.0, 0.6, 0.8])
         spec = KernelSpec(HODGE_DIV, PARAMS, lmax=20)
-        m = hodge_matern_sphere(spec, x, -x)
+        m = kernel_matrix(spec, x, -x)[0, 0]
         assert np.all(np.isfinite(m))
         # the rank-one term vanishes: the value is a multiple of the projector
         px = np.eye(3) - np.outer(x, x)
@@ -222,8 +221,8 @@ class TestHodgeSphere:
         q = random_rotation(rng)
         for kind in (HODGE_DIV, HODGE_FULL):
             spec = KernelSpec(kind, PARAMS, lmax=15)
-            m = hodge_matern_sphere(spec, x, y)
-            mq = hodge_matern_sphere(spec, q @ x, q @ y)
+            m = kernel_matrix(spec, x, y)[0, 0]
+            mq = kernel_matrix(spec, q @ x, q @ y)[0, 0]
             np.testing.assert_allclose(mq, q @ m @ q.T, atol=1e-10)
 
 
@@ -305,12 +304,13 @@ class TestRectangularCrossBlocks:
         x, y = rectangular_point_sets()
         a = np.array([[1.0, 0.2, -0.5], [0.0, 0.7, 0.3], [0.4, -0.1, 1.2]])
         spec = KernelSpec(PROJECTED, PARAMS, coreg=a, lmax=20)
+        scalar = KernelSpec(SCALAR, PARAMS, lmax=20)
         expected = np.empty((7, 11, 3, 3))
         for i, xi in enumerate(x):
             for j, yj in enumerate(y):
                 px = np.eye(3) - np.outer(xi, xi)
                 py = np.eye(3) - np.outer(yj, yj)
-                k = scalar_matern_sphere(PARAMS, 20, xi, yj)
+                k = scalar_kernel_matrix(scalar, xi, yj)[0, 0]
                 expected[i, j] = 0.5 * k * px @ a @ a.T @ py
         got = kernel_matrix(spec, x, y)
         assert got.shape == (7, 11, 3, 3)
@@ -409,14 +409,14 @@ class TestFrameBlocksMemory:
 class TestProjected:
     def test_identity_coregionalization_trace(self):
         x = sample_sphere(1, np.random.default_rng(11))[0]
-        m = projected_matern(PARAMS, np.eye(3), x, x)
+        m = kernel_matrix(KernelSpec(PROJECTED, PARAMS, coreg=np.eye(3), lmax=30), x, x)[0, 0]
         assert np.trace(m) == pytest.approx(PARAMS.variance, rel=1e-12)
 
     def test_bitangent(self):
         rng = np.random.default_rng(12)
         x, y = sample_sphere(2, rng)
         a = rng.standard_normal((3, 3))
-        m = projected_matern(PARAMS, a, x, y)
+        m = kernel_matrix(KernelSpec(PROJECTED, PARAMS, coreg=a, lmax=30), x, y)[0, 0]
         px = np.eye(3) - np.outer(x, x)
         py = np.eye(3) - np.outer(y, y)
         np.testing.assert_allclose(px @ m @ py, m, atol=1e-10)
@@ -448,8 +448,9 @@ class TestTorus:
     def test_dimension_one_reduces_to_circle_scalar(self):
         x = np.array([0.4])
         y = np.array([2.1])
-        m = torus_matern(PARAMS, 64.0, x, y)
-        ks = scalar_matern_torus(PARAMS, 1, 64.0, x, y)
+        on_circle = dict(manifold=TORUS, lambda_cap=64.0, torus_dim=1)
+        m = kernel_matrix(KernelSpec(HODGE_FULL, PARAMS, **on_circle), x, y)[0, 0]
+        ks = float(scalar_kernel_matrix(KernelSpec(SCALAR, PARAMS, **on_circle), x, y)[0, 0])
         assert m.shape == (1, 1)
         assert m[0, 0] == pytest.approx(ks, rel=1e-12)
 
@@ -576,11 +577,13 @@ class TestTorus:
     @pytest.mark.parametrize("kind, d", [(HODGE_CURL, 1)])
     def test_absent_hodge_class_rejected(self, kind, d):
         with pytest.raises(InvalidInputError):
-            torus_matern(PARAMS, 16.0, np.zeros(d), np.ones(d), kind=kind)
+            spec = KernelSpec(kind, PARAMS, manifold=TORUS, lambda_cap=16.0, torus_dim=d)
+            kernel_matrix(spec, np.zeros(d), np.ones(d))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
-            torus_matern(PARAMS, 64.0, np.array([0.1, 0.2]), np.array([0.3]))
+            kernel_matrix(KernelSpec(HODGE_FULL, PARAMS, manifold=TORUS, lambda_cap=64.0),
+                          np.array([0.1, 0.2]), np.array([0.3]))
 
     @pytest.mark.parametrize("kind", [HODGE_CURL, HODGE_FULL, SCALAR])
     def test_point_dimension_checked_on_t2(self, kind):
@@ -672,16 +675,17 @@ class TestLimitationProperty:
         params = MaternParams(math.inf, 100.0, 1.0)
         x = np.array([1.0, 0.0, 0.0])
         y = np.array([0.0, 1.0, 0.0])
-        m_ortho = projected_matern(params, np.eye(3), x, y)
-        m_anti = projected_matern(params, np.eye(3), x, -x)
+        projected = KernelSpec(PROJECTED, params, coreg=np.eye(3), lmax=30)
+        m_ortho = kernel_matrix(projected, x, y)[0, 0]
+        m_anti = kernel_matrix(projected, x, -x)[0, 0]
         # (1/2) normalization halves the limiting norms 1 and sqrt(2)
         assert np.linalg.norm(m_ortho) == pytest.approx(0.5, rel=1e-3)
         assert np.linalg.norm(m_anti) == pytest.approx(0.5 * math.sqrt(2), rel=1e-3)
         assert np.linalg.norm(m_ortho) < np.linalg.norm(m_anti)
 
         spec = KernelSpec(HODGE_FULL, params, lmax=30)
-        h_ortho = hodge_matern_sphere(spec, x, y)
-        h_anti = hodge_matern_sphere(spec, x, -x)
+        h_ortho = kernel_matrix(spec, x, y)[0, 0]
+        h_anti = kernel_matrix(spec, x, -x)[0, 0]
         assert np.linalg.norm(h_ortho) >= np.linalg.norm(h_anti)
 
 
@@ -777,7 +781,7 @@ class TestSpecValidation:
         with pytest.raises(InvalidInputError, match="unit norm"):
             scalar_kernel_matrix(spec, X, Y)
         with pytest.raises(InvalidInputError, match="unit norm"):
-            scalar_matern_sphere(PARAMS, 10, X[0], Y[bad])
+            scalar_kernel_matrix(spec, X[0], Y[bad])
 
     @pytest.mark.parametrize("manifold", ["plane", "Sphere", None])
     def test_manifold_must_be_known(self, manifold):

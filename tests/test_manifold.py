@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from hodgegp.errors import InvalidInputError
-from hodgegp.manifold import (CIRCLE, SPHERE, TORUS, ManifoldPoint, TangentVector, frame_at,
-                              frames_at, hodge_star, lonlat_to_point, point_to_lonlat,
-                              project_tangent, sample_uniform, sphere_point,
-                              tangent_from_east_north, east_north_components)
+from hodgegp.manifold import (CIRCLE, SPHERE, TORUS, ManifoldPoint, TangentVector,
+                              circle_point, frames_at, hodge_star, lonlat_to_point, point_to_lonlat, project_tangent,
+                              sample_uniform, sphere_point, tangent_from_east_north,
+                              east_north_components, torus_point)
 
 
 class TestProjectTangent:
@@ -65,9 +65,9 @@ class TestHodgeStar:
 
 class TestFrames:
     def test_east_north_at_lon0_lat0(self):
-        f = frame_at(sphere_point([1, 0, 0]))
-        np.testing.assert_allclose(f.b1, [0, 1, 0], atol=1e-15)
-        np.testing.assert_allclose(f.b2, [0, 0, 1], atol=1e-15)
+        b1, b2 = frames_at(sphere_point([1, 0, 0]).coords)[0]
+        np.testing.assert_allclose(b1, [0, 1, 0], atol=1e-15)
+        np.testing.assert_allclose(b2, [0, 0, 1], atol=1e-15)
 
     def test_orientation_constraint(self):
         rng = np.random.default_rng(3)
@@ -78,8 +78,7 @@ class TestFrames:
 
     @pytest.mark.parametrize("pole", [[0, 0, 1.0], [0, 0, -1.0]])
     def test_pole_fallback_orthonormal(self, pole):
-        f = frame_at(sphere_point(pole))
-        b = f.basis
+        b = frames_at(sphere_point(pole).coords)[0]
         np.testing.assert_allclose(b @ b.T, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(b @ np.asarray(pole), 0.0, atol=1e-12)
 
@@ -176,3 +175,13 @@ class TestNonFiniteInput:
         base = ManifoldPoint(manifold, np.array(coords))
         with pytest.raises(InvalidInputError, match="finite"):
             TangentVector(base, np.array(components))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_circle_and_torus_points_reject_non_finite_angles(self, bad):
+        # before, NaN was stored as the angle and inf warned in np.mod, then stored NaN
+        with pytest.raises(InvalidInputError, match="finite"):
+            circle_point(bad)
+        with pytest.raises(InvalidInputError, match="finite"):
+            torus_point([0.3, bad])
+        with pytest.raises(InvalidInputError, match="finite"):
+            ManifoldPoint(TORUS, np.array([bad, 1.0]))
