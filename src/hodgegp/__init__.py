@@ -9,19 +9,17 @@ __version__ = "0.1.0"
 
 from ._accel import using_numba
 from .errors import DataError, InvalidInputError, NumericalError
-from .manifold import (CIRCLE, SPHERE, TORUS, ManifoldPoint, TangentFrame, TangentVector,
-                       frame_at, frames_at, hodge_star, lonlat_to_point, point_to_lonlat,
-                       project_tangent, sample_uniform, sphere_point, tangent_from_east_north,
-                       torus_point)
+from .manifold import (CIRCLE, SPHERE, TORUS, ManifoldPoint, TangentVector, frames_at,
+                       hodge_star, lonlat_to_point, point_to_lonlat, project_tangent,
+                       sample_uniform, sphere_point, tangent_from_east_north, torus_point)
 from .spectrum import (CURL, DIV, HARM, EigenfieldIndex, ScalarEigenpair, SphereSpectrum,
                        TorusSpectrum, circle_spectrum, legendre, product_spectrum,
                        sphere_eigenfield, sphere_eigenvalue, sphere_quadrature, sphere_spectrum,
                        spherical_harmonic, torus_quadrature, torus_spectrum)
 from .kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NOISE, PROJECTED,
-                      SCALAR, KernelSpec, MaternParams, compositional_spec, hodge_matern_sphere,
-                      kernel_matrix, noise_spec, normalization, phi, projected_matern,
-                      scalar_kernel_matrix, scalar_matern_sphere, scalar_matern_torus,
-                      spectral_kernel_oracle, class_weights, torus_matern)
+                      SCALAR, KernelSpec, MaternParams, class_weights, compositional_spec,
+                      kernel_matrix, noise_spec, normalization, phi, scalar_kernel_matrix,
+                      spectral_kernel_oracle)
 from .gp import (Dataset, FitConfig, PosteriorModel, Prediction, condition, fit, gram,
                  log_marginal_likelihood, metrics, predict, sample_posterior, sample_prior,
                  sample_prior_batch)
@@ -30,9 +28,7 @@ from .diagnostics import (DivergenceReport, LimitationReport, divergence_varianc
                           var_div_projected_sphere)
 
 # The public API; README's "Public API" section lists exactly these names. Also
-# importable but not listed: the deprecated single-pair kernels (hodge_matern_sphere,
-# projected_matern, scalar_matern_sphere, scalar_matern_torus, torus_matern), frame_at and
-# TangentFrame, and the benchmark's using_numba stub.
+# importable but not listed: the benchmark's using_numba stub.
 __all__ = [
     "DataError", "InvalidInputError", "NumericalError",
     "CIRCLE", "SPHERE", "TORUS", "ManifoldPoint", "TangentVector", "frames_at", "hodge_star",

@@ -252,8 +252,11 @@ def parse_field_name(text):
         if len(parts) != 4:
             raise InvalidInputError("sample field syntax: sample:<kernel>:<nu>:<kappa>")
         _, kname, nu_s, kappa_s = parts
-        if kname not in KERNEL_NAMES or kname in ("noise",):
-            raise InvalidInputError(f"cannot sample from kernel {kname!r}")
+        # the noise kind draws zeros, and a compositional draw needs a pair per class
+        samplable = sorted(set(KERNEL_NAMES) - {"noise", "compositional"})
+        if kname not in samplable:
+            raise InvalidInputError(f"cannot sample from kernel {kname!r}; "
+                                    f"choose from {', '.join(samplable)}")
         try:
             nu, kappa = float(nu_s), float(kappa_s)
         except ValueError:

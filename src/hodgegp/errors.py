@@ -1,5 +1,6 @@
-"""Exception types and the deprecation warning shared across the package."""
+"""Exception types, and the count check and deprecation warning shared across the package."""
 
+import numbers
 import warnings
 
 
@@ -13,6 +14,15 @@ class DataError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical routine failed beyond its documented fallbacks."""
+
+
+def check_count(name, value, low):
+    """int(value); InvalidInputError unless value is an integer >= low, which is 0 or 1
+    (a bool is no count)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise InvalidInputError(f"{name} must be a {('nonnegative', 'positive')[low]} integer, "
+                                f"got {value!r}")
+    return int(value)
 
 
 def warn_deprecated(old, new, stacklevel=2):

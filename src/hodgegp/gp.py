@@ -5,14 +5,14 @@ orthonormal tangent frames, full-rank 2x2 blocks on the sphere (d x d
 global-frame blocks on tori); this module evaluates no kernel itself.
 Conditioning is exact via Cholesky with a documented jitter-escalation
 fallback. A prior draw is fixed by its spec and an rng, in the kernel's own
-basis: the sphere's truncated eigenfield expansion, one matrix product with
-the grad Y_lm table (Y_lm when projected), and the torus kernel's half
-lattice. Posterior draws are prior draws moved by Matheron's rule through
-the conditioned model's Cholesky factor, with no factorization of their own.
+basis with the evaluators' weights: on the sphere grad Y_lm and its rotation
+(Y_lm when projected) scaled by the level weights, summed in one matrix
+product with the harmonic table; on tori the kernel's half lattice. Posterior
+draws are prior draws moved by Matheron's rule through the conditioned
+model's Cholesky factor, with no factorization of their own.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,17 +20,18 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import minimize
 
 from ._accel import single_threaded_numpy_blas
-from .errors import InvalidInputError, NumericalError, warn_deprecated
+from .errors import InvalidInputError, NumericalError, check_count, warn_deprecated
 from .kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NOISE, PROJECTED,
                       GramTables, KernelSpec, MaternParams, _torus_lattice, check_torus_points,
-                      class_weights, compositional_spec, diagonal_frame_blocks, frame_blocks,
-                      lattice_draw_factors, lattice_features, noise_spec, stable_phi_ratios)
+                      compositional_spec, diagonal_frame_blocks, frame_blocks,
+                      lattice_draw_factors, lattice_features, noise_spec, sphere_draw_scales)
 # Not called here: gp evaluates no kernel itself. benchmark/run.py traces these
 # names in gp as well as in kernels, so they stay importable from this module.
 from .kernels import hodge_pair_sums, kernel_matrix, scalar_pair_sums  # noqa: F401
 from .manifold import (SPHERE, ManifoldPoint, TangentVector, check_sphere_points, frames_at,
                        points_array)
-from .spectrum import CURL, DIV, SphereSpectrum, TorusSpectrum, sphere_spectrum
+from .spectrum import (CURL, DIV, SphereSpectrum, TorusSpectrum, gradient_field_values,
+                       harmonic_values, sphere_spectrum)
 
 
 @dataclass
@@ -53,6 +54,8 @@ class Dataset:
                 raise InvalidInputError("observations must be tangent vectors")
             if v.base.manifold != p.manifold or not np.array_equal(v.base.coords, p.coords):
                 raise InvalidInputError("observation base point mismatch")
+        if len({(p.manifold, p.dim) for p in self.points}) > 1:
+            raise InvalidInputError("dataset points must lie on one manifold, of one dimension")
 
     def __len__(self):
         return len(self.points)
@@ -83,10 +86,14 @@ class Dataset:
 def _coords(spec, points):
     """(m, k) coordinates of a list of ManifoldPoint or of a coordinate array.
 
-    A coordinate array must hold finite rows, of unit norm on the sphere and
-    of spec's dimension on tori (InvalidInputError).
+    The points must lie on spec's manifold, of its dimension, and a coordinate
+    array must hold finite rows, of unit norm on the sphere (InvalidInputError).
     """
     if isinstance(points, list):
+        for p in points:
+            if p.manifold != spec.manifold or p.dim != spec.dim:
+                raise InvalidInputError(f"a {p.manifold} point of dimension {p.dim} for a kernel "
+                                        f"on the {spec.manifold} of dimension {spec.dim}")
         return points_array(points) if points else np.zeros((0, spec.ambient_dim))
     X = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if spec.manifold == SPHERE:
@@ -161,10 +168,11 @@ def _frame_components(values, frames):
     return np.einsum("nka,...na->...nk", frames, values)
 
 
-def _observations(manifold, dataset):
-    """Coordinates, frames (sphere only) and flattened frame observations."""
-    X = dataset.coords()
-    frames = _frames(manifold, X)
+def _observations(spec, dataset):
+    """Coordinates, frames (sphere only) and flattened frame observations of a dataset
+    on spec's manifold."""
+    X = _coords(spec, dataset.points)
+    frames = _frames(spec.manifold, X)
     return X, frames, _frame_components(dataset.values(), frames).reshape(-1)
 
 
@@ -196,7 +204,7 @@ def condition(spec, dataset) -> PosteriorModel:
     if len(dataset) == 0:
         return PosteriorModel(spec, dataset, None, np.zeros((0, 0)), np.zeros(0),
                               np.zeros(0), 0.0)
-    X, frames, y = _observations(spec.manifold, dataset)
+    X, frames, y = _observations(spec, dataset)
     chol, alpha, jitter = _factor(spec, gram(spec, X, frames), y)
     return PosteriorModel(spec, dataset, frames, chol, alpha, y, jitter)
 
@@ -241,7 +249,7 @@ def log_marginal_likelihood(spec, dataset):
     """Gaussian log evidence of the dataset under the spec, frame coordinates."""
     if len(dataset) == 0:
         raise InvalidInputError("log marginal likelihood needs a nonempty dataset")
-    X, frames, y = _observations(spec.manifold, dataset)
+    X, frames, y = _observations(spec, dataset)
     chol, alpha, _ = _factor(spec, gram(spec, X, frames), y)
     return _log_evidence(y, chol, alpha)
 
@@ -271,10 +279,22 @@ class FitConfig:
     fixed_kappa: float = None
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise InvalidInputError("at least one restart is required")
-        if self.max_iter < 1:
-            raise InvalidInputError("at least one optimizer iteration is required")
+        check_count("restarts", self.restarts, 1)
+        check_count("max_iter", self.max_iter, 1)
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise InvalidInputError(f"tol must be finite and positive, got {self.tol!r}")
+        if self.fixed_kappa is not None and not (0.0 < self.fixed_kappa < math.inf):
+            raise InvalidInputError(f"fixed_kappa must be positive and finite, "
+                                    f"got {self.fixed_kappa!r}")
+        for name in ("log_kappa_bounds", "log_variance_bounds", "log_noise_bounds"):
+            pair = np.asarray(getattr(self, name), dtype=np.float64)
+            if pair.shape != (2,) or not (np.isfinite(pair).all() and pair[0] < pair[1]):
+                raise InvalidInputError(f"{name} must be a finite pair (lo, hi) with lo < hi, "
+                                        f"got {getattr(self, name)!r}")
+        try:
+            np.random.default_rng(self.seed)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"seed {self.seed!r} does not seed numpy: {exc}") from None
 
 
 def _spec_builder(kind, nu, manifold, lmax, lambda_cap, torus_dim, config):
@@ -319,7 +339,7 @@ def _objective(dataset, names, build, theta0):
     kernel derivatives come with the blocks, and dK/dlog noise = noise I.
     """
     spec = build(theta0)
-    X, frames, y = _observations(spec.manifold, dataset)
+    X, frames, y = _observations(spec, dataset)
     tables = GramTables(spec, X, frames)
 
     def objective(theta):
@@ -371,8 +391,8 @@ def fit(dataset, kind, config=None, nu=0.5, lmax=30, lambda_cap=900.0) -> Kernel
     torus_dim = dataset.points[0].dim if manifold != SPHERE else 2
 
     if kind == NOISE:
-        _, _, y = _observations(manifold, dataset)
-        noise = max(float(np.mean(y ** 2)), math.exp(config.log_noise_bounds[0]))
+        y = _frame_components(dataset.values(), _frames(manifold, dataset.coords()))
+        noise = max(float(np.mean(y.reshape(-1) ** 2)), math.exp(config.log_noise_bounds[0]))
         return noise_spec(noise, manifold=manifold, torus_dim=torus_dim)
 
     names, bounds, build = _spec_builder(kind, nu, manifold, lmax, lambda_cap,
@@ -456,12 +476,13 @@ def _check_spectrum(spec, spectrum):
 def _prior_coeffs(spec, rng, n_draws):
     """(coeffs, N): n_draws independent prior fields in the spec's own basis, in draw order.
 
-    Sphere: (n_draws, F) coefficients z_n sqrt(w_n) of the eigenfields of
-    ``sphere_spectrum(lmax)``, or (n_draws, F, 3) of three stacked scalar
-    fields (projected kind, unit-trace weights sigma^2 Phi / C0). Tori:
-    (n_draws, 2F, D) coefficients A_n z_n of cos(n . x), then sin(n . x), over
-    the kernel's half lattice N (``lattice_draw_factors``), kept with them so
-    that evaluating the draws builds no lattice. Noise: none. N is None off tori.
+    Sphere: z times the ``sphere_draw_scales`` of the evaluators' level weights,
+    (n_draws, 2, lmax (lmax + 2)) of grad Y_lm and x cross grad Y_lm, z drawn per
+    level as the div fields m = -l..l, then the curl fields; or (n_draws,
+    (lmax + 1)^2, 3) of three stacked scalar fields (projected kind).
+    Tori: (n_draws, 2F, D) coefficients A_n z_n of cos(n . x), then sin(n . x),
+    over the kernel's half lattice N (``lattice_draw_factors``), kept with them
+    so that evaluating the draws builds no lattice. Noise: none. N is None off tori.
     """
     if spec.kind == NOISE:
         return np.zeros((n_draws, 0)), None
@@ -469,21 +490,21 @@ def _prior_coeffs(spec, rng, n_draws):
         n, a = lattice_draw_factors(spec)
         z = rng.standard_normal((n_draws, 2, len(a), spec.dim))
         return np.einsum("fab,dcfb->dcfa", a, z).reshape(n_draws, 2 * len(a), spec.dim), n
-    spectrum = sphere_spectrum(spec.lmax)
+    scale = sphere_draw_scales(spec)
     if spec.kind == PROJECTED:
-        lam = spectrum.scalar_eigenvalues()
-        w = stable_phi_ratios(spec.params.nu, spec.params.kappa, lam, spectrum.dim)
-        scale = np.sqrt(spec.params.variance * spectrum.volume * w / w.sum())
         return scale[None, :, None] * rng.standard_normal((n_draws, len(scale), 3)), None
-    w = class_weights(spec, spectrum)
-    return np.sqrt(w) * rng.standard_normal((n_draws, len(w))), None
+    # harmonic j = l^2 - 1 + l + m is z's entry 2 (l^2 - 1) + l + m (div), 2l + 1 on (curl)
+    l = np.sqrt(np.arange(1, spec.lmax * (spec.lmax + 2) + 1)).astype(np.int64)
+    order = np.arange(len(l)) + l * l - 1 + np.outer([0, 1], 2 * l + 1)
+    return scale * rng.standard_normal((n_draws, 2 * len(l)))[:, order], None
 
 
 def _prior_values(spec, draw, points):
     """(n_draws, m, D) values at points of the prior fields of a ``_prior_coeffs`` draw.
 
-    A projected field is A times the stacked scalar fields, projected onto
-    the tangent plane and scaled by 1/sqrt(2).
+    A Hodge field is one contraction of its coefficients with the grad Y_lm table
+    (``gradient_field_values``); a projected field is A times the stacked scalar
+    fields, projected onto the tangent plane and scaled by 1/sqrt(2).
     """
     coeffs, n = draw
     pts = _coords(spec, points)
@@ -491,11 +512,10 @@ def _prior_values(spec, draw, points):
         return np.zeros((len(coeffs), pts.shape[0], spec.ambient_dim))
     if spec.manifold != SPHERE:
         return np.einsum("mf,dfa->dma", lattice_features(pts, n), coeffs)
-    spectrum = sphere_spectrum(spec.lmax)
     if spec.kind != PROJECTED:
-        return spectrum.field_values(coeffs, pts)
+        return gradient_field_values(coeffs, pts, spec.lmax)
     a = spec.coreg if spec.coreg is not None else np.eye(3)
-    g = (a @ (coeffs.transpose(0, 2, 1) @ spectrum.scalar_values(pts))).transpose(0, 2, 1)
+    g = (a @ (coeffs.transpose(0, 2, 1) @ harmonic_values(pts, spec.lmax))).transpose(0, 2, 1)
     g -= np.sum(pts * g, axis=2, keepdims=True) * pts
     return g / math.sqrt(2.0)
 
@@ -514,14 +534,7 @@ def sample_prior_batch(spec, points, n_draws, rng, *spectrum_form):
     """
     points, n_draws, rng = _spectrum_form(spec, (points, n_draws, rng) + spectrum_form,
                                           "sample_prior_batch(spec, points, n_draws, rng)", 4)
-    return _prior_values(spec, _prior_coeffs(spec, rng, _draw_count(n_draws)), points)
-
-
-def _draw_count(n_draws):
-    """n_draws as an int; InvalidInputError unless it is an integer >= 0."""
-    if isinstance(n_draws, bool) or not isinstance(n_draws, numbers.Integral) or n_draws < 0:
-        raise InvalidInputError(f"n_draws must be a nonnegative integer, got {n_draws!r}")
-    return int(n_draws)
+    return _prior_values(spec, _prior_coeffs(spec, rng, check_count("n_draws", n_draws, 0)), points)
 
 
 @single_threaded_numpy_blas
@@ -536,7 +549,7 @@ def sample_posterior(model, points, rng, n_draws=1):
     Y_lm, costs the same for any n_draws (lmax 30: ~16 ms at m + n = 33, ~55 ms
     at 503), which dominates at small m.
     """
-    n_draws = _draw_count(n_draws)
+    n_draws = check_count("n_draws", n_draws, 0)
     spec = model.spec
     Q = _coords(spec, points)
     m = Q.shape[0]

@@ -18,8 +18,10 @@ where the sums over the order m collapse through the Legendre addition
 theorem, so vector kernels need only the first two derivatives of P_l(x . y);
 on T^d in the global frame, as one lattice sum over frequencies n of
 cos(n . (x - y)) M_n. ``diagonal_frame_blocks`` is its diagonal in O(m), and
-ambient 3x3 matrices are the lift of the sphere blocks. A direct sum over
-eigenfields is kept as the slow reference that tests compare against.
+ambient 3x3 matrices are the lift of the sphere blocks. The draws scale by the
+same level and lattice weights (``sphere_draw_scales``, ``lattice_draw_factors``).
+A direct sum over eigenfields (``class_weights``, ``spectral_kernel_oracle``) is
+kept as the slow reference that tests and the benchmark compare against.
 
 On the sphere the derivative sums are Legendre series themselves (exact
 integer maps of the weights), so each evaluation is one pass of the Legendre
@@ -29,7 +31,6 @@ planes; a symmetric (X, X) Gram is evaluated on and below its diagonal only.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -37,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._accel import _contract_levels, legendre_derivative_maps, legendre_sums, legendre_table
-from .errors import InvalidInputError, warn_deprecated
+from .errors import InvalidInputError, check_count
 from .manifold import CIRCLE, SPHERE, TORUS, check_sphere_points, frames_at
 from .spectrum import CURL, DIV, HARM, sphere_spectrum, torus_spectrum
 
@@ -144,11 +145,8 @@ class KernelSpec:
             raise InvalidInputError(f"unknown kernel kind {self.kind!r}")
         if self.manifold not in (SPHERE, CIRCLE, TORUS):
             raise InvalidInputError(f"unknown manifold {self.manifold!r}")
-        if not isinstance(self.torus_dim, numbers.Integral) or self.torus_dim < 1:
-            raise InvalidInputError(f"torus_dim must be a positive integer, "
-                                    f"got {self.torus_dim!r}")
-        if not isinstance(self.lmax, numbers.Integral) or self.lmax < 0:
-            raise InvalidInputError(f"lmax must be a nonnegative integer, got {self.lmax!r}")
+        check_count("torus_dim", self.torus_dim, 1)
+        check_count("lmax", self.lmax, 0)
         if not (math.isfinite(self.lambda_cap) and self.lambda_cap >= 0.0):
             raise InvalidInputError(f"lambda_cap must be finite and nonnegative, "
                                     f"got {self.lambda_cap!r}")
@@ -339,6 +337,28 @@ def _part_sum_weights(cls, params, lmax):
     return np.matmul(legendre_derivative_maps(lmax), c.T).transpose(2, 0, 1)
 
 
+def sphere_draw_scales(spec):
+    """Standard deviations of a sphere spec's draw coefficients in ``SphereSpectrum.scalar``
+    order: ((lmax + 1)^2,) of Y_lm (projected kind), else (2, lmax (lmax + 2)) of grad Y_lm
+    and x cross grad Y_lm (l >= 1). By the addition theorem, sqrt(4 pi sigma^2 c_l / (2l + 1))
+    with a part's ``_level_weights`` c_l gives the scalar kernel sigma^2 sum_l c_l P_l(x . y);
+    a Hodge part divides by lambda_l = l (l + 1), as its potential does, and the full kind's
+    one part spans both classes at half weight each.
+    """
+    first = 0 if spec.kind == PROJECTED else 1
+    l = np.arange(first, spec.lmax + 1)
+    variances = np.zeros((2, len(l)))   # rows: div (or scalar), curl
+    for cls, p in spec.classes:
+        v = 4.0 * math.pi * p.variance * _level_weights(p.nu, p.kappa, spec.lmax, first)[0, first:]
+        v /= (2.0 * l + 1.0) * (1.0 if cls == SCALAR else l * (l + 1.0))
+        if cls == HODGE_FULL:
+            variances += 0.5 * v
+        else:
+            variances[int(cls == CURL)] = v
+    scales = np.sqrt(np.repeat(variances, 2 * l + 1, axis=1))
+    return scales[0] if spec.kind == PROJECTED else scales
+
+
 def _sphere_sum_weights(spec):
     """(k, lmax + 1) Legendre weights of every pair sum of spec's parts, one row each,
     in ``spec.classes`` order: the scalar kernel of the projected kind, (S1, S2)
@@ -484,28 +504,6 @@ def diagonal_frame_blocks(spec, X, BX):
     return np.repeat(frame_blocks(spec, origin, BX, origin, BX)[0], X.shape[0], axis=0)
 
 
-def hodge_matern_sphere(spec, x, y):
-    """Deprecated: the 3x3 ambient kernel matrix at one point pair, kernel_matrix's [0, 0]."""
-    warn_deprecated("hodge_matern_sphere", "kernel_matrix(spec, x, y)[0, 0]")
-    return kernel_matrix(spec, np.asarray(x)[None, :], np.asarray(y)[None, :])[0, 0]
-
-
-def scalar_matern_sphere(params, lmax, x, y):
-    """Deprecated: scalar_kernel_matrix(KernelSpec(SCALAR, params, lmax=lmax), x, y)[0, 0]."""
-    warn_deprecated("scalar_matern_sphere", "scalar_kernel_matrix(KernelSpec(SCALAR, ...), x, y)")
-    return float(scalar_kernel_matrix(KernelSpec(SCALAR, params, lmax=lmax), x, y)[0, 0])
-
-
-def projected_matern(params, A, x, y, lmax=30):
-    """Deprecated: the 3x3 projected Matern kernel (1/2) k P_x A A^T P_y at one point pair.
-
-    Use ``kernel_matrix(KernelSpec(PROJECTED, params, coreg=A, lmax=lmax), x, y)[0, 0]``.
-    """
-    warn_deprecated("projected_matern", "kernel_matrix(KernelSpec(PROJECTED, ...), x, y)[0, 0]")
-    spec = KernelSpec(PROJECTED, params, coreg=A, lmax=lmax)
-    return kernel_matrix(spec, np.asarray(x)[None, :], np.asarray(y)[None, :])[0, 0]
-
-
 # ---------------------------------------------------------------------------
 # Tori
 # ---------------------------------------------------------------------------
@@ -614,32 +612,6 @@ def lattice_draw_factors(spec):
     lattice = _torus_lattice(spec)
     e, v = np.linalg.eigh(sum(w for w, _ in _lattice_part_weights(spec, lattice)))
     return lattice.n, v * np.sqrt(np.maximum(e, 0.0))[:, None, :]
-
-
-def scalar_matern_torus(params, d, lambda_cap, x, y):
-    """Deprecated: scalar_kernel_matrix of a T^d scalar spec, a float for two points."""
-    warn_deprecated("scalar_matern_torus", "scalar_kernel_matrix(KernelSpec(SCALAR, ...), x, y)")
-    spec = KernelSpec(SCALAR, params, manifold=TORUS, lambda_cap=lambda_cap, torus_dim=d)
-    m = scalar_kernel_matrix(spec, x, y)
-    return float(m[0, 0]) if np.asarray(x).ndim == 1 else m
-
-
-def torus_matern(params, lambda_cap, x, y, d=None, kind=HODGE_FULL):
-    """Deprecated: the vector Hodge-Matern kernel on T^d at one point pair.
-
-    Use ``kernel_matrix(KernelSpec(kind, params, manifold=TORUS, lambda_cap=lambda_cap,
-    torus_dim=d), x, y)[0, 0]``. The circle (d = 1) has no curl class.
-    """
-    warn_deprecated("torus_matern", "kernel_matrix(KernelSpec(kind, ...), x, y)[0, 0]")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise InvalidInputError("torus kernel needs two points of equal dimension")
-    d = x.shape[0] if d is None else d
-    if d != x.shape[0]:
-        raise InvalidInputError(f"points have dimension {x.shape[0]}, expected {d}")
-    spec = KernelSpec(kind, params, manifold=TORUS, lambda_cap=lambda_cap, torus_dim=d)
-    return kernel_matrix(spec, x[None, :], y[None, :])[0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ points are stored as unit 3-vectors so that kernel code never touches a
 coordinate singularity; angles appear only at ingestion and emission.
 """
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, warn_deprecated
+from .errors import InvalidInputError
 
 SPHERE = "sphere"
 CIRCLE = "circle"
@@ -131,35 +131,6 @@ class TangentVector:
         return float(np.linalg.norm(self.components))
 
 
-@dataclass(frozen=True, eq=False)
-class TangentFrame:
-    """Deprecated: an orthonormal oriented basis (b1, b2) of a sphere tangent plane.
-
-    Orientation fixed by b2 = x cross b1, so (b1, b2, x) is right-handed.
-    ``frames_at(sphere_point(x).coords)[0]`` is the basis as a (2, 3) array with rows b1, b2.
-    """
-
-    base: ManifoldPoint
-    basis: np.ndarray  # shape (2, 3), rows b1 and b2
-    stacklevel: InitVar[int] = 3  # the warning's frame: the constructor's caller
-
-    def __post_init__(self, stacklevel):
-        warn_deprecated("frame_at/TangentFrame", "frames_at(sphere_point(x).coords)[0]", stacklevel)
-        b = np.asarray(self.basis, dtype=np.float64)
-        if b.shape != (2, 3):
-            raise InvalidInputError("frame basis must be two 3-vectors")
-        b.flags.writeable = False
-        object.__setattr__(self, "basis", b)
-
-    @property
-    def b1(self):
-        return self.basis[0]
-
-    @property
-    def b2(self):
-        return self.basis[1]
-
-
 def project_tangent(x, v):
     """Orthogonal projection (I - x x^T) v onto the tangent plane at x.
 
@@ -203,12 +174,6 @@ def frames_at(xs):
             b1[i] = t / np.linalg.norm(t)
     b2 = np.cross(xs, b1)
     return np.stack([b1, b2], axis=1)
-
-
-def frame_at(x) -> TangentFrame:
-    """Deprecated: the frame of ``frames_at`` at a sphere point, as a TangentFrame."""
-    p = x if isinstance(x, ManifoldPoint) else sphere_point(x)
-    return TangentFrame(p, frames_at(p.coords)[0], 4)  # warned at frame_at's caller
 
 
 def lonlat_to_point(lon_deg, lat_deg) -> ManifoldPoint:

@@ -13,14 +13,13 @@ the unit circle, adding across product factors.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from ._accel import alp_tables, legendre_derivative_maps, legendre_sums
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_count
 from .manifold import CIRCLE, SPHERE, TORUS, TWO_PI, ManifoldPoint, TangentVector, sphere_point
 
 DIV = "div"
@@ -66,8 +65,7 @@ def sphere_eigenvalue(l):
 
 def legendre(l, t):
     """Legendre polynomial value and first two derivatives at t in [-1, 1]."""
-    if not isinstance(l, numbers.Integral) or isinstance(l, bool) or l < 0:
-        raise InvalidInputError(f"level must be a nonnegative integer, got {l!r}")
+    check_count("level", l, 0)
     t = float(t)
     if not abs(t) <= 1.0 + 1e-12:   # NaN fails too
         raise InvalidInputError(f"Legendre argument {t} outside [-1, 1]")
@@ -132,11 +130,33 @@ def _gradient_table(factors):
                      -m[:, None] * d[l, np.abs(m)] * trig[lmax - m]], axis=1)
 
 
+def harmonic_values(X, lmax):
+    """((lmax + 1)^2, npts) values of every real Y_lm, l <= lmax, at (npts, 3) unit points,
+    in ``SphereSpectrum.scalar`` order."""
+    a, _, _, trig = _harmonic_factors(X, lmax)
+    l, m = _harmonic_orders(lmax, 0)
+    return a[l, np.abs(m)] * trig[m + lmax]
+
+
+def gradient_field_values(coeffs, X, lmax):
+    """(k, npts, 3) ambient values at X of sum_lm a_lm grad Y_lm + b_lm x cross grad Y_lm,
+    one field per row of the (k, 2, lmax (lmax + 2)) coeffs [a, b], l >= 1 in scalar order:
+    one matrix product with the gradient table, after which the b sums are rotated
+    (x cross e_theta = e_phi, x cross e_phi = -e_theta)."""
+    grad = _gradient_table(_harmonic_factors(X, lmax))
+    k, n = len(coeffs), grad.shape[2]
+    rows = coeffs.transpose(1, 0, 2).reshape(2 * k, len(grad))
+    div, curl = (rows @ grad.reshape(len(grad), 2 * n)).reshape(2, k, 2, n)
+    e_theta, e_phi = _local_basis(X)
+    return ((div[:, 0] - curl[:, 1])[..., None] * e_theta
+            + (div[:, 1] + curl[:, 0])[..., None] * e_phi)
+
+
 def spherical_harmonic(l, m, x):
     """Real orthonormal spherical harmonic Y_lm at unit point(s) x."""
     if abs(m) > l:
         raise InvalidInputError(f"|m| = {abs(m)} exceeds level {l}")
-    vals = SphereSpectrum(l).scalar_values(x)[l * (l + 1) + m]
+    vals = harmonic_values(x, l)[l * (l + 1) + m]
     return float(vals[0]) if np.asarray(x).ndim == 1 else vals
 
 
@@ -154,9 +174,10 @@ def sphere_eigenfield(hodge_class, l, m, x):
     if abs(m) > l:
         raise InvalidInputError(f"|m| = {abs(m)} exceeds level {l}")
     p = x if isinstance(x, ManifoldPoint) else sphere_point(x)
-    # entries of level l follow the 2 (2k + 1) of each level k < l: div, then curl
-    i = 2 * (l * l - 1) + (0 if hodge_class == DIV else 2 * l + 1) + l + m
-    return TangentVector(p, SphereSpectrum(l).eigenfield_values(p.coords)[i, 0])
+    # the one coefficient 1 / sqrt(lambda), of grad Y_lm (div) or x cross grad Y_lm (curl)
+    coeffs = np.zeros((1, 2, l * (l + 2)))
+    coeffs[0, int(hodge_class == CURL), l * (l + 1) - 1 + m] = 1.0 / math.sqrt(sphere_eigenvalue(l))
+    return TangentVector(p, gradient_field_values(coeffs, p.coords[None], l)[0, 0])
 
 
 class SphereSpectrum:
@@ -166,8 +187,7 @@ class SphereSpectrum:
     dim = 2
 
     def __init__(self, lmax):
-        if lmax < 0:
-            raise InvalidInputError("lmax must be nonnegative")
+        check_count("lmax", lmax, 0)
         self.lmax = lmax
         self.volume = 4.0 * math.pi
         self.scalar = [ScalarEigenpair(sphere_eigenvalue(l), (l, m))
@@ -187,9 +207,7 @@ class SphereSpectrum:
 
     def scalar_values(self, X):
         """(n_scalar, npts) matrix of Y_lm values at (npts, 3) unit points."""
-        a, _, _, trig = _harmonic_factors(X, self.lmax)
-        l, m = _harmonic_orders(self.lmax, 0)
-        return a[l, np.abs(m)] * trig[m + self.lmax]
+        return harmonic_values(X, self.lmax)
 
     def eigenfield_values(self, X):
         """(n_entries, npts, 3) ambient values of every eigenfield at X."""
@@ -202,23 +220,6 @@ class SphereSpectrum:
         out[self._div] = gt * e_theta + gp * e_phi
         out[~self._div] = gt * e_phi - gp * e_theta
         return out
-
-    def field_values(self, coeffs, X):
-        """(k, npts, 3) ambient values at X of the fields sum_n c_n s_n, one per row of
-        the (k, n_entries) coeffs, without forming the eigenfields.
-
-        The div and the curl coefficients over sqrt(lambda) meet the gradient
-        table in one matrix product; the curl sums are then rotated, as the
-        curl class is x cross grad Y_lm.
-        """
-        c = coeffs / np.sqrt(self.eigenvalues())
-        grad = _gradient_table(_harmonic_factors(X, self.lmax))
-        rows = np.concatenate([c[:, self._div], c[:, ~self._div]])
-        n = grad.shape[2]
-        div, curl = (rows @ grad.reshape(len(grad), 2 * n)).reshape(2, len(c), 2, n)
-        e_theta, e_phi = _local_basis(X)
-        return ((div[:, 0] - curl[:, 1])[..., None] * e_theta
-                + (div[:, 1] + curl[:, 0])[..., None] * e_phi)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +357,7 @@ class TorusSpectrum:
 
 def circle_spectrum(n_max):
     """Circle spectrum: constant plus cos/sin levels n = 1..n_max, lambda = n^2."""
-    if n_max < 0:
-        raise InvalidInputError("n_max must be nonnegative")
+    check_count("n_max", n_max, 0)
     freqs = [[0]]
     parities = [[0]]
     for n in range(1, n_max + 1):
@@ -396,16 +396,17 @@ def _capped_product(a, b, lambda_cap):
     return TorusSpectrum(freqs, parities)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)   # typed: 2.0 or True must not hit the entry of 2 or 1
 def sphere_spectrum(lmax):
     return SphereSpectrum(lmax)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)   # typed: 2.0 or True must not hit the entry of 2 or 1
 def torus_spectrum(d, lambda_cap):
     """Flat-torus spectrum built as an iterated product of circles."""
-    if d < 1:
-        raise InvalidInputError("torus dimension must be >= 1")
+    check_count("d", d, 1)
+    if not (math.isfinite(lambda_cap) and lambda_cap >= 0.0):
+        raise InvalidInputError(f"lambda_cap must be finite and nonnegative, got {lambda_cap!r}")
     n_max = int(math.ceil(math.sqrt(lambda_cap)))
     spec = circle_spectrum(n_max)
     for _ in range(d - 1):

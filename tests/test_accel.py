@@ -8,7 +8,7 @@ import pytest
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import legendre as npleg
 
-from hodgegp import _accel, gp, spectrum
+from hodgegp import _accel, gp
 from hodgegp._accel import (_contract_levels, alp_tables, blas_pools, legendre_derivative_maps,
                             legendre_parity_maps, legendre_sums, legendre_table, numpy_blas_scope,
                             single_threaded_numpy_blas, using_numba)
@@ -318,13 +318,13 @@ class TestBlasPools:
         # a sphere draw is a GEMM on numpy's pool; at two threads it slowed the
         # scipy calls that followed it
         inside = []
-        values = spectrum.SphereSpectrum.field_values
+        values = gp.gradient_field_values
 
         def recording(*args, **kwargs):
             inside.append(thread_counts())
             return values(*args, **kwargs)
 
-        monkeypatch.setattr(spectrum.SphereSpectrum, "field_values", recording)
+        monkeypatch.setattr(gp, "gradient_field_values", recording)
         pts = model.dataset.coords()[:2]
         gp.sample_prior(model.spec, np.random.default_rng(0)).at(pts)
         gp.sample_prior_batch(model.spec, pts, 2, np.random.default_rng(0))

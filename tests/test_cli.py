@@ -348,6 +348,17 @@ class TestMainExitCodes:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kernel", ["compositional", "noise", "vortex"])
+    def test_unsamplable_field_kernel_names_the_samplable_ones(self, tmp_path, capsys, kernel):
+        # a compositional sample field failed on its spec's missing parts
+        out = tmp_path / "bad"
+        code = main(["run", "--out", str(out), "--field", f"sample:{kernel}:1.5:0.5"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"usage error: cannot sample from kernel {kernel!r}" in err
+        assert "choose from curl-free, div-free, hodge, projected" in err
+        assert not out.exists()
+
     def test_level_zero_hodge_cell_is_a_nan_row(self, tmp_path, capsys):
         # the sphere's Hodge classes are empty at lmax 0; the projected and
         # noise kinds still fit there

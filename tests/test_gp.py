@@ -14,7 +14,8 @@ from hodgegp.kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_F
                              PROJECTED, KernelSpec, MaternParams, class_weights,
                              compositional_spec, frame_blocks, kernel_matrix, noise_spec,
                              spectral_kernel_oracle)
-from hodgegp.manifold import frames_at, lonlat_to_point, sample_sphere
+from hodgegp.manifold import (TangentVector, circle_point, frames_at, lonlat_to_point,
+                              sample_sphere, torus_point)
 from hodgegp.spectrum import sphere_spectrum, torus_spectrum
 
 SPEC = KernelSpec(HODGE_CURL, MaternParams(0.5, 0.5, 1.0, 1e-4), lmax=20)
@@ -413,10 +414,61 @@ class TestFit:
         fitted = fit(ds, kind, config, nu=0.5, lmax=15)
         assert log_marginal_likelihood(fitted, ds) >= reference - 1e-6
 
-    @pytest.mark.parametrize("max_iter", [0, -3])
-    def test_max_iter_must_be_positive(self, max_iter):
-        with pytest.raises(InvalidInputError, match="iteration"):
-            FitConfig(max_iter=max_iter)
+    @pytest.mark.parametrize("field, value", [
+        ("max_iter", 0), ("max_iter", -3), ("max_iter", 2.5), ("max_iter", True),
+        ("restarts", 0), ("restarts", 2.5), ("restarts", False),
+        ("tol", 0.0), ("tol", -1.0), ("tol", math.nan), ("tol", math.inf),
+        ("log_kappa_bounds", (1.0, -1.0)), ("log_kappa_bounds", (0.5, 0.5)),
+        ("log_variance_bounds", (0.0, math.inf)), ("log_noise_bounds", (math.nan, 1.0)),
+        ("log_noise_bounds", (0.0,)), ("seed", -1), ("seed", 2.5), ("seed", [0, -1]),
+        ("fixed_kappa", -1.0), ("fixed_kappa", math.inf)])
+    def test_config_fields_are_checked(self, field, value):
+        # before, max_iter 2.5, tol -1 or nan and fixed_kappa -1 were accepted, and
+        # restarts 2.5, a reversed bounds pair and seed -1 failed only inside fit,
+        # with numpy's or scipy's error; list seeds, as the CLI passes them, stay valid
+        with pytest.raises(InvalidInputError, match=field):
+            FitConfig(**{field: value})
+        assert FitConfig(seed=[0, 1, 2, 7919], restarts=np.int64(2)).restarts == 2
+
+
+class TestPointsOnTheSpecsManifold:
+    """A point off the spec's manifold, or of another dimension, is an InvalidInputError.
+    Before, lists of points reached numpy unchecked: an IndexError, numpy's ValueError,
+    or, for unit-norm torus angle vectors, sphere predictions."""
+
+    @pytest.fixture(scope="class")
+    def sphere_model(self):
+        return condition(SPEC, make_dataset(6, np.random.default_rng(69)))
+
+    @pytest.mark.parametrize("points", [[circle_point(0.3)], [torus_point([0.1, 0.2])],
+                                        [torus_point([1.0, 0.0, 0.0]),
+                                         torus_point([0.0, 1.0, 0.0])]],
+                             ids=["circle", "t2", "unit-norm-t3"])
+    def test_predict_on_the_sphere(self, sphere_model, points):
+        with pytest.raises(InvalidInputError, match="torus|circle"):
+            predict(sphere_model, points)
+
+    def test_torus_draw_at_sphere_points(self):
+        spec = POSTERIOR_SPECS["t3-full"]
+        points = [lonlat_to_point(10.0, 20.0), lonlat_to_point(-30.0, 5.0)]
+        with pytest.raises(InvalidInputError, match="sphere point"):
+            sample_prior(spec, np.random.default_rng(70)).at(points)
+
+    def test_condition_on_another_manifold(self):
+        ds = Dataset.from_arrays("torus", [[0.1, 0.2], [1.0, 2.0]], [[0.3, 0.4], [0.5, 0.6]])
+        for spec in (SPEC, POSTERIOR_SPECS["t3-full"]):
+            for call in (condition, log_marginal_likelihood):
+                with pytest.raises(InvalidInputError, match="torus point of dimension 2"):
+                    call(spec, ds)
+
+    def test_dataset_rejects_mixed_manifolds(self):
+        points = [lonlat_to_point(10.0, 20.0), torus_point([1.0, 0.0, 0.0])]
+        with pytest.raises(InvalidInputError, match="one manifold"):
+            Dataset(points, [TangentVector(points[0], [0.0, 0.0, 0.0]),
+                             TangentVector(points[1], [0.1, 0.2, 0.3])])
+        t2, t3 = torus_point([0.1, 0.2]), torus_point([0.1, 0.2, 0.3])
+        with pytest.raises(InvalidInputError, match="one manifold"):
+            Dataset([t2, t3], [TangentVector(t2, [0.0, 1.0]), TangentVector(t3, [0.0, 1.0, 2.0])])
 
 
 class TestQueryValidation:
@@ -794,8 +846,32 @@ class TestSphereDrawExpansion:
         if spec.kind == PROJECTED:
             monkeypatch.setattr(spectrum, "_gradient_table", refuse)
         else:
-            monkeypatch.setattr(spectrum.SphereSpectrum, "scalar_values", refuse)
+            for module in (gp, spectrum):
+                monkeypatch.setattr(module, "harmonic_values", refuse)
         rng = np.random.default_rng(57)
+        assert np.isfinite(sample_posterior(model, Q, rng, n_draws=2)).all()
+        assert np.isfinite(sample_prior(spec, rng).at(Q)).all()
+        assert np.isfinite(sample_prior_batch(spec, Q, 2, rng)).all()
+
+    @pytest.mark.parametrize("name", list(SPHERE_DRAW_SPECS))
+    def test_draws_call_no_oracle_name(self, name, monkeypatch):
+        # the draws weight their harmonics by the evaluators' level weights; the
+        # eigenfield oracle, its weights and the spectrum object serve tests only
+        spec = SPHERE_DRAW_SPECS[name]
+        model, Q = posterior_problem(spec, np.random.default_rng(67))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a draw called the eigenfield oracle or built a spectrum")
+
+        for module, names in ((kernels, ("class_weights", "_class_parts", "normalization",
+                                         "spectral_kernel_oracle", "sphere_spectrum")),
+                              (gp, ("sphere_spectrum",)), (spectrum, ("sphere_spectrum",))):
+            for attr in names:
+                monkeypatch.setattr(module, attr, refuse)
+        for cls in (spectrum.SphereSpectrum, spectrum.TorusSpectrum):
+            monkeypatch.setattr(cls, "eigenfield_values", refuse)
+        monkeypatch.setattr(spectrum.SphereSpectrum, "__init__", refuse)
+        rng = np.random.default_rng(68)
         assert np.isfinite(sample_posterior(model, Q, rng, n_draws=2)).all()
         assert np.isfinite(sample_prior(spec, rng).at(Q)).all()
         assert np.isfinite(sample_prior_batch(spec, Q, 2, rng)).all()

@@ -140,9 +140,6 @@ class TestSphereEigenfields:
         ys, fields = per_entry_sphere_reference(X, 9)
         np.testing.assert_allclose(spec.scalar_values(X), ys, rtol=0, atol=1e-13)
         np.testing.assert_allclose(spec.eigenfield_values(X), fields, rtol=0, atol=1e-13)
-        c = np.random.default_rng(5).standard_normal((3, len(spec.entries)))
-        np.testing.assert_allclose(spec.field_values(c, X),
-                                   np.einsum("df,fma->dma", c, fields), rtol=0, atol=1e-12)
 
     def test_tangency(self):
         rng = np.random.default_rng(1)
@@ -299,3 +296,30 @@ class TestProductSpectrum:
         for cls in (DIV, CURL, HARM):
             lams = [e.eigenvalue for e in spec.entries if e.hodge_class == cls]
             assert lams == sorted(lams)
+
+
+class TestBuilderValidation:
+    """The spectrum builders check their sizes as KernelSpec checks the same fields.
+    Before, a float size was a TypeError and a negative or nan cap numpy's ValueError."""
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: sphere_spectrum(2.5), "lmax"), (lambda: sphere_spectrum(-1), "lmax"),
+        (lambda: sphere_spectrum(True), "lmax"),
+        (lambda: (sphere_spectrum(2), sphere_spectrum(2.0)), "lmax"),
+        (lambda: circle_spectrum(2.5), "n_max"),
+        (lambda: circle_spectrum(-1), "n_max"), (lambda: torus_spectrum(2.5, 4.0), "d"),
+        (lambda: torus_spectrum(0, 4.0), "d"), (lambda: torus_spectrum(2, -1.0), "lambda_cap"),
+        (lambda: torus_spectrum(2, math.nan), "lambda_cap"),
+        (lambda: torus_spectrum(2, math.inf), "lambda_cap")],
+        ids=["sphere-float", "sphere-negative", "sphere-bool", "sphere-float-after-int",
+             "circle-float", "circle-negative",
+             "torus-float-d", "torus-zero-d", "torus-negative-cap", "torus-nan-cap",
+             "torus-inf-cap"])
+    def test_bad_sizes_raise(self, call, match):
+        with pytest.raises(InvalidInputError, match=match):
+            call()
+
+    def test_integer_sizes_of_any_type_pass(self):
+        assert sphere_spectrum(np.int64(2)).lmax == 2
+        assert len(circle_spectrum(np.int32(1)).scalar) == 3
+        assert len(torus_spectrum(np.int64(2), 0.0).scalar) == 1
