@@ -236,7 +236,7 @@ def synthetic_field(name, points, spec=None, seed=0):
         if spec is None:
             raise InvalidInputError("kernel-sample needs a kernel spec")
         sample = sample_prior(spec, np.random.default_rng(seed))
-        values = sample.at(list(points))   # as a list, no points take the spec's dimension
+        values = sample.at(points)
     else:
         raise InvalidInputError(f"unknown synthetic field {name!r}")
     obs = [TangentVector(p, v) for p, v in zip(points, values)]
@@ -457,35 +457,44 @@ def load_config_file(path):
 
 def _config_from_options(options):
     raw = load_config_file(options.config) if options.config else {}
-    # every run flag but --config is a config key
-    overrides = {k: v for k, v in vars(options).items() if k not in ("command", "config")}
-    unknown = sorted(raw.keys() - overrides.keys())
+    unknown = sorted(raw.keys() - _RUN_FLAGS.keys())
     if unknown:
         raise _UsageError(f"{options.config}: unknown config key(s) {', '.join(unknown)}; "
-                          f"accepted keys: {', '.join(sorted(overrides))}")
-    for key, value in overrides.items():
-        if value is not None:
-            raw[key] = value
+                          f"accepted keys: {', '.join(sorted(_RUN_FLAGS))}")
+    raw.update((key, getattr(options, key)) for key in _RUN_FLAGS
+               if getattr(options, key) is not None)
     if "out" not in raw:
         raise _UsageError("an output directory is required (--out or config key 'out')")
     try:
-        return ExperimentConfig(
-            out=raw["out"],
-            kernels=[k.strip() for k in str(raw.get("kernel", "div-free")).split(",")],
-            nus=[float(v) for v in str(raw.get("nu", "0.5")).split(",")],
-            seeds=[int(s) for s in str(raw.get("seeds", "0")).split(",")],
-            protocol=raw.get("protocol", "hemisphere-split"),
-            train=str(raw.get("train", "30")),
-            test=str(raw.get("test", "100")),
-            field_name=raw.get("field", "rotation"),
-            kappa=float(raw["kappa"]) if raw.get("kappa") not in (None, "") else None,
-            lmax=int(raw.get("lmax", 30)),
-            grid=tuple(int(v) for v in str(raw.get("grid", "37x72")).lower().split("x")),
-            stride=int(raw.get("stride", 42)),
-            restarts=int(raw.get("restarts", 3)),
-        )
+        return ExperimentConfig(**{_RUN_FLAGS[key][0]: _RUN_FLAGS[key][1](value)
+                                   for key, value in raw.items()})
     except (ValueError, InvalidInputError) as exc:
         raise _UsageError(str(exc))
+
+
+def _comma_list(parse):
+    return lambda value: [parse(v) for v in value.split(",")]
+
+
+# every run flag but --config, which is also its config key: the ExperimentConfig field it
+# sets, the parser of its string value, and its help. A key left unset keeps the default
+# of its field, so the defaults live only in ExperimentConfig
+_RUN_FLAGS = {
+    "kernel": ("kernels", _comma_list(str.strip), "comma list: " + ",".join(sorted(KERNEL_NAMES))),
+    "nu": ("nus", _comma_list(float), "comma list of smoothness values (0.5, 1.5, 2.5, inf)"),
+    "kappa": ("kappa", lambda v: float(v) if v else None, "freeze the length scale at this value"),
+    "lmax": ("lmax", int, "sphere truncation level"),
+    "seeds": ("seeds", _comma_list(int), "comma list of integer seeds"),
+    "protocol": ("protocol", str, "hemisphere-split | great-circle | file"),
+    "train": ("train", str, "train count, or CSV path for protocol=file"),
+    "test": ("test", str, "test count, or CSV path for protocol=file"),
+    "out": ("out", str, "output directory"),
+    "field": ("field_name", str, "rotation | sample:<kernel>:<nu>:<kappa>"),
+    "grid": ("grid", lambda v: tuple(int(n) for n in v.lower().split("x")),
+             "prediction grid, e.g. 37x72"),
+    "stride": ("stride", int, "great-circle subsampling stride"),
+    "restarts": ("restarts", int, "optimizer restarts per fit"),
+}
 
 
 def build_parser():
@@ -494,19 +503,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run an experiment sweep")
     run.add_argument("--config", help="key = value config file")
-    run.add_argument("--kernel", help="comma list: " + ",".join(sorted(KERNEL_NAMES)))
-    run.add_argument("--nu", help="comma list of smoothness values (0.5, 1.5, 2.5, inf)")
-    run.add_argument("--kappa", help="freeze the length scale at this value")
-    run.add_argument("--lmax", help="sphere truncation level")
-    run.add_argument("--seeds", help="comma list of integer seeds")
-    run.add_argument("--protocol", help="hemisphere-split | great-circle | file")
-    run.add_argument("--train", help="train count, or CSV path for protocol=file")
-    run.add_argument("--test", help="test count, or CSV path for protocol=file")
-    run.add_argument("--out", help="output directory")
-    run.add_argument("--field", help="rotation | sample:<kernel>:<nu>:<kappa>")
-    run.add_argument("--grid", help="prediction grid, e.g. 37x72")
-    run.add_argument("--stride", help="great-circle subsampling stride")
-    run.add_argument("--restarts", help="optimizer restarts per fit")
+    for key, (_, _, text) in _RUN_FLAGS.items():
+        run.add_argument(f"--{key}", help=text)
     return parser
 
 

@@ -22,14 +22,13 @@ from scipy.optimize import minimize
 from ._accel import single_threaded_numpy_blas
 from .errors import InvalidInputError, NumericalError, check_count, warn_deprecated
 from .kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NOISE, PROJECTED,
-                      GramTables, KernelSpec, MaternParams, _torus_lattice, check_torus_points,
+                      SCALAR, GramTables, KernelSpec, MaternParams, _torus_lattice,
                       compositional_spec, diagonal_frame_blocks, frame_blocks,
                       lattice_draw_factors, lattice_features, noise_spec, sphere_draw_scales)
 # Not called here: gp evaluates no kernel itself. benchmark/run.py traces these
 # names in gp as well as in kernels, so they stay importable from this module.
 from .kernels import hodge_pair_sums, kernel_matrix, scalar_pair_sums  # noqa: F401
-from .manifold import (SPHERE, ManifoldPoint, TangentVector, check_sphere_points, frames_at,
-                       points_array)
+from .manifold import SPHERE, ManifoldPoint, TangentVector, coordinates, frames_at, points_array
 from .spectrum import (CURL, DIV, SphereSpectrum, TorusSpectrum, gradient_field_values,
                        harmonic_values, sphere_spectrum)
 
@@ -83,26 +82,6 @@ class Dataset:
 # Frame-coordinate Gram assembly
 # ---------------------------------------------------------------------------
 
-def _coords(spec, points):
-    """(m, k) coordinates of a list of ManifoldPoint or of a coordinate array.
-
-    The points must lie on spec's manifold, of its dimension, and a coordinate
-    array must hold finite rows, of unit norm on the sphere (InvalidInputError).
-    """
-    if isinstance(points, list):
-        for p in points:
-            if p.manifold != spec.manifold or p.dim != spec.dim:
-                raise InvalidInputError(f"a {p.manifold} point of dimension {p.dim} for a kernel "
-                                        f"on the {spec.manifold} of dimension {spec.dim}")
-        return points_array(points) if points else np.zeros((0, spec.ambient_dim))
-    X = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if spec.manifold == SPHERE:
-        check_sphere_points(X)
-    else:
-        check_torus_points(spec, X)
-    return X
-
-
 def _frames(manifold, X):
     """Tangent frames at X: east/north on the sphere, None (the global frame) on tori."""
     return frames_at(X) if manifold == SPHERE else None
@@ -116,10 +95,10 @@ def _blocks_to_matrix(blocks):
 def gram(spec, points, frames=None):
     """Gram matrix in frame coordinates: block (i, j) = B_i^T k(x_i, x_j) B_j.
 
-    ``points`` is a list of ManifoldPoint or a coordinate array; sphere
+    ``points`` is a point set in any form ``coordinates`` reads; sphere
     frames default to the deterministic east/north frames.
     """
-    X = _coords(spec, points)
+    X = coordinates(spec.manifold, spec.dim, points)
     if frames is None:
         frames = _frames(spec.manifold, X)
     return _blocks_to_matrix(frame_blocks(spec, X, frames, X, frames))
@@ -171,7 +150,7 @@ def _frame_components(values, frames):
 def _observations(spec, dataset):
     """Coordinates, frames (sphere only) and flattened frame observations of a dataset
     on spec's manifold."""
-    X = _coords(spec, dataset.points)
+    X = coordinates(spec.manifold, spec.dim, dataset.points)
     frames = _frames(spec.manifold, X)
     return X, frames, _frame_components(dataset.values(), frames).reshape(-1)
 
@@ -224,9 +203,9 @@ class Prediction:
 
 @single_threaded_numpy_blas
 def predict(model, points) -> Prediction:
-    """Exact GP posterior mean and per-point marginal covariance."""
+    """Exact GP posterior mean and marginal covariance at each of points (``coordinates``)."""
     spec = model.spec
-    Q = _coords(spec, points)
+    Q = coordinates(spec.manifold, spec.dim, points)
     BQ = _frames(spec.manifold, Q)
     prior = diagonal_frame_blocks(spec, Q, BQ)
     m, d = prior.shape[:2]
@@ -446,7 +425,7 @@ class PriorSample:
 
     @single_threaded_numpy_blas
     def at(self, points):
-        """Field values at an (m, k)-coordinate array (ambient on the sphere)."""
+        """(m, D) field values at points (``coordinates``), ambient on the sphere."""
         return _prior_values(self.spec, self._draw, points)[0]
 
     __call__ = at
@@ -483,7 +462,10 @@ def _prior_coeffs(spec, rng, n_draws):
     Tori: (n_draws, 2F, D) coefficients A_n z_n of cos(n . x), then sin(n . x),
     over the kernel's half lattice N (``lattice_draw_factors``), kept with them
     so that evaluating the draws builds no lattice. Noise: none. N is None off tori.
+    A scalar spec has no vector draws (InvalidInputError).
     """
+    if spec.kind == SCALAR:
+        raise InvalidInputError("scalar kernels have no vector draws")
     if spec.kind == NOISE:
         return np.zeros((n_draws, 0)), None
     if spec.manifold != SPHERE:
@@ -507,7 +489,7 @@ def _prior_values(spec, draw, points):
     fields, projected onto the tangent plane and scaled by 1/sqrt(2).
     """
     coeffs, n = draw
-    pts = _coords(spec, points)
+    pts = coordinates(spec.manifold, spec.dim, points)
     if spec.kind == NOISE:
         return np.zeros((len(coeffs), pts.shape[0], spec.ambient_dim))
     if spec.manifold != SPHERE:
@@ -528,7 +510,7 @@ def sample_prior(spec, rng, *spectrum_form) -> PriorSample:
 
 @single_threaded_numpy_blas
 def sample_prior_batch(spec, points, n_draws, rng, *spectrum_form):
-    """(n_draws, m, D) values of independent prior draws at fixed points.
+    """(n_draws, m, D) values of independent prior draws at fixed points (``coordinates``).
 
     Equal to n_draws successive ``sample_prior`` draws from rng evaluated at points.
     """
@@ -539,7 +521,8 @@ def sample_prior_batch(spec, points, n_draws, rng, *spectrum_form):
 
 @single_threaded_numpy_blas
 def sample_posterior(model, points, rng, n_draws=1):
-    """(n_draws, m, D) ambient components of exact posterior draws, by Matheron's rule.
+    """(n_draws, m, D) ambient components of exact posterior draws at points (``coordinates``),
+    by Matheron's rule.
 
     f(Q) + K_QX (K + s^2 I + j I)^-1 (y - f(X) - e) (Wilson et al. 2020): f is
     a prior draw as ``sample_prior`` makes it, at the stacked points [Q; X];
@@ -551,7 +534,7 @@ def sample_posterior(model, points, rng, n_draws=1):
     """
     n_draws = check_count("n_draws", n_draws, 0)
     spec = model.spec
-    Q = _coords(spec, points)
+    Q = coordinates(spec.manifold, spec.dim, points)
     m = Q.shape[0]
     X = model.dataset.coords() if len(model.dataset) else Q[:0]
     f = _prior_values(spec, _prior_coeffs(spec, rng, n_draws), np.vstack([Q, X]))

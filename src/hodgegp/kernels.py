@@ -39,7 +39,7 @@ import numpy as np
 
 from ._accel import _contract_levels, legendre_derivative_maps, legendre_sums, legendre_table
 from .errors import InvalidInputError, check_count
-from .manifold import CIRCLE, SPHERE, TORUS, check_sphere_points, frames_at
+from .manifold import CIRCLE, SPHERE, TORUS, coordinates, frames_at
 from .spectrum import CURL, DIV, HARM, sphere_spectrum, torus_spectrum
 
 SCALAR = "scalar"
@@ -565,15 +565,6 @@ def _lattice_part_weights(spec, lattice):
     return out
 
 
-def check_torus_points(spec, *arrays):
-    """Raise InvalidInputError unless every array is (m, d) of finite rows for spec's T^d."""
-    for X in arrays:
-        if X.ndim != 2 or X.shape[1] != spec.dim:
-            raise InvalidInputError(f"points of shape {X.shape} are not on T^{spec.dim}")
-        if not np.isfinite(X).all():
-            raise InvalidInputError(f"torus points must be finite, got {X[~np.isfinite(X)][0]}")
-
-
 def lattice_features(X, n):
     """[cos XN^T, sin XN^T], (m, 2F)."""
     return np.hstack([np.cos(X @ n.T), np.sin(X @ n.T)])
@@ -591,8 +582,7 @@ def _lattice_sum(fx, fy, w):
 
 def _torus_matrix(spec, X, Y):
     """(n, m, D, D) torus kernel sum_n cos(n . (x - y)) M_n over the half lattice
-    (zero for the noise kind), after checking the points."""
-    check_torus_points(spec, X, Y)
+    (zero for the noise kind) at checked coordinates."""
     if spec.kind == NOISE:
         return np.zeros((X.shape[0], Y.shape[0], spec.dim, spec.dim))
     lattice = _torus_lattice(spec)
@@ -654,18 +644,16 @@ def spectral_kernel_oracle(weights, spectrum, X, Y):
 # ---------------------------------------------------------------------------
 
 def kernel_matrix(spec, X, Y=None):
-    """(n, m, D, D) vector-kernel matrix for any spec on its manifold.
+    """(n, m, D, D) vector-kernel matrix for any spec at point sets X and Y (default X).
 
-    Sphere matrices are ambient 3x3 blocks, lifted from the frame blocks of
-    ``frame_blocks``; torus matrices are its d x d blocks in the global
-    frame, summed over the frequency lattice.
+    Points take any form ``coordinates`` reads. Sphere matrices are ambient 3x3
+    blocks, lifted from the frame blocks of ``frame_blocks``; torus matrices
+    are its d x d blocks in the global frame, summed over the frequency lattice.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    Y = X if Y is None else np.atleast_2d(np.asarray(Y, dtype=np.float64))
+    X = coordinates(spec.manifold, spec.dim, X)
+    Y = X if Y is None else coordinates(spec.manifold, spec.dim, Y)
     if spec.manifold != SPHERE:
         return frame_blocks(spec, X, None, Y, None)
-    check_sphere_points(X)
-    check_sphere_points(Y)
     # the lift B_x^T F B_y of the frame blocks F is exact: B^T B = P_x
     BX = frames_at(X)
     BY = BX if Y is X else frames_at(Y)
@@ -674,14 +662,12 @@ def kernel_matrix(spec, X, Y=None):
 
 
 def scalar_kernel_matrix(spec, X, Y=None):
-    """(n, m) scalar-kernel matrix for a scalar spec, after checking the points."""
+    """(n, m) scalar-kernel matrix for a scalar spec at point sets (``coordinates``) X, Y (X)."""
     if spec.kind != SCALAR:
         raise InvalidInputError("scalar_kernel_matrix needs a scalar spec")
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    Y = X if Y is None else np.atleast_2d(np.asarray(Y, dtype=np.float64))
+    X = coordinates(spec.manifold, spec.dim, X)
+    Y = X if Y is None else coordinates(spec.manifold, spec.dim, Y)
     if spec.manifold == SPHERE:
-        check_sphere_points(X)
-        check_sphere_points(Y)
         return scalar_pair_sums(spec.params, spec.lmax, X @ Y.T)
     return _torus_matrix(spec, X, Y)[:, :, 0, 0]
 
@@ -717,7 +703,7 @@ class GramTables:
                 planes = _pair_planes(spec.kind, sx, sy, rows, cols)
                 self._blocks.append((rows, cols, planes, legendre_table(planes[0, 0], spec.lmax)))
         else:
-            check_torus_points(spec, X)
+            X = coordinates(spec.manifold, spec.dim, X)
             self._lattice = _torus_lattice(spec)
             self._features = lattice_features(X, self._lattice.n)
 

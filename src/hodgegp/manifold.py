@@ -38,6 +38,14 @@ def check_sphere_points(X):
         raise InvalidInputError(f"sphere point must have unit norm, got {norms[i]!r} at row {i}")
 
 
+def check_torus_points(X, d):
+    """Raise InvalidInputError unless X is an (m, d) array of finite rows, points of T^d."""
+    if X.ndim != 2 or X.shape[1] != d:
+        raise InvalidInputError(f"points of shape {X.shape} are not on T^{d}")
+    if not np.isfinite(X).all():
+        raise InvalidInputError(f"torus points must be finite, got {X[~np.isfinite(X)][0]}")
+
+
 def _reduce_angles(a):
     """Angles reduced to [0, 2*pi); InvalidInputError unless every angle is finite."""
     if not np.isfinite(a).all():
@@ -241,3 +249,27 @@ def points_array(points):
     if len(points) == 0:
         return np.zeros((0, 3))
     return np.stack([p.coords for p in points])
+
+
+def coordinates(manifold, dim, points):
+    """(m, k) coordinates (k = 3 on the sphere, dim on tori) of points on the manifold of
+    dimension dim, a list or tuple of its ``ManifoldPoint`` or array-like rows that pass
+    ``check_sphere_points`` or ``check_torus_points`` (unreduced; one point may be a vector,
+    none give (0, k)). Other points, or points mixed with rows, raise InvalidInputError."""
+    if isinstance(points, (list, tuple)) and any(isinstance(p, ManifoldPoint) for p in points):
+        for p in points:
+            if not isinstance(p, ManifoldPoint):
+                raise InvalidInputError(f"points mix ManifoldPoint and coordinate rows: {p!r}")
+            if p.manifold != manifold or p.dim != dim:
+                raise InvalidInputError(f"a {p.manifold} point of dimension {p.dim} for a kernel "
+                                        f"on the {manifold} of dimension {dim}")
+        return points_array(points)
+    X = np.asarray(points, dtype=np.float64)
+    if X.shape == (0,):
+        return np.zeros((0, 3 if manifold == SPHERE else dim))
+    X = np.atleast_2d(X)
+    if manifold == SPHERE:
+        check_sphere_points(X)
+    else:
+        check_torus_points(X, dim)
+    return X

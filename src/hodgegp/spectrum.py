@@ -13,8 +13,9 @@ the unit circle, adding across product factors.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -152,10 +153,18 @@ def gradient_field_values(coeffs, X, lmax):
             + (div[:, 1] + curl[:, 0])[..., None] * e_phi)
 
 
+def _level_order(l, m, low):
+    """(l, m) as ints; InvalidInputError unless the level l >= low and the order m, |m| <= l,
+    are integers (a bool is neither)."""
+    l = check_count("level", l, low)
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or abs(m) > l:
+        raise InvalidInputError(f"order m must be an integer with |m| <= level {l}, got {m!r}")
+    return l, int(m)
+
+
 def spherical_harmonic(l, m, x):
     """Real orthonormal spherical harmonic Y_lm at unit point(s) x."""
-    if abs(m) > l:
-        raise InvalidInputError(f"|m| = {abs(m)} exceeds level {l}")
+    l, m = _level_order(l, m, 0)
     vals = harmonic_values(x, l)[l * (l + 1) + m]
     return float(vals[0]) if np.asarray(x).ndim == 1 else vals
 
@@ -169,10 +178,7 @@ def sphere_eigenfield(hodge_class, l, m, x):
     """
     if hodge_class not in (DIV, CURL):
         raise InvalidInputError("sphere eigenfields are div or curl class")
-    if l < 1:
-        raise InvalidInputError("eigenfields need level >= 1")
-    if abs(m) > l:
-        raise InvalidInputError(f"|m| = {abs(m)} exceeds level {l}")
+    l, m = _level_order(l, m, 1)
     p = x if isinstance(x, ManifoldPoint) else sphere_point(x)
     # the one coefficient 1 / sqrt(lambda), of grad Y_lm (div) or x cross grad Y_lm (curl)
     coeffs = np.zeros((1, 2, l * (l + 2)))
@@ -226,21 +232,17 @@ class SphereSpectrum:
 # Circle and flat tori
 # ---------------------------------------------------------------------------
 
-def _axis_values(freq, parity, theta):
-    """One-axis factor: 1/sqrt(2 pi), cos(n t)/sqrt(pi) or sin(n t)/sqrt(pi)."""
-    if freq == 0:
-        return np.full_like(theta, _INV_SQRT_2PI)
-    if parity == 0:
-        return np.cos(freq * theta) * _INV_SQRT_PI
-    return np.sin(freq * theta) * _INV_SQRT_PI
-
-
-def _axis_derivs(freq, parity, theta):
-    if freq == 0:
-        return np.zeros_like(theta)
-    if parity == 0:
-        return -freq * np.sin(freq * theta) * _INV_SQRT_PI
-    return freq * np.cos(freq * theta) * _INV_SQRT_PI
+def _axis_factors(freqs, parities, theta):
+    """(values, derivatives), each (n_scalar, d, npts): per scalar eigenfunction and axis j
+    the one-axis factor 1/sqrt(2 pi), cos(n t)/sqrt(pi) or sin(n t)/sqrt(pi) at the
+    angles t = theta[:, j], and its derivative in t."""
+    f = freqs[:, :, None]
+    nt = f * np.atleast_2d(np.asarray(theta, dtype=np.float64)).T
+    cos, sin = np.cos(nt), np.sin(nt)
+    even = parities[:, :, None] == 0
+    values = np.where(f == 0, _INV_SQRT_2PI, np.where(even, cos, sin) * _INV_SQRT_PI)
+    derivs = np.where(f == 0, 0.0, np.where(even, -sin, cos) * f * _INV_SQRT_PI)
+    return values, derivs
 
 
 class TorusSpectrum:
@@ -300,58 +302,37 @@ class TorusSpectrum:
         return float(self.scalar_eigenvalues().max())
 
     def scalar_values(self, theta):
-        theta = np.atleast_2d(np.asarray(theta, dtype=np.float64))
-        vals = np.ones((len(self.scalar), theta.shape[0]))
-        for j in range(self.dim):
-            for i, (f, p) in enumerate(zip(self.freqs[:, j], self.parities[:, j])):
-                vals[i] *= _axis_values(int(f), int(p), theta[:, j])
-        return vals
+        """(n_scalar, npts) values: the axis factors multiplied in axis order."""
+        values, _ = _axis_factors(self.freqs, self.parities, theta)
+        return reduce(np.multiply, values.swapaxes(0, 1))
 
     def scalar_gradients(self, theta):
-        """(n_scalar, npts, d) gradients in the global frame."""
-        theta = np.atleast_2d(np.asarray(theta, dtype=np.float64))
-        npts = theta.shape[0]
-        factors = np.empty((len(self.scalar), self.dim, npts))
-        derivs = np.empty((len(self.scalar), self.dim, npts))
-        for j in range(self.dim):
-            for i, (f, p) in enumerate(zip(self.freqs[:, j], self.parities[:, j])):
-                factors[i, j] = _axis_values(int(f), int(p), theta[:, j])
-                derivs[i, j] = _axis_derivs(int(f), int(p), theta[:, j])
-        grads = np.empty((len(self.scalar), npts, self.dim))
-        for j in range(self.dim):
-            g = derivs[:, j].copy()
-            for k in range(self.dim):
-                if k != j:
-                    g *= factors[:, k]
-            grads[:, :, j] = g
-        return grads
+        """(n_scalar, npts, d) gradients in the global frame: component j is the axis-j
+        derivative times the other axes' factors, multiplied in axis order."""
+        values, derivs = _axis_factors(self.freqs, self.parities, theta)
+        others = [[values[:, k] for k in range(self.dim) if k != j] for j in range(self.dim)]
+        return np.stack([reduce(np.multiply, others[j], derivs[:, j]) for j in range(self.dim)],
+                        axis=2)
 
     def eigenfield_values(self, theta):
         """(n_entries, npts, d) frame components of every eigenfield."""
         if self.dim > 2:
             raise InvalidInputError(
                 "classified eigenfields are available for tori of dimension <= 2")
-        theta = np.atleast_2d(np.asarray(theta, dtype=np.float64))
-        npts = theta.shape[0]
-        out = np.zeros((len(self.entries), npts, self.dim))
+        row = {s.label: i for i, s in enumerate(self.scalar)}
         if self.dim == 1:
-            vals = self.scalar_values(theta)
-            lookup = {s.label: i for i, s in enumerate(self.scalar)}
-            for i, e in enumerate(self.entries):
-                out[i, :, 0] = vals[lookup[e.label]]
-            return out
-        grads = self.scalar_gradients(theta)
-        lookup = {s.label: i for i, s in enumerate(self.scalar)}
-        for i, e in enumerate(self.entries):
-            if e.hodge_class == HARM:
-                out[i, :, e.label[1]] = 1.0 / TWO_PI
-                continue
-            g = grads[lookup[e.label]] / math.sqrt(e.eigenvalue)
-            if e.hodge_class == DIV:
-                out[i] = g
-            else:  # 90-degree rotation (g1, g2) -> (-g2, g1)
-                out[i, :, 0] = -g[:, 1]
-                out[i, :, 1] = g[:, 0]
+            return self.scalar_values(theta)[[row[e.label] for e in self.entries], :, None]
+        harm = np.array([e.hodge_class == HARM for e in self.entries])
+        fields = [e for e in self.entries if e.hodge_class != HARM]
+        g = self.scalar_gradients(theta)[[row[e.label] for e in fields]]
+        g /= np.sqrt([e.eigenvalue for e in fields])[:, None, None]
+        curl = np.array([e.hodge_class == CURL for e in fields], dtype=bool)
+        g[curl] = g[curl][..., ::-1] * [-1.0, 1.0]   # 90-degree rotation (g1, g2) -> (-g2, g1)
+        out = np.zeros((len(self.entries),) + g.shape[1:])
+        out[~harm] = g
+        # the constant frame fields e_j / (2 pi), labelled ("e", j)
+        axes = [e.label[1] for e in self.entries if e.hodge_class == HARM]
+        out[harm] = np.eye(2)[axes][:, None] / TWO_PI
         return out
 
 
@@ -373,6 +354,8 @@ def product_spectrum(a, b, lambda_cap):
     lambda_cap. Both factors must themselves be truncated at or beyond the
     cap so no admissible combination is missed.
     """
+    if not (math.isfinite(lambda_cap) and lambda_cap >= 0.0):
+        raise InvalidInputError(f"lambda_cap must be finite and nonnegative, got {lambda_cap!r}")
     for s in (a, b):
         if not isinstance(s, TorusSpectrum):
             raise InvalidInputError("product spectra require circle or torus factors")

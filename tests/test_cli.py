@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from hodgegp.cli import (ExperimentConfig, emit_csv, ingest_csv, main, normalize_dataset,
-                         parse_field_name, run_experiment, synthetic_field)
+from hodgegp.cli import (ExperimentConfig, _config_from_options, build_parser, emit_csv,
+                         ingest_csv, main, normalize_dataset, parse_field_name, run_experiment,
+                         synthetic_field)
 from hodgegp.diagnostics import numeric_divergence
 from hodgegp.errors import DataError, InvalidInputError
 from hodgegp.gp import Dataset
@@ -441,3 +442,38 @@ class TestMainExitCodes:
         assert "accepted keys: field, grid, kappa, kernel, lmax, nu, out, protocol, " \
                "restarts, seeds, stride, test, train" in err
         assert not (tmp_path / "c").exists()
+
+
+# a value other than the default for every run flag but --out
+FLAG_VALUES = {"kernel": "noise,hodge", "nu": "1.5", "kappa": "0.3", "lmax": "8", "seeds": "1,2",
+               "protocol": "great-circle", "train": "7", "test": "9",
+               "field": "sample:div-free:1.5:0.5", "grid": "3x4", "stride": "5", "restarts": "2"}
+
+
+class TestRunFlags:
+    """Each run setting is stated once: ExperimentConfig holds its default, and the CLI
+    parses only the flags and config keys given."""
+
+    def config(self, *args):
+        return _config_from_options(build_parser().parse_args(["run", *args]))
+
+    def test_unset_flags_keep_the_config_defaults(self, tmp_path):
+        out = str(tmp_path / "d")
+        config = self.config("--out", out)
+        assert vars(config) == vars(ExperimentConfig(out=out))
+        assert config.hash() == ExperimentConfig(out=out).hash()
+
+    def test_every_flag_is_a_config_key_that_sets_one_field(self, tmp_path):
+        out = str(tmp_path / "d")
+        flags = vars(build_parser().parse_args(["run", "--out", out])).keys()
+        assert flags - {"command", "config", "out"} == FLAG_VALUES.keys()
+        default = vars(ExperimentConfig(out=out))
+        for flag, value in FLAG_VALUES.items():
+            cfg = tmp_path / f"{flag}.cfg"
+            cfg.write_text(f"{flag} = {value}\n")
+            by_flag = vars(self.config("--out", out, f"--{flag}", value))
+            assert vars(self.config("--out", out, "--config", str(cfg))) == by_flag
+            assert sum(by_flag[name] != default[name] for name in default) == 1
+        cfg = tmp_path / "out.cfg"
+        cfg.write_text(f"out = {out}\n")
+        assert vars(self.config("--config", str(cfg))) == default

@@ -11,11 +11,11 @@ from hodgegp.errors import InvalidInputError, NumericalError
 from hodgegp.gp import (Dataset, FitConfig, condition, fit, log_marginal_likelihood, metrics,
                         predict, sample_posterior, sample_prior, sample_prior_batch)
 from hodgegp.kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NOISE,
-                             PROJECTED, KernelSpec, MaternParams, class_weights,
+                             PROJECTED, SCALAR, KernelSpec, MaternParams, class_weights,
                              compositional_spec, frame_blocks, kernel_matrix, noise_spec,
-                             spectral_kernel_oracle)
-from hodgegp.manifold import (TangentVector, circle_point, frames_at, lonlat_to_point,
-                              sample_sphere, torus_point)
+                             scalar_kernel_matrix, spectral_kernel_oracle)
+from hodgegp.manifold import (ManifoldPoint, TangentVector, circle_point, frames_at,
+                              lonlat_to_point, sample_sphere, sphere_point, torus_point)
 from hodgegp.spectrum import sphere_spectrum, torus_spectrum
 
 SPEC = KernelSpec(HODGE_CURL, MaternParams(0.5, 0.5, 1.0, 1e-4), lmax=20)
@@ -501,6 +501,115 @@ class TestQueryValidation:
         near = X * (1.0 + 5e-13)
         np.testing.assert_allclose(predict(model, near).mean, predict(model, X).mean,
                                    rtol=0.0, atol=1e-9)
+
+
+POINT_FORM_SPECS = {
+    "sphere": (KernelSpec(HODGE_CURL, MaternParams(1.5, 0.5, 1.0, 0.1), lmax=8),
+               KernelSpec(SCALAR, MaternParams(1.5, 0.5), lmax=8)),
+    "t2": (KernelSpec(HODGE_FULL, MaternParams(1.5, 0.5, 1.0, 0.1), manifold="torus",
+                      lambda_cap=16.0),
+           KernelSpec(SCALAR, MaternParams(1.5, 0.5), manifold="torus", lambda_cap=16.0)),
+}
+POINT_CALLS = ("gram", "predict", "sample_posterior", "PriorSample.at", "sample_prior_batch",
+               "kernel_matrix", "scalar_kernel_matrix")
+
+
+def point_form_problem(manifold):
+    """(spec, queries Q, call): call(name, points) is a tuple of the named call's output
+    arrays, its rng fixed; training points and torus angles lie in [0, 2 pi)."""
+    spec, scalar = POINT_FORM_SPECS[manifold]
+    rng = np.random.default_rng(71)
+    if manifold == "sphere":
+        X, Q = sample_sphere(6, rng), sample_sphere(3, rng)
+        values = np.einsum("nk,nka->na", rng.standard_normal((6, 2)), frames_at(X))
+    else:
+        X, Q = rng.uniform(0, 2 * np.pi, (6, 2)), rng.uniform(0, 2 * np.pi, (3, 2))
+        values = rng.standard_normal((6, 2))
+    model = condition(spec, Dataset.from_arrays(spec.manifold, X, values))
+
+    def call(name, points):
+        rng = np.random.default_rng(72)
+        if name == "predict":
+            prediction = predict(model, points)
+            return prediction.mean, prediction.cov
+        return ({"gram": lambda: gp.gram(spec, points),
+                 "sample_posterior": lambda: sample_posterior(model, points, rng, 2),
+                 "PriorSample.at": lambda: sample_prior(spec, rng).at(points),
+                 "sample_prior_batch": lambda: sample_prior_batch(spec, points, 2, rng),
+                 "kernel_matrix": lambda: kernel_matrix(spec, points),
+                 "scalar_kernel_matrix": lambda: scalar_kernel_matrix(scalar, X, points)}
+                [name](),)
+
+    return spec, Q, call
+
+
+def assert_bit_identical(got, expected):
+    for a, b in zip(got, expected, strict=True):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+class TestOnePointReader:
+    """Every call that takes points reads them through ``manifold.coordinates``. Before,
+    nested lists gave AttributeError in gp, a tuple of points TypeError, and a list of
+    points or [] gave TypeError or a shape error in kernel_matrix."""
+
+    @pytest.mark.parametrize("name", POINT_CALLS)
+    @pytest.mark.parametrize("manifold", ["sphere", "t2"])
+    def test_every_form_gives_the_same_outputs(self, manifold, name):
+        spec, Q, call = point_form_problem(manifold)
+        points = [ManifoldPoint(spec.manifold, q) for q in Q]
+        expected = call(name, Q)
+        for form in (Q.tolist(), points, tuple(points), list(Q)):
+            assert_bit_identical(call(name, form), expected)
+        assert_bit_identical(call(name, Q[0]), call(name, Q[:1]))
+
+    @pytest.mark.parametrize("name", POINT_CALLS)
+    @pytest.mark.parametrize("manifold", ["sphere", "t2"])
+    def test_no_points_give_empty_outputs(self, manifold, name):
+        spec, Q, call = point_form_problem(manifold)
+        for form in ([], (), np.zeros((0, Q.shape[1]))):
+            shapes = [a.shape for a in call(name, form)]
+            assert shapes == [a.shape for a in call(name, Q[:0])]
+            assert all(0 in shape for shape in shapes)
+
+    @pytest.mark.parametrize("name", POINT_CALLS)
+    @pytest.mark.parametrize("manifold", ["sphere", "t2"])
+    def test_bad_points_are_invalid_input(self, manifold, name):
+        spec, Q, call = point_form_problem(manifold)
+        other = (torus_point([0.1, 0.2]) if manifold == "sphere"
+                 else sphere_point([0.0, 0.0, 1.0]))
+        bad_row = Q.copy()
+        bad_row[1, 0] = math.nan
+        mixed = "mix ManifoldPoint and coordinate rows"
+        cases = [([ManifoldPoint(spec.manifold, Q[0]), Q[1]], mixed),
+                 ([Q[0], ManifoldPoint(spec.manifold, Q[1])], mixed),
+                 ([other], f"a {other.manifold} point of dimension 2 for a kernel on the "
+                           f"{spec.manifold}"),
+                 ([circle_point(0.3)], "a circle point of dimension 1"),
+                 ([torus_point([0.1, 0.2, 0.3])], "a torus point of dimension 3"),
+                 (bad_row, "unit norm" if manifold == "sphere" else "must be finite")]
+        if manifold == "sphere":
+            cases += [(2.0 * Q, "unit norm"), (Q[:, :2], r"\(m, 3\) array")]
+        else:
+            cases += [(np.zeros((2, 3)), r"not on T\^2"), (np.zeros(3), r"not on T\^2")]
+        for points, message in cases:
+            with pytest.raises(InvalidInputError, match=message):
+                call(name, points)
+
+
+class TestScalarDraws:
+    @pytest.mark.parametrize("manifold", ["sphere", "t2"])
+    def test_samplers_reject_the_scalar_kind(self, manifold):
+        # before, a scalar sphere draw was the gradient basis under scalar level weights, a
+        # field of no kernel, and a scalar T^2 draw failed in numpy's reshape
+        scalar = POINT_FORM_SPECS[manifold][1]
+        _, Q, _ = point_form_problem(manifold)
+        rng = np.random.default_rng(73)
+        calls = (lambda: sample_prior(scalar, rng), lambda: sample_prior_batch(scalar, Q, 1, rng),
+                 lambda: sample_posterior(condition(scalar, Dataset([], [])), Q, rng))
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="scalar kernels have no vector draws"):
+                call()
 
 
 class TestDrawCounts:

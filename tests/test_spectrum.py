@@ -299,8 +299,10 @@ class TestProductSpectrum:
 
 
 class TestBuilderValidation:
-    """The spectrum builders check their sizes as KernelSpec checks the same fields.
-    Before, a float size was a TypeError and a negative or nan cap numpy's ValueError."""
+    """The spectrum builders check their sizes as KernelSpec checks the same fields, and the
+    reference builders their levels, orders and caps. Before, a float size was a TypeError
+    and a negative or nan cap numpy's ValueError; spherical_harmonic(True, 0, x) was the
+    l = 1 value, and product_spectrum's nan cap failed as "matching nonempty index arrays"."""
 
     @pytest.mark.parametrize("call, match", [
         (lambda: sphere_spectrum(2.5), "lmax"), (lambda: sphere_spectrum(-1), "lmax"),
@@ -310,16 +312,28 @@ class TestBuilderValidation:
         (lambda: circle_spectrum(-1), "n_max"), (lambda: torus_spectrum(2.5, 4.0), "d"),
         (lambda: torus_spectrum(0, 4.0), "d"), (lambda: torus_spectrum(2, -1.0), "lambda_cap"),
         (lambda: torus_spectrum(2, math.nan), "lambda_cap"),
-        (lambda: torus_spectrum(2, math.inf), "lambda_cap")],
+        (lambda: torus_spectrum(2, math.inf), "lambda_cap"),
+        (lambda: spherical_harmonic(2.5, 0, [0.0, 0.0, 1.0]), "level"),
+        (lambda: spherical_harmonic(True, 0, [0.0, 0.0, 1.0]), "level"),
+        (lambda: spherical_harmonic(2, 0.5, [0.0, 0.0, 1.0]), "order"),
+        (lambda: spherical_harmonic(2, False, [0.0, 0.0, 1.0]), "order"),
+        (lambda: sphere_eigenfield(DIV, 2.5, 0, [0.0, 0.0, 1.0]), "level"),
+        (lambda: sphere_eigenfield(CURL, 2, 0.5, [0.0, 0.0, 1.0]), "order"),
+        (lambda: product_spectrum(circle_spectrum(2), circle_spectrum(2), math.nan),
+         "lambda_cap"),
+        (lambda: product_spectrum(circle_spectrum(2), circle_spectrum(2), -1.0), "lambda_cap")],
         ids=["sphere-float", "sphere-negative", "sphere-bool", "sphere-float-after-int",
              "circle-float", "circle-negative",
              "torus-float-d", "torus-zero-d", "torus-negative-cap", "torus-nan-cap",
-             "torus-inf-cap"])
+             "torus-inf-cap", "harmonic-float-level", "harmonic-bool-level",
+             "harmonic-float-order", "harmonic-bool-order", "eigenfield-float-level",
+             "eigenfield-float-order", "product-nan-cap", "product-negative-cap"])
     def test_bad_sizes_raise(self, call, match):
         with pytest.raises(InvalidInputError, match=match):
             call()
 
     def test_integer_sizes_of_any_type_pass(self):
+        assert spherical_harmonic(np.int64(2), np.int32(-1), [0.0, 0.0, 1.0]) == 0.0
         assert sphere_spectrum(np.int64(2)).lmax == 2
         assert len(circle_spectrum(np.int32(1)).scalar) == 3
         assert len(torus_spectrum(np.int64(2), 0.0).scalar) == 1
