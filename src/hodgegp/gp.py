@@ -1,15 +1,14 @@
 """Vector Gaussian process regression in tangent frames.
 
-Gram matrices are the frame blocks of ``kernels.frame_blocks`` in per-point
-orthonormal tangent frames, full-rank 2x2 blocks on the sphere (d x d
-global-frame blocks on tori); this module evaluates no kernel itself.
-Conditioning is exact via Cholesky with a documented jitter-escalation
-fallback. A prior draw is fixed by its spec and an rng, in the kernel's own
-basis with the evaluators' weights: on the sphere grad Y_lm and its rotation
-(Y_lm when projected) scaled by the level weights, summed in one matrix
-product with the harmonic table; on tori the kernel's half lattice. Posterior
-draws are prior draws moved by Matheron's rule through the conditioned
-model's Cholesky factor, with no factorization of their own.
+Gram matrices are the frame blocks of ``kernels.frame_blocks`` in per-point orthonormal
+tangent frames, full-rank 2x2 blocks on the sphere (d x d global-frame blocks on tori); this
+module evaluates no kernel itself. Conditioning is exact via Cholesky with a documented
+jitter-escalation fallback, and an empty dataset is n = 0 on the same path. A prior draw is
+fixed by its spec and an rng, in the kernel's own basis with the evaluators' weights: on the
+sphere grad Y_lm and its rotation (Y_lm when projected) scaled by the level weights, summed in
+one matrix product with the harmonic table; on tori the kernel's half lattice. ``predict`` and
+posterior draws share one query step against the model's checked coordinates; the draws are
+prior draws moved by Matheron's rule through the model's Cholesky factor.
 """
 
 import math
@@ -127,29 +126,32 @@ def _chol_with_jitter(mat, scale):
         f"eigenvalue range [{eigs.min():.3e}, {eigs.max():.3e}]")
 
 
+@dataclass(eq=False)
 class PosteriorModel:
-    """Conditioned GP state: training data, Gram factor, solved coefficients."""
+    """Conditioned GP state: data, their checked coordinates X and frames, Gram factor, alpha."""
 
-    def __init__(self, spec, dataset, frames, chol, alpha, y_frame, jitter):
-        self.spec = spec
-        self.dataset = dataset
-        self.frames = frames
-        self.chol = chol
-        self.alpha = alpha
-        self.y_frame = y_frame
-        self.jitter = jitter
+    spec: KernelSpec
+    dataset: Dataset
+    X: np.ndarray
+    frames: np.ndarray
+    chol: np.ndarray
+    alpha: np.ndarray
+    y_frame: np.ndarray
+    jitter: float
 
 
 def _frame_components(values, frames):
     """Frame components of (..., n, 3) ambient values; tori (frames None) keep theirs."""
-    if frames is None:
-        return np.asarray(values)
-    return np.einsum("nka,...na->...nk", frames, values)
+    return np.asarray(values) if frames is None else np.einsum("nka,...na->...nk", frames, values)
+
+
+def _ambient(values, frames):
+    """(..., m, D) ambient components of (..., m, k) frame components; tori keep theirs."""
+    return values if frames is None else np.einsum("...mk,mka->...ma", values, frames)
 
 
 def _observations(spec, dataset):
-    """Coordinates, frames (sphere only) and flattened frame observations of a dataset
-    on spec's manifold."""
+    """Checked coordinates, frames and flattened frame observations of a dataset."""
     X = coordinates(spec.manifold, spec.dim, dataset.points)
     frames = _frames(spec.manifold, X)
     return X, frames, _frame_components(dataset.values(), frames).reshape(-1)
@@ -178,14 +180,11 @@ def condition(spec, dataset) -> PosteriorModel:
     factorization fails (typical for sigma_eps^2 = 0, where truncated
     spectral Gram matrices are barely positive definite) a diagonal jitter is
     added, escalating from 1e-10 * sigma^2 by factors of 10 up to
-    1e-4 * sigma^2 before raising NumericalError.
+    1e-4 * sigma^2 before raising NumericalError. An empty dataset is n = 0.
     """
-    if len(dataset) == 0:
-        return PosteriorModel(spec, dataset, None, np.zeros((0, 0)), np.zeros(0),
-                              np.zeros(0), 0.0)
     X, frames, y = _observations(spec, dataset)
     chol, alpha, jitter = _factor(spec, gram(spec, X, frames), y)
-    return PosteriorModel(spec, dataset, frames, chol, alpha, y, jitter)
+    return PosteriorModel(spec, dataset, X, frames, chol, alpha, y, jitter)
 
 
 @dataclass
@@ -201,26 +200,24 @@ class Prediction:
     frames: np.ndarray
 
 
-@single_threaded_numpy_blas
-def predict(model, points) -> Prediction:
-    """Exact GP posterior mean and marginal covariance at each of points (``coordinates``)."""
+def _query(model, points):
+    """(Q, BQ, K_QX): checked coordinates and frames of points and their cross Gram to model.X."""
     spec = model.spec
     Q = coordinates(spec.manifold, spec.dim, points)
     BQ = _frames(spec.manifold, Q)
-    prior = diagonal_frame_blocks(spec, Q, BQ)
+    return Q, BQ, _blocks_to_matrix(frame_blocks(spec, Q, BQ, model.X, model.frames))
+
+
+@single_threaded_numpy_blas
+def predict(model, points) -> Prediction:
+    """Posterior mean and marginal covariance at points (``coordinates``); the prior's at n = 0."""
+    Q, BQ, cross = _query(model, points)
+    prior = diagonal_frame_blocks(model.spec, Q, BQ)
     m, d = prior.shape[:2]
-    if len(model.dataset) == 0:
-        mean_f = np.zeros((m, d))
-    else:
-        X = model.dataset.coords()
-        cross = _blocks_to_matrix(frame_blocks(spec, Q, BQ, X, model.frames))
-        mean_f = (cross @ model.alpha).reshape(m, d)
-        r = solve_triangular(model.chol, cross.T, lower=True)
-        r = r.reshape(r.shape[0], m, d)
-        prior = prior - np.einsum("nmk,nml->mkl", r, r)
+    r = solve_triangular(model.chol, cross.T, lower=True).reshape(len(model.alpha), m, d)
+    prior = prior - np.einsum("nmk,nml->mkl", r, r)
     cov = 0.5 * (prior + prior.transpose(0, 2, 1))
-    mean = mean_f if BQ is None else np.einsum("mk,mka->ma", mean_f, BQ)
-    return Prediction(mean=mean, cov=cov, frames=BQ)
+    return Prediction(mean=_ambient((cross @ model.alpha).reshape(m, d), BQ), cov=cov, frames=BQ)
 
 
 @single_threaded_numpy_blas
@@ -370,8 +367,8 @@ def fit(dataset, kind, config=None, nu=0.5, lmax=30, lambda_cap=900.0) -> Kernel
     torus_dim = dataset.points[0].dim if manifold != SPHERE else 2
 
     if kind == NOISE:
-        y = _frame_components(dataset.values(), _frames(manifold, dataset.coords()))
-        noise = max(float(np.mean(y.reshape(-1) ** 2)), math.exp(config.log_noise_bounds[0]))
+        y = _observations(noise_spec(1.0, manifold=manifold, torus_dim=torus_dim), dataset)[2]
+        noise = max(float(np.mean(y ** 2)), math.exp(config.log_noise_bounds[0]))
         return noise_spec(noise, manifold=manifold, torus_dim=torus_dim)
 
     names, bounds, build = _spec_builder(kind, nu, manifold, lmax, lambda_cap,
@@ -530,25 +527,19 @@ def sample_posterior(model, points, rng, n_draws=1):
     factor does the solve, so the draws have the covariance ``predict`` reports.
     On the sphere the harmonic table at the m + n points, lmax (lmax + 2) grad
     Y_lm, costs the same for any n_draws (lmax 30: ~16 ms at m + n = 33, ~55 ms
-    at 503), which dominates at small m.
+    at 503), which dominates at small m. With no data (n = 0) the draws are
+    ``sample_prior_batch``'s from the same rng.
     """
     n_draws = check_count("n_draws", n_draws, 0)
     spec = model.spec
-    Q = coordinates(spec.manifold, spec.dim, points)
+    coeffs = _prior_coeffs(spec, rng, n_draws)
+    Q, BQ, cross = _query(model, points)
     m = Q.shape[0]
-    X = model.dataset.coords() if len(model.dataset) else Q[:0]
-    f = _prior_values(spec, _prior_coeffs(spec, rng, n_draws), np.vstack([Q, X]))
-    if len(model.dataset) == 0:
-        return f
+    f = _prior_values(spec, coeffs, np.vstack([Q, model.X]))
     fx = _frame_components(f[:, m:], model.frames).reshape(n_draws, len(model.y_frame))
     e = math.sqrt(spec.noise_variance + model.jitter) * rng.standard_normal(fx.shape)
     v = cho_solve((model.chol, True), (model.y_frame - fx - e).T)
-    BQ = _frames(spec.manifold, Q)
-    cross = _blocks_to_matrix(frame_blocks(spec, Q, BQ, X, model.frames))
-    update = (cross @ v).T.reshape(n_draws, m, spec.dim)
-    if BQ is not None:
-        update = np.einsum("dmk,mka->dma", update, BQ)
-    return f[:, :m] + update
+    return f[:, :m] + _ambient((cross @ v).T.reshape(n_draws, m, spec.dim), BQ)
 
 
 # ---------------------------------------------------------------------------

@@ -392,7 +392,8 @@ def _pair_planes(kind, sx, sy, rows, cols):
     planes = np.empty((3, 3, rows.stop - rows.start, c))
     for p in ((slice(0, 1), slice(1, 3)) if kind == PROJECTED else (slice(0, 3),)):
         products = np.matmul(sx[rows, p], sy[cols, p].transpose(2, 1, 0).reshape(3, -1))
-        planes[p, p] = products.reshape(products.shape[:2] + (-1, c)).transpose(1, 2, 0, 3)
+        r, k = products.shape[:2]   # sizes, not -1: a block may have no columns
+        planes[p, p] = products.reshape(r, k, k, c).transpose(1, 2, 0, 3)
     return planes
 
 

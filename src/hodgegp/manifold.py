@@ -160,13 +160,13 @@ def hodge_star(v: TangentVector) -> TangentVector:
 
 
 def frames_at(xs):
-    """Oriented east/north-style frames for an (n, 3) array of unit points.
+    """Oriented east/north-style frames at sphere points (any form ``coordinates`` reads).
 
     Away from the poles b1 is the unit east direction and b2 = x cross b1
     points north. Within 1e-9 of a pole a fixed fallback derived from e1 is
     used so the result stays deterministic and orthonormal.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    xs = coordinates(SPHERE, 2, xs)
     n = xs.shape[0]
     b1 = np.empty((n, 3))
     s = np.hypot(xs[:, 0], xs[:, 1])
@@ -195,10 +195,12 @@ def lonlat_to_point(lon_deg, lat_deg) -> ManifoldPoint:
 
 
 def point_to_lonlat(p) -> tuple:
-    """Longitude/latitude in degrees for a sphere point."""
-    c = p.coords if isinstance(p, ManifoldPoint) else np.asarray(p, dtype=np.float64)
-    lon = np.rad2deg(np.arctan2(c[1], c[0]))
-    lat = np.rad2deg(np.arcsin(np.clip(c[2], -1.0, 1.0)))
+    """Longitude/latitude in degrees of one sphere point (``coordinates``)."""
+    X = coordinates(SPHERE, 2, p)
+    if X.shape[0] != 1:
+        raise InvalidInputError(f"point_to_lonlat takes one point, got {X.shape[0]}")
+    lon = np.rad2deg(np.arctan2(X[0, 1], X[0, 0]))
+    lat = np.rad2deg(np.arcsin(np.clip(X[0, 2], -1.0, 1.0)))
     return float(lon), float(lat)
 
 
@@ -253,9 +255,10 @@ def points_array(points):
 
 def coordinates(manifold, dim, points):
     """(m, k) coordinates (k = 3 on the sphere, dim on tori) of points on the manifold of
-    dimension dim, a list or tuple of its ``ManifoldPoint`` or array-like rows that pass
-    ``check_sphere_points`` or ``check_torus_points`` (unreduced; one point may be a vector,
-    none give (0, k)). Other points, or points mixed with rows, raise InvalidInputError."""
+    dimension dim: a ``ManifoldPoint`` of it, a list or tuple of them, or array-like rows that
+    pass ``check_sphere_points`` or ``check_torus_points`` (unreduced; one point may be a
+    vector, none give (0, k)). Anything else raises InvalidInputError."""
+    points = [points] if isinstance(points, ManifoldPoint) else points
     if isinstance(points, (list, tuple)) and any(isinstance(p, ManifoldPoint) for p in points):
         for p in points:
             if not isinstance(p, ManifoldPoint):
@@ -264,7 +267,10 @@ def coordinates(manifold, dim, points):
                 raise InvalidInputError(f"a {p.manifold} point of dimension {p.dim} for a kernel "
                                         f"on the {manifold} of dimension {dim}")
         return points_array(points)
-    X = np.asarray(points, dtype=np.float64)
+    try:
+        X = np.asarray(points, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"points are not ManifoldPoint or numeric rows: {exc}") from None
     if X.shape == (0,):
         return np.zeros((0, 3 if manifold == SPHERE else dim))
     X = np.atleast_2d(X)

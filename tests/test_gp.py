@@ -551,7 +551,8 @@ def assert_bit_identical(got, expected):
 class TestOnePointReader:
     """Every call that takes points reads them through ``manifold.coordinates``. Before,
     nested lists gave AttributeError in gp, a tuple of points TypeError, and a list of
-    points or [] gave TypeError or a shape error in kernel_matrix."""
+    points or [] gave TypeError or a shape error in kernel_matrix; later a bare point gave
+    TypeError, and ragged or string rows numpy's ValueError."""
 
     @pytest.mark.parametrize("name", POINT_CALLS)
     @pytest.mark.parametrize("manifold", ["sphere", "t2"])
@@ -562,6 +563,7 @@ class TestOnePointReader:
         for form in (Q.tolist(), points, tuple(points), list(Q)):
             assert_bit_identical(call(name, form), expected)
         assert_bit_identical(call(name, Q[0]), call(name, Q[:1]))
+        assert_bit_identical(call(name, points[0]), call(name, Q[:1]))
 
     @pytest.mark.parametrize("name", POINT_CALLS)
     @pytest.mark.parametrize("manifold", ["sphere", "t2"])
@@ -581,10 +583,12 @@ class TestOnePointReader:
         bad_row = Q.copy()
         bad_row[1, 0] = math.nan
         mixed = "mix ManifoldPoint and coordinate rows"
+        elsewhere = f"a {other.manifold} point of dimension 2 for a kernel on the {spec.manifold}"
+        neither = "not ManifoldPoint or numeric rows"
         cases = [([ManifoldPoint(spec.manifold, Q[0]), Q[1]], mixed),
                  ([Q[0], ManifoldPoint(spec.manifold, Q[1])], mixed),
-                 ([other], f"a {other.manifold} point of dimension 2 for a kernel on the "
-                           f"{spec.manifold}"),
+                 ([other], elsewhere), (other, elsewhere),
+                 ([Q[0].tolist(), Q[1, :-1].tolist()], neither), ([["a"] * Q.shape[1]], neither),
                  ([circle_point(0.3)], "a circle point of dimension 1"),
                  ([torus_point([0.1, 0.2, 0.3])], "a torus point of dimension 3"),
                  (bad_row, "unit norm" if manifold == "sphere" else "must be finite")]
@@ -605,8 +609,14 @@ class TestScalarDraws:
         scalar = POINT_FORM_SPECS[manifold][1]
         _, Q, _ = point_form_problem(manifold)
         rng = np.random.default_rng(73)
+        # conditioning a scalar spec raises for empty data as for any other, so the model
+        # that reaches sample_posterior is built by hand
+        with pytest.raises(InvalidInputError, match="scalar kernels have no vector kernel"):
+            condition(scalar, Dataset([], []))
+        model = gp.PosteriorModel(scalar, Dataset([], []), np.zeros((0, Q.shape[1])), None,
+                                  np.zeros((0, 0)), np.zeros(0), np.zeros(0), 0.0)
         calls = (lambda: sample_prior(scalar, rng), lambda: sample_prior_batch(scalar, Q, 1, rng),
-                 lambda: sample_posterior(condition(scalar, Dataset([], [])), Q, rng))
+                 lambda: sample_posterior(model, Q, rng))
         for call in calls:
             with pytest.raises(InvalidInputError, match="scalar kernels have no vector draws"):
                 call()
@@ -887,6 +897,45 @@ class TestPathwisePosterior:
         var = np.diag(exact)
         se = np.sqrt((np.outer(var, var) + exact ** 2) / len(draws))
         assert (np.abs(mc - exact) / se).max() < 5.0
+
+
+class TestEmptyData:
+    """An empty dataset is n = 0 on the general path: the model keeps (0, k) coordinates,
+    predicts the prior exactly and draws what the prior sampler draws. Before, a cross
+    Gram with no columns failed on the sphere with numpy's "cannot reshape array of size 0"."""
+
+    NAMES = ["sphere-full", "sphere-div", "sphere-curl", "sphere-compositional",
+             "sphere-projected", "t2-compositional", "t3-full"]
+
+    @staticmethod
+    def problem(name):
+        spec = POSTERIOR_SPECS[name]
+        data, Q = posterior_problem(spec, np.random.default_rng(60))
+        return spec, condition(spec, Dataset([], [])), data, Q
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_blocks_with_no_columns(self, name):
+        spec, empty, data, Q = self.problem(name)
+        assert empty.X.shape == (0, data.X.shape[1])
+        assert np.array_equal(data.X, data.dataset.coords())
+        d, D = spec.dim, spec.ambient_dim
+        assert kernel_matrix(spec, Q, []).shape == (len(Q), 0, D, D)
+        assert frame_blocks(spec, Q, gp._frames(spec.manifold, Q), empty.X,
+                            empty.frames).shape == (len(Q), 0, d, d)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_predictions_are_the_prior(self, name):
+        spec, empty, _, Q = self.problem(name)
+        pred = predict(empty, Q)
+        prior = kernels.diagonal_frame_blocks(spec, Q, gp._frames(spec.manifold, Q))
+        assert np.array_equal(pred.mean, np.zeros((len(Q), spec.ambient_dim)))
+        assert np.array_equal(pred.cov, 0.5 * (prior + prior.transpose(0, 2, 1)))
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_draws_are_prior_draws(self, name):
+        spec, empty, _, Q = self.problem(name)
+        draws = sample_posterior(empty, Q, np.random.default_rng(61), n_draws=3)
+        assert np.array_equal(draws, sample_prior_batch(spec, Q, 3, np.random.default_rng(61)))
 
 
 SPHERE_DRAW_SPECS = {name: POSTERIOR_SPECS["sphere-" + name]

@@ -4,7 +4,7 @@ import pytest
 from hodgegp.errors import InvalidInputError
 from hodgegp.manifold import (CIRCLE, SPHERE, TORUS, ManifoldPoint, TangentVector,
                               circle_point, frames_at, hodge_star, lonlat_to_point, point_to_lonlat, project_tangent,
-                              sample_uniform, sphere_point, tangent_from_east_north,
+                              sample_sphere, sample_uniform, sphere_point, tangent_from_east_north,
                               east_north_components, torus_point)
 
 
@@ -91,6 +91,20 @@ class TestFrames:
         grams = np.einsum("nka,nla->nkl", frames, frames)
         np.testing.assert_allclose(grams, np.broadcast_to(np.eye(2), grams.shape), atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [[[2.0, 0, 0]], [[np.nan, 0, 1]], [[0, 0, 1.0], [0, 1.0]]])
+    def test_off_sphere_points_are_invalid_input(self, bad):
+        # before, [[2, 0, 0]] gave a frame whose b2 has norm 2
+        with pytest.raises(InvalidInputError):
+            frames_at(bad)
+
+    def test_every_point_form_gives_the_same_frames(self):
+        pts = np.vstack([sample_sphere(5, np.random.default_rng(6)), [[0, 0, 1.0]]])
+        points = [ManifoldPoint(SPHERE, x) for x in pts]
+        for form in (pts.tolist(), points, tuple(points)):
+            assert np.array_equal(frames_at(form), frames_at(pts))
+        assert np.array_equal(frames_at(points[0]), frames_at(pts[:1]))
+        assert frames_at([]).shape == (0, 2, 3)
+
 
 class TestLonLat:
     @pytest.mark.parametrize("lon,lat,expected", [
@@ -111,6 +125,14 @@ class TestLonLat:
             x = sphere_point(rng.standard_normal(3))
             lon, lat = point_to_lonlat(x)
             np.testing.assert_allclose(lonlat_to_point(lon, lat).coords, x.coords, atol=1e-12)
+            assert point_to_lonlat(x.coords) == point_to_lonlat([x.coords]) == (lon, lat)
+
+    @pytest.mark.parametrize("bad", [[0, 0, 2.0], [np.nan, 0, 1], [[0, 0, 1.0], [1.0, 0, 0]],
+                                     [], torus_point([0.1, 0.2])])
+    def test_one_sphere_point_or_invalid_input(self, bad):
+        # before, [0, 0, 2] read as (0.0, 90.0) and [nan, 0, 1] as (nan, 90.0)
+        with pytest.raises(InvalidInputError):
+            point_to_lonlat(bad)
 
     def test_east_north_components_round_trip(self):
         p = lonlat_to_point(12.0, 34.0)
