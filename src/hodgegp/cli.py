@@ -24,9 +24,8 @@ from .errors import DataError, InvalidInputError, NumericalError
 from .gp import Dataset, FitConfig, condition, fit, metrics, predict, sample_prior
 from .kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NOISE, PROJECTED,
                       KernelSpec, MaternParams)
-from .manifold import (SPHERE, ManifoldPoint, TangentVector, east_north_components,
-                       lonlat_to_point, point_to_lonlat, points_array, sample_uniform,
-                       tangent_from_east_north, torus_point)
+from .manifold import (SPHERE, TORUS, coordinates, east_north_components, frames_at,
+                       lonlat_to_point, point_to_lonlat, points_array, sample_sphere)
 
 KERNEL_NAMES = {
     "noise": NOISE,
@@ -111,8 +110,10 @@ def ingest_csv(path):
     """Read a tangential-field dataset from CSV.
 
     Sphere files carry the header ``lon_deg,lat_deg,u_east,v_north``; torus
-    files ``theta_1..theta_d,v_1..v_d``. Sphere rows within 0.1 degrees of a
-    pole are rejected (a warning with the count goes to stderr).
+    files ``theta_1..theta_d,v_1..v_d``. Blank lines are skipped; a row with
+    the wrong field count or a non-number is a DataError that names its line.
+    Sphere rows within 0.1 degrees of a pole are dropped (a warning with the
+    count goes to stderr); a file with no row left is an InvalidInputError.
     """
     try:
         fh = open(path, newline="")
@@ -121,60 +122,38 @@ def ingest_csv(path):
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise InvalidInputError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        if header == SPHERE_HEADER:
-            return _ingest_sphere_rows(reader, path)
-        if len(header) >= 2 and len(header) % 2 == 0:
-            d = len(header) // 2
-            expected = [f"theta_{j + 1}" for j in range(d)] + [f"v_{j + 1}" for j in range(d)]
-            if header == expected:
-                return _ingest_torus_rows(reader, path, d)
-        raise DataError(f"{path}: unrecognized header {','.join(header)!r}")
-
-
-def _parse_row(row, width, path, line_no):
-    if len(row) != width:
-        raise DataError(f"{path}: line {line_no}: expected {width} fields, got {len(row)}")
-    try:
-        return [float(c) for c in row]
-    except ValueError as exc:
-        raise DataError(f"{path}: line {line_no}: {exc}")
-
-
-def _ingest_sphere_rows(reader, path):
-    points, obs, rejected = [], [], 0
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        lon, lat, u, v = _parse_row(row, 4, path, line_no)
-        if abs(lat) > _MAX_INGEST_LAT:
-            rejected += 1
-            continue
-        p = lonlat_to_point(lon, lat)
-        points.append(p)
-        obs.append(tangent_from_east_north(p, u, v))
-    if rejected:
-        print(f"warning: {path}: rejected {rejected} near-pole rows", file=sys.stderr)
-    if not points:
+        d = len(header) // 2
+        torus_header = [f"theta_{j + 1}" for j in range(d)] + [f"v_{j + 1}" for j in range(d)]
+        sphere = header == SPHERE_HEADER
+        if not (sphere or header and header == torus_header):
+            raise DataError(f"{path}: unrecognized header {','.join(header)!r}")
+        rows = []
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}: line {line_no}: expected {len(header)} fields, "
+                                f"got {len(row)}")
+            try:
+                rows.append([float(c) for c in row])
+            except ValueError as exc:
+                raise DataError(f"{path}: line {line_no}: {exc}")
+    rows = np.array(rows).reshape(-1, len(header))
+    if sphere:
+        near_pole = np.abs(rows[:, 1]) > _MAX_INGEST_LAT
+        if near_pole.any():
+            print(f"warning: {path}: rejected {near_pole.sum()} near-pole rows", file=sys.stderr)
+        rows = rows[~near_pole]
+    if not len(rows):
         raise InvalidInputError(f"{path}: no usable rows")
-    return Dataset(points, obs)
-
-
-def _ingest_torus_rows(reader, path, d):
-    points, obs = [], []
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        vals = _parse_row(row, 2 * d, path, line_no)
-        p = torus_point(vals[:d])
-        points.append(p)
-        obs.append(TangentVector(p, np.array(vals[d:])))
-    if not points:
-        raise InvalidInputError(f"{path}: no usable rows")
-    return Dataset(points, obs)
+    if not sphere:
+        return Dataset.from_arrays(TORUS, rows[:, :d], rows[:, d:])
+    # point by point, as a vectorized normalization can differ in the last bit
+    X = points_array([lonlat_to_point(lon, lat) for lon, lat in rows[:, :2]])
+    return Dataset.from_arrays(SPHERE, X, np.einsum("nk,nka->na", rows[:, 2:], frames_at(X)))
 
 
 def emit_csv(dataset, path):
@@ -183,17 +162,14 @@ def emit_csv(dataset, path):
         writer = csv.writer(fh)
         if dataset.manifold == SPHERE:
             writer.writerow(SPHERE_HEADER)
-            for p, v in zip(dataset.points, dataset.observations):
-                lon, lat = point_to_lonlat(p)
-                u, w = east_north_components(v)
-                writer.writerow([repr(lon), repr(lat), repr(u), repr(w)])
+            writer.writerows([repr(c) for c in point_to_lonlat(p) + east_north_components(v)]
+                             for p, v in zip(dataset.points, dataset.observations))
         else:
-            d = dataset.points[0].dim
+            d = dataset.dim
             writer.writerow([f"theta_{j + 1}" for j in range(d)]
                             + [f"v_{j + 1}" for j in range(d)])
-            for p, v in zip(dataset.points, dataset.observations):
-                writer.writerow([repr(float(c)) for c in p.coords]
-                                + [repr(float(c)) for c in v.components])
+            writer.writerows([repr(float(c)) for c in row]
+                             for row in np.hstack([dataset.coords(), dataset.values()]))
 
 
 def normalize_dataset(train):
@@ -209,9 +185,7 @@ def normalize_dataset(train):
 
 
 def _scale_dataset(dataset, s):
-    return Dataset(dataset.points,
-                   [TangentVector(v.base, v.components * s) for v in dataset.observations],
-                   scale=s)
+    return Dataset.from_arrays(dataset.manifold, dataset.coords(), dataset.values() * s, scale=s)
 
 
 # ---------------------------------------------------------------------------
@@ -225,22 +199,22 @@ def rotation_field_values(coords):
 
 
 def synthetic_field(name, points, spec=None, seed=0):
-    """Evaluate a named synthetic field at points, as a Dataset.
+    """Evaluate a named synthetic field at points (``coordinates``), as a Dataset.
 
-    ``rotation`` is the divergence-free rotation field; ``kernel-sample``
-    draws a frozen prior sample of ``spec`` with the given seed.
+    ``rotation`` is the divergence-free rotation field on the sphere;
+    ``kernel-sample`` draws a frozen prior sample of ``spec`` with the given
+    seed, on the spec's manifold.
     """
     if name == "rotation":
-        values = rotation_field_values(points_array(points))
-    elif name == "kernel-sample":
-        if spec is None:
-            raise InvalidInputError("kernel-sample needs a kernel spec")
-        sample = sample_prior(spec, np.random.default_rng(seed))
-        values = sample.at(points)
-    else:
+        X = coordinates(SPHERE, 2, points)
+        return Dataset.from_arrays(SPHERE, X, rotation_field_values(X))
+    if name != "kernel-sample":
         raise InvalidInputError(f"unknown synthetic field {name!r}")
-    obs = [TangentVector(p, v) for p, v in zip(points, values)]
-    return Dataset(points, obs)
+    if spec is None:
+        raise InvalidInputError("kernel-sample needs a kernel spec")
+    X = coordinates(spec.manifold, spec.dim, points)
+    sample = sample_prior(spec, np.random.default_rng(seed))
+    return Dataset.from_arrays(spec.manifold, X, sample.at(X))
 
 
 def parse_field_name(text):
@@ -270,25 +244,15 @@ def parse_field_name(text):
 # ---------------------------------------------------------------------------
 
 def _hemisphere_split(n_train, n_test, rng):
-    train = []
-    for p in sample_uniform(SPHERE, n_train, rng):
-        c = p.coords.copy()
-        c[2] = abs(c[2])
-        train.append(ManifoldPoint(SPHERE, c))
-    test = []
-    for p in sample_uniform(SPHERE, n_test, rng):
-        c = p.coords.copy()
-        c[2] = -abs(c[2])
-        test.append(ManifoldPoint(SPHERE, c))
+    train, test = sample_sphere(n_train, rng), sample_sphere(n_test, rng)
+    train[:, 2], test[:, 2] = np.abs(train[:, 2]), -np.abs(test[:, 2])
     return train, test
 
 
 def _great_circle(stride, n_test, rng):
-    lats = np.arange(-89.75, 89.75 + 1e-9, 0.25)
-    picked = lats[::stride]
+    picked = np.arange(-89.75, 89.75 + 1e-9, 0.25)[::stride]
     train = [lonlat_to_point(lon, lat) for lon in (90.0, -90.0) for lat in picked]
-    test = sample_uniform(SPHERE, n_test, rng)
-    return train, test
+    return train, sample_sphere(n_test, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -301,34 +265,30 @@ _RESULT_COLUMNS = ["kernel", "nu", "seed", "mse", "pnll", "kappa", "variance", "
 
 
 def _fitted_param_fields(spec):
-    empty = ""
-    if spec.kind == NOISE:
-        return [empty, empty, repr(spec.params.noise), empty, empty, empty, empty]
-    if spec.kind == HODGE_COMPOSITIONAL:
-        pd, pc = spec.parts["div"], spec.parts["curl"]
-        return [empty, empty, repr(pd.noise), repr(pd.kappa), repr(pd.variance),
-                repr(pc.kappa), repr(pc.variance)]
-    p = spec.params
-    return [repr(p.kappa), repr(p.variance), repr(p.noise), empty, empty, empty, empty]
+    """The seven parameter columns of a result row: the kappa and variance of a spec's
+    one part, or of each of a compositional spec's div and curl parts, and the noise."""
+    named = {"noise": repr(spec.noise_variance)}
+    for cls, p in spec.classes:
+        suffix = f"_{cls}" if len(spec.classes) > 1 else ""
+        named[f"kappa{suffix}"], named[f"variance{suffix}"] = repr(p.kappa), repr(p.variance)
+    return [named.get(c, "") for c in _RESULT_COLUMNS[5:12]]
 
 
 def _build_cell_data(config, seed):
     """Train/test datasets for one seed, normalized to unit mean train norm."""
     if config.protocol == "file":
-        train = ingest_csv(config.train)
-        test = ingest_csv(config.test)
+        train, test = ingest_csv(config.train), ingest_csv(config.test)
     else:
         rng = np.random.default_rng([seed, 104729])
         if config.protocol == "hemisphere-split":
-            train_pts, test_pts = _hemisphere_split(int(config.train), int(config.test), rng)
+            points = _hemisphere_split(int(config.train), int(config.test), rng)
         else:
-            train_pts, test_pts = _great_circle(config.stride, int(config.test), rng)
+            points = _great_circle(config.stride, int(config.test), rng)
         name, sample_spec = parse_field_name(config.field_name)
-        train = synthetic_field(name, train_pts, spec=sample_spec, seed=[seed, 15485863])
-        test = synthetic_field(name, test_pts, spec=sample_spec, seed=[seed, 15485863])
+        train, test = (synthetic_field(name, X, spec=sample_spec, seed=[seed, 15485863])
+                       for X in points)
     s, train = normalize_dataset(train)
-    test = _scale_dataset(test, s)
-    return train, test
+    return train, _scale_dataset(test, s)
 
 
 def run_experiment(config):
@@ -367,8 +327,8 @@ def run_experiment(config):
                     print(f"done {cell}: mse={mse:.4f} pnll={pnll:.4f}")
                 except (NumericalError, InvalidInputError, np.linalg.LinAlgError,
                         MemoryError) as exc:
-                    rows.append([kname, repr(float(nu)), repr(seed), "nan", "nan",
-                                 "", "", "", "", "", "", "", cfg_hash, __version__])
+                    rows.append([kname, repr(float(nu)), repr(seed), "nan", "nan"]
+                                + [""] * 7 + [cfg_hash, __version__])
                     print(f"failed {cell}: {exc}", file=sys.stderr)
     rows.sort(key=lambda r: (r[0], r[1], int(r[2])))
     _write_results(config, rows)

@@ -12,7 +12,7 @@ prior draws moved by Matheron's rule through the model's Cholesky factor.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -27,7 +27,7 @@ from .kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NO
 # Not called here: gp evaluates no kernel itself. benchmark/run.py traces these
 # names in gp as well as in kernels, so they stay importable from this module.
 from .kernels import hodge_pair_sums, kernel_matrix, scalar_pair_sums  # noqa: F401
-from .manifold import SPHERE, ManifoldPoint, TangentVector, coordinates, frames_at, points_array
+from .manifold import SPHERE, ManifoldPoint, TangentVector, coordinates, frames_at
 from .spectrum import (CURL, DIV, SphereSpectrum, TorusSpectrum, gradient_field_values,
                        harmonic_values, sphere_spectrum)
 
@@ -37,12 +37,14 @@ class Dataset:
     """Aligned manifold points and tangent observations.
 
     ``scale`` records the factor applied to the raw observations when the
-    dataset was normalized (1.0 when untouched).
+    dataset was normalized (1.0 when untouched). An empty dataset is on the
+    sphere, or on what ``from_arrays`` was given (its (0, k) coordinates).
     """
 
     points: list
     observations: list
     scale: float = 1.0
+    _space: tuple = field(init=False, repr=False, compare=False)   # (manifold, dim)
 
     def __post_init__(self):
         if len(self.points) != len(self.observations):
@@ -52,29 +54,37 @@ class Dataset:
                 raise InvalidInputError("observations must be tangent vectors")
             if v.base.manifold != p.manifold or not np.array_equal(v.base.coords, p.coords):
                 raise InvalidInputError("observation base point mismatch")
-        if len({(p.manifold, p.dim) for p in self.points}) > 1:
+        spaces = {(p.manifold, p.dim) for p in self.points}
+        if len(spaces) > 1:
             raise InvalidInputError("dataset points must lie on one manifold, of one dimension")
+        self._space = spaces.pop() if spaces else (SPHERE, 2)
 
     def __len__(self):
         return len(self.points)
 
-    @property
-    def manifold(self):
-        return self.points[0].manifold if self.points else SPHERE
+    manifold = property(lambda self: self._space[0])
+    dim = property(lambda self: self._space[1])
 
     def coords(self):
-        return points_array(self.points)
+        """(n, k) point coordinates: k = 3 on the sphere, the dimension on tori."""
+        return coordinates(self.manifold, self.dim, self.points)
 
     def values(self):
+        """(n, D) observation components, D as k of ``coords``."""
         if not self.observations:
-            return np.zeros((0, 3))
+            return np.zeros_like(self.coords())
         return np.stack([v.components for v in self.observations])
 
     @classmethod
     def from_arrays(cls, manifold, coords, values, scale=1.0):
-        pts = [ManifoldPoint(manifold, c) for c in np.asarray(coords, dtype=np.float64)]
+        coords = np.asarray(coords, dtype=np.float64)
+        pts = [ManifoldPoint(manifold, c) for c in coords]
         obs = [TangentVector(p, v) for p, v in zip(pts, np.asarray(values, dtype=np.float64))]
-        return cls(pts, obs, scale=scale)
+        data = cls(pts, obs, scale=scale)
+        if not pts:   # no point to read: a probe point as wide as the (0, k) coordinates
+            k = coords.shape[1] if coords.ndim == 2 else 0
+            data._space = (manifold, ManifoldPoint(manifold, np.eye(1, k)[0]).dim)
+        return data
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +374,7 @@ def fit(dataset, kind, config=None, nu=0.5, lmax=30, lambda_cap=900.0) -> Kernel
         raise InvalidInputError("cannot fit an empty dataset")
     config = config or FitConfig()
     manifold = dataset.manifold
-    torus_dim = dataset.points[0].dim if manifold != SPHERE else 2
+    torus_dim = dataset.dim
 
     if kind == NOISE:
         y = _observations(noise_spec(1.0, manifold=manifold, torus_dim=torus_dim), dataset)[2]

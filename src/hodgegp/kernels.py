@@ -381,20 +381,25 @@ def _frame_stacks(spec, X, BX, Y, BY):
 
 
 def _pair_planes(kind, sx, sy, rows, cols):
-    """(3, 3, r, c) planes [p, q] of row p of x's stack dotted with row q of y's at
-    a block's pairs: t = x . y, u_k = b_k . y, v_l = x . b'_l and b_k . b'_l (the
-    projected kind's u_k and v_l, which it does not read, are left unset).
+    """(t, u, v, bb): the stack rows (x, b_1, b_2) of x dotted with those of y at a block's
+    pairs, the (r, c) plane t = x . y, the (2, r, c) planes u_k = b_k . y and
+    v_l = x . b'_l, and the (2, 2, r, c) planes b_k . b'_l. The projected kind reads only
+    t and bb, and gets None for u and v.
 
     One product of one shape per row of the block and group of planes: BLAS sums in
     an order that varies with the shape, and a pair's bits must not depend on the block.
     """
-    c = cols.stop - cols.start
-    planes = np.empty((3, 3, rows.stop - rows.start, c))
-    for p in ((slice(0, 1), slice(1, 3)) if kind == PROJECTED else (slice(0, 3),)):
-        products = np.matmul(sx[rows, p], sy[cols, p].transpose(2, 1, 0).reshape(3, -1))
-        r, k = products.shape[:2]   # sizes, not -1: a block may have no columns
-        planes[p, p] = products.reshape(r, k, k, c).transpose(1, 2, 0, 3)
-    return planes
+    if kind == PROJECTED:
+        return _dot(sx[rows, :1], sy[cols, :1])[0, 0], None, None, _dot(sx[rows, 1:], sy[cols, 1:])
+    g = _dot(sx[rows], sy[cols])
+    return g[0, 0], g[1:, 0], g[0, 1:], g[1:, 1:]
+
+
+def _dot(a, b):
+    """(k, k, r, c) planes [p, q] = a_p . b_q of (r, k, 3) and (c, k, 3) stacks."""
+    (r, k), c = a.shape[:2], b.shape[0]   # sizes, not -1: a block may have no columns
+    products = np.matmul(a, b.transpose(2, 1, 0).reshape(3, -1))
+    return np.ascontiguousarray(products.reshape(r, k, k, c).transpose(1, 2, 0, 3))
 
 
 def _frame_components(parts, planes, sums):
@@ -410,7 +415,7 @@ def _frame_components(parts, planes, sums):
     out, k = None, sums.shape[-3] // len(parts)
     for i, (cls, p) in enumerate(parts):
         s = sums[..., i * k:(i + 1) * k, :, :]
-        u, v, bb = planes[1:, 0], planes[0, 1:], planes[1:, 1:]
+        _, u, v, bb = planes
         if cls == CURL:
             u, v, bb = u[::-1], v[::-1], bb[::-1, ::-1]
         if cls == SCALAR:
@@ -484,7 +489,7 @@ def frame_blocks(spec, X, BX, Y, BY):
     out = np.empty((X.shape[0], 2, Y.shape[0], 2))
     for rows, cols in _row_blocks(X.shape[0], Y.shape[0], symmetric):
         planes = _pair_planes(spec.kind, sx, sy, rows, cols)
-        sums = legendre_sums(planes[0, 0], weights)
+        sums = legendre_sums(planes[0], weights)
         _write_block(out, rows, cols, _frame_components(parts, planes, sums), symmetric)
     return out.transpose(0, 2, 1, 3)
 
@@ -497,7 +502,8 @@ def diagonal_frame_blocks(spec, X, BX):
     sums at t = 1 (there u = v = 0); elsewhere one block serves every point.
     """
     if spec.manifold == SPHERE and spec.kind not in (SCALAR, NOISE):
-        planes = np.einsum("ipa,iqa->pqi", *_frame_stacks(spec, X, BX, X, BX))[..., None]
+        g = np.einsum("ipa,iqa->pqi", *_frame_stacks(spec, X, BX, X, BX))[..., None]
+        planes = g[0, 0], g[1:, 0], g[0, 1:], g[1:, 1:]   # as _pair_planes gives them
         sums = legendre_sums(np.ones((1, 1)), _sphere_sum_weights(spec))
         return _frame_components(spec.classes, planes, sums)[..., 0].transpose(2, 0, 1)
     # tori are stationary and the noise kernel is zero: evaluate at one point
@@ -510,8 +516,8 @@ def diagonal_frame_blocks(spec, X, BX):
 # ---------------------------------------------------------------------------
 
 class _Lattice(NamedTuple):
-    """Half lattice of a torus spec: frequencies, pair multiplicities, |n|^2,
-    and per-class Hodge projectors Pi_cls(n) with their ranks tr Pi_cls(n)."""
+    """Half lattice of a torus spec: frequencies, pair multiplicities, |n|^2, and
+    the Hodge projectors Pi_cls(n) of its classes with their ranks tr Pi_cls(n)."""
 
     n: np.ndarray
     mult: np.ndarray
@@ -533,10 +539,13 @@ def _torus_lattice(spec):
     lam = (n ** 2).sum(axis=1)
     zero = (lam == 0.0)[:, None, None]
     eye = np.eye(spec.dim)
-    div = n[:, :, None] * n[:, None, :] / np.where(zero, 1.0, lam[:, None, None])
-    # Hodge-class projectors; the full kernel has Pi = I and the scalar one Pi = 1
-    proj = {SCALAR: np.ones((len(n), 1, 1)), HODGE_FULL: np.broadcast_to(eye, div.shape),
-            DIV: div, CURL: np.where(zero, 0.0, eye - div), HARM: np.where(zero, eye, 0.0)}
+    div = (n[:, :, None] * n[:, None, :] / np.where(zero, 1.0, lam[:, None, None])
+           if {DIV, CURL} & dict(spec.classes).keys() else None)
+    # the Hodge projectors of the spec's classes; Pi = I for the full kernel, 1 for the scalar
+    build = {SCALAR: lambda: np.ones((len(n), 1, 1)), HARM: lambda: np.where(zero, eye, 0.0),
+             HODGE_FULL: lambda: np.broadcast_to(eye, (len(n),) + eye.shape),
+             DIV: lambda: div, CURL: lambda: np.where(zero, 0.0, eye - div)}
+    proj = {c: build[c]() for c, _ in spec.classes}
     # eigenfields per frequency
     rank = {c: np.rint(np.trace(p, axis1=1, axis2=2)) for c, p in proj.items()}
     return _Lattice(n, mult, lam, proj, rank)
@@ -702,7 +711,7 @@ class GramTables:
             self._blocks = []
             for rows, cols in _row_blocks(self._n, self._n, True):
                 planes = _pair_planes(spec.kind, sx, sy, rows, cols)
-                self._blocks.append((rows, cols, planes, legendre_table(planes[0, 0], spec.lmax)))
+                self._blocks.append((rows, cols, planes, legendre_table(planes[0], spec.lmax)))
         else:
             X = coordinates(spec.manifold, spec.dim, X)
             self._lattice = _torus_lattice(spec)

@@ -11,7 +11,8 @@ from hodgegp.cli import (ExperimentConfig, _config_from_options, build_parser, e
 from hodgegp.diagnostics import numeric_divergence
 from hodgegp.errors import DataError, InvalidInputError
 from hodgegp.gp import Dataset
-from hodgegp.manifold import TangentVector, lonlat_to_point, sample_uniform, sphere_point
+from hodgegp.manifold import (TangentVector, lonlat_to_point, points_array, sample_uniform,
+                              sphere_point, tangent_from_east_north, torus_point)
 
 SPHERE_HEADER = "lon_deg,lat_deg,u_east,v_north\n"
 
@@ -107,6 +108,90 @@ class TestIngest:
         assert back.manifold == "torus"
         for a, b in zip(ds.observations, back.observations):
             np.testing.assert_allclose(a.components, b.components, atol=1e-12)
+
+
+class TestOneReader:
+    """ingest_csv reads both headers into one array and builds the dataset with
+    Dataset.from_arrays; its points and values equal the per-row construction bit for bit."""
+
+    @staticmethod
+    def write(path, header, rows):
+        # a blank line after the header, and one between every fifth row
+        lines = [",".join(header), ""]
+        for i, row in enumerate(rows):
+            lines += [",".join(repr(float(c)) for c in row)] + ([""] if i % 5 == 4 else [])
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_sphere_rows_equal_the_per_row_construction(self, tmp_path, capsys):
+        rng = np.random.default_rng(70)
+        n = 300
+        lat = np.degrees(np.arcsin(rng.uniform(-1, 1, n)))
+        # rows within 0.1 degrees of a pole, on the cut-off, and a hair inside it
+        lat[:8] = [89.95, -89.99, 90.0, -90.0, 89.9, -89.9, 89.9 - 1e-9, 89.90000001]
+        rows = np.column_stack([rng.uniform(-180, 360, n), lat, rng.standard_normal((n, 2))])
+        path = tmp_path / "sphere.csv"
+        self.write(path, ["lon_deg", "lat_deg", "u_east", "v_north"], rows)
+        data = ingest_csv(path)
+        kept = [r for r in rows if abs(r[1]) <= 89.9]
+        points = [lonlat_to_point(lon, lat) for lon, lat, _, _ in kept]
+        values = [tangent_from_east_north(p, u, v).components
+                  for p, (_, _, u, v) in zip(points, kept)]
+        assert len(data) == len(kept) == n - 5
+        assert "rejected 5 near-pole rows" in capsys.readouterr().err
+        assert data.manifold == "sphere"
+        assert np.array_equal(data.coords(), points_array(points))
+        assert np.array_equal(data.values(), np.stack(values))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_torus_rows_equal_the_per_row_construction(self, tmp_path, d):
+        rng = np.random.default_rng(71 + d)
+        rows = np.column_stack([rng.uniform(-10, 20, (40, d)), rng.standard_normal((40, d))])
+        path = tmp_path / "torus.csv"
+        self.write(path, [f"theta_{j + 1}" for j in range(d)] + [f"v_{j + 1}" for j in range(d)],
+                   rows)
+        data = ingest_csv(path)
+        assert (data.manifold, data.dim, len(data)) == ("torus", d, 40)
+        assert np.array_equal(data.coords(), points_array([torus_point(r[:d]) for r in rows]))
+        assert np.array_equal(data.values(), rows[:, d:])
+
+    def test_all_rows_near_a_pole_warn_then_raise(self, tmp_path, capsys):
+        path = tmp_path / "poles.csv"
+        path.write_text(SPHERE_HEADER + "0,90,1,0\n\n10,-89.95,0,1\n20,89.91,1,1\n")
+        with pytest.raises(InvalidInputError, match="no usable rows"):
+            ingest_csv(path)
+        assert "rejected 3 near-pole rows" in capsys.readouterr().err
+
+    def test_nan_latitude_is_invalid_input(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text(SPHERE_HEADER + "0,0,1,0\n10,nan,1,0\n")
+        with pytest.raises(InvalidInputError, match="latitude nan"):
+            ingest_csv(path)
+
+    @pytest.mark.parametrize("text, line", [(SPHERE_HEADER + "0,0,1,0\n\n5,5,1\n", 4),
+                                            ("theta_1,v_1\n0.5,1\n0.7\n", 3),
+                                            ("theta_1,theta_2,v_1,v_2\n\n1,2,3,4,5\n", 3)])
+    def test_a_short_or_long_row_is_a_data_error_naming_its_line(self, tmp_path, text, line):
+        path = tmp_path / "short.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"line {line}: expected"):
+            ingest_csv(path)
+
+    def test_an_empty_torus_dataset_emits_the_torus_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        emit_csv(Dataset.from_arrays("torus", np.zeros((0, 3)), np.zeros((0, 3))), path)
+        assert path.read_text().splitlines() == ["theta_1,theta_2,theta_3,v_1,v_2,v_3"]
+        with pytest.raises(InvalidInputError, match="no usable rows"):
+            ingest_csv(path)
+
+    @pytest.mark.parametrize("field", ["rotation", "sample:div-free:1.5:0.5",
+                                       "sample:projected:0.5:0.8"])
+    def test_synthetic_field_reads_points_or_their_coordinates(self, field):
+        points = sample_uniform("sphere", 9, np.random.default_rng(75))
+        name, spec = parse_field_name(field)
+        a = synthetic_field(name, points, spec=spec, seed=4)
+        b = synthetic_field(name, points_array(points), spec=spec, seed=4)
+        assert np.array_equal(a.coords(), b.coords())
+        assert np.array_equal(a.values(), b.values())
 
 
 class TestNormalize:

@@ -938,6 +938,42 @@ class TestEmptyData:
         assert np.array_equal(draws, sample_prior_batch(spec, Q, 3, np.random.default_rng(61)))
 
 
+class TestDatasetManifold:
+    """A dataset answers its own manifold and dimension, empty or not: an empty one from
+    ``from_arrays`` keeps the manifold it was given and the width of its (0, k)
+    coordinates. Before, every empty dataset was on the sphere, with (0, 3) arrays."""
+
+    @pytest.mark.parametrize("manifold, k, dim", [("sphere", 3, 2), ("circle", 1, 1),
+                                                  ("torus", 2, 2), ("torus", 3, 3)])
+    def test_empty_from_arrays_keeps_its_manifold(self, manifold, k, dim):
+        data = Dataset.from_arrays(manifold, np.zeros((0, k)), np.zeros((0, k)))
+        assert (data.manifold, data.dim, len(data)) == (manifold, dim, 0)
+        assert data.coords().shape == data.values().shape == (0, k)
+
+    def test_the_constructor_without_points_gives_the_sphere(self):
+        data = Dataset([], [])
+        assert (data.manifold, data.dim) == ("sphere", 2)
+        assert data.coords().shape == data.values().shape == (0, 3)
+
+    @pytest.mark.parametrize("manifold, coords", [("torus", []), ("torus", np.zeros((0, 0))),
+                                                  ("circle", np.zeros(0)),
+                                                  ("circle", np.zeros((0, 2))),
+                                                  ("sphere", np.zeros((0, 2))),
+                                                  ("moebius", np.zeros((0, 2)))])
+    def test_empty_coordinates_without_a_manifold_width_are_invalid(self, manifold, coords):
+        with pytest.raises(InvalidInputError):
+            Dataset.from_arrays(manifold, coords, coords)
+
+    def test_a_nonempty_dataset_answers_its_points(self):
+        rng = np.random.default_rng(62)
+        t3 = Dataset.from_arrays("torus", rng.uniform(0, 6, (5, 3)), rng.standard_normal((5, 3)))
+        assert (t3.manifold, t3.dim, t3.coords().shape, t3.values().shape) == ("torus", 3,
+                                                                              (5, 3), (5, 3))
+        assert fit(t3, NOISE).dim == 3
+        sphere = make_dataset(4, rng)
+        assert (sphere.manifold, sphere.dim, sphere.coords().shape) == ("sphere", 2, (4, 3))
+
+
 SPHERE_DRAW_SPECS = {name: POSTERIOR_SPECS["sphere-" + name]
                      for name in ("full", "div", "curl", "compositional", "projected")}
 # both poles, where the azimuth is undefined, points a hair off them, and random points

@@ -405,6 +405,47 @@ class TestFrameBlocksMemory:
             tracemalloc.stop()
         assert peak <= out.nbytes + 8 * kernels._BLOCK_PAIRS * (spec.lmax // 2 + 2 + 32)
 
+    def test_projected_gram_tables_keep_five_planes_a_pair(self):
+        # the projected kind reads t = x . y and the four b . b' planes, so its tables
+        # keep lmax // 2 + 2 + 5 floats a pair; the Hodge kinds keep all nine planes
+        x = sample_sphere(300, np.random.default_rng(49))
+        bx = frames_at(x)
+        pairs = sum((r.stop - r.start) * (c.stop - c.start)
+                    for r, c in kernels._row_blocks(300, 300, True))
+        for kind, planes in ((PROJECTED, 5), (HODGE_CURL, 9)):
+            spec = KernelSpec(kind, PARAMS, lmax=12)
+            GramTables(spec, x[:3], bx[:3])   # fill the cached Legendre maps
+            tracemalloc.start()
+            try:
+                tables = GramTables(spec, x, bx)
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            floats = 8 * pairs * (spec.lmax // 2 + 2 + planes)
+            assert floats <= kept <= floats + 64 * 1024
+            np.testing.assert_array_equal(tables.blocks_and_derivatives(spec)[0],
+                                          frame_blocks(spec, x, bx, x, bx))
+
+
+class TestTorusLattice:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_lattice_holds_only_the_specs_classes(self, dim):
+        manifold = CIRCLE if dim == 1 else TORUS
+        specs = [KernelSpec(kind, PARAMS, manifold=manifold, torus_dim=dim, lambda_cap=20.0)
+                 for kind in (HODGE_DIV, HODGE_CURL, HODGE_FULL, SCALAR)]
+        specs.append(compositional_spec(1.5, (0.3, 0.8), (0.6, 1.2), harm_variance=0.5,
+                                        manifold=manifold, torus_dim=dim, lambda_cap=20.0))
+        everything = kernels._torus_lattice(specs[-1])
+        for spec in specs:
+            lattice = kernels._torus_lattice(spec)
+            classes = [c for c, _ in spec.classes]
+            assert list(lattice.proj) == list(lattice.rank) == classes
+            np.testing.assert_array_equal(lattice.n, everything.n)
+            for c in set(classes) & {DIV, CURL, HARM}:   # one projector, whatever the kind
+                np.testing.assert_array_equal(lattice.proj[c], everything.proj[c])
+        noise = kernels._torus_lattice(noise_spec(0.1, manifold=manifold, torus_dim=dim))
+        assert noise.proj == noise.rank == {}
+
 
 class TestProjected:
     def test_identity_coregionalization_trace(self):
