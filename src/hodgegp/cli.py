@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 import argparse
 import csv
 import hashlib
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ from . import __version__
 from .errors import DataError, InvalidInputError, NumericalError
 from .gp import Dataset, FitConfig, condition, fit, metrics, predict, sample_prior
 from .kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NOISE, PROJECTED,
-                      KernelSpec, MaternParams)
+                      KernelSpec, MaternParams, check_kappa)
 from .manifold import (SPHERE, TORUS, coordinates, east_north_components, frames_at,
                        lonlat_to_point, point_to_lonlat, points_array, sample_sphere)
 
@@ -80,8 +79,8 @@ class ExperimentConfig:
             if min(np.atleast_1d(value)) < low:
                 raise InvalidInputError(f"{name} must be at least {low}, got {value!r}")
         parse_field_name(self.field_name)
-        if self.kappa is not None and not (0.0 < self.kappa < math.inf):
-            raise InvalidInputError(f"kappa must be positive and finite, got {self.kappa}")
+        for nu in self.nus if self.kappa is not None else ():
+            check_kappa(nu, self.kappa)
         # synthetic protocols draw the points; great-circle takes its train points from stride
         counts = {"hemisphere-split": ("train", "test"), "great-circle": ("test",)}
         for name in counts.get(self.protocol, ()):
@@ -111,9 +110,11 @@ def ingest_csv(path):
 
     Sphere files carry the header ``lon_deg,lat_deg,u_east,v_north``; torus
     files ``theta_1..theta_d,v_1..v_d``. Blank lines are skipped; a row with
-    the wrong field count or a non-number is a DataError that names its line.
-    Sphere rows within 0.1 degrees of a pole are dropped (a warning with the
-    count goes to stderr); a file with no row left is an InvalidInputError.
+    the wrong field count or a non-number is a DataError that names its line, a
+    sphere row with a non-finite longitude or a latitude outside [-90, 90] an
+    InvalidInputError that names it. Sphere rows within 0.1 degrees of a pole are
+    dropped (a warning with the count goes to stderr); a file with no row left is
+    an InvalidInputError.
     """
     try:
         fh = open(path, newline="")
@@ -141,6 +142,9 @@ def ingest_csv(path):
                 rows.append([float(c) for c in row])
             except ValueError as exc:
                 raise DataError(f"{path}: line {line_no}: {exc}")
+            if sphere and not (np.isfinite(rows[-1][0]) and abs(rows[-1][1]) <= 90.0):
+                raise InvalidInputError(f"{path}: line {line_no}: longitude {rows[-1][0]} must "
+                                        f"be finite and latitude {rows[-1][1]} within [-90, 90]")
     rows = np.array(rows).reshape(-1, len(header))
     if sphere:
         near_pole = np.abs(rows[:, 1]) > _MAX_INGEST_LAT

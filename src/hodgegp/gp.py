@@ -422,30 +422,19 @@ class PriorSample:
     """A frozen draw from a truncated prior, evaluable at arbitrary points.
 
     The draw is a finite sum over the spec's own basis (see ``_prior_coeffs``);
-    rng fixes its coefficients (a spectrum before rng is deprecated).
+    rng fixes its coefficients, which with the spec are all the draw keeps.
     """
 
-    def __init__(self, spec, rng, *spectrum_form):
-        rng, = _spectrum_form(spec, (rng,) + spectrum_form, "PriorSample(spec, rng)", 3)
+    def __init__(self, spec, rng):
         self.spec = spec
-        self._draw = _prior_coeffs(spec, rng, 1)
+        self._coeffs = _prior_coeffs(spec, rng, 1)
 
     @single_threaded_numpy_blas
     def at(self, points):
         """(m, D) field values at points (``coordinates``), ambient on the sphere."""
-        return _prior_values(self.spec, self._draw, points)[0]
+        return _prior_values(self.spec, self._coeffs, points)[0]
 
     __call__ = at
-
-
-def _spectrum_form(spec, args, new_call, stacklevel):
-    """args less a leading spectrum: the deprecated form, warned at the sampler's caller
-    (stacklevel frames up, the BLAS wrapper's included) and checked by ``_check_spectrum``."""
-    if not isinstance(args[0], (SphereSpectrum, TorusSpectrum)):
-        return args
-    warn_deprecated("passing a spectrum", new_call, stacklevel)
-    _check_spectrum(spec, args[0])
-    return args[1:]
 
 
 def _check_spectrum(spec, spectrum):
@@ -453,53 +442,52 @@ def _check_spectrum(spec, spectrum):
     if spec.kind == NOISE:
         return
     own = (sphere_spectrum(spec.lmax).scalar_eigenvalues() if spec.manifold == SPHERE
-           else _torus_lattice(spec).lam)
+           else _torus_lattice(spec.dim, spec.lambda_cap)[2])
     if ((spectrum.manifold == SPHERE) != (spec.manifold == SPHERE) or spectrum.dim != spec.dim
             or not np.array_equal(np.unique(spectrum.scalar_eigenvalues()), np.unique(own))):
         raise InvalidInputError(f"the spectrum is not the truncation of the {spec.kind} spec")
 
 
 def _prior_coeffs(spec, rng, n_draws):
-    """(coeffs, N): n_draws independent prior fields in the spec's own basis, in draw order.
+    """n_draws independent prior fields in the spec's own basis, in draw order.
 
     Sphere: z times the ``sphere_draw_scales`` of the evaluators' level weights,
     (n_draws, 2, lmax (lmax + 2)) of grad Y_lm and x cross grad Y_lm, z drawn per
     level as the div fields m = -l..l, then the curl fields; or (n_draws,
     (lmax + 1)^2, 3) of three stacked scalar fields (projected kind).
     Tori: (n_draws, 2F, D) coefficients A_n z_n of cos(n . x), then sin(n . x),
-    over the kernel's half lattice N (``lattice_draw_factors``), kept with them
-    so that evaluating the draws builds no lattice. Noise: none. N is None off tori.
+    over the truncation's half lattice (``lattice_draw_factors``). Noise: none.
     A scalar spec has no vector draws (InvalidInputError).
     """
     if spec.kind == SCALAR:
         raise InvalidInputError("scalar kernels have no vector draws")
     if spec.kind == NOISE:
-        return np.zeros((n_draws, 0)), None
+        return np.zeros((n_draws, 0))
     if spec.manifold != SPHERE:
-        n, a = lattice_draw_factors(spec)
+        a = lattice_draw_factors(spec)
         z = rng.standard_normal((n_draws, 2, len(a), spec.dim))
-        return np.einsum("fab,dcfb->dcfa", a, z).reshape(n_draws, 2 * len(a), spec.dim), n
+        return np.einsum("fab,dcfb->dcfa", a, z).reshape(n_draws, 2 * len(a), spec.dim)
     scale = sphere_draw_scales(spec)
     if spec.kind == PROJECTED:
-        return scale[None, :, None] * rng.standard_normal((n_draws, len(scale), 3)), None
+        return scale[None, :, None] * rng.standard_normal((n_draws, len(scale), 3))
     # harmonic j = l^2 - 1 + l + m is z's entry 2 (l^2 - 1) + l + m (div), 2l + 1 on (curl)
     l = np.sqrt(np.arange(1, spec.lmax * (spec.lmax + 2) + 1)).astype(np.int64)
     order = np.arange(len(l)) + l * l - 1 + np.outer([0, 1], 2 * l + 1)
-    return scale * rng.standard_normal((n_draws, 2 * len(l)))[:, order], None
+    return scale * rng.standard_normal((n_draws, 2 * len(l)))[:, order]
 
 
-def _prior_values(spec, draw, points):
-    """(n_draws, m, D) values at points of the prior fields of a ``_prior_coeffs`` draw.
+def _prior_values(spec, coeffs, points):
+    """(n_draws, m, D) values at points of the prior fields of ``_prior_coeffs``.
 
     A Hodge field is one contraction of its coefficients with the grad Y_lm table
     (``gradient_field_values``); a projected field is A times the stacked scalar
     fields, projected onto the tangent plane and scaled by 1/sqrt(2).
     """
-    coeffs, n = draw
     pts = coordinates(spec.manifold, spec.dim, points)
     if spec.kind == NOISE:
         return np.zeros((len(coeffs), pts.shape[0], spec.ambient_dim))
     if spec.manifold != SPHERE:
+        n = _torus_lattice(spec.dim, spec.lambda_cap)[0]
         return np.einsum("mf,dfa->dma", lattice_features(pts, n), coeffs)
     if spec.kind != PROJECTED:
         return gradient_field_values(coeffs, pts, spec.lmax)
@@ -510,19 +498,24 @@ def _prior_values(spec, draw, points):
 
 
 def sample_prior(spec, rng, *spectrum_form) -> PriorSample:
-    """Draw one prior field of spec's truncation from rng; it evaluates anywhere."""
-    rng, = _spectrum_form(spec, (rng,) + spectrum_form, "sample_prior(spec, rng)", 3)
+    """Draw one prior field of spec's truncation from rng; it evaluates anywhere.
+
+    ``sample_prior(spec, spectrum, rng)`` is deprecated: it warns at the caller's line,
+    and the spectrum must be spec's truncation (``_check_spectrum``)."""
+    deprecated = isinstance(rng, (SphereSpectrum, TorusSpectrum))
+    if deprecated:
+        warn_deprecated("passing a spectrum", "sample_prior(spec, rng)")
+        _check_spectrum(spec, rng)
+    rng, = spectrum_form if deprecated else (rng,) + spectrum_form
     return PriorSample(spec, rng)
 
 
 @single_threaded_numpy_blas
-def sample_prior_batch(spec, points, n_draws, rng, *spectrum_form):
+def sample_prior_batch(spec, points, n_draws, rng):
     """(n_draws, m, D) values of independent prior draws at fixed points (``coordinates``).
 
     Equal to n_draws successive ``sample_prior`` draws from rng evaluated at points.
     """
-    points, n_draws, rng = _spectrum_form(spec, (points, n_draws, rng) + spectrum_form,
-                                          "sample_prior_batch(spec, points, n_draws, rng)", 4)
     return _prior_values(spec, _prior_coeffs(spec, rng, check_count("n_draws", n_draws, 0)), points)
 
 

@@ -33,7 +33,6 @@ planes; a symmetric (X, X) Gram is evaluated on and below its diagonal only.
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -68,12 +67,21 @@ class MaternParams:
     def __post_init__(self):
         if not (self.nu > 0.0):
             raise InvalidInputError("nu must be positive (inf allowed)")
-        if not (0.0 < self.kappa < math.inf):
-            raise InvalidInputError("kappa must be positive and finite")
+        check_kappa(self.nu, self.kappa)
         if not (0.0 < self.variance < math.inf):
             raise InvalidInputError("variance must be positive and finite")
         if not (0.0 <= self.noise < math.inf):
             raise InvalidInputError("noise variance must be nonnegative and finite")
+
+
+def check_kappa(nu, kappa):
+    """InvalidInputError unless kappa is positive and the Matern weight's scales, kappa^2
+    and, for finite nu, 2 nu / kappa^2, are finite and nonzero."""
+    k2 = float(kappa) * float(kappa)
+    if not (kappa > 0.0 and 0.0 < k2 < math.inf
+            and (math.isinf(nu) or 0.0 < abs(2.0 * float(nu) / k2) < math.inf)):
+        raise InvalidInputError(f"kappa must be positive, with kappa^2 and 2 nu / kappa^2 finite "
+                                f"and nonzero; got kappa {kappa!r} for nu {nu!r}")
 
 
 def phi(nu, kappa, lam, dim):
@@ -82,8 +90,7 @@ def phi(nu, kappa, lam, dim):
     (2 nu / kappa^2 + lambda)^(-nu - dim/2) for finite nu, the heat weight
     exp(-kappa^2 lambda / 2) for nu = inf. Strictly decreasing in lambda.
     """
-    if kappa <= 0.0:
-        raise InvalidInputError("kappa must be positive")
+    check_kappa(nu, kappa)
     lam = np.asarray(lam, dtype=np.float64)
     if np.any(lam < 0.0):
         raise InvalidInputError("eigenvalues must be nonnegative")
@@ -96,8 +103,7 @@ def phi(nu, kappa, lam, dim):
 
 def log_phi(nu, kappa, lam, dim):
     """log Phi_{nu, kappa}(lambda); usable where Phi itself underflows."""
-    if kappa <= 0.0:
-        raise InvalidInputError("kappa must be positive")
+    check_kappa(nu, kappa)
     lam = np.asarray(lam, dtype=np.float64)
     if math.isinf(nu):
         return -0.5 * kappa ** 2 * lam
@@ -441,12 +447,17 @@ def _row_blocks(n, m, symmetric):
         yield rows, slice(0, rows.stop if symmetric else m)
 
 
+def _read_only(*arrays):
+    """The arrays, each made read-only: the caches hand them out."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def _strict_upper(size):
     """Read-only mask of the entries above the diagonal of a (size, size) square."""
-    mask = ~np.tri(size, dtype=bool)
-    mask.flags.writeable = False
-    return mask
+    return _read_only(~np.tri(size, dtype=bool))[0]
 
 
 def _write_block(out, rows, cols, components, symmetric):
@@ -515,43 +526,39 @@ def diagonal_frame_blocks(spec, X, BX):
 # Tori
 # ---------------------------------------------------------------------------
 
-class _Lattice(NamedTuple):
-    """Half lattice of a torus spec: frequencies, pair multiplicities, |n|^2, and
-    the Hodge projectors Pi_cls(n) of its classes with their ranks tr Pi_cls(n)."""
-
-    n: np.ndarray
-    mult: np.ndarray
-    lam: np.ndarray
-    proj: dict
-    rank: dict
-
-
-def _torus_lattice(spec):
-    """The hyperparameter-free half lattice |n|^2 <= lambda_cap of a torus spec.
+@lru_cache(maxsize=16, typed=True)   # typed: 2.0 or True must not hit the entry of 2 or 1
+def _torus_lattice(dim, lambda_cap):
+    """Read-only (n, mult, lam): the hyperparameter-free half lattice |n|^2 <= lambda_cap
+    of T^dim, its pair multiplicities and |n|^2. Built once per truncation.
 
     mult_n = 2 pairs n with -n (n != 0).
     """
-    r = math.ceil(math.sqrt(spec.lambda_cap))
-    n = np.indices((2 * r + 1,) * spec.dim).reshape(spec.dim, -1).T - r
+    r = math.ceil(math.sqrt(lambda_cap))
+    n = np.indices((2 * r + 1,) * dim).reshape(dim, -1).T - r
     first = n[np.arange(len(n)), np.argmax(n != 0, axis=1)]   # first nonzero entry
-    keep = ((n ** 2).sum(axis=1) <= spec.lambda_cap) & (first >= 0)
+    keep = ((n ** 2).sum(axis=1) <= lambda_cap) & (first >= 0)
     n, mult = n[keep].astype(np.float64), np.where(first[keep] > 0, 2.0, 1.0)
-    lam = (n ** 2).sum(axis=1)
+    return _read_only(n, mult, (n ** 2).sum(axis=1))
+
+
+@lru_cache(maxsize=16, typed=True)
+def _lattice_projector(cls, dim, lambda_cap):
+    """Read-only (Pi_cls(n), rank): the Hodge projector of one class over the half lattice,
+    (F, D, D), and its trace, the eigenfields per frequency. Pi = I for the full kernel (a
+    broadcast view), 1 for the scalar. Built once per class and truncation, when asked for.
+    """
+    n, _, lam = _torus_lattice(dim, lambda_cap)
     zero = (lam == 0.0)[:, None, None]
-    eye = np.eye(spec.dim)
+    eye = np.eye(dim)
     div = (n[:, :, None] * n[:, None, :] / np.where(zero, 1.0, lam[:, None, None])
-           if {DIV, CURL} & dict(spec.classes).keys() else None)
-    # the Hodge projectors of the spec's classes; Pi = I for the full kernel, 1 for the scalar
-    build = {SCALAR: lambda: np.ones((len(n), 1, 1)), HARM: lambda: np.where(zero, eye, 0.0),
-             HODGE_FULL: lambda: np.broadcast_to(eye, (len(n),) + eye.shape),
-             DIV: lambda: div, CURL: lambda: np.where(zero, 0.0, eye - div)}
-    proj = {c: build[c]() for c, _ in spec.classes}
-    # eigenfields per frequency
-    rank = {c: np.rint(np.trace(p, axis1=1, axis2=2)) for c, p in proj.items()}
-    return _Lattice(n, mult, lam, proj, rank)
+           if cls in (DIV, CURL) else None)
+    proj = {SCALAR: lambda: np.ones((len(n), 1, 1)), HARM: lambda: np.where(zero, eye, 0.0),
+            HODGE_FULL: lambda: np.broadcast_to(eye, (len(n),) + eye.shape),
+            DIV: lambda: div, CURL: lambda: np.where(zero, 0.0, eye - div)}[cls]()
+    return _read_only(proj, np.rint(np.trace(proj, axis1=1, axis2=2)))
 
 
-def _lattice_part_weights(spec, lattice):
+def _lattice_part_weights(spec):
     """[(W, dW)] per part of a torus spec, in ``spec.classes`` order, over its half lattice.
 
     W = mult_n sigma^2 Phi(|n|^2) Pi_cls(n) / Z_cls (F, D, D) with
@@ -560,18 +567,19 @@ def _lattice_part_weights(spec, lattice):
     W_n (g_n - <g>) with g = d log Phi / d log kappa and <g> its mean under
     the normalizer's weights Phi tr Pi_cls.
     """
+    _, mult, lam = _torus_lattice(spec.dim, spec.lambda_cap)
     out = []
     for c, p in spec.classes:
-        rank = lattice.rank[c]
+        proj, rank = _lattice_projector(c, spec.dim, spec.lambda_cap)
         if not rank.any():
             raise InvalidInputError(f"empty eigenfield class {c!r} on {spec.manifold}")
-        lw = np.where(rank > 0, log_phi(p.nu, p.kappa, lattice.lam, spec.dim), -np.inf)
-        phis = lattice.mult * np.exp(lw - lw.max())   # Phi ratios, safe where Phi underflows
+        lw = np.where(rank > 0, log_phi(p.nu, p.kappa, lam, spec.dim), -np.inf)
+        phis = mult * np.exp(lw - lw.max())   # Phi ratios, safe where Phi underflows
         z = phis @ rank
-        g = _log_phi_slope(p.nu, p.kappa, lattice.lam, spec.dim)
+        g = _log_phi_slope(p.nu, p.kappa, lam, spec.dim)
         dphis = phis * (g - (phis * rank) @ g / z)
-        out.append((p.variance * phis[:, None, None] * lattice.proj[c] / z,
-                    p.variance * dphis[:, None, None] * lattice.proj[c] / z))
+        out.append((p.variance * phis[:, None, None] * proj / z,
+                    p.variance * dphis[:, None, None] * proj / z))
     return out
 
 
@@ -595,23 +603,22 @@ def _torus_matrix(spec, X, Y):
     (zero for the noise kind) at checked coordinates."""
     if spec.kind == NOISE:
         return np.zeros((X.shape[0], Y.shape[0], spec.dim, spec.dim))
-    lattice = _torus_lattice(spec)
-    w = sum(w for w, _ in _lattice_part_weights(spec, lattice))   # mult_n M_n
-    fx = lattice_features(X, lattice.n)
-    fy = fx if Y is X else lattice_features(Y, lattice.n)
+    n = _torus_lattice(spec.dim, spec.lambda_cap)[0]
+    w = sum(w for w, _ in _lattice_part_weights(spec))   # mult_n M_n
+    fx = lattice_features(X, n)
+    fy = fx if Y is X else lattice_features(Y, n)
     return _lattice_sum(fx, fy, w)
 
 
 def lattice_draw_factors(spec):
-    """(N, A): the half lattice N (F, d) of a torus spec and (F, D, D) factors A_n of
-    its kernel's weights, A_n A_n^T = mult_n M_n (by eigh: Hodge-class weights are singular).
+    """(F, D, D) factors A_n of a torus spec's kernel weights over its half lattice n,
+    A_n A_n^T = mult_n M_n (by eigh: Hodge-class weights are singular).
 
     For standard normal z_n, z'_n, f(x) = sum_n [cos, sin](n . x) A_n [z_n, z'_n]
     has covariance sum_n cos(n . (x - y)) mult_n M_n, the kernel itself.
     """
-    lattice = _torus_lattice(spec)
-    e, v = np.linalg.eigh(sum(w for w, _ in _lattice_part_weights(spec, lattice)))
-    return lattice.n, v * np.sqrt(np.maximum(e, 0.0))[:, None, :]
+    e, v = np.linalg.eigh(sum(w for w, _ in _lattice_part_weights(spec)))
+    return v * np.sqrt(np.maximum(e, 0.0))[:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -698,8 +705,8 @@ class GramTables:
     pairs, on and below the diagonal: lmax // 2 + 11 floats a pair at about
     n^2 / 2 pairs. It contracts each table as ``legendre_sums`` contracts its
     chunks and assembles the blocks through the same code as ``frame_blocks``:
-    the routes differ only in keeping the table. The torus keeps the half
-    lattice and the features [cos XN^T, sin XN^T].
+    the routes differ only in keeping the table. The torus keeps the features
+    [cos XN^T, sin XN^T] at the truncation's half lattice N.
     """
 
     def __init__(self, spec, X, frames=None):
@@ -714,8 +721,7 @@ class GramTables:
                 self._blocks.append((rows, cols, planes, legendre_table(planes[0], spec.lmax)))
         else:
             X = coordinates(spec.manifold, spec.dim, X)
-            self._lattice = _torus_lattice(spec)
-            self._features = lattice_features(X, self._lattice.n)
+            self._features = lattice_features(X, _torus_lattice(spec.dim, spec.lambda_cap)[0])
 
     def blocks_and_derivatives(self, spec):
         """(n, n, D, D) frame blocks of spec at the prepared points, and per part of
@@ -730,7 +736,7 @@ class GramTables:
         """
         if spec.manifold != SPHERE:
             f = self._features
-            parts = _lattice_part_weights(spec, self._lattice)
+            parts = _lattice_part_weights(spec)
             blocks = _lattice_sum(f, f, sum(w for w, _ in parts))
             return blocks, [(_lattice_sum(f, f, w) if len(parts) > 1 else blocks.copy(),
                              _lattice_sum(f, f, dw)) for w, dw in parts]

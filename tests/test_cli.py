@@ -26,11 +26,15 @@ class TestIngest:
         np.testing.assert_allclose(ds.observations[0].components, [0, 1, 0], atol=1e-15)
 
     def test_near_pole_rows_rejected_with_warning(self, tmp_path, capsys):
+        # a latitude of 91 was counted as a near-pole row; it is invalid input now
         path = tmp_path / "data.csv"
-        path.write_text(SPHERE_HEADER + "0,91,1,0\n10,89.95,1,0\n0,0,1,0\n")
+        path.write_text(SPHERE_HEADER + "0,-89.95,1,0\n10,89.95,1,0\n0,0,1,0\n")
         ds = ingest_csv(path)
         assert len(ds) == 1
         assert "rejected 2" in capsys.readouterr().err
+        path.write_text(SPHERE_HEADER + "0,91,1,0\n10,89.95,1,0\n0,0,1,0\n")
+        with pytest.raises(InvalidInputError, match="line 2: .* latitude 91.0 within"):
+            ingest_csv(path)
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -166,6 +170,23 @@ class TestOneReader:
         path.write_text(SPHERE_HEADER + "0,0,1,0\n10,nan,1,0\n")
         with pytest.raises(InvalidInputError, match="latitude nan"):
             ingest_csv(path)
+
+    @pytest.mark.parametrize("lon, lat", [("0", "91"), ("0", "-90.5"), ("0", "inf"),
+                                          ("0", "-inf"), ("inf", "0"), ("-inf", "45"),
+                                          ("nan", "0"), ("nan", "nan")])
+    def test_bad_sphere_coordinates_are_invalid_input_naming_the_line(self, tmp_path, capsys,
+                                                                      lon, lat):
+        # an out-of-range latitude was dropped as a near-pole row, an infinite
+        # longitude warned in np.cos, and a NaN longitude failed as "row 0"
+        path = tmp_path / "bad.csv"
+        path.write_text(SPHERE_HEADER + f"0,0,1,0\n\n10,89.95,1,0\n{lon},{lat},1,0\n")
+        with pytest.raises(InvalidInputError, match=f"{path}: line 5: longitude "):
+            ingest_csv(path)
+        assert capsys.readouterr().err == ""
+        # the poles themselves are in range, and dropped as near-pole rows
+        path.write_text(SPHERE_HEADER + "0,90,1,0\n0,-90,1,0\n0,0,1,0\n")
+        np.testing.assert_array_equal(ingest_csv(path).coords(), [[1.0, 0.0, 0.0]])
+        assert "rejected 2 near-pole rows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, line", [(SPHERE_HEADER + "0,0,1,0\n\n5,5,1\n", 4),
                                             ("theta_1,v_1\n0.5,1\n0.7\n", 3),
@@ -432,6 +453,18 @@ class TestMainExitCodes:
         code = main(["run", "--out", str(out), "--kernel", "noise", "--grid", "3x4"] + option)
         assert code == 1
         assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", [
+        ["--kappa", "1e-300"], ["--kappa", "1e-160"], ["--kappa", "1e300"],
+        ["--nu", "inf,0.5", "--kappa", "1e-160"], ["--field", "sample:div-free:1.5:1e-300"],
+        ["--field", "sample:div-free:inf:1e160"]], ids=" ".join)
+    def test_out_of_range_kappa_is_a_usage_error(self, tmp_path, capsys, option):
+        # --kappa 1e-300 aborted the sweep with a ZeroDivisionError traceback
+        out = tmp_path / "bad"
+        code = main(["run", "--out", str(out), "--kernel", "div-free", "--grid", "3x4"] + option)
+        assert code == 1
+        assert "usage error: kappa must be positive" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("kernel", ["compositional", "noise", "vortex"])

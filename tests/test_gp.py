@@ -718,19 +718,13 @@ class TestSampling:
         # silently sample another kernel
         if manifold == "sphere":
             spec = KernelSpec(HODGE_CURL, MaternParams(0.5, 0.5, 1.0), lmax=30)
-            pts = sample_sphere(3, np.random.default_rng(25))
         else:
             spec = KernelSpec(HODGE_CURL, MaternParams(0.5, 0.5, 1.0), manifold="torus",
                               lambda_cap=64.0)
-            pts = np.zeros((3, 2))
-        # only the deprecated form passes a spectrum; it warns, then checks it
+        # only sample_prior's deprecated form passes a spectrum; it warns, then checks it
         rng = np.random.default_rng(26)
         with pytest.warns(DeprecationWarning), pytest.raises(InvalidInputError):
             sample_prior(spec, spectrum, rng)
-        with pytest.warns(DeprecationWarning), pytest.raises(InvalidInputError):
-            gp.PriorSample(spec, spectrum, rng)
-        with pytest.warns(DeprecationWarning), pytest.raises(InvalidInputError):
-            sample_prior_batch(spec, spectrum, pts, 2, rng)
 
     def test_posterior_mean_consistency(self):
         rng = np.random.default_rng(22)
@@ -1094,8 +1088,9 @@ def draw_points(spec):
 
 
 class TestSpectrumFreeSamplers:
-    """The samplers take the spec and an rng; a spectrum before the rng is the
-    deprecated form, which warns, checks the spectrum and draws the same field."""
+    """The samplers take the spec and an rng. A spectrum before the rng is a deprecated
+    form of sample_prior only, which warns, checks the spectrum and draws the same field;
+    PriorSample and sample_prior_batch no longer take one."""
 
     @pytest.mark.parametrize("name", list(SPECTRUM_FORM_SPECS))
     def test_deprecated_form_draws_the_same_values(self, name):
@@ -1105,27 +1100,35 @@ class TestSpectrumFreeSamplers:
                gp.PriorSample(spec, np.random.default_rng(62)).at(pts),
                sample_prior_batch(spec, pts, 3, np.random.default_rng(62))]
         with pytest.warns(DeprecationWarning):
-            old = [sample_prior(spec, own, np.random.default_rng(62)).at(pts),
-                   gp.PriorSample(spec, own, np.random.default_rng(62)).at(pts),
-                   sample_prior_batch(spec, own, pts, 3, np.random.default_rng(62))]
-        for a, b in zip(old, new):
-            np.testing.assert_array_equal(a, b)
+            old = sample_prior(spec, own, np.random.default_rng(62)).at(pts)
+        for values in new[:2]:
+            np.testing.assert_array_equal(old, values)
         assert spec.kind == NOISE or np.abs(new[2]).max() > 0.0
 
     def test_deprecated_form_warns_at_the_callers_line(self):
         spec = SPECTRUM_FORM_SPECS["sphere-curl"]
-        own, pts, rng = own_spectrum(spec), SPHERE_DRAW_POINTS, np.random.default_rng(63)
-        calls = {"sample_prior(spec, rng)": lambda: sample_prior(spec, own, rng),
-                 "PriorSample(spec, rng)": lambda: gp.PriorSample(spec, own, rng),
-                 # through the single_threaded_numpy_blas wrapper
-                 "sample_prior_batch(spec, points, n_draws, rng)":
-                     lambda: sample_prior_batch(spec, own, pts, 2, rng)}
-        for new_call, call in calls.items():
-            with pytest.warns(DeprecationWarning) as record:
-                call()
-            assert len(record) == 1
-            assert f"call {new_call}" in str(record[0].message)
-            assert record[0].filename == __file__
+        own, rng = own_spectrum(spec), np.random.default_rng(63)
+        with pytest.warns(DeprecationWarning) as record:
+            sample_prior(spec, own, rng)
+        assert len(record) == 1
+        assert "call sample_prior(spec, rng)" in str(record[0].message)
+        assert record[0].filename == __file__
+
+    @pytest.mark.parametrize("name", ["sphere-curl", "t2-compositional"])
+    def test_removed_forms_raise_type_error(self, name):
+        spec = SPECTRUM_FORM_SPECS[name]
+        own, pts, rng = own_spectrum(spec), draw_points(spec), np.random.default_rng(69)
+        with pytest.raises(TypeError):
+            gp.PriorSample(spec, own, rng)
+        with pytest.raises(TypeError):
+            sample_prior_batch(spec, own, pts, 2, rng)
+
+    @pytest.mark.parametrize("name", list(SPECTRUM_FORM_SPECS))
+    def test_a_draw_keeps_only_its_spec_and_coefficients(self, name):
+        spec = SPECTRUM_FORM_SPECS[name]
+        field = sample_prior(spec, np.random.default_rng(70))
+        assert vars(field).keys() == {"spec", "_coeffs"}
+        assert field.spec is spec and isinstance(field._coeffs, np.ndarray)
 
     def test_new_form_builds_no_torus_spectrum(self, monkeypatch):
         spec = KernelSpec(HODGE_CURL, POSTERIOR_PARAMS, manifold="torus", torus_dim=3,
@@ -1151,21 +1154,22 @@ class TestSpectrumFreeSamplers:
     @pytest.mark.parametrize("name", ["t2-curl", "t2-compositional", "t3-full"])
     def test_torus_draws_factor_their_weights_once(self, name, monkeypatch):
         # before, every .at call factored the weights again, and later rebuilt the
-        # lattice with every class's projectors, only to read N
-        spec, calls, lattices = SPECTRUM_FORM_SPECS[name], [], []
-        factors, lattice = kernels.lattice_draw_factors, kernels._torus_lattice
-        n, a = factors(spec)
+        # lattice with every class's projectors, only to read N; now N is the
+        # truncation's cached lattice, which neither a draw nor .at builds again
+        spec, calls = SPECTRUM_FORM_SPECS[name], []
+        factors = kernels.lattice_draw_factors
+        a = factors(spec)
+        n = kernels._torus_lattice(spec.dim, spec.lambda_cap)[0]
         monkeypatch.setattr(gp, "lattice_draw_factors", lambda s: calls.append(s) or factors(s))
-        for module in (kernels, gp):
-            monkeypatch.setattr(module, "_torus_lattice",
-                                lambda s: lattices.append(s) or lattice(s))
+        builds = kernels._torus_lattice.cache_info().misses
         pts = draw_points(spec)
         field = sample_prior(spec, np.random.default_rng(66))
-        assert len(calls) == len(lattices) == 1
+        assert len(calls) == 1
         values = [field.at(pts), field(pts)]
-        assert len(calls) == len(lattices) == 1
+        assert len(calls) == 1
         sample_prior_batch(spec, pts, 2, np.random.default_rng(66))
-        assert len(calls) == len(lattices) == 2
+        assert len(calls) == 2
+        assert kernels._torus_lattice.cache_info().misses == builds
         # the values are the features at N times the coefficients A_n z_n, bit for bit
         z = np.random.default_rng(66).standard_normal((1, 2, len(a), spec.dim))
         coeffs = np.einsum("fab,dcfb->dcfa", a, z).reshape(1, 2 * len(a), spec.dim)

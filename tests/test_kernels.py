@@ -9,7 +9,8 @@ from scipy.integrate import quad
 from hodgegp import gp, kernels
 from hodgegp._accel import _CHUNK
 from hodgegp.errors import InvalidInputError
-from hodgegp.gp import Dataset, condition, predict, sample_prior_batch
+from hodgegp.gp import (Dataset, condition, predict, sample_posterior, sample_prior,
+                        sample_prior_batch)
 from hodgegp.kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL,
                              PROJECTED, SCALAR, GramTables, KernelSpec, MaternParams,
                              class_weights, compositional_spec, diagonal_frame_blocks,
@@ -74,6 +75,37 @@ class TestPhi:
         ratios = [integral(lam) / phi(nu, kappa, lam, d) for lam in (1.0, 5.0, 20.0)]
         spread = (max(ratios) - min(ratios)) / min(ratios)
         assert spread < 1e-6
+
+
+class TestExtremeKappa:
+    """kappa^2 overflowed (OverflowError), underflowed to zero (ZeroDivisionError) or made
+    2 nu / kappa^2 overflow (NaN weights) inside the evaluators; such a kappa is invalid
+    input wherever it is given, and every other one evaluates to finite kernels."""
+
+    @staticmethod
+    def curl_kernels(nu, kappa):
+        rng = np.random.default_rng(52)
+        for manifold, x in ((SPHERE, sample_sphere(4, rng)), (TORUS, rng.uniform(0, 6, (4, 2)))):
+            spec = KernelSpec(HODGE_CURL, MaternParams(nu, kappa), manifold=manifold)
+            yield kernel_matrix(spec, x)
+
+    @pytest.mark.parametrize("nu", [0.5, math.inf])
+    @pytest.mark.parametrize("kappa", [1e-300, 1e-160, 1e160, 1e300])
+    def test_out_of_range_kappa_is_invalid_input(self, kappa, nu):
+        if nu == math.inf and kappa == 1e-160:   # kappa^2 = 1e-320 is nonzero: the heat weight
+            assert all(np.isfinite(k).all() for k in self.curl_kernels(nu, kappa))
+            return
+        for call in (lambda: MaternParams(nu, kappa), lambda: phi(nu, kappa, 2.0, 2),
+                     lambda: kernels.log_phi(nu, kappa, 2.0, 2),
+                     lambda: list(self.curl_kernels(nu, kappa))):
+            with pytest.raises(InvalidInputError, match="kappa must be positive, with kappa"):
+                call()
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, math.inf])
+    @pytest.mark.parametrize("kappa", [1e-150, 1e150])
+    def test_extreme_admissible_kappa_stays_finite(self, kappa, nu):
+        for k in self.curl_kernels(nu, kappa):
+            assert np.isfinite(k).all() and np.abs(k).max() > 0.0
 
 
 class TestNormalization:
@@ -430,21 +462,64 @@ class TestFrameBlocksMemory:
 class TestTorusLattice:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_lattice_holds_only_the_specs_classes(self, dim):
+        # projectors are cached per (class, dim, lambda_cap) and built only for the
+        # classes a spec asks for: none for the noise kind, one per new class after it
         manifold = CIRCLE if dim == 1 else TORUS
-        specs = [KernelSpec(kind, PARAMS, manifold=manifold, torus_dim=dim, lambda_cap=20.0)
-                 for kind in (HODGE_DIV, HODGE_CURL, HODGE_FULL, SCALAR)]
-        specs.append(compositional_spec(1.5, (0.3, 0.8), (0.6, 1.2), harm_variance=0.5,
-                                        manifold=manifold, torus_dim=dim, lambda_cap=20.0))
-        everything = kernels._torus_lattice(specs[-1])
+        kinds = (HODGE_DIV, HODGE_FULL, SCALAR) + ((HODGE_CURL,) if dim > 1 else ())
+        specs = [noise_spec(0.1, manifold=manifold, torus_dim=dim)]
+        specs += [KernelSpec(kind, PARAMS, manifold=manifold, torus_dim=dim, lambda_cap=20.0)
+                  for kind in kinds]
+        if dim > 1:   # the circle's curl class is empty, so it has no compositional kernel
+            specs.append(compositional_spec(1.5, (0.3, 0.8), (0.6, 1.2), harm_variance=0.5,
+                                            manifold=manifold, torus_dim=dim, lambda_cap=20.0))
+        x = np.random.default_rng(50).uniform(0, 2 * np.pi, (4, dim))
+        kernels._lattice_projector.cache_clear()
+        built = []
         for spec in specs:
-            lattice = kernels._torus_lattice(spec)
-            classes = [c for c, _ in spec.classes]
-            assert list(lattice.proj) == list(lattice.rank) == classes
-            np.testing.assert_array_equal(lattice.n, everything.n)
-            for c in set(classes) & {DIV, CURL, HARM}:   # one projector, whatever the kind
-                np.testing.assert_array_equal(lattice.proj[c], everything.proj[c])
-        noise = kernels._torus_lattice(noise_spec(0.1, manifold=manifold, torus_dim=dim))
-        assert noise.proj == noise.rank == {}
+            (scalar_kernel_matrix if spec.kind == SCALAR else kernel_matrix)(spec, x)
+            built += [c for c, _ in spec.classes if c not in built]
+            assert kernels._lattice_projector.cache_info().misses == len(built)
+        # the class projectors split the identity, and each is one at its frequencies
+        n, _, lam = kernels._torus_lattice(dim, 20.0)
+        proj, rank = zip(*(kernels._lattice_projector(c, dim, 20.0)
+                           for c in (DIV, CURL, HARM, HODGE_FULL)))
+        np.testing.assert_allclose(proj[0] + proj[1] + proj[2], proj[3], rtol=0, atol=1e-15)
+        for p, r in zip(proj, rank):
+            np.testing.assert_allclose(p @ p, p, rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(r, np.rint(np.trace(p, axis1=1, axis2=2)))
+        nonzero = lam > 0
+        np.testing.assert_array_equal(rank[0], nonzero)
+        np.testing.assert_array_equal(rank[1], (dim - 1) * nonzero)
+        np.testing.assert_array_equal(rank[2], dim * ~nonzero)
+        np.testing.assert_array_equal(rank[3], np.full(len(n), dim))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_lattice_per_truncation(self, dim):
+        # kernel_matrix, GramTables, the draws and .at all read the lattice of their
+        # (dim, lambda_cap), which is built on the first call only
+        rng = np.random.default_rng(51)
+        x = rng.uniform(0, 2 * np.pi, (5, dim))
+        kernels._torus_lattice.cache_clear()
+        for kind in (HODGE_CURL, HODGE_FULL):
+            spec = KernelSpec(kind, PARAMS, manifold=TORUS, torus_dim=dim, lambda_cap=30.0)
+            kernel_matrix(spec, x)
+            GramTables(spec, x).blocks_and_derivatives(spec)
+            sample_prior(spec, rng).at(x)
+            sample_prior_batch(spec, x, 2, rng)
+            sample_posterior(condition(spec, Dataset.from_arrays(TORUS, x, x)), x, rng)
+        info = kernels._torus_lattice.cache_info()
+        assert (info.misses, info.currsize) == (1, 1) and info.hits > 0
+        kernel_matrix(KernelSpec(HODGE_CURL, PARAMS, manifold=TORUS, torus_dim=dim,
+                                 lambda_cap=31.0), x)
+        assert kernels._torus_lattice.cache_info().misses == 2
+
+    def test_cached_arrays_are_read_only(self):
+        arrays = list(kernels._torus_lattice(2, 20.0))
+        for c in (DIV, CURL, HARM, HODGE_FULL, SCALAR):
+            arrays += kernels._lattice_projector(c, 2, 20.0)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
 
 
 class TestProjected:
