@@ -8,7 +8,9 @@ fixed by its spec and an rng, in the kernel's own basis with the evaluators' wei
 sphere grad Y_lm and its rotation (Y_lm when projected) scaled by the level weights, summed in
 one matrix product with the harmonic table; on tori the kernel's half lattice. ``predict`` and
 posterior draws share one query step against the model's checked coordinates; the draws are
-prior draws moved by Matheron's rule through the model's Cholesky factor.
+prior draws moved by Matheron's rule through the model's Cholesky factor. Every query-side
+computation runs over fixed-size blocks of points (``_QUERY_PAIRS``, ``_DRAW_FLOATS``), so a
+call holds its output plus O(block x n) or O(block x basis) floats, whatever the query count.
 """
 
 import math
@@ -22,7 +24,7 @@ from ._accel import single_threaded_numpy_blas
 from .errors import InvalidInputError, NumericalError, check_count, warn_deprecated
 from .kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NOISE, PROJECTED,
                       SCALAR, GramTables, KernelSpec, MaternParams, _torus_lattice,
-                      compositional_spec, diagonal_frame_blocks, frame_blocks,
+                      check_kappa, compositional_spec, diagonal_frame_blocks, frame_blocks,
                       lattice_draw_factors, lattice_features, noise_spec, sphere_draw_scales)
 # Not called here: gp evaluates no kernel itself. benchmark/run.py traces these
 # names in gp as well as in kernels, so they stay importable from this module.
@@ -210,24 +212,58 @@ class Prediction:
     frames: np.ndarray
 
 
+# Query-side block sizes, as kernels._BLOCK_PAIRS is a Gram's: besides its output a
+# call holds one block, whatever the query count. A predict or posterior block is
+# ~_QUERY_PAIRS query-data pairs, _QUERY_PAIRS // n rows: ~1000 solve right-hand sides
+# at n = 500, which solve as fast as all at once, and the CLI's 2664-point grid against
+# 30 training points is one block. A prior-draw block is ~_DRAW_FLOATS floats of basis
+# values (``_draw_rows``).
+_QUERY_PAIRS = 1 << 18
+_DRAW_FLOATS = 1 << 21
+
+
+def _blocks(count, step):
+    """Slices of consecutive blocks of ``step`` rows out of ``count``; the last may be partial."""
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
+
+
 def _query(model, points):
-    """(Q, BQ, K_QX): checked coordinates and frames of points and their cross Gram to model.X."""
+    """(Q, BQ, blocks): checked coordinates and frames of points, and a generator of
+    the query blocks of ~``_QUERY_PAIRS`` query-data pairs each, as (rows, BQ[rows],
+    K_QX[rows]): the block's rows, frames and cross Gram to model.X."""
     spec = model.spec
     Q = coordinates(spec.manifold, spec.dim, points)
     BQ = _frames(spec.manifold, Q)
-    return Q, BQ, _blocks_to_matrix(frame_blocks(spec, Q, BQ, model.X, model.frames))
+
+    def blocks():
+        for rows in _blocks(len(Q), max(1, _QUERY_PAIRS // max(1, len(model.X)))):
+            B = None if BQ is None else BQ[rows]
+            yield rows, B, _blocks_to_matrix(frame_blocks(spec, Q[rows], B, model.X, model.frames))
+
+    return Q, BQ, blocks()
 
 
 @single_threaded_numpy_blas
 def predict(model, points) -> Prediction:
-    """Posterior mean and marginal covariance at points (``coordinates``); the prior's at n = 0."""
-    Q, BQ, cross = _query(model, points)
-    prior = diagonal_frame_blocks(model.spec, Q, BQ)
-    m, d = prior.shape[:2]
-    r = solve_triangular(model.chol, cross.T, lower=True).reshape(len(model.alpha), m, d)
-    prior = prior - np.einsum("nmk,nml->mkl", r, r)
-    cov = 0.5 * (prior + prior.transpose(0, 2, 1))
-    return Prediction(mean=_ambient((cross @ model.alpha).reshape(m, d), BQ), cov=cov, frames=BQ)
+    """Posterior mean and marginal covariance at points (``coordinates``); the prior's at n = 0.
+
+    Each query block of ``_query`` solves its cross Gram against the Cholesky factor
+    and subtracts its part from the prior's diagonal blocks, so besides the output
+    the call holds O(block x n) floats, never O(m x n).
+    """
+    Q, BQ, blocks = _query(model, points)
+    cov = diagonal_frame_blocks(model.spec, Q, BQ)   # the prior's
+    m, d = cov.shape[:2]
+    mean = np.empty((m, d))
+    for rows, _, cross in blocks:
+        shape = (rows.stop - rows.start, d)
+        mean[rows] = (cross @ model.alpha).reshape(shape)
+        # the solve overwrites the block's cross Gram, which nothing reads after it
+        r = solve_triangular(model.chol, cross.T, lower=True, overwrite_b=True)
+        r = r.reshape(len(model.alpha), *shape)
+        cov[rows] -= np.einsum("nmk,nml->mkl", r, r)
+    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+    return Prediction(mean=_ambient(mean, BQ), cov=cov, frames=BQ)
 
 
 @single_threaded_numpy_blas
@@ -293,6 +329,11 @@ def _spec_builder(kind, nu, manifold, lmax, lambda_cap, torus_dim, config):
     if kind not in (HODGE_FULL, HODGE_DIV, HODGE_CURL, PROJECTED, HODGE_COMPOSITIONAL):
         raise InvalidInputError(f"cannot fit kernel kind {kind!r}")
     fixed = config.fixed_kappa
+    if fixed is not None:   # FitConfig knows no nu; the first spec would fail without the name
+        try:
+            check_kappa(nu, fixed)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"fixed_kappa: {exc}") from None
     suffixes = (f"_{DIV}", f"_{CURL}") if kind == HODGE_COMPOSITIONAL else ("",)
     per_class = ("log_variance",) if fixed is not None else ("log_kappa", "log_variance")
     names = [name + suffix for suffix in suffixes for name in per_class] + ["log_noise"]
@@ -365,10 +406,11 @@ def fit(dataset, kind, config=None, nu=0.5, lmax=30, lambda_cap=900.0) -> Kernel
     and its gradient, from ``GramTables`` built once per call, so it only
     weights the tables, assembles the Gram and its derivatives and factors
     the Gram. On the sphere the tables hold the half-height Legendre table
-    (lmax // 2 + 2 rows) and nine pair planes at the ~n^2 / 2 pairs on and
-    below the Gram's diagonal (``tracemalloc``: 26.8 MB at n = 500, lmax = 30,
-    of which the table is 17.5 MB), contracted without a copy; on tori the
-    lattice features, 2F n floats for F half-lattice frequencies.
+    (lmax // 2 + 2 rows) and nine pair planes (five for the projected kind) at
+    the ~n^2 / 2 pairs on and below the Gram's diagonal (``tracemalloc`` at
+    n = 500, lmax = 30: 26.9 MB, 22.7 MB projected, of which the table is
+    17.5 MB), contracted without a copy; on tori the lattice features, 2F n
+    floats for F half-lattice frequencies.
     """
     if len(dataset) == 0:
         raise InvalidInputError("cannot fit an empty dataset")
@@ -479,13 +521,32 @@ def _prior_coeffs(spec, rng, n_draws):
 def _prior_values(spec, coeffs, points):
     """(n_draws, m, D) values at points of the prior fields of ``_prior_coeffs``.
 
+    Evaluated over blocks of ``_draw_rows`` points, so besides the output a call
+    holds O(block x basis) floats, never O(m x basis).
+    """
+    pts = coordinates(spec.manifold, spec.dim, points)
+    out = np.zeros((len(coeffs), pts.shape[0], spec.ambient_dim))
+    if spec.kind != NOISE:
+        for rows in _blocks(len(pts), _draw_rows(spec)):
+            out[:, rows] = _block_values(spec, coeffs, pts[rows])
+    return out
+
+
+def _draw_rows(spec):
+    """Points per prior-draw block: ``_DRAW_FLOATS`` over the floats of one point's basis
+    values, 7 (lmax + 1)^2 on the sphere (factor and gradient tables), 2F on tori."""
+    per_point = (7 * (spec.lmax + 1) ** 2 if spec.manifold == SPHERE
+                 else 2 * len(_torus_lattice(spec.dim, spec.lambda_cap)[0]))
+    return max(1, _DRAW_FLOATS // per_point)
+
+
+def _block_values(spec, coeffs, pts):
+    """(n_draws, m, D) values of the prior fields at one block of checked points.
+
     A Hodge field is one contraction of its coefficients with the grad Y_lm table
     (``gradient_field_values``); a projected field is A times the stacked scalar
     fields, projected onto the tangent plane and scaled by 1/sqrt(2).
     """
-    pts = coordinates(spec.manifold, spec.dim, points)
-    if spec.kind == NOISE:
-        return np.zeros((len(coeffs), pts.shape[0], spec.ambient_dim))
     if spec.manifold != SPHERE:
         n = _torus_lattice(spec.dim, spec.lambda_cap)[0]
         return np.einsum("mf,dfa->dma", lattice_features(pts, n), coeffs)
@@ -528,21 +589,29 @@ def sample_posterior(model, points, rng, n_draws=1):
     a prior draw as ``sample_prior`` makes it, at the stacked points [Q; X];
     e ~ N(0, (s^2 + j) I) for the jitter j of ``condition``, whose Cholesky
     factor does the solve, so the draws have the covariance ``predict`` reports.
-    On the sphere the harmonic table at the m + n points, lmax (lmax + 2) grad
-    Y_lm, costs the same for any n_draws (lmax 30: ~16 ms at m + n = 33, ~55 ms
-    at 503), which dominates at small m. With no data (n = 0) the draws are
-    ``sample_prior_batch``'s from the same rng.
+    The coefficients of f, then e, are drawn and the solve against the data
+    residual runs once, before any query block; each block of ``_query`` then
+    adds its cross Gram times that solve. f is evaluated in the point blocks of
+    ``_prior_values``, so besides the output a call holds O(block x n) and
+    O(block x basis) floats. On the sphere the harmonic tables, lmax (lmax + 2)
+    grad Y_lm a point, cost the same for any n_draws (lmax 30: ~16 ms at
+    m + n = 33, ~55 ms at 503), which dominates at small m. With no data
+    (n = 0) the draws are ``sample_prior_batch``'s from the same rng.
     """
     n_draws = check_count("n_draws", n_draws, 0)
     spec = model.spec
+    Q, _, blocks = _query(model, points)
+    m = len(Q)
     coeffs = _prior_coeffs(spec, rng, n_draws)
-    Q, BQ, cross = _query(model, points)
-    m = Q.shape[0]
     f = _prior_values(spec, coeffs, np.vstack([Q, model.X]))
     fx = _frame_components(f[:, m:], model.frames).reshape(n_draws, len(model.y_frame))
     e = math.sqrt(spec.noise_variance + model.jitter) * rng.standard_normal(fx.shape)
     v = cho_solve((model.chol, True), (model.y_frame - fx - e).T)
-    return f[:, :m] + _ambient((cross @ v).T.reshape(n_draws, m, spec.dim), BQ)
+    out = f[:, :m]
+    for rows, B, cross in blocks:
+        update = (cross @ v).T.reshape(n_draws, rows.stop - rows.start, spec.dim)
+        out[:, rows] += _ambient(update, B)
+    return np.ascontiguousarray(out)
 
 
 # ---------------------------------------------------------------------------

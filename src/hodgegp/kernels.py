@@ -373,6 +373,7 @@ def _sphere_sum_weights(spec):
 
 
 _BLOCK_PAIRS = 1 << 13   # point pairs per block that frame_blocks assembles at once
+# (gp's query-side block sizes, _QUERY_PAIRS and _DRAW_FLOATS, are documented in gp)
 # the signs of J B J^T = [[B11, -B10], [-B01, B00]], J the in-plane 90-degree rotation
 _STAR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None]
 

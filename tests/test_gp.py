@@ -1,6 +1,7 @@
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -430,6 +431,26 @@ class TestFit:
             FitConfig(**{field: value})
         assert FitConfig(seed=[0, 1, 2, 7919], restarts=np.int64(2)).restarts == 2
 
+
+    @pytest.mark.parametrize("manifold", ["sphere", "torus"])
+    @pytest.mark.parametrize("nu", [0.5, math.inf])
+    @pytest.mark.parametrize("fixed_kappa", [1e-300, 1e300])
+    def test_fixed_kappa_is_checked_against_nu(self, manifold, nu, fixed_kappa, monkeypatch):
+        # FitConfig knows no nu, so fit checks fixed_kappa before it builds a table;
+        # before, the first spec failed inside the objective, with MaternParams'
+        # message, which names neither the setting nor the fit
+        rng = np.random.default_rng(70)
+        ds = (make_dataset(5, rng) if manifold == "sphere" else
+              Dataset.from_arrays("torus", rng.uniform(0, 2 * np.pi, (5, 2)),
+                                  rng.standard_normal((5, 2))))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the objective was built")
+
+        monkeypatch.setattr(gp, "_objective", refuse)
+        with pytest.raises(InvalidInputError, match=r"fixed_kappa.*for nu"):
+            fit(ds, HODGE_CURL, FitConfig(fixed_kappa=fixed_kappa), nu=nu, lmax=6,
+                lambda_cap=20.0)
 
 class TestPointsOnTheSpecsManifold:
     """A point off the spec's manifold, or of another dimension, is an InvalidInputError.
@@ -931,6 +952,128 @@ class TestEmptyData:
         draws = sample_posterior(empty, Q, np.random.default_rng(61), n_draws=3)
         assert np.array_equal(draws, sample_prior_batch(spec, Q, 3, np.random.default_rng(61)))
 
+
+BLOCK_NAMES = TestEmptyData.NAMES + ["sphere-noise"]
+
+
+def block_problem(name, n):
+    """A model conditioned on n observations, and 10 queries (the poles among them on
+    the sphere), for the spec of ``name``."""
+    spec = noise_spec(0.2) if name == "sphere-noise" else POSTERIOR_SPECS[name]
+    model, Q = posterior_problem(spec, np.random.default_rng(62), n=max(n, 1), m=10)
+    if spec.manifold == "sphere":
+        Q[:2] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+    return spec, condition(spec, Dataset.from_arrays(spec.manifold, model.X[:n],
+                                                     model.dataset.values()[:n])), Q
+
+
+def query_outputs(spec, model, Q):
+    pred = predict(model, Q)
+    return {"mean": pred.mean, "cov": pred.cov,
+            "posterior": sample_posterior(model, Q, np.random.default_rng(63), n_draws=2),
+            "batch": sample_prior_batch(spec, Q, 2, np.random.default_rng(64)),
+            "at": sample_prior(spec, np.random.default_rng(65)).at(Q)}
+
+
+class TestQueryBlocks:
+    """predict, posterior draws and prior-draw evaluation run over blocks of points
+    (``gp._QUERY_PAIRS`` query-data pairs, ``gp._DRAW_FLOATS`` floats of basis values);
+    forced down to one point, or to three, which leaves a partial last block of the
+    10 queries, the outputs equal the one-block outputs for the same seeds."""
+
+    @pytest.mark.parametrize("name", BLOCK_NAMES)
+    @pytest.mark.parametrize("n", [0, 6])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_blocked_outputs_equal_one_block(self, name, n, rows, monkeypatch):
+        spec, model, Q = block_problem(name, n)
+        whole = query_outputs(spec, model, Q)
+        empty = query_outputs(spec, model, Q[:0])
+        # the floats of one point's basis values that gp._draw_rows counts
+        per_point = (7 * (spec.lmax + 1) ** 2 if spec.manifold == "sphere" else
+                     2 * len(kernels._torus_lattice(spec.dim, spec.lambda_cap)[0]))
+        monkeypatch.setattr(gp, "_QUERY_PAIRS", rows * max(n, 1))
+        monkeypatch.setattr(gp, "_DRAW_FLOATS", rows * per_point)
+        sizes = {"query": [], "draw": []}
+        cross, values = gp.frame_blocks, gp._block_values
+
+        def counted_cross(spec, Q, *rest):
+            sizes["query"].append(len(Q))
+            return cross(spec, Q, *rest)
+
+        def counted_values(spec, coeffs, pts):
+            sizes["draw"].append(len(pts))
+            return values(spec, coeffs, pts)
+
+        monkeypatch.setattr(gp, "frame_blocks", counted_cross)
+        monkeypatch.setattr(gp, "_block_values", counted_values)
+        blocked = query_outputs(spec, model, Q)
+        assert max(sizes["query"]) == rows and min(sizes["query"]) == 1
+        if spec.kind != NOISE:
+            assert max(sizes["draw"]) == rows and min(sizes["draw"]) == 1
+        scale = math.sqrt(sum(p.variance for _, p in spec.classes) or spec.noise_variance)
+        for key, want in whole.items():
+            assert blocked[key].shape == want.shape
+            np.testing.assert_allclose(blocked[key], want, rtol=0, atol=1e-13 * scale,
+                                       err_msg=key)
+        for key, got in query_outputs(spec, model, Q[:0]).items():
+            assert got.shape == empty[key].shape and 0 in got.shape
+
+
+class TestQueryMemory:
+    """tracemalloc peaks of the query-side calls: the output plus a stated multiple of
+    their blocks, however many points are queried. Before, predict held the whole
+    (2m x 2n) cross Gram and its triangular solve, and a draw the whole basis tables."""
+
+    @staticmethod
+    def peak(call, points):
+        call(points[:3])   # fill the caches: Legendre maps, lattices
+        tracemalloc.start()
+        try:
+            out = call(points)
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+
+    # a query block's cross Gram, 4 floats a pair, which predict solves in place, is
+    # held while the next block's is built, from frame_blocks' row blocks (as
+    # TestFrameBlocksMemory bounds them at lmax 30)
+    QUERY_BLOCK = 8 * (8 * gp._QUERY_PAIRS + kernels._BLOCK_PAIRS * (30 // 2 + 2 + 32))
+
+    def test_predict(self):
+        rng = np.random.default_rng(66)
+        spec = KernelSpec(HODGE_CURL, MaternParams(1.5, 0.3, 1.0, 0.01))
+        model = condition(spec, make_dataset(200, rng, spec=spec))
+        Q = sample_sphere(4000, rng)
+        peak, pred = self.peak(lambda q: predict(model, q), Q)
+        # the output and the prior's diagonal blocks, O(m), besides one query block
+        out = pred.mean.nbytes + pred.cov.nbytes + pred.frames.nbytes
+        assert peak <= 4 * out + self.QUERY_BLOCK
+
+    def test_sample_posterior(self):
+        rng = np.random.default_rng(67)
+        spec = KernelSpec(PROJECTED, MaternParams(1.5, 0.3, 1.0, 0.01))
+        model = condition(spec, make_dataset(200, rng, spec=spec))
+        Q = sample_sphere(2000, rng)
+        peak, draws = self.peak(lambda q: sample_posterior(model, q, np.random.default_rng(0)), Q)
+        # f at the m + n stacked points, one draw block, one query block
+        assert peak <= 8 * draws.nbytes + 8 * gp._DRAW_FLOATS * 1.25 + self.QUERY_BLOCK
+
+    def test_sphere_draw(self):
+        rng = np.random.default_rng(68)
+        draw = sample_prior(KernelSpec(HODGE_CURL, MaternParams(1.5, 0.3, 1.0), lmax=20), rng)
+        Q = sample_sphere(4000, rng)
+        peak, values = self.peak(draw.at, Q)
+        # gp counts 7 (lmax + 1)^2 floats a point; the tables take ~1% more
+        assert peak <= 2 * values.nbytes + 8 * gp._DRAW_FLOATS * 1.25
+
+    def test_t3_draw(self):
+        rng = np.random.default_rng(69)
+        draw = sample_prior(KernelSpec(HODGE_FULL, MaternParams(1.5, 0.5, 1.0),
+                                       manifold="torus", torus_dim=3, lambda_cap=400.0), rng)
+        Q = rng.uniform(0, 2 * np.pi, (300, 3))
+        peak, values = self.peak(draw.at, Q)
+        # the 2F lattice features of a block, and the products cos and sin are taken of
+        assert peak <= 2 * values.nbytes + 8 * gp._DRAW_FLOATS * 2.5
 
 class TestDatasetManifold:
     """A dataset answers its own manifold and dimension, empty or not: an empty one from
