@@ -23,8 +23,8 @@ from .errors import DataError, InvalidInputError, NumericalError
 from .gp import Dataset, FitConfig, condition, fit, metrics, predict, sample_prior
 from .kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NOISE, PROJECTED,
                       KernelSpec, MaternParams, check_kappa)
-from .manifold import (SPHERE, TORUS, coordinates, east_north_components, frames_at,
-                       lonlat_to_point, point_to_lonlat, points_array, sample_sphere)
+from .manifold import (SPHERE, TORUS, coordinates, frames_at, lonlat_to_point, point_to_lonlat,
+                       points_array, sample_sphere)
 
 KERNEL_NAMES = {
     "noise": NOISE,
@@ -162,18 +162,19 @@ def ingest_csv(path):
 
 def emit_csv(dataset, path):
     """Write a dataset in the ingestion format (round-trips within 1e-9)."""
+    X, V = dataset.coords(), dataset.values()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         if dataset.manifold == SPHERE:
             writer.writerow(SPHERE_HEADER)
-            writer.writerows([repr(c) for c in point_to_lonlat(p) + east_north_components(v)]
-                             for p, v in zip(dataset.points, dataset.observations))
+            # row by row: a vectorized arctan2, arcsin or dot can change a printed digit
+            writer.writerows([repr(c) for c in point_to_lonlat(x) + tuple(float(v @ b) for b in B)]
+                             for x, v, B in zip(X, V, frames_at(X)))
         else:
             d = dataset.dim
             writer.writerow([f"theta_{j + 1}" for j in range(d)]
                             + [f"v_{j + 1}" for j in range(d)])
-            writer.writerows([repr(float(c)) for c in row]
-                             for row in np.hstack([dataset.coords(), dataset.values()]))
+            writer.writerows([repr(float(c)) for c in row] for row in np.hstack([X, V]))
 
 
 def normalize_dataset(train):

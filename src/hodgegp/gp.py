@@ -1,20 +1,22 @@
 """Vector Gaussian process regression in tangent frames.
 
-Gram matrices are the frame blocks of ``kernels.frame_blocks`` in per-point orthonormal
-tangent frames, full-rank 2x2 blocks on the sphere (d x d global-frame blocks on tori); this
-module evaluates no kernel itself. Conditioning is exact via Cholesky with a documented
-jitter-escalation fallback, and an empty dataset is n = 0 on the same path. A prior draw is
-fixed by its spec and an rng, in the kernel's own basis with the evaluators' weights: on the
-sphere grad Y_lm and its rotation (Y_lm when projected) scaled by the level weights, summed in
-one matrix product with the harmonic table; on tori the kernel's half lattice. ``predict`` and
-posterior draws share one query step against the model's checked coordinates; the draws are
-prior draws moved by Matheron's rule through the model's Cholesky factor. Every query-side
-computation runs over fixed-size blocks of points (``_QUERY_PAIRS``, ``_DRAW_FLOATS``), so a
-call holds its output plus O(block x n) or O(block x basis) floats, whatever the query count.
+A ``Dataset`` is two checked, read-only arrays, (n, k) coordinates and (n, D) values, which
+every entry point reads as they are. Gram matrices are the frame blocks of
+``kernels.frame_blocks`` in per-point orthonormal tangent frames, full-rank 2x2 blocks on the
+sphere (d x d global-frame blocks on tori); this module evaluates no kernel itself.
+Conditioning is exact via Cholesky with a documented jitter-escalation fallback, and an empty
+dataset is n = 0 on the same path. A prior draw is fixed by its spec and an rng, in the
+kernel's own basis with the evaluators' weights: on the sphere grad Y_lm and its rotation
+(Y_lm when projected) scaled by the level weights, summed in one matrix product with the
+harmonic table; on tori the kernel's half lattice. ``predict`` and posterior draws share one
+query step against the model's checked coordinates; the draws are prior draws moved by
+Matheron's rule through the model's Cholesky factor. Every query-side computation runs over
+fixed-size blocks of points (``_QUERY_PAIRS``, ``_DRAW_FLOATS``), so a call holds its output
+plus O(block x n) or O(block x basis) floats, whatever the query count.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -29,64 +31,77 @@ from .kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NO
 # Not called here: gp evaluates no kernel itself. benchmark/run.py traces these
 # names in gp as well as in kernels, so they stay importable from this module.
 from .kernels import hodge_pair_sums, kernel_matrix, scalar_pair_sums  # noqa: F401
-from .manifold import SPHERE, ManifoldPoint, TangentVector, coordinates, frames_at
+from .manifold import (SPHERE, ManifoldPoint, TangentVector, check_space, check_tangent,
+                       coordinates, frames_at, point_rows)
 from .spectrum import (CURL, DIV, SphereSpectrum, TorusSpectrum, gradient_field_values,
                        harmonic_values, sphere_spectrum)
 
 
-@dataclass
 class Dataset:
-    """Aligned manifold points and tangent observations.
+    """Tangent observations at points of one manifold (``manifold``, ``dim``), as two read-only
+    arrays it owns and returns without a copy: ``coords()`` (n, k) and ``values()`` (n, D),
+    read once from a list of ``ManifoldPoint`` and one of ``TangentVector`` at them, or checked
+    row-vectorized by ``from_arrays``.
 
-    ``scale`` records the factor applied to the raw observations when the
-    dataset was normalized (1.0 when untouched). An empty dataset is on the
-    sphere, or on what ``from_arrays`` was given (its (0, k) coordinates).
+    ``scale`` records the factor applied to the raw observations when the dataset was
+    normalized (1.0 when untouched). An empty dataset is on the sphere, or on what
+    ``from_arrays`` was given (its (0, k) coordinates). Datasets compare by identity.
     """
 
-    points: list
-    observations: list
-    scale: float = 1.0
-    _space: tuple = field(init=False, repr=False, compare=False)   # (manifold, dim)
-
-    def __post_init__(self):
-        if len(self.points) != len(self.observations):
+    def __init__(self, points, observations, scale=1.0):
+        if len(points) != len(observations):
             raise InvalidInputError("points and observations must align")
-        for p, v in zip(self.points, self.observations):
+        for p, v in zip(points, observations):
             if not isinstance(v, TangentVector):
                 raise InvalidInputError("observations must be tangent vectors")
             if v.base.manifold != p.manifold or not np.array_equal(v.base.coords, p.coords):
                 raise InvalidInputError("observation base point mismatch")
-        spaces = {(p.manifold, p.dim) for p in self.points}
-        if len(spaces) > 1:
+        if len({(p.manifold, p.dim) for p in points}) > 1:
             raise InvalidInputError("dataset points must lie on one manifold, of one dimension")
-        self._space = spaces.pop() if spaces else (SPHERE, 2)
+        manifold, k = (points[0].manifold, len(points[0].coords)) if points else (SPHERE, 3)
+        self._store(manifold, np.reshape([p.coords for p in points], (-1, k)),
+                    np.reshape([v.components for v in observations], (-1, k)), scale)
 
-    def __len__(self):
-        return len(self.points)
-
-    manifold = property(lambda self: self._space[0])
-    dim = property(lambda self: self._space[1])
-
-    def coords(self):
-        """(n, k) point coordinates: k = 3 on the sphere, the dimension on tori."""
-        return coordinates(self.manifold, self.dim, self.points)
-
-    def values(self):
-        """(n, D) observation components, D as k of ``coords``."""
-        if not self.observations:
-            return np.zeros_like(self.coords())
-        return np.stack([v.components for v in self.observations])
+    def _store(self, manifold, X, V, scale):
+        X.flags.writeable = V.flags.writeable = False
+        self.manifold, self.dim = manifold, 2 if manifold == SPHERE else X.shape[1]
+        self._coords, self._values, self.scale = X, V, scale
+        return self
 
     @classmethod
     def from_arrays(cls, manifold, coords, values, scale=1.0):
-        coords = np.asarray(coords, dtype=np.float64)
-        pts = [ManifoldPoint(manifold, c) for c in coords]
-        obs = [TangentVector(p, v) for p, v in zip(pts, np.asarray(values, dtype=np.float64))]
-        data = cls(pts, obs, scale=scale)
-        if not pts:   # no point to read: a probe point as wide as the (0, k) coordinates
-            k = coords.shape[1] if coords.ndim == 2 else 0
-            data._space = (manifold, ManifoldPoint(manifold, np.eye(1, k)[0]).dim)
-        return data
+        """A dataset of copies of the (n, k) coordinate rows on the manifold and the (n, D)
+        components, checked as ``ManifoldPoint`` and ``TangentVector`` check one row."""
+        X = point_rows(manifold, np.array(coords, dtype=np.float64))
+        V = np.array(values, dtype=np.float64)
+        if V.shape[:1] != X.shape[:1]:
+            raise InvalidInputError("points and observations must align")
+        check_tangent(manifold, X, V)
+        return cls.__new__(cls)._store(manifold, X, V, scale)
+
+    def __len__(self):
+        return len(self._coords)
+
+    def coords(self):
+        """(n, k) point coordinates: k = 3 on the sphere, the dimension on tori."""
+        return self._coords
+
+    def values(self):
+        """(n, D) observation components, D as k of ``coords``."""
+        return self._values
+
+    @property
+    def points(self):
+        """Deprecated: a ``ManifoldPoint`` per row of ``coords()``, built on each read."""
+        warn_deprecated("Dataset.points", "Dataset.coords()")
+        return [ManifoldPoint(self.manifold, x) for x in self._coords]
+
+    @property
+    def observations(self):
+        """Deprecated: a ``TangentVector`` per row of ``values()``, built on each read."""
+        warn_deprecated("Dataset.observations", "Dataset.values()")
+        return [TangentVector(ManifoldPoint(self.manifold, x), v)
+                for x, v in zip(self._coords, self._values)]
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +178,12 @@ def _ambient(values, frames):
 
 
 def _observations(spec, dataset):
-    """Checked coordinates, frames and flattened frame observations of a dataset."""
-    X = coordinates(spec.manifold, spec.dim, dataset.points)
+    """Coordinates, frames and flat frame observations of a dataset (of any manifold if empty)."""
+    if len(dataset):
+        check_space(dataset.manifold, dataset.dim, spec.manifold, spec.dim)
+    X = dataset.coords().reshape(len(dataset), spec.ambient_dim)
     frames = _frames(spec.manifold, X)
-    return X, frames, _frame_components(dataset.values(), frames).reshape(-1)
+    return X, frames, _frame_components(dataset.values().reshape(X.shape), frames).reshape(-1)
 
 
 def _factor(spec, k, y):

@@ -56,6 +56,49 @@ def _reduce_angles(a):
     return np.where(r >= TWO_PI, 0.0, r)
 
 
+def point_rows(manifold, X):
+    """Checked (m, k) coordinates of points of the manifold, the rows of the float array X: unit
+    3-vectors on the sphere, angles on the circle (k = 1) and tori reduced to [0, 2*pi).
+    ``ManifoldPoint`` checks its coordinates as one row."""
+    k = X.shape[1] if X.ndim == 2 else -1
+    if manifold == SPHERE and k != 3:
+        raise InvalidInputError("sphere point needs a 3-vector")
+    if manifold == CIRCLE and k != 1:
+        raise InvalidInputError("circle point needs a single angle")
+    if manifold == TORUS and k < 1:
+        raise InvalidInputError("torus point needs at least one angle")
+    if manifold not in (SPHERE, CIRCLE, TORUS):
+        raise InvalidInputError(f"unknown manifold {manifold!r}")
+    if manifold != SPHERE:
+        return _reduce_angles(X)
+    check_sphere_points(X)
+    return X
+
+
+def check_tangent(manifold, X, V):
+    """Raise InvalidInputError unless the rows of V are finite tangent components at the checked
+    points X of the manifold: ambient 3-vectors orthogonal to x to within ``_TANGENCY_TOL`` of
+    their norm on the sphere. ``TangentVector`` checks its components as one row."""
+    if not np.isfinite(V).all():
+        raise InvalidInputError("tangent vector components must be finite")
+    if V.shape != X.shape:
+        raise InvalidInputError("sphere tangent vector needs a 3-vector" if manifold == SPHERE
+                                else "component count must match the manifold dimension")
+    if manifold == SPHERE:
+        # row-wise matmul: its dots are those of ``v @ x`` and ``norm(v)`` bit for bit, which
+        # near the tolerance (a cancelling sum) einsum's and ``norm(axis=1)``'s are not
+        dot, sq = ((V[:, None] @ A[:, :, None])[:, 0, 0] for A in (X, V))
+        if (np.abs(dot) > _TANGENCY_TOL * np.maximum(np.sqrt(sq), 1e-300)).any():
+            raise InvalidInputError("components are not tangent at the base point")
+
+
+def check_space(manifold, dim, kernel_manifold, kernel_dim):
+    """Raise InvalidInputError unless points of the manifold of dimension dim suit the kernel's."""
+    if (manifold, dim) != (kernel_manifold, kernel_dim):
+        raise InvalidInputError(f"a {manifold} point of dimension {dim} for a kernel "
+                                f"on the {kernel_manifold} of dimension {kernel_dim}")
+
+
 @dataclass(frozen=True, eq=False)
 class ManifoldPoint:
     """A point on one of the supported manifolds.
@@ -68,21 +111,7 @@ class ManifoldPoint:
     coords: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coords, dtype=np.float64)
-        if self.manifold == SPHERE:
-            if c.shape != (3,):
-                raise InvalidInputError("sphere point needs a 3-vector")
-            check_sphere_points(c[None])
-        elif self.manifold == CIRCLE:
-            if c.shape != (1,):
-                raise InvalidInputError("circle point needs a single angle")
-            c = _reduce_angles(c)
-        elif self.manifold == TORUS:
-            if c.ndim != 1 or c.shape[0] < 1:
-                raise InvalidInputError("torus point needs at least one angle")
-            c = _reduce_angles(c)
-        else:
-            raise InvalidInputError(f"unknown manifold {self.manifold!r}")
+        c = point_rows(self.manifold, np.array(self.coords, dtype=np.float64)[None])[0]
         c.flags.writeable = False
         object.__setattr__(self, "coords", c)
 
@@ -121,16 +150,7 @@ class TangentVector:
 
     def __post_init__(self):
         c = np.asarray(self.components, dtype=np.float64)
-        if not np.all(np.isfinite(c)):
-            raise InvalidInputError("tangent vector components must be finite")
-        if self.base.manifold == SPHERE:
-            if c.shape != (3,):
-                raise InvalidInputError("sphere tangent vector needs a 3-vector")
-            norm = np.linalg.norm(c)
-            if abs(float(c @ self.base.coords)) > _TANGENCY_TOL * max(norm, 1e-300):
-                raise InvalidInputError("components are not tangent at the base point")
-        elif c.shape != self.base.coords.shape:
-            raise InvalidInputError("component count must match the manifold dimension")
+        check_tangent(self.base.manifold, self.base.coords[None], c[None])
         c.flags.writeable = False
         object.__setattr__(self, "components", c)
 
@@ -263,9 +283,7 @@ def coordinates(manifold, dim, points):
         for p in points:
             if not isinstance(p, ManifoldPoint):
                 raise InvalidInputError(f"points mix ManifoldPoint and coordinate rows: {p!r}")
-            if p.manifold != manifold or p.dim != dim:
-                raise InvalidInputError(f"a {p.manifold} point of dimension {p.dim} for a kernel "
-                                        f"on the {manifold} of dimension {dim}")
+            check_space(p.manifold, p.dim, manifold, dim)
         return points_array(points)
     try:
         X = np.asarray(points, dtype=np.float64)

@@ -22,8 +22,8 @@ class TestIngest:
         path = tmp_path / "data.csv"
         path.write_text(SPHERE_HEADER + "0,0,1,0\n")
         ds = ingest_csv(path)
-        np.testing.assert_allclose(ds.points[0].coords, [1, 0, 0], atol=1e-15)
-        np.testing.assert_allclose(ds.observations[0].components, [0, 1, 0], atol=1e-15)
+        np.testing.assert_allclose(ds.coords()[0], [1, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(ds.values()[0], [0, 1, 0], atol=1e-15)
 
     def test_near_pole_rows_rejected_with_warning(self, tmp_path, capsys):
         # a latitude of 91 was counted as a near-pole row; it is invalid input now
@@ -84,10 +84,10 @@ class TestIngest:
         path = tmp_path / "round.csv"
         emit_csv(ds, path)
         back = ingest_csv(path)
-        for a, b in zip(ds.points, back.points):
-            np.testing.assert_allclose(a.coords, b.coords, atol=1e-9)
-        for a, b in zip(ds.observations, back.observations):
-            np.testing.assert_allclose(a.components, b.components, atol=1e-9)
+        for a, b in zip(ds.coords(), back.coords()):
+            np.testing.assert_allclose(a, b, atol=1e-9)
+        for a, b in zip(ds.values(), back.values()):
+            np.testing.assert_allclose(a, b, atol=1e-9)
 
     @pytest.mark.parametrize("angle", ["nan", "inf"])
     def test_torus_angles_must_be_finite(self, tmp_path, capsys, angle):
@@ -110,8 +110,8 @@ class TestIngest:
         emit_csv(ds, path)
         back = ingest_csv(path)
         assert back.manifold == "torus"
-        for a, b in zip(ds.observations, back.observations):
-            np.testing.assert_allclose(a.components, b.components, atol=1e-12)
+        for a, b in zip(ds.values(), back.values()):
+            np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 class TestOneReader:
@@ -243,11 +243,11 @@ class TestNormalize:
 class TestSyntheticFields:
     def test_rotation_vanishes_at_pole(self):
         ds = synthetic_field("rotation", [sphere_point([0, 0, 1.0])])
-        np.testing.assert_allclose(ds.observations[0].components, 0.0)
+        np.testing.assert_allclose(ds.values()[0], 0.0)
 
     def test_rotation_value(self):
         ds = synthetic_field("rotation", [sphere_point([1.0, 0, 0])])
-        np.testing.assert_allclose(ds.observations[0].components, [0, -1, 0])
+        np.testing.assert_allclose(ds.values()[0], [0, -1, 0])
 
     def test_rotation_is_divergence_free(self):
         from hodgegp.cli import rotation_field_values

@@ -2,11 +2,13 @@ import math
 import re
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from hodgegp import gp, kernels, spectrum
+from hodgegp.cli import emit_csv, normalize_dataset
 from hodgegp.diagnostics import divergence_stencil, var_div_hodge_sphere
 from hodgegp.errors import InvalidInputError, NumericalError
 from hodgegp.gp import (Dataset, FitConfig, condition, fit, log_marginal_likelihood, metrics,
@@ -273,9 +275,8 @@ class TestFit:
     def prepared_objective(ds, kind, config, **kw):
         """fit's objective on a dataset prepared once, with its spec builder and bounds."""
         m = ds.manifold
-        torus_dim = ds.points[0].dim if m != "sphere" else 2
         names, bounds, build = gp._spec_builder(kind, kw.get("nu", 0.5), m, kw.get("lmax", 30),
-                                                kw.get("lambda_cap", 900.0), torus_dim, config)
+                                                kw.get("lambda_cap", 900.0), ds.dim, config)
         theta0 = np.array([0.5 * (lo + hi) for lo, hi in bounds])
         return gp._objective(ds, names, build, theta0), build, bounds
 
@@ -325,7 +326,8 @@ class TestFit:
         # at a negligible noise floor needs jitter (or fails outright)
         rng = np.random.default_rng(43)
         ds = self.sphere_dataset_with_poles(rng, n=8)
-        ds = Dataset(ds.points + ds.points[4:5], ds.observations + ds.observations[4:5])
+        ds = Dataset.from_arrays("sphere", np.vstack([ds.coords(), ds.coords()[4:5]]),
+                                 np.vstack([ds.values(), ds.values()[4:5]]))
         config = FitConfig(log_noise_bounds=(-60.0, 2.0))
         objective, build, bounds = self.prepared_objective(ds, kind, config, lmax=20)
         theta = np.array([math.log(0.3), 0.0, bounds[-1][0]])
@@ -476,10 +478,19 @@ class TestPointsOnTheSpecsManifold:
             sample_prior(spec, np.random.default_rng(70)).at(points)
 
     def test_condition_on_another_manifold(self):
-        ds = Dataset.from_arrays("torus", [[0.1, 0.2], [1.0, 2.0]], [[0.3, 0.4], [0.5, 0.6]])
-        for spec in (SPEC, POSTERIOR_SPECS["t3-full"]):
+        t2 = Dataset.from_arrays("torus", [[0.1, 0.2], [1.0, 2.0]], [[0.3, 0.4], [0.5, 0.6]])
+        circle = Dataset.from_arrays("circle", [[0.1], [1.0]], [[0.3], [0.5]])
+        t1 = KernelSpec(HODGE_DIV, POSTERIOR_PARAMS, manifold="torus", torus_dim=1,
+                        lambda_cap=36.0)
+        # a sphere dataset's (n, 3) unit rows are finite rows of width 3, as T^3 points are
+        cases = [(t2, SPEC, "torus point of dimension 2"),
+                 (t2, POSTERIOR_SPECS["t3-full"], "torus point of dimension 2"),
+                 (make_dataset(4, np.random.default_rng(71)), POSTERIOR_SPECS["t3-full"],
+                  "sphere point of dimension 2"),
+                 (circle, t1, "circle point of dimension 1")]
+        for ds, spec, named in cases:
             for call in (condition, log_marginal_likelihood):
-                with pytest.raises(InvalidInputError, match="torus point of dimension 2"):
+                with pytest.raises(InvalidInputError, match=named):
                     call(spec, ds)
 
     def test_dataset_rejects_mixed_manifolds(self):
@@ -1109,6 +1120,96 @@ class TestDatasetManifold:
         assert fit(t3, NOISE).dim == 3
         sphere = make_dataset(4, rng)
         assert (sphere.manifold, sphere.dim, sphere.coords().shape) == ("sphere", 2, (4, 3))
+
+
+class TestDatasetArrays:
+    """A dataset is its checked coordinates and values, two read-only arrays it owns, and
+    builds no point objects. Before, it kept a ManifoldPoint and a TangentVector per row and
+    restacked them on every read, and ``from_arrays`` paired rows with zip, so row counts that
+    differed were cut to the shorter."""
+
+    @staticmethod
+    def rows(name, n, rng):
+        """(manifold, (n, k) coordinates, (n, D) tangent values) on the sphere, circle, T^2 or
+        T^3; torus angles unreduced, negative ones among them."""
+        if name == "sphere":
+            X = sample_sphere(n, rng)
+            return "sphere", X, np.einsum("nk,nka->na", rng.standard_normal((n, 2)), frames_at(X))
+        d = {"circle": 1, "t2": 2, "t3": 3}[name]
+        return ("circle" if d == 1 else "torus", rng.uniform(-7.0, 14.0, (n, d)),
+                rng.standard_normal((n, d)))
+
+    @pytest.mark.parametrize("name", ["sphere", "t2"])
+    @pytest.mark.parametrize("n_coords, n_values", [(3, 5), (0, 4)])
+    def test_row_counts_must_align(self, name, n_coords, n_values):
+        manifold, X, V = self.rows(name, 5, np.random.default_rng(80))
+        with pytest.raises(InvalidInputError, match="points and observations must align"):
+            Dataset.from_arrays(manifold, X[:n_coords], V[:n_values])
+
+    @pytest.mark.parametrize("name", ["sphere", "t2"])
+    def test_no_point_objects_are_built(self, name, monkeypatch, tmp_path):
+        built = Counter()
+        for cls in (ManifoldPoint, TangentVector):
+            def counted(self, post_init=cls.__post_init__, cls_name=cls.__name__):
+                built[cls_name] += 1
+                post_init(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        manifold, X, V = self.rows(name, 200, np.random.default_rng(81))
+        spec = SPEC if name == "sphere" else POSTERIOR_SPECS["t2-compositional"]
+        data = Dataset.from_arrays(manifold, X, V)
+        data.coords(), data.values()
+        predict(condition(spec, data), X[:10])
+        log_marginal_likelihood(spec, data)
+        fit(data, NOISE)
+        normalize_dataset(data)
+        emit_csv(data, tmp_path / "data.csv")
+        assert built == {}
+        TangentVector(ManifoldPoint("sphere", [0.0, 0.0, 1.0]), [1.0, 0.0, 0.0])
+        assert built == {"ManifoldPoint": 1, "TangentVector": 1}   # the count counts
+
+    @pytest.mark.parametrize("name", ["sphere", "circle", "t2", "t3"])
+    def test_both_constructors_give_the_same_dataset(self, name, tmp_path):
+        manifold, X, V = self.rows(name, 12, np.random.default_rng(82))
+        points = [ManifoldPoint(manifold, x) for x in X]
+        listed = Dataset(points, [TangentVector(p, v) for p, v in zip(points, V)])
+        arrays = Dataset.from_arrays(manifold, X, V)
+        assert (listed.manifold, listed.dim, len(listed)) == (arrays.manifold, arrays.dim, 12)
+        assert np.array_equal(listed.coords(), arrays.coords())
+        assert np.array_equal(listed.values(), arrays.values())
+        emit_csv(listed, tmp_path / "listed.csv")
+        emit_csv(arrays, tmp_path / "arrays.csv")
+        assert (tmp_path / "listed.csv").read_bytes() == (tmp_path / "arrays.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", ["sphere", "t2"])
+    def test_arrays_are_read_only_and_the_callers_stay_writable(self, name):
+        manifold, X, V = self.rows(name, 6, np.random.default_rng(83))
+        data = Dataset.from_arrays(manifold, X, V)
+        for own, read, given in ((data.coords(), data.coords, X), (data.values(), data.values, V)):
+            assert read() is own   # no copy
+            with pytest.raises(ValueError, match="read-only"):
+                own[0, 0] = 0.5
+            assert given.flags.writeable and not np.shares_memory(own, given)
+
+    @pytest.mark.parametrize("name", ["sphere", "t2"])
+    def test_points_and_observations_are_deprecated(self, name):
+        manifold, X, V = self.rows(name, 5, np.random.default_rng(84))
+        points = [ManifoldPoint(manifold, x) for x in X]
+        observations = [TangentVector(p, v) for p, v in zip(points, V)]
+        data = Dataset(points, observations)
+        for _ in range(2):
+            with pytest.warns(DeprecationWarning,
+                              match=r"Dataset.points is deprecated; call Dataset.coords\(\)") as rec:
+                read = data.points
+            assert len(rec) == 1 and rec[0].filename == __file__
+            assert [p.manifold for p in read] == [manifold] * 5
+            assert np.array_equal([p.coords for p in read], [p.coords for p in points])
+            with pytest.warns(DeprecationWarning, match=r"Dataset.observations is deprecated; "
+                                                        r"call Dataset.values\(\)") as rec:
+                read = data.observations
+            assert len(rec) == 1 and rec[0].filename == __file__
+            assert np.array_equal([v.components for v in read],
+                                  [v.components for v in observations])
+            assert np.array_equal([v.base.coords for v in read], [p.coords for p in points])
 
 
 SPHERE_DRAW_SPECS = {name: POSTERIOR_SPECS["sphere-" + name]
