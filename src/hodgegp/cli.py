@@ -24,7 +24,7 @@ from .gp import Dataset, FitConfig, condition, fit, metrics, predict, sample_pri
 from .kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NOISE, PROJECTED,
                       KernelSpec, MaternParams, check_kappa)
 from .manifold import (SPHERE, TORUS, coordinates, frames_at, lonlat_to_point, point_to_lonlat,
-                       points_array, sample_sphere)
+                       sample_sphere)
 
 KERNEL_NAMES = {
     "noise": NOISE,
@@ -109,12 +109,12 @@ def ingest_csv(path):
     """Read a tangential-field dataset from CSV.
 
     Sphere files carry the header ``lon_deg,lat_deg,u_east,v_north``; torus
-    files ``theta_1..theta_d,v_1..v_d``. Blank lines are skipped; a row with
-    the wrong field count or a non-number is a DataError that names its line, a
-    sphere row with a non-finite longitude or a latitude outside [-90, 90] an
-    InvalidInputError that names it. Sphere rows within 0.1 degrees of a pole are
-    dropped (a warning with the count goes to stderr); a file with no row left is
-    an InvalidInputError.
+    files ``theta_1..theta_d,v_1..v_d``. Blank lines are skipped; a row with the
+    wrong field count or a non-number is a DataError that names its line, and a
+    row with a non-finite number or a sphere latitude outside [-90, 90] an
+    InvalidInputError that names it. Sphere rows within 0.1 degrees of a pole
+    are dropped (a warning with the count goes to stderr); a file with no row
+    left is an InvalidInputError.
     """
     try:
         fh = open(path, newline="")
@@ -145,6 +145,9 @@ def ingest_csv(path):
             if sphere and not (np.isfinite(rows[-1][0]) and abs(rows[-1][1]) <= 90.0):
                 raise InvalidInputError(f"{path}: line {line_no}: longitude {rows[-1][0]} must "
                                         f"be finite and latitude {rows[-1][1]} within [-90, 90]")
+            if not np.isfinite(rows[-1]).all():   # a sphere row's angles passed above
+                what = "tangent components" if np.isfinite(rows[-1][:d]).all() else "torus angles"
+                raise InvalidInputError(f"{path}: line {line_no}: {what} must be finite")
     rows = np.array(rows).reshape(-1, len(header))
     if sphere:
         near_pole = np.abs(rows[:, 1]) > _MAX_INGEST_LAT
@@ -156,7 +159,7 @@ def ingest_csv(path):
     if not sphere:
         return Dataset.from_arrays(TORUS, rows[:, :d], rows[:, d:])
     # point by point, as a vectorized normalization can differ in the last bit
-    X = points_array([lonlat_to_point(lon, lat) for lon, lat in rows[:, :2]])
+    X = coordinates(SPHERE, 2, [lonlat_to_point(lon, lat) for lon, lat in rows[:, :2]])
     return Dataset.from_arrays(SPHERE, X, np.einsum("nk,nka->na", rows[:, 2:], frames_at(X)))
 
 

@@ -27,7 +27,7 @@ from .errors import InvalidInputError
 from .gp import sample_prior_batch
 from .kernels import (HODGE_CURL, HODGE_DIV, HODGE_FULL, PROJECTED, KernelSpec, MaternParams,
                       _level_weights, kernel_matrix)
-from .manifold import SPHERE
+from .manifold import SPHERE, coordinates
 from .spectrum import _local_basis
 
 _POLE_BAND = math.sin(math.radians(80.0))  # |x3| above this is too close to a pole
@@ -84,14 +84,17 @@ def var_div_projected_sphere(params, lmax):
 
 
 def divergence_stencil(x, h):
-    """Central-difference stencil for the intrinsic divergence at x.
+    """Central-difference stencil for the intrinsic divergence at one sphere point x.
 
     Returns the four offset points (theta +- h, phi +- h paths) and a
     function mapping field values of shape (..., 4, 3) to divergences.
-    Rejects points within 10 degrees of a pole and steps outside
-    [1e-6, 1e-2] radians.
+    Rejects points off the sphere (``coordinates``) or within 10 degrees of
+    a pole, and steps outside [1e-6, 1e-2] radians.
     """
-    x = np.asarray(x, dtype=np.float64)
+    X = coordinates(SPHERE, 2, x)
+    if len(X) != 1:
+        raise InvalidInputError(f"divergence stencil takes one point, got {len(X)}")
+    x = X[0]
     if abs(x[2]) >= _POLE_BAND:
         raise InvalidInputError("divergence stencil undefined within 10 deg of a pole")
     if not 1e-6 <= h <= 1e-2:

@@ -1,18 +1,20 @@
 """Vector Gaussian process regression in tangent frames.
 
 A ``Dataset`` is two checked, read-only arrays, (n, k) coordinates and (n, D) values, which
-every entry point reads as they are. Gram matrices are the frame blocks of
-``kernels.frame_blocks`` in per-point orthonormal tangent frames, full-rank 2x2 blocks on the
-sphere (d x d global-frame blocks on tori); this module evaluates no kernel itself.
-Conditioning is exact via Cholesky with a documented jitter-escalation fallback, and an empty
-dataset is n = 0 on the same path. A prior draw is fixed by its spec and an rng, in the
-kernel's own basis with the evaluators' weights: on the sphere grad Y_lm and its rotation
-(Y_lm when projected) scaled by the level weights, summed in one matrix product with the
-harmonic table; on tori the kernel's half lattice. ``predict`` and posterior draws share one
-query step against the model's checked coordinates; the draws are prior draws moved by
-Matheron's rule through the model's Cholesky factor. Every query-side computation runs over
-fixed-size blocks of points (``_QUERY_PAIRS``, ``_DRAW_FLOATS``), so a call holds its output
-plus O(block x n) or O(block x basis) floats, whatever the query count.
+every entry point reads as they are. Every point set, data and queries alike, is read by the
+one reader ``manifold.coordinates``, so a torus angle and its reduction to [0, 2 pi) give the
+same bits. Gram matrices are the frame blocks of ``kernels.frame_blocks`` in per-point
+orthonormal tangent frames, full-rank 2x2 blocks on the sphere (d x d global-frame blocks on
+tori); this module evaluates no kernel itself. Conditioning is exact via Cholesky with a
+documented jitter-escalation fallback, and an empty dataset is n = 0 on the same path. A prior
+draw is fixed by its spec and an rng, in the kernel's own basis with the evaluators' weights:
+on the sphere grad Y_lm and its rotation (Y_lm when projected) scaled by the level weights,
+summed in one matrix product with the harmonic table; on tori the kernel's half lattice.
+``predict`` and posterior draws share one query step against the model's checked coordinates;
+the draws are prior draws moved by Matheron's rule through the model's Cholesky factor. Every
+query-side computation runs over fixed-size blocks of points (``_QUERY_PAIRS``,
+``_DRAW_FLOATS``), so a call holds its output plus O(block x n) or O(block x basis) floats,
+whatever the query count.
 """
 
 import math
@@ -32,16 +34,16 @@ from .kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NO
 # names in gp as well as in kernels, so they stay importable from this module.
 from .kernels import hodge_pair_sums, kernel_matrix, scalar_pair_sums  # noqa: F401
 from .manifold import (SPHERE, ManifoldPoint, TangentVector, check_space, check_tangent,
-                       coordinates, frames_at, point_rows)
+                       coordinates, frames_at)
 from .spectrum import (CURL, DIV, SphereSpectrum, TorusSpectrum, gradient_field_values,
                        harmonic_values, sphere_spectrum)
 
 
 class Dataset:
     """Tangent observations at points of one manifold (``manifold``, ``dim``), as two read-only
-    arrays it owns and returns without a copy: ``coords()`` (n, k) and ``values()`` (n, D),
-    read once from a list of ``ManifoldPoint`` and one of ``TangentVector`` at them, or checked
-    row-vectorized by ``from_arrays``.
+    arrays it owns and returns without a copy: ``coords()`` (n, k) and ``values()`` (n, D), read
+    by ``manifold.coordinates`` and ``check_tangent`` from a list of ``TangentVector`` and their
+    points (on the manifold of the vectors' bases), or from rows by ``from_arrays``.
 
     ``scale`` records the factor applied to the raw observations when the dataset was
     normalized (1.0 when untouched). An empty dataset is on the sphere, or on what
@@ -49,18 +51,17 @@ class Dataset:
     """
 
     def __init__(self, points, observations, scale=1.0):
-        if len(points) != len(observations):
-            raise InvalidInputError("points and observations must align")
-        for p, v in zip(points, observations):
-            if not isinstance(v, TangentVector):
-                raise InvalidInputError("observations must be tangent vectors")
-            if v.base.manifold != p.manifold or not np.array_equal(v.base.coords, p.coords):
-                raise InvalidInputError("observation base point mismatch")
-        if len({(p.manifold, p.dim) for p in points}) > 1:
+        if not all(isinstance(v, TangentVector) for v in observations):
+            raise InvalidInputError("observations must be tangent vectors")
+        spaces = {(v.base.manifold, v.base.dim) for v in observations}
+        if len(spaces) > 1:
             raise InvalidInputError("dataset points must lie on one manifold, of one dimension")
-        manifold, k = (points[0].manifold, len(points[0].coords)) if points else (SPHERE, 3)
-        self._store(manifold, np.reshape([p.coords for p in points], (-1, k)),
-                    np.reshape([v.components for v in observations], (-1, k)), scale)
+        ((manifold, dim),) = spaces or {(SPHERE, 2)}
+        X = coordinates(manifold, dim, points)
+        if any(not np.array_equal(v.base.coords, x) for x, v in zip(X, observations)):
+            raise InvalidInputError("observation base point mismatch")
+        V = check_tangent(manifold, X, [v.components for v in observations])   # counts align too
+        self._store(manifold, X, V, scale)
 
     def _store(self, manifold, X, V, scale):
         X.flags.writeable = V.flags.writeable = False
@@ -71,13 +72,9 @@ class Dataset:
     @classmethod
     def from_arrays(cls, manifold, coords, values, scale=1.0):
         """A dataset of copies of the (n, k) coordinate rows on the manifold and the (n, D)
-        components, checked as ``ManifoldPoint`` and ``TangentVector`` check one row."""
-        X = point_rows(manifold, np.array(coords, dtype=np.float64))
-        V = np.array(values, dtype=np.float64)
-        if V.shape[:1] != X.shape[:1]:
-            raise InvalidInputError("points and observations must align")
-        check_tangent(manifold, X, V)
-        return cls.__new__(cls)._store(manifold, X, V, scale)
+        components, read as ``ManifoldPoint`` and ``TangentVector`` read one row."""
+        X = coordinates(manifold, None, coords)
+        return cls.__new__(cls)._store(manifold, X, check_tangent(manifold, X, values), scale)
 
     def __len__(self):
         return len(self._coords)

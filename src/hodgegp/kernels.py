@@ -668,7 +668,7 @@ def kernel_matrix(spec, X, Y=None):
     blocks, lifted from the frame blocks of ``frame_blocks``; torus matrices
     are its d x d blocks in the global frame, summed over the frequency lattice.
     """
-    X = coordinates(spec.manifold, spec.dim, X)
+    X, Y = coordinates(spec.manifold, spec.dim, X), None if Y is X else Y   # (X, X): symmetric
     Y = X if Y is None else coordinates(spec.manifold, spec.dim, Y)
     if spec.manifold != SPHERE:
         return frame_blocks(spec, X, None, Y, None)
@@ -683,7 +683,7 @@ def scalar_kernel_matrix(spec, X, Y=None):
     """(n, m) scalar-kernel matrix for a scalar spec at point sets (``coordinates``) X, Y (X)."""
     if spec.kind != SCALAR:
         raise InvalidInputError("scalar_kernel_matrix needs a scalar spec")
-    X = coordinates(spec.manifold, spec.dim, X)
+    X, Y = coordinates(spec.manifold, spec.dim, X), None if Y is X else Y   # (X, X): symmetric
     Y = X if Y is None else coordinates(spec.manifold, spec.dim, Y)
     if spec.manifold == SPHERE:
         return scalar_pair_sums(spec.params, spec.lmax, X @ Y.T)

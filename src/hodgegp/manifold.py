@@ -4,6 +4,8 @@ Supported manifolds are the unit sphere S2 embedded in R3, the unit circle
 (circumference 2*pi), and flat tori T^d (products of unit circles). Sphere
 points are stored as unit 3-vectors so that kernel code never touches a
 coordinate singularity; angles appear only at ingestion and emission.
+Every point set is read one way, by ``coordinates``, which checks it and reduces circle and
+torus angles to [0, 2*pi), for queries as for data; tangent components by ``check_tangent``.
 """
 
 from dataclasses import dataclass
@@ -23,29 +25,6 @@ _TANGENCY_TOL = 1e-10
 _POLE_THRESHOLD = 1.0 - 1e-9  # |x3| above this selects the fallback frame
 
 
-def check_sphere_points(X):
-    """Raise InvalidInputError unless X is an (m, 3) array of finite rows of unit norm.
-
-    A row passes when its norm is within ``_UNIT_NORM_TOL`` of 1, the
-    tolerance of ``ManifoldPoint``.
-    """
-    if X.ndim != 2 or X.shape[1] != 3:
-        raise InvalidInputError(f"sphere points must be an (m, 3) array, got shape {X.shape}")
-    norms = np.linalg.norm(X, axis=1)
-    bad = ~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL)   # NaN norms are bad too
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise InvalidInputError(f"sphere point must have unit norm, got {norms[i]!r} at row {i}")
-
-
-def check_torus_points(X, d):
-    """Raise InvalidInputError unless X is an (m, d) array of finite rows, points of T^d."""
-    if X.ndim != 2 or X.shape[1] != d:
-        raise InvalidInputError(f"points of shape {X.shape} are not on T^{d}")
-    if not np.isfinite(X).all():
-        raise InvalidInputError(f"torus points must be finite, got {X[~np.isfinite(X)][0]}")
-
-
 def _reduce_angles(a):
     """Angles reduced to [0, 2*pi); InvalidInputError unless every angle is finite."""
     if not np.isfinite(a).all():
@@ -56,29 +35,57 @@ def _reduce_angles(a):
     return np.where(r >= TWO_PI, 0.0, r)
 
 
-def point_rows(manifold, X):
-    """Checked (m, k) coordinates of points of the manifold, the rows of the float array X: unit
-    3-vectors on the sphere, angles on the circle (k = 1) and tori reduced to [0, 2*pi).
-    ``ManifoldPoint`` checks its coordinates as one row."""
-    k = X.shape[1] if X.ndim == 2 else -1
-    if manifold == SPHERE and k != 3:
-        raise InvalidInputError("sphere point needs a 3-vector")
-    if manifold == CIRCLE and k != 1:
-        raise InvalidInputError("circle point needs a single angle")
-    if manifold == TORUS and k < 1:
-        raise InvalidInputError("torus point needs at least one angle")
+def coordinates(manifold, dim, points):
+    """(m, k) coordinates, a new float array, of points on the manifold of dimension dim: unit
+    3-vectors on the sphere (k = 3), angles reduced to [0, 2*pi) on the circle (k = 1) and
+    T^dim. The one reader of caller points: a ``ManifoldPoint`` of the manifold and dimension,
+    a list or tuple of them, or array-like rows, finite and of unit norm to ``_UNIT_NORM_TOL``
+    on the sphere (one point may be a vector, none give (0, k)); anything else raises
+    InvalidInputError. With dim None (``ManifoldPoint``, ``Dataset.from_arrays``: no spec) the
+    width is that of the rows, which must be an (m, k) array."""
     if manifold not in (SPHERE, CIRCLE, TORUS):
         raise InvalidInputError(f"unknown manifold {manifold!r}")
+    points = [points] if isinstance(points, ManifoldPoint) else points
+    if isinstance(points, (list, tuple)) and any(isinstance(p, ManifoldPoint) for p in points):
+        for p in points:
+            if not isinstance(p, ManifoldPoint):
+                raise InvalidInputError(f"points mix ManifoldPoint and coordinate rows: {p!r}")
+            check_space(p.manifold, p.dim, manifold, dim)
+        points = [p.coords for p in points]
+    try:
+        X = np.array(points, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"points are not ManifoldPoint or numeric rows: {exc}") from None
+    # the width: 3, 1, or d of T^d, with dim None the rows' (None for no rows or no angles)
+    k = {SPHERE: 3, CIRCLE: 1}.get(manifold, dim or X.ndim == 2 and X.shape[1] or None)
+    if dim is not None:
+        X = np.zeros((0, k)) if X.shape == (0,) else np.atleast_2d(X)
+    if X.ndim != 2 or X.shape[1] != k:
+        where = {SPHERE: "S^2: sphere points must be an (m, 3) array",
+                 CIRCLE: "the circle"}.get(manifold, f"T^{k or 'd'}")
+        raise InvalidInputError(f"points of shape {X.shape} are not on {where}")
     if manifold != SPHERE:
         return _reduce_angles(X)
-    check_sphere_points(X)
+    norms = np.linalg.norm(X, axis=1)
+    bad = ~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL)   # NaN norms are bad too
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvalidInputError(f"sphere point must have unit norm, got {norms[i]!r} at row {i}")
     return X
 
 
 def check_tangent(manifold, X, V):
-    """Raise InvalidInputError unless the rows of V are finite tangent components at the checked
-    points X of the manifold: ambient 3-vectors orthogonal to x to within ``_TANGENCY_TOL`` of
-    their norm on the sphere. ``TangentVector`` checks its components as one row."""
+    """(m, D) components, a new float array, of the tangent vectors given as array-like rows V
+    (none may be []) at the checked points X of the manifold: finite, and on the sphere ambient
+    3-vectors orthogonal to x to within ``_TANGENCY_TOL`` of their norm. The one reader of
+    tangent components; ``TangentVector`` reads its components as one row."""
+    try:
+        V = np.array(V, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"tangent components are not numeric rows: {exc}") from None
+    V = V.reshape(0, X.shape[1]) if V.shape == (0,) else V
+    if V.shape[:1] != X.shape[:1]:
+        raise InvalidInputError("points and observations must align")
     if not np.isfinite(V).all():
         raise InvalidInputError("tangent vector components must be finite")
     if V.shape != X.shape:
@@ -90,6 +97,7 @@ def check_tangent(manifold, X, V):
         dot, sq = ((V[:, None] @ A[:, :, None])[:, 0, 0] for A in (X, V))
         if (np.abs(dot) > _TANGENCY_TOL * np.maximum(np.sqrt(sq), 1e-300)).any():
             raise InvalidInputError("components are not tangent at the base point")
+    return V
 
 
 def check_space(manifold, dim, kernel_manifold, kernel_dim):
@@ -111,7 +119,7 @@ class ManifoldPoint:
     coords: np.ndarray
 
     def __post_init__(self):
-        c = point_rows(self.manifold, np.array(self.coords, dtype=np.float64)[None])[0]
+        c = coordinates(self.manifold, None, [self.coords])[0]
         c.flags.writeable = False
         object.__setattr__(self, "coords", c)
 
@@ -149,8 +157,7 @@ class TangentVector:
     components: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.components, dtype=np.float64)
-        check_tangent(self.base.manifold, self.base.coords[None], c[None])
+        c = check_tangent(self.base.manifold, self.base.coords[None], [self.components])[0]
         c.flags.writeable = False
         object.__setattr__(self, "components", c)
 
@@ -264,36 +271,3 @@ def sample_sphere(n, rng):
         g[bad] = rng.standard_normal((int(bad.sum()), 3))
         norms = np.linalg.norm(g, axis=1, keepdims=True)
     return g / norms
-
-
-def points_array(points):
-    """Stack a list of ManifoldPoint into an (n, k) coordinate array."""
-    if len(points) == 0:
-        return np.zeros((0, 3))
-    return np.stack([p.coords for p in points])
-
-
-def coordinates(manifold, dim, points):
-    """(m, k) coordinates (k = 3 on the sphere, dim on tori) of points on the manifold of
-    dimension dim: a ``ManifoldPoint`` of it, a list or tuple of them, or array-like rows that
-    pass ``check_sphere_points`` or ``check_torus_points`` (unreduced; one point may be a
-    vector, none give (0, k)). Anything else raises InvalidInputError."""
-    points = [points] if isinstance(points, ManifoldPoint) else points
-    if isinstance(points, (list, tuple)) and any(isinstance(p, ManifoldPoint) for p in points):
-        for p in points:
-            if not isinstance(p, ManifoldPoint):
-                raise InvalidInputError(f"points mix ManifoldPoint and coordinate rows: {p!r}")
-            check_space(p.manifold, p.dim, manifold, dim)
-        return points_array(points)
-    try:
-        X = np.asarray(points, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"points are not ManifoldPoint or numeric rows: {exc}") from None
-    if X.shape == (0,):
-        return np.zeros((0, 3 if manifold == SPHERE else dim))
-    X = np.atleast_2d(X)
-    if manifold == SPHERE:
-        check_sphere_points(X)
-    else:
-        check_torus_points(X, dim)
-    return X

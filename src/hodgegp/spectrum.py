@@ -21,7 +21,8 @@ import numpy as np
 
 from ._accel import alp_tables, legendre_derivative_maps, legendre_sums
 from .errors import InvalidInputError, check_count
-from .manifold import CIRCLE, SPHERE, TORUS, TWO_PI, ManifoldPoint, TangentVector, sphere_point
+from .manifold import (CIRCLE, SPHERE, TORUS, TWO_PI, ManifoldPoint, TangentVector, coordinates,
+                       sphere_point)
 
 DIV = "div"
 CURL = "curl"
@@ -163,10 +164,11 @@ def _level_order(l, m, low):
 
 
 def spherical_harmonic(l, m, x):
-    """Real orthonormal spherical harmonic Y_lm at unit point(s) x."""
+    """Real orthonormal spherical harmonic Y_lm at sphere point(s) x; a float at one bare point."""
     l, m = _level_order(l, m, 0)
-    vals = harmonic_values(x, l)[l * (l + 1) + m]
-    return float(vals[0]) if np.asarray(x).ndim == 1 else vals
+    vals = harmonic_values(coordinates(SPHERE, 2, x), l)[l * (l + 1) + m]
+    vector = np.shape(x) == (3,) and not isinstance(x[0], ManifoldPoint)
+    return float(vals[0]) if vector or isinstance(x, ManifoldPoint) else vals
 
 
 def sphere_eigenfield(hodge_class, l, m, x):

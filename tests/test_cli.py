@@ -11,7 +11,7 @@ from hodgegp.cli import (ExperimentConfig, _config_from_options, build_parser, e
 from hodgegp.diagnostics import numeric_divergence
 from hodgegp.errors import DataError, InvalidInputError
 from hodgegp.gp import Dataset
-from hodgegp.manifold import (TangentVector, lonlat_to_point, points_array, sample_uniform,
+from hodgegp.manifold import (TangentVector, lonlat_to_point, sample_uniform,
                               sphere_point, tangent_from_east_north, torus_point)
 
 SPHERE_HEADER = "lon_deg,lat_deg,u_east,v_north\n"
@@ -143,7 +143,7 @@ class TestOneReader:
         assert len(data) == len(kept) == n - 5
         assert "rejected 5 near-pole rows" in capsys.readouterr().err
         assert data.manifold == "sphere"
-        assert np.array_equal(data.coords(), points_array(points))
+        assert np.array_equal(data.coords(), np.stack([p.coords for p in points]))
         assert np.array_equal(data.values(), np.stack(values))
 
     @pytest.mark.parametrize("d", [1, 3])
@@ -155,7 +155,7 @@ class TestOneReader:
                    rows)
         data = ingest_csv(path)
         assert (data.manifold, data.dim, len(data)) == ("torus", d, 40)
-        assert np.array_equal(data.coords(), points_array([torus_point(r[:d]) for r in rows]))
+        assert np.array_equal(data.coords(), np.stack([torus_point(r[:d]).coords for r in rows]))
         assert np.array_equal(data.values(), rows[:, d:])
 
     def test_all_rows_near_a_pole_warn_then_raise(self, tmp_path, capsys):
@@ -188,6 +188,24 @@ class TestOneReader:
         np.testing.assert_array_equal(ingest_csv(path).coords(), [[1.0, 0.0, 0.0]])
         assert "rejected 2 near-pole rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, named", [
+        ("theta_1,theta_2,v_1,v_2\n0.1,0.2,1,0\n\n0.3,inf,0,1\n", "torus angles"),
+        ("theta_1,v_1\n0.1,1\n\n-inf,0\n", "torus angles"),
+        ("theta_1,theta_2,v_1,v_2\n0.1,0.2,1,0\n\n0.3,0.4,nan,1\n", "tangent components"),
+        (SPHERE_HEADER + "0,0,0,1\n\n10,20,1,inf\n", "tangent components")],
+        ids=["t2-angle", "t1-angle", "t2-component", "sphere-component"])
+    def test_non_finite_angles_and_components_name_the_line(self, tmp_path, capsys, text,
+                                                            named):
+        # before, the message named neither the file nor the line
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match=f"{path}: line 4: {named} must be finite"):
+            ingest_csv(path)
+        code = main(["run", "--out", str(tmp_path / "out"), "--protocol", "file",
+                     "--train", str(path), "--test", str(path), "--kernel", "noise"])
+        assert code == 2
+        assert f"{path}: line 4: {named} must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text, line", [(SPHERE_HEADER + "0,0,1,0\n\n5,5,1\n", 4),
                                             ("theta_1,v_1\n0.5,1\n0.7\n", 3),
                                             ("theta_1,theta_2,v_1,v_2\n\n1,2,3,4,5\n", 3)])
@@ -210,7 +228,7 @@ class TestOneReader:
         points = sample_uniform("sphere", 9, np.random.default_rng(75))
         name, spec = parse_field_name(field)
         a = synthetic_field(name, points, spec=spec, seed=4)
-        b = synthetic_field(name, points_array(points), spec=spec, seed=4)
+        b = synthetic_field(name, np.stack([p.coords for p in points]), spec=spec, seed=4)
         assert np.array_equal(a.coords(), b.coords())
         assert np.array_equal(a.values(), b.values())
 

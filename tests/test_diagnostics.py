@@ -54,6 +54,15 @@ class TestNumericDivergence:
         with pytest.raises(InvalidInputError):
             numeric_divergence(rotation_field, np.array([0.05, 0.0, math.sqrt(1 - 0.0025)]))
 
+    @pytest.mark.parametrize("x", [[2.0, 0.0, 0.0], [0.5, 0.0, 0.0], [[1.0, 0.0, 0.0]] * 2])
+    def test_off_sphere_or_several_points_rejected(self, x):
+        # before, [2, 0, 0] and [0.5, 0, 0] were used as [1, 0, 0] without an error
+        spec = KernelSpec(HODGE_CURL, PARAMS, lmax=8)
+        with pytest.raises(InvalidInputError, match="unit norm|one point"):
+            numeric_divergence(rotation_field, x)
+        with pytest.raises(InvalidInputError, match="unit norm|one point"):
+            divergence_variance_mc(spec, x, 10, np.random.default_rng(0))
+
     def test_step_bounds(self):
         with pytest.raises(InvalidInputError):
             numeric_divergence(rotation_field, POINT, h=1e-7)

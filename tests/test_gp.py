@@ -596,6 +596,14 @@ class TestOnePointReader:
             assert_bit_identical(call(name, form), expected)
         assert_bit_identical(call(name, Q[0]), call(name, Q[:1]))
         assert_bit_identical(call(name, points[0]), call(name, Q[:1]))
+        if manifold == "t2":
+            # unreduced angles: before, rows were read unreduced and points reduced, so the
+            # forms differed in the last bits (predict means by up to 9.4e-16)
+            for U in (Q + 2 * np.pi, Q - 4 * np.pi):
+                expected = call(name, U)
+                data = Dataset.from_arrays(spec.manifold, U, np.zeros_like(U))
+                for form in ([ManifoldPoint(spec.manifold, u) for u in U], data.coords()):
+                    assert_bit_identical(call(name, form), expected)
 
     @pytest.mark.parametrize("name", POINT_CALLS)
     @pytest.mark.parametrize("manifold", ["sphere", "t2"])
@@ -1145,6 +1153,25 @@ class TestDatasetArrays:
         manifold, X, V = self.rows(name, 5, np.random.default_rng(80))
         with pytest.raises(InvalidInputError, match="points and observations must align"):
             Dataset.from_arrays(manifold, X[:n_coords], V[:n_values])
+
+    @pytest.mark.parametrize("name", ["sphere", "t2"])
+    def test_rows_and_entries_that_are_not_points_are_invalid_input(self, name):
+        # before, ragged or string rows in from_arrays and a string angle in ManifoldPoint gave
+        # numpy's ValueError, and an entry that is not a point in the list form AttributeError
+        manifold, X, V = self.rows(name, 3, np.random.default_rng(85))
+        for bad in ([X[0].tolist(), X[1, :-1].tolist()], [["a"] * X.shape[1]] * 3):
+            with pytest.raises(InvalidInputError, match="not ManifoldPoint or numeric rows"):
+                Dataset.from_arrays(manifold, bad, V)
+            with pytest.raises(InvalidInputError, match="not numeric rows"):
+                Dataset.from_arrays(manifold, X, bad)
+        with pytest.raises(InvalidInputError, match="not ManifoldPoint or numeric rows"):
+            ManifoldPoint(manifold, ["a"] * X.shape[1])
+        p = ManifoldPoint(manifold, X[0])
+        v = TangentVector(p, V[0])
+        with pytest.raises(InvalidInputError, match="not ManifoldPoint or numeric rows"):
+            Dataset(["x"], [v])
+        with pytest.raises(InvalidInputError, match="mix ManifoldPoint and coordinate rows"):
+            Dataset([p, "x"], [v, v])
 
     @pytest.mark.parametrize("name", ["sphere", "t2"])
     def test_no_point_objects_are_built(self, name, monkeypatch, tmp_path):

@@ -84,8 +84,11 @@ class TestSphereEigenvalues:
 
 class TestSphericalHarmonics:
     def test_constant_mode(self):
-        x = sphere_point([0.6, -0.48, 0.64]).coords
-        assert spherical_harmonic(0, 0, x) == pytest.approx(1.0 / np.sqrt(4 * np.pi), abs=1e-15)
+        p = sphere_point([0.6, -0.48, 0.64])
+        for x in (p.coords, p):   # one bare point, a vector or a ManifoldPoint, gives a float
+            y = spherical_harmonic(0, 0, x)
+            assert isinstance(y, float)
+            assert y == pytest.approx(1.0 / np.sqrt(4 * np.pi), abs=1e-15)
 
     def test_addition_theorem_diagonal(self):
         rng = np.random.default_rng(0)
@@ -302,7 +305,9 @@ class TestBuilderValidation:
     """The spectrum builders check their sizes as KernelSpec checks the same fields, and the
     reference builders their levels, orders and caps. Before, a float size was a TypeError
     and a negative or nan cap numpy's ValueError; spherical_harmonic(True, 0, x) was the
-    l = 1 value, and product_spectrum's nan cap failed as "matching nonempty index arrays"."""
+    l = 1 value, and product_spectrum's nan cap failed as "matching nonempty index arrays".
+    spherical_harmonic read any 3-vector as a point: at [0, 0, 2] Y_10 was twice its pole
+    value, and at [nan, 0, 1] it was the pole value."""
 
     @pytest.mark.parametrize("call, match", [
         (lambda: sphere_spectrum(2.5), "lmax"), (lambda: sphere_spectrum(-1), "lmax"),
@@ -317,6 +322,8 @@ class TestBuilderValidation:
         (lambda: spherical_harmonic(True, 0, [0.0, 0.0, 1.0]), "level"),
         (lambda: spherical_harmonic(2, 0.5, [0.0, 0.0, 1.0]), "order"),
         (lambda: spherical_harmonic(2, False, [0.0, 0.0, 1.0]), "order"),
+        (lambda: spherical_harmonic(1, 0, [0.0, 0.0, 2.0]), "unit norm"),
+        (lambda: spherical_harmonic(1, 0, [math.nan, 0.0, 1.0]), "unit norm"),
         (lambda: sphere_eigenfield(DIV, 2.5, 0, [0.0, 0.0, 1.0]), "level"),
         (lambda: sphere_eigenfield(CURL, 2, 0.5, [0.0, 0.0, 1.0]), "order"),
         (lambda: product_spectrum(circle_spectrum(2), circle_spectrum(2), math.nan),
@@ -326,7 +333,8 @@ class TestBuilderValidation:
              "circle-float", "circle-negative",
              "torus-float-d", "torus-zero-d", "torus-negative-cap", "torus-nan-cap",
              "torus-inf-cap", "harmonic-float-level", "harmonic-bool-level",
-             "harmonic-float-order", "harmonic-bool-order", "eigenfield-float-level",
+             "harmonic-float-order", "harmonic-bool-order", "harmonic-off-sphere",
+             "harmonic-nan-point", "eigenfield-float-level",
              "eigenfield-float-order", "product-nan-cap", "product-negative-cap"])
     def test_bad_sizes_raise(self, call, match):
         with pytest.raises(InvalidInputError, match=match):
