@@ -23,8 +23,8 @@ from .errors import DataError, InvalidInputError, NumericalError
 from .gp import Dataset, FitConfig, condition, fit, metrics, predict, sample_prior
 from .kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NOISE, PROJECTED,
                       KernelSpec, MaternParams, check_kappa)
-from .manifold import (SPHERE, TORUS, coordinates, frames_at, lonlat_to_point, point_to_lonlat,
-                       sample_sphere)
+from .manifold import (CIRCLE, SPHERE, TORUS, coordinates, frames_at, lonlat_to_point,
+                       point_to_lonlat, sample_sphere)
 
 KERNEL_NAMES = {
     "noise": NOISE,
@@ -105,12 +105,18 @@ class ExperimentConfig:
 # Data ingestion and emission
 # ---------------------------------------------------------------------------
 
+def _csv_header(manifold, d):
+    """The CSV header of a dataset on the manifold of dimension d (see ``ingest_csv``)."""
+    return {SPHERE: SPHERE_HEADER, CIRCLE: ["theta", "v"]}.get(
+        manifold, [f"theta_{j + 1}" for j in range(d)] + [f"v_{j + 1}" for j in range(d)])
+
+
 def ingest_csv(path):
     """Read a tangential-field dataset from CSV.
 
-    Sphere files carry the header ``lon_deg,lat_deg,u_east,v_north``; torus
-    files ``theta_1..theta_d,v_1..v_d``. Blank lines are skipped; a row with the
-    wrong field count or a non-number is a DataError that names its line, and a
+    Sphere files carry the header ``lon_deg,lat_deg,u_east,v_north``, circle files
+    ``theta,v`` and torus files ``theta_1..theta_d,v_1..v_d``. Blank lines are skipped; a row
+    with the wrong field count or a non-number is a DataError that names its line, and a
     row with a non-finite number or a sphere latitude outside [-90, 90] an
     InvalidInputError that names it. Sphere rows within 0.1 degrees of a pole
     are dropped (a warning with the count goes to stderr); a file with no row
@@ -127,9 +133,8 @@ def ingest_csv(path):
         except StopIteration:
             raise InvalidInputError(f"{path}: empty file")
         d = len(header) // 2
-        torus_header = [f"theta_{j + 1}" for j in range(d)] + [f"v_{j + 1}" for j in range(d)]
-        sphere = header == SPHERE_HEADER
-        if not (sphere or header and header == torus_header):
+        manifold = next((m for m in (SPHERE, CIRCLE, TORUS) if header == _csv_header(m, d)), None)
+        if not (header and manifold):
             raise DataError(f"{path}: unrecognized header {','.join(header)!r}")
         rows = []
         for line_no, row in enumerate(reader, start=2):
@@ -142,22 +147,22 @@ def ingest_csv(path):
                 rows.append([float(c) for c in row])
             except ValueError as exc:
                 raise DataError(f"{path}: line {line_no}: {exc}")
-            if sphere and not (np.isfinite(rows[-1][0]) and abs(rows[-1][1]) <= 90.0):
+            if manifold == SPHERE and not (np.isfinite(rows[-1][0]) and abs(rows[-1][1]) <= 90.0):
                 raise InvalidInputError(f"{path}: line {line_no}: longitude {rows[-1][0]} must "
                                         f"be finite and latitude {rows[-1][1]} within [-90, 90]")
             if not np.isfinite(rows[-1]).all():   # a sphere row's angles passed above
                 what = "tangent components" if np.isfinite(rows[-1][:d]).all() else "torus angles"
                 raise InvalidInputError(f"{path}: line {line_no}: {what} must be finite")
     rows = np.array(rows).reshape(-1, len(header))
-    if sphere:
+    if manifold == SPHERE:
         near_pole = np.abs(rows[:, 1]) > _MAX_INGEST_LAT
         if near_pole.any():
             print(f"warning: {path}: rejected {near_pole.sum()} near-pole rows", file=sys.stderr)
         rows = rows[~near_pole]
     if not len(rows):
         raise InvalidInputError(f"{path}: no usable rows")
-    if not sphere:
-        return Dataset.from_arrays(TORUS, rows[:, :d], rows[:, d:])
+    if manifold != SPHERE:
+        return Dataset.from_arrays(manifold, rows[:, :d], rows[:, d:])
     # point by point, as a vectorized normalization can differ in the last bit
     X = coordinates(SPHERE, 2, [lonlat_to_point(lon, lat) for lon, lat in rows[:, :2]])
     return Dataset.from_arrays(SPHERE, X, np.einsum("nk,nka->na", rows[:, 2:], frames_at(X)))
@@ -168,15 +173,12 @@ def emit_csv(dataset, path):
     X, V = dataset.coords(), dataset.values()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
+        writer.writerow(_csv_header(dataset.manifold, dataset.dim))
         if dataset.manifold == SPHERE:
-            writer.writerow(SPHERE_HEADER)
             # row by row: a vectorized arctan2, arcsin or dot can change a printed digit
             writer.writerows([repr(c) for c in point_to_lonlat(x) + tuple(float(v @ b) for b in B)]
                              for x, v, B in zip(X, V, frames_at(X)))
         else:
-            d = dataset.dim
-            writer.writerow([f"theta_{j + 1}" for j in range(d)]
-                            + [f"v_{j + 1}" for j in range(d)])
             writer.writerows([repr(float(c)) for c in row] for row in np.hstack([X, V]))
 
 

@@ -27,7 +27,7 @@ from .errors import InvalidInputError
 from .gp import sample_prior_batch
 from .kernels import (HODGE_CURL, HODGE_DIV, HODGE_FULL, PROJECTED, KernelSpec, MaternParams,
                       _level_weights, kernel_matrix)
-from .manifold import SPHERE, coordinates
+from .manifold import SPHERE, one_sphere_point
 from .spectrum import _local_basis
 
 _POLE_BAND = math.sin(math.radians(80.0))  # |x3| above this is too close to a pole
@@ -88,13 +88,10 @@ def divergence_stencil(x, h):
 
     Returns the four offset points (theta +- h, phi +- h paths) and a
     function mapping field values of shape (..., 4, 3) to divergences.
-    Rejects points off the sphere (``coordinates``) or within 10 degrees of
+    Rejects points off the sphere (``one_sphere_point``) or within 10 degrees of
     a pole, and steps outside [1e-6, 1e-2] radians.
     """
-    X = coordinates(SPHERE, 2, x)
-    if len(X) != 1:
-        raise InvalidInputError(f"divergence stencil takes one point, got {len(X)}")
-    x = X[0]
+    x = one_sphere_point(x, "divergence stencil")
     if abs(x[2]) >= _POLE_BAND:
         raise InvalidInputError("divergence stencil undefined within 10 deg of a pole")
     if not 1e-6 <= h <= 1e-2:

@@ -29,7 +29,7 @@ from .errors import InvalidInputError, NumericalError, check_count, warn_depreca
 from .kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NOISE, PROJECTED,
                       SCALAR, GramTables, KernelSpec, MaternParams, _torus_lattice,
                       check_kappa, compositional_spec, diagonal_frame_blocks, frame_blocks,
-                      lattice_draw_factors, lattice_features, noise_spec, sphere_draw_scales)
+                      lattice_draw_coeffs, lattice_features, noise_spec, sphere_draw_scales)
 # Not called here: gp evaluates no kernel itself. benchmark/run.py traces these
 # names in gp as well as in kernels, so they stay importable from this module.
 from .kernels import hodge_pair_sums, kernel_matrix, scalar_pair_sums  # noqa: F401
@@ -512,7 +512,7 @@ def _prior_coeffs(spec, rng, n_draws):
     level as the div fields m = -l..l, then the curl fields; or (n_draws,
     (lmax + 1)^2, 3) of three stacked scalar fields (projected kind).
     Tori: (n_draws, 2F, D) coefficients A_n z_n of cos(n . x), then sin(n . x),
-    over the truncation's half lattice (``lattice_draw_factors``). Noise: none.
+    over the truncation's half lattice (``lattice_draw_coeffs``). Noise: none.
     A scalar spec has no vector draws (InvalidInputError).
     """
     if spec.kind == SCALAR:
@@ -520,9 +520,9 @@ def _prior_coeffs(spec, rng, n_draws):
     if spec.kind == NOISE:
         return np.zeros((n_draws, 0))
     if spec.manifold != SPHERE:
-        a = lattice_draw_factors(spec)
-        z = rng.standard_normal((n_draws, 2, len(a), spec.dim))
-        return np.einsum("fab,dcfb->dcfa", a, z).reshape(n_draws, 2 * len(a), spec.dim)
+        f = len(_torus_lattice(spec.dim, spec.lambda_cap)[0])
+        z = rng.standard_normal((n_draws, 2, f, spec.dim))
+        return lattice_draw_coeffs(spec, z).reshape(n_draws, 2 * f, spec.dim)
     scale = sphere_draw_scales(spec)
     if spec.kind == PROJECTED:
         return scale[None, :, None] * rng.standard_normal((n_draws, len(scale), 3))

@@ -17,9 +17,10 @@ B_x k(x, y) B_y^T of every vector kernel: on the sphere in tangent frames,
 where the sums over the order m collapse through the Legendre addition
 theorem, so vector kernels need only the first two derivatives of P_l(x . y);
 on T^d in the global frame, as one lattice sum over frequencies n of
-cos(n . (x - y)) M_n. ``diagonal_frame_blocks`` is its diagonal in O(m), and
+cos(n . (x - y)) M_n, M_n = w0 I + w1 u u^T (u = n / |n|): every Hodge projector
+is a I + b u u^T. ``diagonal_frame_blocks`` is its diagonal in O(m), and
 ambient 3x3 matrices are the lift of the sphere blocks. The draws scale by the
-same level and lattice weights (``sphere_draw_scales``, ``lattice_draw_factors``).
+same level and lattice weights (``sphere_draw_scales``, ``lattice_draw_coeffs``).
 A direct sum over eigenfields (``class_weights``, ``spectral_kernel_oracle``) is
 kept as the slow reference that tests and the benchmark compare against.
 
@@ -491,10 +492,10 @@ def frame_blocks(spec, X, BX, Y, BY):
     """
     if spec.kind == SCALAR:
         raise InvalidInputError("scalar kernels have no vector kernel matrix")
+    if spec.kind == NOISE:
+        return np.zeros((X.shape[0], Y.shape[0], spec.dim, spec.dim))
     if spec.manifold != SPHERE:
         return _torus_matrix(spec, X, Y)
-    if spec.kind == NOISE:
-        return np.zeros((X.shape[0], Y.shape[0], 2, 2))
     symmetric = Y is X and BY is BX
     sx, sy = _frame_stacks(spec, X, BX, Y, BY)
     parts, weights = spec.classes, _sphere_sum_weights(spec)
@@ -529,49 +530,38 @@ def diagonal_frame_blocks(spec, X, BX):
 
 @lru_cache(maxsize=16, typed=True)   # typed: 2.0 or True must not hit the entry of 2 or 1
 def _torus_lattice(dim, lambda_cap):
-    """Read-only (n, mult, lam): the hyperparameter-free half lattice |n|^2 <= lambda_cap
-    of T^dim, its pair multiplicities and |n|^2. Built once per truncation.
-
-    mult_n = 2 pairs n with -n (n != 0).
-    """
+    """Read-only (n, mult, lam, u): the hyperparameter-free half lattice |n|^2 <= lambda_cap of
+    T^dim, its pair multiplicities (mult_n = 2 pairs n with -n, n != 0), |n|^2 and u = n / |n|
+    (0 at n = 0). Built once per truncation."""
     r = math.ceil(math.sqrt(lambda_cap))
     n = np.indices((2 * r + 1,) * dim).reshape(dim, -1).T - r
     first = n[np.arange(len(n)), np.argmax(n != 0, axis=1)]   # first nonzero entry
     keep = ((n ** 2).sum(axis=1) <= lambda_cap) & (first >= 0)
     n, mult = n[keep].astype(np.float64), np.where(first[keep] > 0, 2.0, 1.0)
-    return _read_only(n, mult, (n ** 2).sum(axis=1))
+    lam = (n ** 2).sum(axis=1)
+    return _read_only(n, mult, lam, n / np.sqrt(np.where(lam > 0.0, lam, 1.0))[:, None])
 
 
-@lru_cache(maxsize=16, typed=True)
-def _lattice_projector(cls, dim, lambda_cap):
-    """Read-only (Pi_cls(n), rank): the Hodge projector of one class over the half lattice,
-    (F, D, D), and its trace, the eigenfields per frequency. Pi = I for the full kernel (a
-    broadcast view), 1 for the scalar. Built once per class and truncation, when asked for.
-    """
-    n, _, lam = _torus_lattice(dim, lambda_cap)
-    zero = (lam == 0.0)[:, None, None]
-    eye = np.eye(dim)
-    div = (n[:, :, None] * n[:, None, :] / np.where(zero, 1.0, lam[:, None, None])
-           if cls in (DIV, CURL) else None)
-    proj = {SCALAR: lambda: np.ones((len(n), 1, 1)), HARM: lambda: np.where(zero, eye, 0.0),
-            HODGE_FULL: lambda: np.broadcast_to(eye, (len(n),) + eye.shape),
-            DIV: lambda: div, CURL: lambda: np.where(zero, 0.0, eye - div)}[cls]()
-    return _read_only(proj, np.rint(np.trace(proj, axis1=1, axis2=2)))
+# (a, b, covers): Pi_cls(n) = a I + b u_n u_n^T where covers(|n|^2, 0) holds, 0 elsewhere
+_LATTICE_PROJECTORS = {SCALAR: (1.0, 0.0, np.greater_equal), DIV: (0.0, 1.0, np.greater),
+                       HODGE_FULL: (1.0, 0.0, np.greater_equal), CURL: (1.0, -1.0, np.greater),
+                       HARM: (1.0, 0.0, np.equal)}
 
 
 def _lattice_part_weights(spec):
-    """[(W, dW)] per part of a torus spec, in ``spec.classes`` order, over its half lattice.
+    """[(W, dW)] per part of a torus spec, in ``spec.classes`` order, over its half lattice:
+    (2, F) each, the coefficients of I and of u_n u_n^T in the D x D weight per frequency.
 
-    W = mult_n sigma^2 Phi(|n|^2) Pi_cls(n) / Z_cls (F, D, D) with
-    Z_cls = sum_n Phi tr Pi_cls; the kernel's weights mult_n M_n are the sum
-    of the parts' W. dW is the derivative of W by log kappa,
-    W_n (g_n - <g>) with g = d log Phi / d log kappa and <g> its mean under
-    the normalizer's weights Phi tr Pi_cls.
+    W = mult_n sigma^2 Phi(|n|^2) (a, b) / Z_cls for Pi_cls = a I + b u u^T, whose trace is
+    a D + b (D = 1 for the scalar kind), and Z_cls = sum_n Phi tr Pi_cls; the kernel's
+    weights mult_n M_n are the sum of the parts' W. dW is the derivative of W by log kappa,
+    W_n (g_n - <g>) with g = d log Phi / d log kappa and <g> its mean under Phi tr Pi_cls.
     """
-    _, mult, lam = _torus_lattice(spec.dim, spec.lambda_cap)
+    _, mult, lam, _ = _torus_lattice(spec.dim, spec.lambda_cap)
     out = []
     for c, p in spec.classes:
-        proj, rank = _lattice_projector(c, spec.dim, spec.lambda_cap)
+        a, b, covers = _LATTICE_PROJECTORS[c]
+        rank = np.where(covers(lam, 0.0), a * (1 if spec.kind == SCALAR else spec.dim) + b, 0.0)
         if not rank.any():
             raise InvalidInputError(f"empty eigenfield class {c!r} on {spec.manifold}")
         lw = np.where(rank > 0, log_phi(p.nu, p.kappa, lam, spec.dim), -np.inf)
@@ -579,8 +569,8 @@ def _lattice_part_weights(spec):
         z = phis @ rank
         g = _log_phi_slope(p.nu, p.kappa, lam, spec.dim)
         dphis = phis * (g - (phis * rank) @ g / z)
-        out.append((p.variance * phis[:, None, None] * proj / z,
-                    p.variance * dphis[:, None, None] * proj / z))
+        ab = p.variance * np.array([[a], [b]])
+        out.append((ab * phis / z, ab * dphis / z))
     return out
 
 
@@ -589,37 +579,41 @@ def lattice_features(X, n):
     return np.hstack([np.cos(X @ n.T), np.sin(X @ n.T)])
 
 
-def _lattice_sum(fx, fy, w):
-    """(n, m, D, D) lattice sum sum_n cos(n . (x - y)) mult_n M_n from features.
-
-    Entry (a, b) is one product [cos XN^T, sin XN^T] diag(M_ab, M_ab) [cos YN^T, sin YN^T]^T.
-    """
-    dd = range(w.shape[1])
-    k = [[(fx * np.tile(w[:, a, b], 2)) @ fy.T for b in dd] for a in dd]
-    return np.array(k).transpose(2, 3, 0, 1)
+def _lattice_sum(spec, fx, fy, w):
+    """(n, m, D, D) lattice sum sum_n cos(n . (x - y)) mult_n M_n from features, for weights
+    M_n = w0_n I + w1_n u_n u_n^T (``_lattice_part_weights``). Entry (a, b) is one product
+    [cos XN^T, sin XN^T] diag(M_ab, M_ab) [cos YN^T, sin YN^T]^T: with w1 = 0 one product serves
+    the diagonal, else there is one per entry on and above it, mirrored below."""
+    size = 1 if spec.kind == SCALAR else spec.dim
+    out = np.zeros((len(fx), len(fy), size, size))
+    if not w[1].any():
+        out[:, :, range(size), range(size)] = ((fx * np.tile(w[0], 2)) @ fy.T)[..., None]
+        return out
+    u = _torus_lattice(spec.dim, spec.lambda_cap)[3]
+    for a in range(size):
+        for b in range(a, size):
+            m = w[1] * u[:, a] * u[:, b] + (w[0] if a == b else 0.0)
+            out[:, :, a, b] = out[:, :, b, a] = (fx * np.tile(m, 2)) @ fy.T
+    return out
 
 
 def _torus_matrix(spec, X, Y):
-    """(n, m, D, D) torus kernel sum_n cos(n . (x - y)) M_n over the half lattice
-    (zero for the noise kind) at checked coordinates."""
-    if spec.kind == NOISE:
-        return np.zeros((X.shape[0], Y.shape[0], spec.dim, spec.dim))
+    """(n, m, D, D) torus kernel sum_n cos(n . (x - y)) M_n over the half lattice at X, Y."""
     n = _torus_lattice(spec.dim, spec.lambda_cap)[0]
-    w = sum(w for w, _ in _lattice_part_weights(spec))   # mult_n M_n
     fx = lattice_features(X, n)
     fy = fx if Y is X else lattice_features(Y, n)
-    return _lattice_sum(fx, fy, w)
+    return _lattice_sum(spec, fx, fy, sum(w for w, _ in _lattice_part_weights(spec)))
 
 
-def lattice_draw_factors(spec):
-    """(F, D, D) factors A_n of a torus spec's kernel weights over its half lattice n,
-    A_n A_n^T = mult_n M_n (by eigh: Hodge-class weights are singular).
-
-    For standard normal z_n, z'_n, f(x) = sum_n [cos, sin](n . x) A_n [z_n, z'_n]
-    has covariance sum_n cos(n . (x - y)) mult_n M_n, the kernel itself.
-    """
-    e, v = np.linalg.eigh(sum(w for w, _ in _lattice_part_weights(spec)))
-    return v * np.sqrt(np.maximum(e, 0.0))[:, None, :]
+def lattice_draw_coeffs(spec, z):
+    """(..., F, D) coefficients A_n z_n of a torus spec's draws from standard normal z (..., F, D)
+    over its half lattice n: A_n = sqrt(w0) I + (sqrt(w0 + w1) - sqrt(w0)) u u^T is the symmetric
+    root of the weights mult_n M_n = w0 I + w1 u u^T (eigenvalues w0 across u, w0 + w1 along it).
+    So f(x) = sum_n [cos, sin](n . x) A_n [z_n, z'_n] has the kernel as its covariance."""
+    w0, w1 = sum(w for w, _ in _lattice_part_weights(spec))
+    u = _torus_lattice(spec.dim, spec.lambda_cap)[3]
+    r0, r1 = np.sqrt(w0), np.sqrt(np.maximum(w0 + w1, 0.0))   # w0 + w1 may round below 0
+    return r0[:, None] * z + ((r1 - r0)[:, None] * np.sum(u * z, axis=-1, keepdims=True)) * u
 
 
 # ---------------------------------------------------------------------------
@@ -738,9 +732,9 @@ class GramTables:
         if spec.manifold != SPHERE:
             f = self._features
             parts = _lattice_part_weights(spec)
-            blocks = _lattice_sum(f, f, sum(w for w, _ in parts))
-            return blocks, [(_lattice_sum(f, f, w) if len(parts) > 1 else blocks.copy(),
-                             _lattice_sum(f, f, dw)) for w, dw in parts]
+            blocks = _lattice_sum(spec, f, f, sum(w for w, _ in parts))
+            return blocks, [(_lattice_sum(spec, f, f, w) if len(parts) > 1 else blocks.copy(),
+                             _lattice_sum(spec, f, f, dw)) for w, dw in parts]
         parts = spec.classes
         # rows: the value weights of every part, then their log-kappa derivatives
         weights = np.concatenate([_part_sum_weights(cls, p, spec.lmax) for cls, p in parts],

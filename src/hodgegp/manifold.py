@@ -74,6 +74,14 @@ def coordinates(manifold, dim, points):
     return X
 
 
+def one_sphere_point(x, caller):
+    """(3,) coordinates of exactly one sphere point (``coordinates``) passed to caller."""
+    X = coordinates(SPHERE, 2, x)
+    if len(X) != 1:
+        raise InvalidInputError(f"{caller} takes one point, got {len(X)}")
+    return X[0]
+
+
 def check_tangent(manifold, X, V):
     """(m, D) components, a new float array, of the tangent vectors given as array-like rows V
     (none may be []) at the checked points X of the manifold: finite, and on the sphere ambient
@@ -223,19 +231,17 @@ def lonlat_to_point(lon_deg, lat_deg) -> ManifoldPoint:
 
 def point_to_lonlat(p) -> tuple:
     """Longitude/latitude in degrees of one sphere point (``coordinates``)."""
-    X = coordinates(SPHERE, 2, p)
-    if X.shape[0] != 1:
-        raise InvalidInputError(f"point_to_lonlat takes one point, got {X.shape[0]}")
-    lon = np.rad2deg(np.arctan2(X[0, 1], X[0, 0]))
-    lat = np.rad2deg(np.arcsin(np.clip(X[0, 2], -1.0, 1.0)))
+    x = one_sphere_point(p, "point_to_lonlat")
+    lon = np.rad2deg(np.arctan2(x[1], x[0]))
+    lat = np.rad2deg(np.arcsin(np.clip(x[2], -1.0, 1.0)))
     return float(lon), float(lat)
 
 
 def tangent_from_east_north(x, u_east, v_north) -> TangentVector:
-    """Tangent vector from east/north components in the frame of ``frames_at`` at x."""
-    p = x if isinstance(x, ManifoldPoint) else sphere_point(x)
-    b1, b2 = frames_at(p.coords)[0]
-    return TangentVector(p, u_east * b1 + v_north * b2)
+    """Tangent vector from east/north components in the ``frames_at`` frame at one sphere point."""
+    c = one_sphere_point(x, "tangent_from_east_north")
+    b1, b2 = frames_at(c)[0]
+    return TangentVector(ManifoldPoint(SPHERE, c), u_east * b1 + v_north * b2)
 
 
 def east_north_components(v: TangentVector) -> tuple:

@@ -22,7 +22,7 @@ import numpy as np
 from ._accel import alp_tables, legendre_derivative_maps, legendre_sums
 from .errors import InvalidInputError, check_count
 from .manifold import (CIRCLE, SPHERE, TORUS, TWO_PI, ManifoldPoint, TangentVector, coordinates,
-                       sphere_point)
+                       one_sphere_point)
 
 DIV = "div"
 CURL = "curl"
@@ -176,16 +176,16 @@ def sphere_eigenfield(hodge_class, l, m, x):
 
     The div class is grad Y_lm / sqrt(l(l+1)); the curl class is its
     90-degree rotation about the outward normal. Level 0 is rejected since
-    the constant has zero gradient.
+    the constant has zero gradient. x is one sphere point (``one_sphere_point``).
     """
     if hodge_class not in (DIV, CURL):
         raise InvalidInputError("sphere eigenfields are div or curl class")
     l, m = _level_order(l, m, 1)
-    p = x if isinstance(x, ManifoldPoint) else sphere_point(x)
+    c = one_sphere_point(x, "sphere_eigenfield")
     # the one coefficient 1 / sqrt(lambda), of grad Y_lm (div) or x cross grad Y_lm (curl)
     coeffs = np.zeros((1, 2, l * (l + 2)))
     coeffs[0, int(hodge_class == CURL), l * (l + 1) - 1 + m] = 1.0 / math.sqrt(sphere_eigenvalue(l))
-    return TangentVector(p, gradient_field_values(coeffs, p.coords[None], l)[0, 0])
+    return TangentVector(ManifoldPoint(SPHERE, c), gradient_field_values(coeffs, c[None], l)[0, 0])
 
 
 class SphereSpectrum:

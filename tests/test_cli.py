@@ -10,7 +10,8 @@ from hodgegp.cli import (ExperimentConfig, _config_from_options, build_parser, e
                          synthetic_field)
 from hodgegp.diagnostics import numeric_divergence
 from hodgegp.errors import DataError, InvalidInputError
-from hodgegp.gp import Dataset
+from hodgegp.gp import Dataset, condition, predict
+from hodgegp.kernels import HODGE_DIV, KernelSpec, MaternParams
 from hodgegp.manifold import (TangentVector, lonlat_to_point, sample_uniform,
                               sphere_point, tangent_from_east_north, torus_point)
 
@@ -112,6 +113,26 @@ class TestIngest:
         assert back.manifold == "torus"
         for a, b in zip(ds.values(), back.values()):
             np.testing.assert_allclose(a, b, atol=1e-12)
+
+    @pytest.mark.parametrize("manifold, header", [("circle", "theta,v"), ("torus", "theta_1,v_1")])
+    def test_circle_and_t1_round_trip_on_their_manifold(self, tmp_path, manifold, header):
+        # before, a circle dataset was written as theta_1,v_1 and read back on T^1, and
+        # conditioning a circle spec on it raised "a torus point of dimension 1"
+        rng = np.random.default_rng(3)
+        ds = Dataset.from_arrays(manifold, rng.uniform(0, 2 * np.pi, (6, 1)),
+                                 rng.standard_normal((6, 1)))
+        path = tmp_path / "one.csv"
+        emit_csv(ds, path)
+        assert path.read_text().splitlines()[0] == header
+        back = ingest_csv(path)
+        assert (back.manifold, back.dim) == (manifold, 1)
+        np.testing.assert_array_equal(back.coords(), ds.coords())
+        np.testing.assert_array_equal(back.values(), ds.values())
+        spec = KernelSpec(HODGE_DIV, MaternParams(1.5, 0.5, 1.0, 0.1), manifold=manifold,
+                          torus_dim=1, lambda_cap=36.0)
+        q = rng.uniform(0, 2 * np.pi, (3, 1))
+        np.testing.assert_array_equal(predict(condition(spec, back), q).mean,
+                                      predict(condition(spec, ds), q).mean)
 
 
 class TestOneReader:

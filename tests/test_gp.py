@@ -811,6 +811,11 @@ POSTERIOR_SPECS = {
                                            noise=0.2, manifold="torus", lambda_cap=36.0),
     "t3-full": KernelSpec(HODGE_FULL, POSTERIOR_PARAMS, manifold="torus", torus_dim=3,
                           lambda_cap=9.0),
+    "t3-curl": KernelSpec(HODGE_CURL, POSTERIOR_PARAMS, manifold="torus", torus_dim=3,
+                          lambda_cap=9.0),
+    "t3-compositional": compositional_spec(1.5, (0.4, 0.8), (0.7, 1.2), harm_variance=0.3,
+                                           noise=0.2, manifold="torus", torus_dim=3,
+                                           lambda_cap=9.0),
     "circle-div": KernelSpec(HODGE_DIV, POSTERIOR_PARAMS, manifold="circle", torus_dim=1,
                              lambda_cap=36.0),
 }
@@ -916,10 +921,11 @@ class TestPathwisePosterior:
         assert draws.shape == (2, 4, dim)
         assert np.isfinite(draws).all()
 
-    def test_t3_full_prior_covariance_matches_the_kernel(self):
+    @pytest.mark.parametrize("kind", [HODGE_FULL, HODGE_DIV, HODGE_CURL])
+    def test_t3_prior_covariance_matches_the_kernel(self, kind):
         # second moments of zero-mean Gaussian draws: entry (a, b) has standard
         # error sqrt((K_aa K_bb + K_ab^2) / N); bound 5 of them over 45 entries
-        spec = KernelSpec(HODGE_FULL, MaternParams(1.5, 0.6, 1.0), manifold="torus",
+        spec = KernelSpec(kind, MaternParams(1.5, 0.6, 1.0), manifold="torus",
                           torus_dim=3, lambda_cap=9.0)
         rng = np.random.default_rng(51)
         pts = rng.uniform(0, 2 * np.pi, size=(3, 3))
@@ -1428,10 +1434,10 @@ class TestSpectrumFreeSamplers:
         # lattice with every class's projectors, only to read N; now N is the
         # truncation's cached lattice, which neither a draw nor .at builds again
         spec, calls = SPECTRUM_FORM_SPECS[name], []
-        factors = kernels.lattice_draw_factors
-        a = factors(spec)
+        coeffs_of = kernels.lattice_draw_coeffs
         n = kernels._torus_lattice(spec.dim, spec.lambda_cap)[0]
-        monkeypatch.setattr(gp, "lattice_draw_factors", lambda s: calls.append(s) or factors(s))
+        monkeypatch.setattr(gp, "lattice_draw_coeffs",
+                            lambda s, z: calls.append(s) or coeffs_of(s, z))
         builds = kernels._torus_lattice.cache_info().misses
         pts = draw_points(spec)
         field = sample_prior(spec, np.random.default_rng(66))
@@ -1442,8 +1448,8 @@ class TestSpectrumFreeSamplers:
         assert len(calls) == 2
         assert kernels._torus_lattice.cache_info().misses == builds
         # the values are the features at N times the coefficients A_n z_n, bit for bit
-        z = np.random.default_rng(66).standard_normal((1, 2, len(a), spec.dim))
-        coeffs = np.einsum("fab,dcfb->dcfa", a, z).reshape(1, 2 * len(a), spec.dim)
+        z = np.random.default_rng(66).standard_normal((1, 2, len(n), spec.dim))
+        coeffs = coeffs_of(spec, z).reshape(1, 2 * len(n), spec.dim)
         expected = np.einsum("mf,dfa->dma", kernels.lattice_features(pts, n), coeffs)[0]
         for v in values:
             np.testing.assert_array_equal(v, expected)

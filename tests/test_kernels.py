@@ -462,36 +462,80 @@ class TestFrameBlocksMemory:
 class TestTorusLattice:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_lattice_holds_only_the_specs_classes(self, dim):
-        # projectors are cached per (class, dim, lambda_cap) and built only for the
-        # classes a spec asks for: none for the noise kind, one per new class after it
+        # a class projector is a I + b u u^T on the frequencies it covers, so a spec's
+        # weights are two (F,) rows per part of its classes, and no class builds an
+        # (F, D, D) array: before, each class cached its dense projector
         manifold = CIRCLE if dim == 1 else TORUS
         kinds = (HODGE_DIV, HODGE_FULL, SCALAR) + ((HODGE_CURL,) if dim > 1 else ())
-        specs = [noise_spec(0.1, manifold=manifold, torus_dim=dim)]
-        specs += [KernelSpec(kind, PARAMS, manifold=manifold, torus_dim=dim, lambda_cap=20.0)
-                  for kind in kinds]
+        specs = [KernelSpec(kind, PARAMS, manifold=manifold, torus_dim=dim, lambda_cap=20.0)
+                 for kind in kinds]
         if dim > 1:   # the circle's curl class is empty, so it has no compositional kernel
             specs.append(compositional_spec(1.5, (0.3, 0.8), (0.6, 1.2), harm_variance=0.5,
                                             manifold=manifold, torus_dim=dim, lambda_cap=20.0))
-        x = np.random.default_rng(50).uniform(0, 2 * np.pi, (4, dim))
-        kernels._lattice_projector.cache_clear()
-        built = []
-        for spec in specs:
-            (scalar_kernel_matrix if spec.kind == SCALAR else kernel_matrix)(spec, x)
-            built += [c for c, _ in spec.classes if c not in built]
-            assert kernels._lattice_projector.cache_info().misses == len(built)
-        # the class projectors split the identity, and each is one at its frequencies
-        n, _, lam = kernels._torus_lattice(dim, 20.0)
-        proj, rank = zip(*(kernels._lattice_projector(c, dim, 20.0)
-                           for c in (DIV, CURL, HARM, HODGE_FULL)))
-        np.testing.assert_allclose(proj[0] + proj[1] + proj[2], proj[3], rtol=0, atol=1e-15)
-        for p, r in zip(proj, rank):
-            np.testing.assert_allclose(p @ p, p, rtol=0, atol=1e-15)
-            np.testing.assert_array_equal(r, np.rint(np.trace(p, axis1=1, axis2=2)))
+        n, _, lam, u = kernels._torus_lattice(dim, 20.0)
         nonzero = lam > 0
-        np.testing.assert_array_equal(rank[0], nonzero)
-        np.testing.assert_array_equal(rank[1], (dim - 1) * nonzero)
-        np.testing.assert_array_equal(rank[2], dim * ~nonzero)
-        np.testing.assert_array_equal(rank[3], np.full(len(n), dim))
+
+        def projector(c):
+            a, b, covers = kernels._LATTICE_PROJECTORS[c]
+            size = 1 if c == SCALAR else dim
+            p = a * np.eye(size) + b * u[:, :size, None] * u[:, None, :size]
+            return np.where(covers(lam, 0.0)[:, None, None], p, 0.0)
+
+        for spec in specs:
+            parts = kernels._lattice_part_weights(spec)
+            assert [(w.shape, dw.shape) for w, dw in parts] == [((2, len(n)),) * 2] * len(parts)
+            for (c, _), (w, dw) in zip(spec.classes, parts):
+                # each row pair is a per-frequency scale times (a, b), zero where c is empty
+                a, b, covers = kernels._LATTICE_PROJECTORS[c]
+                for rows in (w, dw):
+                    scale = rows[0] if a else rows[1]
+                    np.testing.assert_array_equal(rows, np.array([[a], [b]]) * scale)
+                    assert not scale[~covers(lam, 0.0)].any()
+                assert (w[1 - bool(a)] > 0).sum() == covers(lam, 0.0).sum()
+        # the class projectors split the identity, and each is one at its frequencies
+        proj = [projector(c) for c in (DIV, CURL, HARM, HODGE_FULL, SCALAR)]
+        rank = [np.trace(p, axis1=1, axis2=2) for p in proj]
+        np.testing.assert_allclose(proj[0] + proj[1] + proj[2], proj[3], rtol=0, atol=1e-15)
+        for p in proj:
+            np.testing.assert_allclose(p @ p, p, rtol=0, atol=1e-15)
+        for r, expected in zip(rank, (nonzero, (dim - 1) * nonzero, dim * ~nonzero,
+                                      np.full(len(n), dim), np.ones(len(n)))):
+            np.testing.assert_allclose(r, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_draw_root_squares_to_the_weights(self, dim):
+        # lattice_draw_coeffs applies A_n = sqrt(w0) I + (sqrt(w0 + w1) - sqrt(w0)) u u^T;
+        # on unit vectors z = e_j its columns give A_n, and A_n A_n^T = w0 I + w1 u u^T
+        manifold = CIRCLE if dim == 1 else TORUS
+        specs = [KernelSpec(kind, PARAMS, manifold=manifold, torus_dim=dim, lambda_cap=30.0)
+                 for kind in (HODGE_FULL, HODGE_DIV) + ((HODGE_CURL,) if dim > 1 else ())]
+        if dim > 1:
+            specs.append(compositional_spec(1.5, (0.3, 0.8), (0.6, 1.2), harm_variance=0.5,
+                                            manifold=manifold, torus_dim=dim, lambda_cap=30.0))
+        u = kernels._torus_lattice(dim, 30.0)[3]
+        for spec in specs:
+            w0, w1 = sum(w for w, _ in kernels._lattice_part_weights(spec))
+            z = np.broadcast_to(np.eye(dim)[:, None, :], (dim, len(u), dim))
+            root = kernels.lattice_draw_coeffs(spec, z).transpose(1, 2, 0)   # (F, D, D)
+            weights = w0[:, None, None] * np.eye(dim) + w1[:, None, None] * (
+                u[:, :, None] * u[:, None, :])
+            np.testing.assert_allclose(root @ root.transpose(0, 2, 1), weights, rtol=0,
+                                       atol=1e-15 * np.abs(weights).max())
+
+    def test_part_weights_hold_no_dense_projector(self):
+        # T^3 at cap 900 (F = 56541) with a harmonic part: the weights are 2 (F,) rows per
+        # part and its derivative; before, three (F, 3, 3) projectors and two more (F, 3, 3)
+        # arrays per part peaked at 38.5 MB
+        spec = compositional_spec(1.5, (0.3, 0.8), (0.6, 1.2), harm_variance=0.5,
+                                  manifold=TORUS, torus_dim=3, lambda_cap=900.0)
+        kernels._torus_lattice(3, 900.0)   # the lattice is built once per truncation
+        tracemalloc.start()
+        try:
+            kernels._lattice_part_weights(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2 ** 20
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_one_lattice_per_truncation(self, dim):
@@ -514,10 +558,11 @@ class TestTorusLattice:
         assert kernels._torus_lattice.cache_info().misses == 2
 
     def test_cached_arrays_are_read_only(self):
-        arrays = list(kernels._torus_lattice(2, 20.0))
-        for c in (DIV, CURL, HARM, HODGE_FULL, SCALAR):
-            arrays += kernels._lattice_projector(c, 2, 20.0)
-        for a in arrays:
+        # the lattice also caches the directions u = n / |n|, 0 at n = 0
+        n, mult, lam, u = kernels._torus_lattice(2, 20.0)
+        np.testing.assert_allclose(np.linalg.norm(u, axis=1), lam > 0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(u * np.sqrt(lam)[:, None], n, rtol=0, atol=1e-14)
+        for a in (n, mult, lam, u):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0.0
 

@@ -134,6 +134,14 @@ class TestLonLat:
         with pytest.raises(InvalidInputError):
             point_to_lonlat(bad)
 
+    @pytest.mark.parametrize("bad, match", [
+        ([2.0, 0, 0], "unit norm"), ([np.nan, 0, 1], "unit norm"),
+        ([[0, 0, 1.0], [1.0, 0, 0]], "one point"), (torus_point([0.1, 0.2]), "torus point")])
+    def test_east_north_at_one_sphere_point_or_invalid_input(self, bad, match):
+        # before, [2, 0, 0] gave the east vector at [1, 0, 0] without an error
+        with pytest.raises(InvalidInputError, match=match):
+            tangent_from_east_north(bad, 1.0, 0.0)
+
     def test_east_north_components_round_trip(self):
         p = lonlat_to_point(12.0, 34.0)
         v = tangent_from_east_north(p, 1.5, -0.3)

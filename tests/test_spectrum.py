@@ -307,7 +307,8 @@ class TestBuilderValidation:
     and a negative or nan cap numpy's ValueError; spherical_harmonic(True, 0, x) was the
     l = 1 value, and product_spectrum's nan cap failed as "matching nonempty index arrays".
     spherical_harmonic read any 3-vector as a point: at [0, 0, 2] Y_10 was twice its pole
-    value, and at [nan, 0, 1] it was the pole value."""
+    value, and at [nan, 0, 1] it was the pole value; sphere_eigenfield normalized any nonzero
+    vector, so at [0.3, 0, 0.4] it gave the field at [0.6, 0, 0.8]."""
 
     @pytest.mark.parametrize("call, match", [
         (lambda: sphere_spectrum(2.5), "lmax"), (lambda: sphere_spectrum(-1), "lmax"),
@@ -326,6 +327,9 @@ class TestBuilderValidation:
         (lambda: spherical_harmonic(1, 0, [math.nan, 0.0, 1.0]), "unit norm"),
         (lambda: sphere_eigenfield(DIV, 2.5, 0, [0.0, 0.0, 1.0]), "level"),
         (lambda: sphere_eigenfield(CURL, 2, 0.5, [0.0, 0.0, 1.0]), "order"),
+        (lambda: sphere_eigenfield(DIV, 1, 0, [0.3, 0.0, 0.4]), "unit norm"),
+        (lambda: sphere_eigenfield(CURL, 1, 0, [math.nan, 0.0, 1.0]), "unit norm"),
+        (lambda: sphere_eigenfield(DIV, 1, 0, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]), "one point"),
         (lambda: product_spectrum(circle_spectrum(2), circle_spectrum(2), math.nan),
          "lambda_cap"),
         (lambda: product_spectrum(circle_spectrum(2), circle_spectrum(2), -1.0), "lambda_cap")],
@@ -335,7 +339,8 @@ class TestBuilderValidation:
              "torus-inf-cap", "harmonic-float-level", "harmonic-bool-level",
              "harmonic-float-order", "harmonic-bool-order", "harmonic-off-sphere",
              "harmonic-nan-point", "eigenfield-float-level",
-             "eigenfield-float-order", "product-nan-cap", "product-negative-cap"])
+             "eigenfield-float-order", "eigenfield-off-sphere", "eigenfield-nan-point",
+             "eigenfield-two-points", "product-nan-cap", "product-negative-cap"])
     def test_bad_sizes_raise(self, call, match):
         with pytest.raises(InvalidInputError, match=match):
             call()
