@@ -343,8 +343,9 @@ def run_experiment(config):
     rows.sort(key=lambda r: (r[0], r[1], int(r[2])))
     _write_results(config, rows)
     _write_summary(config, rows)
+    grid = _prediction_grid(config.grid) if grid_models else None
     for (kname, nu), model in sorted(grid_models.items()):
-        _write_grid(config, kname, nu, model)
+        _write_grid(config, kname, nu, model, grid)
     return rows
 
 
@@ -375,14 +376,21 @@ def _write_summary(config, rows):
                              len(arr), config.hash(), __version__])
 
 
-def _write_grid(config, kname, nu, model):
-    n_lat, n_lon = config.grid
+def _prediction_grid(shape):
+    """(coords, lonlat) of the (n_lat, n_lon) lon/lat grid every grid file of a sweep shares:
+    its unit points and each row's repr'd lon and lat, built once per sweep."""
+    n_lat, n_lon = shape
     lats = np.linspace(-90.0, 90.0, n_lat)
     lons = np.linspace(0.0, 360.0, n_lon, endpoint=False)
     lat, lon = (a.ravel() for a in np.meshgrid(lats, lons, indexing="ij"))
     la, lo = np.deg2rad(lat), np.deg2rad(lon)
     coords = np.stack([np.cos(la) * np.cos(lo), np.cos(la) * np.sin(lo), np.sin(la)], axis=1)
     coords /= np.linalg.norm(coords, axis=1, keepdims=True)   # as lonlat_to_point does
+    return coords, [(repr(a), repr(b)) for a, b in zip(lon.tolist(), lat.tolist())]
+
+
+def _write_grid(config, kname, nu, model, grid):
+    coords, lonlat = grid
     pred = predict(model, coords)
     east_north = np.einsum("ma,mka->mk", pred.mean, pred.frames)
     std = np.sqrt(np.maximum(np.trace(pred.cov, axis1=1, axis2=2), 0.0))
@@ -390,8 +398,8 @@ def _write_grid(config, kname, nu, model):
     with open(os.path.join(config.out, name), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lon_deg", "lat_deg", "mean_east", "mean_north", "std_trace"])
-        writer.writerows([repr(a), repr(b), repr(e), repr(n), repr(s)] for a, b, (e, n), s
-                         in zip(lon.tolist(), lat.tolist(), east_north.tolist(), std.tolist()))
+        writer.writerows([a, b, repr(e), repr(n), repr(s)] for (a, b), (e, n), s
+                         in zip(lonlat, east_north.tolist(), std.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,13 @@ draw is fixed by its spec and an rng, in the kernel's own basis with the evaluat
 on the sphere grad Y_lm and its rotation (Y_lm when projected) scaled by the level weights,
 summed in one matrix product with the harmonic table; on tori the kernel's half lattice.
 ``predict`` and posterior draws share one query step against the model's checked coordinates;
-the draws are prior draws moved by Matheron's rule through the model's Cholesky factor. Every
-query-side computation runs over fixed-size blocks of points (``_QUERY_PAIRS``,
-``_DRAW_FLOATS``), so a call holds its output plus O(block x n) or O(block x basis) floats,
-whatever the query count.
+the draws are prior draws moved by Matheron's rule through the model's Cholesky factor.
+``predict`` whitens each block's cross Gram by a triangular solve against that factor or, when
+the call has at least twice as many queries as the model has data and the factor is well
+conditioned, by a product with its inverse, inverted once per call. Every query-side
+computation runs over fixed-size blocks of points (``_QUERY_PAIRS``, ``_DRAW_FLOATS``), each
+freed before the next is built, so a call holds its output plus O(block x n) or
+O(block x basis) floats (and predict's inverse), whatever the query count.
 """
 
 import math
@@ -22,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dtrcon, dtrtri
 from scipy.optimize import minimize
 
 from ._accel import single_threaded_numpy_blas
@@ -257,25 +262,67 @@ def _query(model, points):
     return Q, BQ, blocks()
 
 
+# predict's product route (``_inverse_factor``). At n 30, 200 and 500 data the route (dtrcon,
+# dtrtri, then dtrmm per block) was no slower than the per-block solves from m = 2n queries
+# on (from ~n at n 200 and 500, from 1.5-2n at n 30), and it is taken only while LAPACK's
+# estimate of the factor's 1-norm condition number is at most 1e5: in a sweep of 108 specs
+# at n 250 its covariance error, relative to the posterior variance, stayed within 2.7x the
+# solve's up to estimates of 7e5 and reached 2.6-81x from 2e6, on noiseless, smooth kernels.
+# Below the bound the product can still lose more digits of a small posterior variance than
+# the solve: 18x at one CLI great-circle grid point (estimate 1.6e3, std 1% of the prior's),
+# 4e-11 against 2e-12 of the std. BENCH_trmm_change.json has the timings.
+_INVERSE_QUERIES_PER_DATUM = 2
+_INVERSE_RCOND = 1e-5
+
+
+def _inverse_factor(model, m):
+    """L^-1 of the model's Cholesky factor L when predict's m queries whiten by a product
+    with it, else None: with fewer than twice as many queries as data, at n = 0 (LAPACK
+    rejects a (0, 0) factor) and where L is ill conditioned, the blocks solve instead."""
+    n = len(model.X)
+    if n == 0 or m < _INVERSE_QUERIES_PER_DATUM * n:
+        return None
+    if dtrcon(model.chol, norm="1", uplo="L")[0] < _INVERSE_RCOND:
+        return None
+    inverse, info = dtrtri(model.chol, lower=1)
+    if info:
+        raise NumericalError(f"inverting the Cholesky factor failed (dtrtri info {info})")
+    return inverse
+
+
 @single_threaded_numpy_blas
 def predict(model, points) -> Prediction:
     """Posterior mean and marginal covariance at points (``coordinates``); the prior's at n = 0.
 
-    Each query block of ``_query`` solves its cross Gram against the Cholesky factor
-    and subtracts its part from the prior's diagonal blocks, so besides the output
-    the call holds O(block x n) floats, never O(m x n).
+    Each query block of ``_query`` takes its means from its cross Gram K_QX, then
+    whitens K_QX^T in place to R = L^-1 K_QX^T against the Cholesky factor L and
+    subtracts R's column Grams from the prior's diagonal blocks (Rasmussen &
+    Williams 2006, Alg. 2.1). When the call has at least twice as many queries as
+    the model has data (m >= 2n > 0) and LAPACK's estimate of L's 1-norm condition
+    number is at most 1e5 (``dtrcon``), L is inverted once (``dtrtri``) and each
+    block multiplies by the inverse (BLAS ``dtrmm``), which OpenBLAS runs at about
+    twice the rate of the triangular solve. Otherwise each block solves
+    (``solve_triangular``): with fewer queries the inverse saves too little, and
+    for an ill-conditioned L the product loses accuracy that the solve keeps
+    (Higham 2002, ch. 14). Besides the output the call holds one block,
+    O(block x n) floats, and on the product route the (Dn)^2 inverse.
     """
     Q, BQ, blocks = _query(model, points)
     cov = diagonal_frame_blocks(model.spec, Q, BQ)   # the prior's
     m, d = cov.shape[:2]
     mean = np.empty((m, d))
+    inverse = _inverse_factor(model, m)
     for rows, _, cross in blocks:
         shape = (rows.stop - rows.start, d)
         mean[rows] = (cross @ model.alpha).reshape(shape)
-        # the solve overwrites the block's cross Gram, which nothing reads after it
-        r = solve_triangular(model.chol, cross.T, lower=True, overwrite_b=True)
+        # both routes overwrite the block's cross Gram, which nothing reads after it
+        if inverse is None:
+            r = solve_triangular(model.chol, cross.T, lower=True, overwrite_b=True)
+        else:
+            r = dtrmm(1.0, inverse, cross.T, lower=1, overwrite_b=1)
         r = r.reshape(len(model.alpha), *shape)
         cov[rows] -= np.einsum("nmk,nml->mkl", r, r)
+        del cross, r   # before the generator builds the next block
     cov = 0.5 * (cov + cov.transpose(0, 2, 1))
     return Prediction(mean=_ambient(mean, BQ), cov=cov, frames=BQ)
 
@@ -625,6 +672,7 @@ def sample_posterior(model, points, rng, n_draws=1):
     for rows, B, cross in blocks:
         update = (cross @ v).T.reshape(n_draws, rows.stop - rows.start, spec.dim)
         out[:, rows] += _ambient(update, B)
+        del cross   # before the generator builds the next block
     return np.ascontiguousarray(out)
 
 

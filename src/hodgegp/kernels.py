@@ -557,6 +557,8 @@ def _lattice_part_weights(spec):
     weights mult_n M_n are the sum of the parts' W. dW is the derivative of W by log kappa,
     W_n (g_n - <g>) with g = d log Phi / d log kappa and <g> its mean under Phi tr Pi_cls.
     """
+    if not spec.classes:
+        raise InvalidInputError(f"no lattice weights for kernel kind {spec.kind!r}")
     _, mult, lam, _ = _torus_lattice(spec.dim, spec.lambda_cap)
     out = []
     for c, p in spec.classes:
@@ -609,7 +611,8 @@ def lattice_draw_coeffs(spec, z):
     """(..., F, D) coefficients A_n z_n of a torus spec's draws from standard normal z (..., F, D)
     over its half lattice n: A_n = sqrt(w0) I + (sqrt(w0 + w1) - sqrt(w0)) u u^T is the symmetric
     root of the weights mult_n M_n = w0 I + w1 u u^T (eigenvalues w0 across u, w0 + w1 along it).
-    So f(x) = sum_n [cos, sin](n . x) A_n [z_n, z'_n] has the kernel as its covariance."""
+    So f(x) = sum_n [cos, sin](n . x) A_n [z_n, z'_n] has the kernel as its covariance. The
+    noise kind has no lattice weights (InvalidInputError)."""
     w0, w1 = sum(w for w, _ in _lattice_part_weights(spec))
     u = _torus_lattice(spec.dim, spec.lambda_cap)[3]
     r0, r1 = np.sqrt(w0), np.sqrt(np.maximum(w0 + w1, 0.0))   # w0 + w1 may round below 0
@@ -706,9 +709,9 @@ class GramTables:
 
     def __init__(self, spec, X, frames=None):
         self._n = X.shape[0]
+        if spec.kind == NOISE or (spec.manifold == SPHERE and spec.kind == SCALAR):
+            raise InvalidInputError(f"no Gram tables for kernel kind {spec.kind!r}")
         if spec.manifold == SPHERE:
-            if spec.kind in (SCALAR, NOISE):
-                raise InvalidInputError(f"no Gram tables for kernel kind {spec.kind!r}")
             sx, sy = _frame_stacks(spec, X, frames, X, frames)
             self._blocks = []
             for rows, cols in _row_blocks(self._n, self._n, True):

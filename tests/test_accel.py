@@ -314,6 +314,21 @@ class TestBlasPools:
         assert inside == [{"numpy": 1, "scipy": 2}]
         assert thread_counts() == {"numpy": 2, "scipy": 2}
 
+    def test_inverse_route_holds_numpy_at_one_thread_and_restores(self, model, monkeypatch,
+                                                                   two_threads_each):
+        # with twice as many queries as data predict estimates the factor's condition
+        # (dtrcon), inverts it (dtrtri) and multiplies each block by the inverse (dtrmm),
+        # all on scipy's pool, left at its count
+        inside = []
+        for name in ("dtrcon", "dtrtri", "dtrmm"):
+            def recording(*args, _call=getattr(gp, name), **kwargs):
+                inside.append(thread_counts())
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(gp, name, recording)
+        gp.predict(model, np.tile(model.dataset.coords(), (2, 1)))
+        assert inside == [{"numpy": 1, "scipy": 2}] * 3
+        assert thread_counts() == {"numpy": 2, "scipy": 2}
+
     def test_sphere_draws_hold_numpy_at_one_thread(self, model, monkeypatch, two_threads_each):
         # a sphere draw is a GEMM on numpy's pool; at two threads it slowed the
         # scipy calls that followed it

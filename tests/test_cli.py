@@ -434,7 +434,7 @@ class TestRunExperiment:
         train, _ = cli_mod._build_cell_data(cfg, 0)
         model = condition(KernelSpec(HODGE_CURL, MaternParams(0.5, 0.4, 1.0, 0.01), lmax=10),
                           train)
-        cli_mod._write_grid(cfg, "div-free", 0.5, model)
+        cli_mod._write_grid(cfg, "div-free", 0.5, model, cli_mod._prediction_grid(cfg.grid))
         rows = (tmp_path / "grid_div-free_0p5.csv").read_text().splitlines()[1:]
         lats = [float(r.split(",")[1]) for r in rows]
         assert len(rows) == 5 * 6 and lats[0] == -90.0 and lats[-1] == 90.0
@@ -445,6 +445,42 @@ class TestRunExperiment:
             expected = [pred.mean[0] @ b[0], pred.mean[0] @ b[1],
                         np.sqrt(max(np.trace(pred.cov[0]), 0.0))]
             assert np.abs(np.array([east, north, std]) - expected).max() <= 1e-12
+
+    def test_grid_files_are_the_csv_writer_rows_of_predict(self, tmp_path, monkeypatch):
+        # the grid and its lon/lat columns are built once per sweep and shared by every
+        # grid file: each file is the lon/lat grid's rows with predict's repr'd outputs
+        import csv
+        import io
+
+        import hodgegp.cli as cli_mod
+
+        calls = []
+
+        def recording(model, points):
+            calls.append((model, points))
+            return predict(model, points)
+
+        monkeypatch.setattr(cli_mod, "predict", recording)
+        cfg = self.make_config(tmp_path / "out", kernels=["div-free", "curl-free"], seeds=[0],
+                               grid=(5, 8))
+        run_experiment(cfg)
+        lat, lon = (a.ravel() for a in np.meshgrid(np.linspace(-90.0, 90.0, 5),
+                                                   np.linspace(0.0, 360.0, 8, endpoint=False),
+                                                   indexing="ij"))
+        # the sweep writes its grid files last, sorted by kernel, from one grid
+        (m0, q0), (m1, q1) = calls[-2:]
+        assert q0 is q1
+        for kname, model in (("curl-free", m0), ("div-free", m1)):
+            pred = predict(model, q0)
+            east_north = np.einsum("ma,mka->mk", pred.mean, pred.frames)
+            std = np.sqrt(np.maximum(np.trace(pred.cov, axis1=1, axis2=2), 0.0))
+            text = io.StringIO()
+            writer = csv.writer(text)
+            writer.writerow(["lon_deg", "lat_deg", "mean_east", "mean_north", "std_trace"])
+            for a, b, (e, n), s in zip(lon, lat, east_north, std):
+                writer.writerow([repr(float(v)) for v in (a, b, e, n, s)])
+            path = tmp_path / "out" / f"grid_{kname}_0p5.csv"
+            assert path.read_bytes() == text.getvalue().encode()
 
     def test_seeds_required(self, tmp_path):
         with pytest.raises(InvalidInputError):

@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrcon
 
 from hodgegp import gp, kernels, spectrum
 from hodgegp.cli import emit_csv, normalize_dataset
@@ -1059,10 +1061,10 @@ class TestQueryMemory:
         finally:
             tracemalloc.stop()
 
-    # a query block's cross Gram, 4 floats a pair, which predict solves in place, is
-    # held while the next block's is built, from frame_blocks' row blocks (as
+    # one query block's cross Gram, 4 floats a pair, which predict whitens in place and
+    # frees before the next block's is built from frame_blocks' row blocks (as
     # TestFrameBlocksMemory bounds them at lmax 30)
-    QUERY_BLOCK = 8 * (8 * gp._QUERY_PAIRS + kernels._BLOCK_PAIRS * (30 // 2 + 2 + 32))
+    QUERY_BLOCK = 8 * (4 * gp._QUERY_PAIRS + kernels._BLOCK_PAIRS * (30 // 2 + 2 + 32))
 
     def test_predict(self):
         rng = np.random.default_rng(66)
@@ -1071,8 +1073,9 @@ class TestQueryMemory:
         Q = sample_sphere(4000, rng)
         peak, pred = self.peak(lambda q: predict(model, q), Q)
         # the output and the prior's diagonal blocks, O(m), besides one query block
+        # and, as m >= n, the (2n)^2 inverse of the Cholesky factor
         out = pred.mean.nbytes + pred.cov.nbytes + pred.frames.nbytes
-        assert peak <= 4 * out + self.QUERY_BLOCK
+        assert peak <= 4 * out + self.QUERY_BLOCK + model.chol.nbytes
 
     def test_sample_posterior(self):
         rng = np.random.default_rng(67)
@@ -1099,6 +1102,131 @@ class TestQueryMemory:
         peak, values = self.peak(draw.at, Q)
         # the 2F lattice features of a block, and the products cos and sin are taken of
         assert peak <= 2 * values.nbytes + 8 * gp._DRAW_FLOATS * 2.5
+
+
+def forward_substitution(chol, b):
+    """L^-1 b in long double, row by row: the reference for both predict routes."""
+    L, b = chol.astype(np.longdouble), b.astype(np.longdouble)
+    x = np.empty_like(b)
+    for i in range(len(L)):
+        x[i] = (b[i] - L[i, :i] @ x[:i]) / L[i, i]
+    return x
+
+
+def count_routes(monkeypatch):
+    """Counts of predict's calls of its two routes, the condition estimate and the
+    inversion, by name."""
+    calls = Counter()
+    for name in ("solve_triangular", "dtrmm", "dtrcon", "dtrtri"):
+        def recording(*args, _name=name, _call=getattr(gp, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(gp, name, recording)
+    return calls
+
+
+def route_covariances(model, Q):
+    """(long-double reference, solve route) covariances of predict at Q, both from the
+    same cross Gram, and the reference's posterior variance (trace) at each query."""
+    spec = model.spec
+    BQ = gp._frames(spec.manifold, Q)
+    cross = gp._blocks_to_matrix(frame_blocks(spec, Q, BQ, model.X, model.frames))
+    prior = kernels.diagonal_frame_blocks(spec, Q, BQ)
+    out = []
+    for r in (forward_substitution(model.chol, cross.T),
+              solve_triangular(model.chol, cross.T, lower=True)):
+        r = r.reshape(len(model.alpha), len(Q), -1)
+        cov = prior - np.einsum("nmk,nml->mkl", r, r)
+        out.append(0.5 * (cov + cov.transpose(0, 2, 1)))
+    return out[0], out[1], np.trace(out[0], axis1=1, axis2=2).astype(float)
+
+
+class TestPredictRoutes:
+    """predict whitens each query block against the Cholesky factor L in one of two ways:
+    by a product with L^-1, inverted once per call, when the call has at least twice as
+    many queries as the model has data (m >= 2n) and L is well conditioned, else by a
+    triangular solve. Both routes match a long-double forward substitution; where the
+    product is taken, its error relative to the posterior variance stays within a small
+    multiple of the solve's; and no LAPACK call gets a zero-order matrix."""
+
+    NOISELESS = KernelSpec(HODGE_CURL, MaternParams(np.inf, 0.5, 1.0, 0.0), lmax=20)
+    SPECS = {"sphere-curl": POSTERIOR_SPECS["sphere-curl"],
+             "sphere-curl-noiseless": NOISELESS,
+             "t2-compositional": POSTERIOR_SPECS["t2-compositional"]}
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_routes_match_long_double_substitution(self, name, offset, monkeypatch):
+        spec, n = self.SPECS[name], 12
+        model, Q = posterior_problem(spec, np.random.default_rng(70), n=n, m=2 * n + offset)
+        if spec.manifold == "sphere":
+            Q[-2:] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+        calls = count_routes(monkeypatch)
+        pred = predict(model, Q)
+        inverted = offset >= 0
+        assert [calls[k] for k in ("solve_triangular", "dtrmm", "dtrcon", "dtrtri")] == (
+            [0, 1, 1, 1] if inverted else [1, 0, 0, 0])
+        cov, _, _ = route_covariances(model, Q)
+        BQ = gp._frames(spec.manifold, Q)
+        cross = gp._blocks_to_matrix(frame_blocks(spec, Q, BQ, model.X, model.frames))
+        mean = gp._ambient((cross.astype(np.longdouble) @ model.alpha).reshape(len(Q), -1), BQ)
+        scale = sum(p.variance for _, p in spec.classes)
+        assert np.abs(pred.cov - cov).max() <= 1e-12 * scale
+        assert np.abs(pred.mean - mean).max() <= 1e-12 * scale
+
+    def test_product_error_relative_to_the_posterior_variance(self, monkeypatch):
+        # noiseless and smooth, two queries 1e-3 from each data point: the posterior
+        # variances are 1e-9 to 1e-5 of the prior's, so both routes lose digits to the
+        # cancellation in K_QQ - R^T R. Where L is well conditioned the product is taken,
+        # and its error, relative to each query's posterior variance, stays within a
+        # small multiple of the solve's (1.3x here; at most 4.6x over 36 such problems at
+        # n 24, 40 and 60 with estimates up to 1e5)
+        rng = np.random.default_rng(70)
+        n = 24
+        model, _ = posterior_problem(self.NOISELESS, rng, n=n, m=0)
+        Q = np.repeat(model.X, 2, axis=0) + 1e-3 * rng.standard_normal((2 * n, 3))
+        Q /= np.linalg.norm(Q, axis=1, keepdims=True)
+        assert 1.0 / dtrcon(model.chol, norm="1", uplo="L")[0] <= 1e5
+        calls = count_routes(monkeypatch)
+        pred = predict(model, Q)
+        assert calls["dtrmm"] == 1 and calls["solve_triangular"] == 0
+        ref, solved, var = route_covariances(model, Q)
+        assert var.max() <= 1e-5
+        product_err = (np.abs(pred.cov - ref).max(axis=(1, 2)).astype(float) / var).max()
+        solve_err = (np.abs(solved - ref).max(axis=(1, 2)).astype(float) / var).max()
+        assert product_err <= 8 * solve_err
+
+    def test_ill_conditioned_factor_solves(self, monkeypatch):
+        # at n 60 the noiseless factor's condition estimate exceeds 1e5, where the
+        # product's error grows past the solve's, so twice as many queries still solve
+        rng = np.random.default_rng(70)
+        n = 60
+        model, Q = posterior_problem(self.NOISELESS, rng, n=n, m=2 * n)
+        assert 1.0 / dtrcon(model.chol, norm="1", uplo="L")[0] > 1e5
+        calls = count_routes(monkeypatch)
+        pred = predict(model, Q)
+        assert [calls[k] for k in ("solve_triangular", "dtrmm", "dtrcon", "dtrtri")] == [
+            1, 0, 1, 0]
+        _, solved, _ = route_covariances(model, Q)
+        np.testing.assert_array_equal(pred.cov, solved)
+
+    @pytest.mark.parametrize("name", ["sphere-curl", "t2-compositional"])
+    @pytest.mark.parametrize("n, m", [(0, 3), (6, 0), (0, 0)])
+    def test_no_zero_order_matrix_reaches_lapack(self, name, n, m, monkeypatch, capfd):
+        # dtrtri on a (0, 0) factor prints "parameter number 5 had an illegal value"
+        # and returns info -5; an empty model or query set takes the solve route, whose
+        # scipy wrapper returns an empty right-hand side without calling LAPACK
+        spec = self.SPECS[name]
+        model, Q = posterior_problem(spec, np.random.default_rng(71), n=max(n, 1), m=max(m, 1))
+        model = condition(spec, Dataset.from_arrays(spec.manifold, model.X[:n],
+                                                    model.dataset.values()[:n]))
+        calls = count_routes(monkeypatch)
+        pred = predict(model, Q[:m])
+        assert pred.cov.shape == (m, spec.dim, spec.dim)
+        assert calls["dtrcon"] == calls["dtrtri"] == calls["dtrmm"] == 0
+        assert calls["solve_triangular"] == (1 if m else 0)
+        assert "illegal value" not in "".join(capfd.readouterr())
+
 
 class TestDatasetManifold:
     """A dataset answers its own manifold and dimension, empty or not: an empty one from

@@ -772,6 +772,21 @@ class TestTorus:
             with pytest.raises(InvalidInputError):
                 predict(model, np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_noise_kind_has_no_lattice_weights(self, dim):
+        # the noise kind has no parts; before, the sum of none (0) reached the lattice
+        # code and raised a bare TypeError, while the sphere's GramTables named the kind
+        spec = noise_spec(0.1, manifold=CIRCLE if dim == 1 else TORUS, torus_dim=dim)
+        full = KernelSpec(HODGE_FULL, PARAMS, manifold=spec.manifold, torus_dim=dim,
+                          lambda_cap=16.0)
+        x = np.zeros((3, dim))
+        with pytest.raises(InvalidInputError, match="kernel kind 'noise'"):
+            kernels.lattice_draw_coeffs(spec, np.zeros((2, 1, dim)))
+        with pytest.raises(InvalidInputError, match="kernel kind 'noise'"):
+            GramTables(spec, x)
+        with pytest.raises(InvalidInputError, match="kernel kind 'noise'"):
+            GramTables(full, x).blocks_and_derivatives(spec)
+
 
 def diagonal_case(name):
     """(spec, points, total variance) for one diagonal-evaluator case."""
