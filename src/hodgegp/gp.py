@@ -38,8 +38,7 @@ from .kernels import (HODGE_COMPOSITIONAL, HODGE_CURL, HODGE_DIV, HODGE_FULL, NO
 # Not called here: gp evaluates no kernel itself. benchmark/run.py traces these
 # names in gp as well as in kernels, so they stay importable from this module.
 from .kernels import hodge_pair_sums, kernel_matrix, scalar_pair_sums  # noqa: F401
-from .manifold import (SPHERE, ManifoldPoint, TangentVector, check_space, check_tangent,
-                       coordinates, frames_at)
+from .manifold import SPHERE, TangentVector, check_space, check_tangent, coordinates, frames_at
 from .spectrum import (CURL, DIV, SphereSpectrum, TorusSpectrum, gradient_field_values,
                        harmonic_values, sphere_spectrum)
 
@@ -91,19 +90,6 @@ class Dataset:
     def values(self):
         """(n, D) observation components, D as k of ``coords``."""
         return self._values
-
-    @property
-    def points(self):
-        """Deprecated: a ``ManifoldPoint`` per row of ``coords()``, built on each read."""
-        warn_deprecated("Dataset.points", "Dataset.coords()")
-        return [ManifoldPoint(self.manifold, x) for x in self._coords]
-
-    @property
-    def observations(self):
-        """Deprecated: a ``TangentVector`` per row of ``values()``, built on each read."""
-        warn_deprecated("Dataset.observations", "Dataset.values()")
-        return [TangentVector(ManifoldPoint(self.manifold, x), v)
-                for x, v in zip(self._coords, self._values)]
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +357,13 @@ class FitConfig:
                                     f"got {self.fixed_kappa!r}")
         for name in ("log_kappa_bounds", "log_variance_bounds", "log_noise_bounds"):
             pair = np.asarray(getattr(self, name), dtype=np.float64)
-            if pair.shape != (2,) or not (np.isfinite(pair).all() and pair[0] < pair[1]):
-                raise InvalidInputError(f"{name} must be a finite pair (lo, hi) with lo < hi, "
-                                        f"got {getattr(self, name)!r}")
+            with np.errstate(over="ignore"):   # e^hi must be finite, e^lo nonzero but for a noise
+                scale = np.exp(pair)           # (_spec_builder checks the kappas against nu)
+            if pair.shape != (2,) or not (np.isfinite(pair).all() and pair[0] < pair[1]
+                                          and scale[1] < math.inf
+                                          and (scale[0] > 0.0 or name == "log_noise_bounds")):
+                raise InvalidInputError(f"{name} must be a finite pair (lo, hi) with lo < hi and "
+                                        f"e^lo, e^hi in range, got {getattr(self, name)!r}")
         try:
             np.random.default_rng(self.seed)
         except (TypeError, ValueError) as exc:
@@ -390,11 +380,13 @@ def _spec_builder(kind, nu, manifold, lmax, lambda_cap, torus_dim, config):
     if kind not in (HODGE_FULL, HODGE_DIV, HODGE_CURL, PROJECTED, HODGE_COMPOSITIONAL):
         raise InvalidInputError(f"cannot fit kernel kind {kind!r}")
     fixed = config.fixed_kappa
-    if fixed is not None:   # FitConfig knows no nu; the first spec would fail without the name
+    # FitConfig knows no nu; a spec inside the fit would fail without the setting's name
+    for field, kappa in ([("fixed_kappa", fixed)] if fixed is not None else
+                         [("log_kappa_bounds", math.exp(t)) for t in config.log_kappa_bounds]):
         try:
-            check_kappa(nu, fixed)
+            check_kappa(nu, kappa)
         except InvalidInputError as exc:
-            raise InvalidInputError(f"fixed_kappa: {exc}") from None
+            raise InvalidInputError(f"{field}: {exc}") from None
     suffixes = (f"_{DIV}", f"_{CURL}") if kind == HODGE_COMPOSITIONAL else ("",)
     per_class = ("log_variance",) if fixed is not None else ("log_kappa", "log_variance")
     names = [name + suffix for suffix in suffixes for name in per_class] + ["log_noise"]
@@ -417,14 +409,10 @@ def _spec_builder(kind, nu, manifold, lmax, lambda_cap, torus_dim, config):
 def _objective(dataset, names, build, theta0):
     """fit's objective: theta -> (-LML, -dLML/dtheta) of build(theta), (1e30, 0) where it fails.
 
-    ``names`` are the log-parameters theta holds, as ``_spec_builder`` names them;
-    the per-part kernel derivatives come in ``spec.classes`` order and are named
-    here, so no other module knows the names. The frames, frame
-    observations and ``GramTables`` of the points are built once, for the kind
-    of build(theta0), and live as long as the objective; each evaluation only
-    weights the tables and factors the Gram. With W = alpha alpha^T - K^-1,
-    dLML/dtheta = tr(W dK/dtheta) / 2 (Rasmussen & Williams 2006, eq. 5.9): the
-    kernel derivatives come with the blocks, and dK/dlog noise = noise I.
+    ``names`` are ``_spec_builder``'s: per part of ``spec.classes``, log_kappa (unless
+    fixed) and log_variance, then log_noise. The points' ``GramTables`` are built once.
+    With W = alpha alpha^T - K^-1, dLML/dtheta = tr(W dK/dtheta) / 2 (Rasmussen &
+    Williams 2006, eq. 5.9): the tables give the kernel's traces, and dK/dlog noise = noise I.
     """
     spec = build(theta0)
     X, frames, y = _observations(spec, dataset)
@@ -433,19 +421,12 @@ def _objective(dataset, names, build, theta0):
     def objective(theta):
         try:
             spec = build(theta)
-            blocks, parts = tables.blocks_and_derivatives(spec)
-            derivatives = {}
-            for (cls, _), pair in zip(spec.classes, parts):
-                suffix = f"_{cls}" if spec.kind == HODGE_COMPOSITIONAL else ""
-                derivatives.update(zip(("log_variance" + suffix, "log_kappa" + suffix), pair))
-            chol, alpha, _ = _factor(spec, _blocks_to_matrix(blocks), y)
+            chol, alpha, _ = _factor(spec, _blocks_to_matrix(tables.blocks(spec)), y)
             w = np.outer(alpha, alpha) - cho_solve((chol, True), np.eye(len(y)))
-            # einsum, not np.vdot: vdot is BLAS ddot, whose summation order (and
-            # so the gradient's last bits, and the optimizer's path) depends on
-            # the BLAS build and its thread count; einsum's does not
-            grad = [spec.noise_variance * np.trace(w) if name == "log_noise"
-                    else np.einsum("ij,ij->", w, _blocks_to_matrix(derivatives[name]))
-                    for name in names]
+            # BLAS sums the traces: inside fit at one thread, in one order on every call
+            grad = [trace for var, kappa in tables.gradient(spec, w)
+                    for trace in ((kappa, var) if names[0].startswith("log_kappa") else (var,))]
+            grad.append(spec.noise_variance * np.trace(w))
             return -_log_evidence(y, chol, alpha), -0.5 * np.array(grad)
         except (NumericalError, FloatingPointError):
             return 1e30, np.zeros(len(names))
@@ -464,14 +445,11 @@ def fit(dataset, kind, config=None, nu=0.5, lmax=30, lambda_cap=900.0) -> Kernel
     is the mean squared frame component, floored at the lower noise bound.
 
     Each evaluation gives the log evidence ``log_marginal_likelihood`` gives
-    and its gradient, from ``GramTables`` built once per call, so it only
-    weights the tables, assembles the Gram and its derivatives and factors
-    the Gram. On the sphere the tables hold the half-height Legendre table
-    (lmax // 2 + 2 rows) and nine pair planes (five for the projected kind) at
-    the ~n^2 / 2 pairs on and below the Gram's diagonal (``tracemalloc`` at
-    n = 500, lmax = 30: 26.9 MB, 22.7 MB projected, of which the table is
-    17.5 MB), contracted without a copy; on tori the lattice features, 2F n
-    floats for F half-lattice frequencies.
+    and its gradient, from ``GramTables`` built once per call, without a
+    derivative Gram. On the sphere (``tracemalloc`` at n = 500, lmax = 30) the
+    tables take 35.1 MB for one Hodge part, 43.4 MB for two, 26.9 MB projected,
+    and with one evaluation peak at 67.1, 75.4 and 58.9 MB; on tori they are
+    the lattice features, 2F n floats for F half-lattice frequencies.
     """
     if len(dataset) == 0:
         raise InvalidInputError("cannot fit an empty dataset")

@@ -37,7 +37,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._accel import _contract_levels, legendre_derivative_maps, legendre_sums, legendre_table
+from ._accel import (_contract_levels, legendre_derivative_maps, legendre_parity_maps,
+                     legendre_sums, legendre_table)
 from .errors import InvalidInputError, check_count
 from .manifold import CIRCLE, SPHERE, TORUS, coordinates, frames_at
 from .spectrum import CURL, DIV, HARM, sphere_spectrum, torus_spectrum
@@ -327,21 +328,22 @@ def hodge_pair_sums(nu, kappa, lmax, t):
     return tuple(legendre_sums(t, _part_sum_weights(DIV, MaternParams(nu, kappa), lmax)[0]))
 
 
+@lru_cache(maxsize=16)   # a fit's blocks and gradient of one evaluation share them
 def _part_sum_weights(cls, params, lmax):
-    """(2, k, lmax + 1) Legendre weights of a part's k pair sums, then their
-    derivatives by log kappa.
+    """Read-only (2, k, lmax + 1) Legendre weights of a part's k pair sums, then
+    their derivatives by log kappa.
 
     The scalar class (of the projected kind) has one sum (k = 1), the scalar
     kernel with weights sigma^2 c_l. The Hodge classes have (S1, S2): the
     integer maps of the div-kernel potential's weights c_l / lambda_l (zero at
     l = 0), whose variance enters at assembly.
     """
+    c = _level_weights(params.nu, params.kappa, lmax, 0 if cls == SCALAR else 1)
     if cls == SCALAR:
-        return params.variance * _level_weights(params.nu, params.kappa, lmax, 0)[:, None]
-    c = _level_weights(params.nu, params.kappa, lmax, 1)
+        return _read_only(params.variance * c[:, None])[0]
     l = np.arange(1, lmax + 1, dtype=np.float64)
     c[:, 1:] /= l * (l + 1.0)
-    return np.matmul(legendre_derivative_maps(lmax), c.T).transpose(2, 0, 1)
+    return _read_only(np.matmul(legendre_derivative_maps(lmax), c.T).transpose(2, 0, 1))[0]
 
 
 def sphere_draw_scales(spec):
@@ -463,20 +465,20 @@ def _strict_upper(size):
 
 
 def _write_block(out, rows, cols, components, symmetric):
-    """Write one row block's (..., 2, 2, r, c) component planes into ``out``, the Gram
-    layout (..., n, 2, m, 2); mirror a symmetric Gram's block, which stops at the
-    diagonal, to the upper triangle, so the Gram is symmetric bit for bit."""
-    block = out[..., rows, :, cols, :]
+    """Write one row block's (2, 2, r, c) component planes into ``out``, the Gram layout
+    (n, 2, m, 2); mirror a symmetric Gram's block, which stops at the diagonal, to the
+    upper triangle, so the Gram is symmetric bit for bit."""
+    block = out[rows, :, cols, :]
     for k in range(2):
         for l in range(2):   # one copy per component: numpy loops innermost over dest's last axis
-            block[..., k, :, l] = components[..., k, l, :, :]
+            block[:, k, :, l] = components[k, l]
     if symmetric:
-        gram = out.reshape(out.shape[:-4] + (2 * out.shape[-4], 2 * out.shape[-2]))
+        gram = out.reshape(2 * out.shape[0], 2 * out.shape[2])
         a, b = 2 * rows.start, 2 * rows.stop
-        gram[..., :a, a:b] = np.swapaxes(gram[..., a:b, :a], -1, -2)
-        square = gram[..., a:b, a:b]
+        gram[:a, a:b] = gram[a:b, :a].T
+        square = gram[a:b, a:b]
         # the source overlaps the destination, which numpy copies through a buffer
-        np.copyto(square, np.swapaxes(square, -1, -2), where=_strict_upper(b - a))
+        np.copyto(square, square.T, where=_strict_upper(b - a))
 
 
 def frame_blocks(spec, X, BX, Y, BY):
@@ -548,9 +550,10 @@ _LATTICE_PROJECTORS = {SCALAR: (1.0, 0.0, np.greater_equal), DIV: (0.0, 1.0, np.
                        HARM: (1.0, 0.0, np.equal)}
 
 
+@lru_cache(maxsize=1)   # the last spec's: a fit's blocks and gradient of one evaluation share them
 def _lattice_part_weights(spec):
     """[(W, dW)] per part of a torus spec, in ``spec.classes`` order, over its half lattice:
-    (2, F) each, the coefficients of I and of u_n u_n^T in the D x D weight per frequency.
+    (2, F) each, read-only, the coefficients of I and of u_n u_n^T in the D x D weight per n.
 
     W = mult_n sigma^2 Phi(|n|^2) (a, b) / Z_cls for Pi_cls = a I + b u u^T, whose trace is
     a D + b (D = 1 for the scalar kind), and Z_cls = sum_n Phi tr Pi_cls; the kernel's
@@ -572,7 +575,7 @@ def _lattice_part_weights(spec):
         g = _log_phi_slope(p.nu, p.kappa, lam, spec.dim)
         dphis = phis * (g - (phis * rank) @ g / z)
         ab = p.variance * np.array([[a], [b]])
-        out.append((ab * phis / z, ab * dphis / z))
+        out.append(_read_only(ab * phis / z, ab * dphis / z))
     return out
 
 
@@ -694,61 +697,80 @@ def scalar_kernel_matrix(spec, X, Y=None):
 class GramTables:
     """The hyperparameter-free factors of the (X, X) frame blocks of one kind.
 
-    Built once for a point set, ``blocks_and_derivatives(spec)`` returns what
-    ``frame_blocks`` gives at (X, X) for any spec of the kind, manifold and
-    truncation it was built for, bit for bit, with the derivatives by the
-    log-hyperparameters: only the per-level (sphere) or per-frequency (torus)
-    weights are computed per spec. The sphere keeps, per row block of the
-    symmetric Gram, the pair planes and the ``legendre_table`` at the block's
-    pairs, on and below the diagonal: lmax // 2 + 11 floats a pair at about
-    n^2 / 2 pairs. It contracts each table as ``legendre_sums`` contracts its
-    chunks and assembles the blocks through the same code as ``frame_blocks``:
-    the routes differ only in keeping the table. The torus keeps the features
-    [cos XN^T, sin XN^T] at the truncation's half lattice N.
+    Built once for a point set, ``blocks(spec)`` gives ``frame_blocks`` at (X, X) bit for
+    bit, and ``gradient(spec, w)`` the traces tr(W dK) by each part's log variance and log
+    kappa, for any spec of the kind, manifold and truncation it was built for. The sphere
+    keeps, per row block on and below the Gram's diagonal, the pair planes, the
+    ``legendre_table`` and each pair sum's unit components: lmax // 2 + 11 floats a pair,
+    plus 4 a pair sum (two per Hodge part). It contracts each table as ``legendre_sums``
+    contracts its chunks, and assembles the blocks through ``frame_blocks``' code. The torus
+    keeps the features [cos XN^T, sin XN^T] at the truncation's half lattice N.
     """
 
     def __init__(self, spec, X, frames=None):
         self._n = X.shape[0]
         if spec.kind == NOISE or (spec.manifold == SPHERE and spec.kind == SCALAR):
             raise InvalidInputError(f"no Gram tables for kernel kind {spec.kind!r}")
-        if spec.manifold == SPHERE:
-            sx, sy = _frame_stacks(spec, X, frames, X, frames)
-            self._blocks = []
-            for rows, cols in _row_blocks(self._n, self._n, True):
-                planes = _pair_planes(spec.kind, sx, sy, rows, cols)
-                self._blocks.append((rows, cols, planes, legendre_table(planes[0], spec.lmax)))
-        else:
+        if spec.manifold != SPHERE:
             X = coordinates(spec.manifold, spec.dim, X)
             self._features = lattice_features(X, _torus_lattice(spec.dim, spec.lambda_cap)[0])
+            return
+        sx, sy = _frame_stacks(spec, X, frames, X, frames)
+        parts = [(c, MaternParams(1.0, 1.0)) for c, _ in spec.classes]   # at variance 1
+        one_hot = np.eye(len(_sphere_sum_weights(spec)))[..., None, None]   # a pair sum each
+        self._blocks = []
+        for rows, cols in _row_blocks(self._n, self._n, True):
+            planes = _pair_planes(spec.kind, sx, sy, rows, cols)
+            # the unit components, times the pair's count in tr(W K) read from the lower
+            # triangle: 2 below the diagonal, 1 on it, 0 above it
+            units = _frame_components(parts, planes, one_hot) * (
+                1.0 + np.sign(np.arange(rows.start, rows.stop)[:, None] - np.arange(cols.stop)))
+            self._blocks.append((rows, cols, planes, legendre_table(planes[0], spec.lmax),
+                                 units.reshape(len(units), 4, -1)))
 
-    def blocks_and_derivatives(self, spec):
-        """(n, n, D, D) frame blocks of spec at the prepared points, and per part of
-        ``spec.classes``, in its order, the pair of their derivatives by the part's
-        log variance and log kappa; each is a new array.
-
-        Every kernel is linear in its per-level (per-frequency) weights, so a
-        part's log-variance derivative is that part's blocks, and its
-        log-kappa derivative the same contraction and assembly with the
-        weights' log-kappa derivatives. The blocks equal ``frame_blocks`` at
-        (X, X) bit for bit.
-        """
+    def blocks(self, spec):
+        """(n, n, D, D) frame blocks of spec at the prepared points, a new array."""
         if spec.manifold != SPHERE:
             f = self._features
-            parts = _lattice_part_weights(spec)
-            blocks = _lattice_sum(spec, f, f, sum(w for w, _ in parts))
-            return blocks, [(_lattice_sum(spec, f, f, w) if len(parts) > 1 else blocks.copy(),
-                             _lattice_sum(spec, f, f, dw)) for w, dw in parts]
-        parts = spec.classes
-        # rows: the value weights of every part, then their log-kappa derivatives
-        weights = np.concatenate([_part_sum_weights(cls, p, spec.lmax) for cls, p in parts],
-                                 axis=1)
-        weights = weights.reshape(-1, weights.shape[2])
-        # per part, its blocks and their log-kappa derivatives: one array, two views
-        pairs = np.empty((len(parts), 2, self._n, 2, self._n, 2))
-        for rows, cols, planes, table in self._blocks:
-            sums = _contract_levels(weights, table).reshape((2, len(parts), -1) + table.shape[1:])
-            for own, part, s in zip(pairs, parts, sums.swapaxes(0, 1)):
-                _write_block(own, rows, cols, _frame_components([part], planes, s), True)
-        derivatives = pairs.transpose(0, 1, 2, 4, 3, 5)
-        # a new array, summed as frame_blocks sums parts
-        return derivatives[:, 0].sum(axis=0), list(derivatives)
+            return _lattice_sum(spec, f, f, sum(w for w, _ in _lattice_part_weights(spec)))
+        weights = _sphere_sum_weights(spec)
+        out = np.empty((self._n, 2, self._n, 2))
+        for rows, cols, planes, table, _ in self._blocks:
+            sums = _contract_levels(weights, table)
+            _write_block(out, rows, cols, _frame_components(spec.classes, planes, sums), True)
+        return out.transpose(0, 2, 1, 3)
+
+    def gradient(self, spec, w):
+        """[(tr(W dK/dlog variance), tr(W dK/dlog kappa))] per part of ``spec.classes`` for a
+        symmetric W in the Gram's layout, by the adjoint of the linear assembly. On the
+        sphere W meets the unit components, read only on and below the diagonal (its 2x2
+        blocks whole), then each weight row's pair sums. On tori entry (a, b) of K gives
+        diag(f^T W_ab f), cos and sin halves summed, for I if a = b and for u u^T: one
+        product per entry on and above the diagonal, or of sum_a W_aa without u u^T."""
+        if spec.manifold != SPHERE:
+            weights, f = _lattice_part_weights(spec), self._features
+            w4 = w.reshape((len(f), 1 if spec.kind == SCALAR else spec.dim) * 2)
+            a, b = np.triu_indices(w4.shape[1])
+            if not any(w1.any() for (_, w1), _ in weights):
+                a, b, w4 = a[:1], b[:1], np.trace(w4, 0, 1, 3)[:, None, :, None]
+            d = np.array([np.einsum("ij,ij->j", w4[:, i, :, j] @ f, f) for i, j in zip(a, b)])
+            d = d[:, :d.shape[1] // 2] + d[:, d.shape[1] // 2:]
+            u = _torus_lattice(spec.dim, spec.lambda_cap)[3].T
+            q = np.array([d[a == b].sum(axis=0),
+                          ((2.0 - (a == b))[:, None] * u[a] * u[b] * d).sum(axis=0)])
+            return [(np.sum(v * q), np.sum(dv * q)) for v, dv in weights]
+        weights = np.array([_part_sum_weights(cls, p, spec.lmax) for cls, p in spec.classes])
+        # the (e, o) of _contract_levels for every weight row: a BLAS product sums them here,
+        # as the traces need no bit-stable pair sums
+        coeffs = np.einsum("kl,jl->kj", weights.reshape(-1, spec.lmax + 1),
+                           legendre_parity_maps(spec.lmax)).reshape(-1, spec.lmax // 2 + 1)
+        w4, traces = w.reshape(self._n, 2, self._n, 2), np.zeros((len(weights), 2))
+        for rows, cols, _, table, units in self._blocks:
+            block = np.ascontiguousarray(w4[rows, :, cols, :].transpose(1, 3, 0, 2))
+            a = np.einsum("jkp,kp->jp", units, block.reshape(4, -1))   # per pair sum and pair
+            levels = table.reshape(len(table), -1)   # B_0 .. B_{J-1}, then t
+            sums = coeffs @ levels[:-1]
+            sums = (sums[1::2] * levels[-1] + sums[::2]).reshape(*weights.shape[:3], -1)
+            traces += (sums * a.reshape(len(weights), 1, -1, a.shape[1])).sum(axis=(2, 3))
+        return [tuple((1.0 if cls == SCALAR else p.variance) * t)   # variance as _frame_components
+                for (cls, p), t in zip(spec.classes, traces)]

@@ -456,6 +456,28 @@ class TestFit:
             fit(ds, HODGE_CURL, FitConfig(fixed_kappa=fixed_kappa), nu=nu, lmax=6,
                 lambda_cap=20.0)
 
+    @pytest.mark.parametrize("field, bounds", [
+        ("log_kappa_bounds", (0.0, 800.0)), ("log_kappa_bounds", (-800.0, 0.0)),
+        ("log_variance_bounds", (710.0, 800.0)), ("log_variance_bounds", (-800.0, 0.0)),
+        ("log_noise_bounds", (0.0, 800.0))])
+    def test_bounds_are_checked_against_their_domain(self, field, bounds, monkeypatch):
+        # each bound's exponential must be a valid kappa (for nu), a finite positive
+        # variance or a finite noise, checked before any table is built; before, an
+        # overflowing variance raised a bare OverflowError inside the fit, and a kappa
+        # bound an InvalidInputError from MaternParams that named neither field nor fit
+        ds = make_dataset(8, np.random.default_rng(71))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the objective was built")
+
+        monkeypatch.setattr(gp, "_objective", refuse)
+        with pytest.raises(InvalidInputError, match=field):
+            fit(ds, HODGE_CURL, FitConfig(restarts=4, seed=1, **{field: bounds}), lmax=6)
+        # a noise bound whose exponential underflows to 0 is a valid noise
+        with pytest.raises(AssertionError, match="the objective was built"):
+            fit(ds, HODGE_CURL, FitConfig(log_noise_bounds=(-800.0, 2.0)), lmax=6)
+
+
 class TestPointsOnTheSpecsManifold:
     """A point off the spec's manifold, or of another dimension, is an InvalidInputError.
     Before, lists of points reached numpy unchecked: an IndexError, numpy's ValueError,
@@ -1141,6 +1163,35 @@ def route_covariances(model, Q):
     return out[0], out[1], np.trace(out[0], axis1=1, axis2=2).astype(float)
 
 
+class TestObjectiveMemory:
+    def test_one_evaluation_holds_the_tables_and_four_grams(self):
+        # building fit's objective and evaluating it once holds the kept GramTables and,
+        # at the evaluation's peak, four (2n)^2 arrays: the Cholesky factor, alpha alpha^T,
+        # the inverse and W; the Gram itself is freed once factored, and the gradient
+        # forms no derivative Gram. Before, the sphere's 2 per part and two more (the
+        # summed blocks and a copy) took it to nine at this size
+        rng = np.random.default_rng(72)
+        ds = make_dataset(300, rng)
+        names, bounds, build = gp._spec_builder(HODGE_COMPOSITIONAL, 0.5, "sphere", 30, 900.0, 2,
+                                                FitConfig())
+        theta = np.array([0.5 * (lo + hi) for lo, hi in bounds])
+        gp._objective(make_dataset(3, rng), names, build, theta)(theta)   # fill the caches
+        spec = build(theta)
+        X, frames, _ = gp._observations(spec, ds)
+        tracemalloc.start()
+        try:
+            tables = kernels.GramTables(spec, X, frames)
+            kept = tracemalloc.get_traced_memory()[0]
+            del tables
+            tracemalloc.reset_peak()
+            gp._objective(ds, names, build, theta)(theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gram = 8 * (2 * len(ds)) ** 2
+        assert peak <= kept + 5 * gram
+
+
 class TestPredictRoutes:
     """predict whitens each query block against the Cholesky factor L in one of two ways:
     by a product with L^-1, inverted once per call, when the call has at least twice as
@@ -1352,25 +1403,17 @@ class TestDatasetArrays:
             assert given.flags.writeable and not np.shares_memory(own, given)
 
     @pytest.mark.parametrize("name", ["sphere", "t2"])
-    def test_points_and_observations_are_deprecated(self, name):
+    def test_points_and_observations_are_gone(self, name):
+        # the deprecated per-row lists are retired: a read raises AttributeError,
+        # whichever constructor built the dataset
         manifold, X, V = self.rows(name, 5, np.random.default_rng(84))
         points = [ManifoldPoint(manifold, x) for x in X]
-        observations = [TangentVector(p, v) for p, v in zip(points, V)]
-        data = Dataset(points, observations)
-        for _ in range(2):
-            with pytest.warns(DeprecationWarning,
-                              match=r"Dataset.points is deprecated; call Dataset.coords\(\)") as rec:
-                read = data.points
-            assert len(rec) == 1 and rec[0].filename == __file__
-            assert [p.manifold for p in read] == [manifold] * 5
-            assert np.array_equal([p.coords for p in read], [p.coords for p in points])
-            with pytest.warns(DeprecationWarning, match=r"Dataset.observations is deprecated; "
-                                                        r"call Dataset.values\(\)") as rec:
-                read = data.observations
-            assert len(rec) == 1 and rec[0].filename == __file__
-            assert np.array_equal([v.components for v in read],
-                                  [v.components for v in observations])
-            assert np.array_equal([v.base.coords for v in read], [p.coords for p in points])
+        for data in (Dataset(points, [TangentVector(p, v) for p, v in zip(points, V)]),
+                     Dataset.from_arrays(manifold, X, V)):
+            for retired in ("points", "observations"):
+                assert not hasattr(data, retired)
+                with pytest.raises(AttributeError, match=retired):
+                    getattr(data, retired)
 
 
 SPHERE_DRAW_SPECS = {name: POSTERIOR_SPECS["sphere-" + name]

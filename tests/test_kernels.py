@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -329,7 +330,7 @@ class TestRectangularCrossBlocks:
             a = np.array([[1.0, 0.2, -0.5], [0.0, 0.7, 0.3], [0.4, -0.1, 1.2]])
             spec = KernelSpec(kind, PARAMS, coreg=a if kind == PROJECTED else None)
         b = frames_at(pts)
-        np.testing.assert_array_equal(GramTables(spec, pts, b).blocks_and_derivatives(spec)[0],
+        np.testing.assert_array_equal(GramTables(spec, pts, b).blocks(spec),
                                       frame_blocks(spec, pts, b, pts, b))
 
     def test_projected_with_coreg_matches_projector_formula(self):
@@ -420,6 +421,85 @@ class TestSymmetricGram:
         assert np.abs(rotated - expected).max() <= 1e-12 * variance
 
 
+def gradient_case(name):
+    """(spec, points, frames, {cls: spec of that part alone}) for one adjoint case: 23 sphere
+    points with both poles and an antipodal pair, or 9 torus points."""
+    rng = np.random.default_rng(52)
+    if name.startswith("sphere-"):
+        kind = name.split("-", 1)[1]
+        pts = sample_sphere(23, rng)
+        pts[3], pts[17], pts[9] = [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], -pts[8]
+        if kind == HODGE_COMPOSITIONAL:
+            spec = compositional_spec(1.5, (0.3, 0.8), (0.6, 1.2), lmax=16)
+            alone = {cls: KernelSpec(own, spec.parts[cls], lmax=16)
+                     for cls, own in ((DIV, HODGE_DIV), (CURL, HODGE_CURL))}
+            return spec, pts, frames_at(pts), alone
+        coreg = np.array([[1.0, 0.2, -0.5], [0.0, 0.7, 0.3], [0.4, -0.1, 1.2]])
+        spec = KernelSpec(kind.removesuffix("-coreg"), PARAMS, lmax=16,
+                          coreg=coreg if kind.endswith("-coreg") else None)
+        return spec, pts, frames_at(pts), {spec.classes[0][0]: spec}
+    dim = int(name[1])
+    manifold = CIRCLE if dim == 1 else TORUS
+    pts = rng.uniform(0.0, 2.0 * np.pi, (9, dim))
+    common = dict(manifold=manifold, torus_dim=dim, lambda_cap=30.0)
+    if dim == 1:   # the circle's curl class is empty: no compositional kernel
+        spec = KernelSpec(name.split("-", 1)[1], PARAMS, **common)
+        return spec, pts, None, {spec.classes[0][0]: spec}
+    spec = compositional_spec(1.5, (0.3, 0.8), (0.6, 1.2), harm_variance=0.5, **common)
+    alone = {cls: KernelSpec(own, spec.parts[cls], **common)
+             for cls, own in ((DIV, HODGE_DIV), (CURL, HODGE_CURL))}
+    alone[HARM] = compositional_spec(1.5, (0.3, 0.8), (0.6, 1.2), **common)   # spec minus harm
+    return spec, pts, None, alone
+
+
+GRADIENT_CASES = (["sphere-" + kind for kind in SPHERE_GRAM_KINDS] + ["sphere-projected-coreg",
+                  "t1-hodge-full", "t1-hodge-div", "t2-compositional", "t3-compositional"])
+
+
+class TestGramTablesGradient:
+    """``GramTables.gradient`` is the adjoint of the assembly; the reference is the forward
+    contraction sum(W * K) of ``frame_blocks`` for the part alone, and its 4-point central
+    difference in log kappa."""
+
+    @pytest.mark.parametrize("name", GRADIENT_CASES)
+    def test_traces_equal_the_forward_contraction(self, name, monkeypatch):
+        spec, pts, frames, alone = gradient_case(name)
+        monkeypatch.setattr(kernels, "_BLOCK_PAIRS", 100)   # several row blocks, one partial
+        g = np.random.default_rng(53).standard_normal((spec.dim * len(pts),) * 2)
+        w = g + g.T
+        traces = GramTables(spec, pts, frames).gradient(spec, w)
+        assert len(traces) == len(spec.classes)
+
+        def part_gram(part_spec, step=0.0):
+            if step:
+                part_spec = dataclasses.replace(part_spec, params=dataclasses.replace(
+                    part_spec.params, kappa=part_spec.params.kappa * math.exp(step)))
+            return gp._blocks_to_matrix(frame_blocks(part_spec, pts, frames, pts, frames))
+
+        for (cls, p), (variance, kappa) in zip(spec.classes, traces):
+            if cls == HARM:   # the spec's Gram minus that of the spec without its harmonic part
+                k = gp._blocks_to_matrix(frame_blocks(spec, pts, frames, pts, frames))
+                scale = np.abs(w * (k - part_gram(alone[HARM]))).sum()
+                assert abs(variance - np.sum(w * k) + np.sum(w * part_gram(alone[HARM]))) \
+                    <= 1e-13 * scale
+                assert abs(kappa) <= 1e-13 * scale   # the constant kernel has no length scale
+                continue
+            k = part_gram(alone[cls])
+            scale = np.abs(w * k).sum()
+            assert abs(variance - np.sum(w * k)) <= 1e-13 * scale
+            h = 1e-3
+            f = [np.sum(w * part_gram(alone[cls], step)) for step in (-2 * h, -h, h, 2 * h)]
+            central = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
+            assert abs(kappa - central) <= 1e-11 * scale
+
+    @pytest.mark.parametrize("name", ["sphere-" + HODGE_COMPOSITIONAL, "t2-compositional"])
+    def test_no_points_give_zero_traces(self, name):
+        spec, pts, frames, _ = gradient_case(name)
+        tables = GramTables(spec, pts[:0], None if frames is None else frames[:0])
+        assert tables.blocks(spec).shape == (0, 0, spec.dim, spec.dim)
+        assert tables.gradient(spec, np.zeros((0, 0))) == [(0.0, 0.0)] * len(spec.classes)
+
+
 class TestFrameBlocksMemory:
     def test_peak_is_the_output_plus_a_block(self):
         # a row block holds its Legendre table (lmax // 2 + 2 floats a pair), nine
@@ -437,14 +517,16 @@ class TestFrameBlocksMemory:
             tracemalloc.stop()
         assert peak <= out.nbytes + 8 * kernels._BLOCK_PAIRS * (spec.lmax // 2 + 2 + 32)
 
-    def test_projected_gram_tables_keep_five_planes_a_pair(self):
-        # the projected kind reads t = x . y and the four b . b' planes, so its tables
-        # keep lmax // 2 + 2 + 5 floats a pair; the Hodge kinds keep all nine planes
+    def test_gram_tables_keep_the_table_planes_and_unit_components_a_pair(self):
+        # a pair keeps the lmax // 2 + 2 rows of its Legendre table, its planes and the
+        # 2x2 unit components of each pair sum that the gradient contracts W with: the
+        # projected kind reads t = x . y and the four b . b' planes and has one pair sum,
+        # a Hodge kind all nine planes and two pair sums (S1, S2)
         x = sample_sphere(300, np.random.default_rng(49))
         bx = frames_at(x)
         pairs = sum((r.stop - r.start) * (c.stop - c.start)
                     for r, c in kernels._row_blocks(300, 300, True))
-        for kind, planes in ((PROJECTED, 5), (HODGE_CURL, 9)):
+        for kind, planes in ((PROJECTED, 5 + 4), (HODGE_CURL, 9 + 8)):
             spec = KernelSpec(kind, PARAMS, lmax=12)
             GramTables(spec, x[:3], bx[:3])   # fill the cached Legendre maps
             tracemalloc.start()
@@ -455,7 +537,7 @@ class TestFrameBlocksMemory:
                 tracemalloc.stop()
             floats = 8 * pairs * (spec.lmax // 2 + 2 + planes)
             assert floats <= kept <= floats + 64 * 1024
-            np.testing.assert_array_equal(tables.blocks_and_derivatives(spec)[0],
+            np.testing.assert_array_equal(tables.blocks(spec),
                                           frame_blocks(spec, x, bx, x, bx))
 
 
@@ -547,7 +629,7 @@ class TestTorusLattice:
         for kind in (HODGE_CURL, HODGE_FULL):
             spec = KernelSpec(kind, PARAMS, manifold=TORUS, torus_dim=dim, lambda_cap=30.0)
             kernel_matrix(spec, x)
-            GramTables(spec, x).blocks_and_derivatives(spec)
+            GramTables(spec, x).blocks(spec)
             sample_prior(spec, rng).at(x)
             sample_prior_batch(spec, x, 2, rng)
             sample_posterior(condition(spec, Dataset.from_arrays(TORUS, x, x)), x, rng)
@@ -785,7 +867,7 @@ class TestTorus:
         with pytest.raises(InvalidInputError, match="kernel kind 'noise'"):
             GramTables(spec, x)
         with pytest.raises(InvalidInputError, match="kernel kind 'noise'"):
-            GramTables(full, x).blocks_and_derivatives(spec)
+            GramTables(full, x).blocks(spec)
 
 
 def diagonal_case(name):
